@@ -21,6 +21,7 @@ from .embedding import (
     embed_tokens,
     load_embeddings,
     nearest_words,
+    pool_texts,
     save_embeddings,
     sum_pool,
     tokenize,
@@ -58,6 +59,6 @@ from .retrieval import (
 )
 from .similarity import sim_crosssum, sim_hausdorff, sim_pooled
 from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .videos import ScoreTrack, VideoRecord, build_video_record, load_corpus, pool
+from .videos import Corpus, ScoreTrack, VideoRecord, build_video_record, load_corpus, pool
 
 __version__ = "0.1.0"

@@ -43,7 +43,11 @@ def run_bench(
     backends: list[str] | None = None,
     config: RetrievalConfig = RetrievalConfig(),
 ) -> list[BenchRow]:
-    """Time rank_event at each corpus size for each kernel backend."""
+    """Time rank_event at each corpus size for each kernel backend.
+
+    Each corpus is built into its columns once, before any timing, so the
+    figures measure ranking rather than ingest.
+    """
     if not sizes:
         raise ValueError("need at least one corpus size")
     if repeat < 1:

@@ -98,8 +98,7 @@ def _fmt(args):
 
 def _cmd_pool(args) -> int:
     repo = load_concepts(args.concepts)
-    records = load_corpus(args.scores, repo, mode=args.mode)
-    records.sort(key=lambda r: r.video_id)
+    records = sorted(load_corpus(args.scores, repo, mode=args.mode), key=lambda r: r.video_id)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("video," + ",".join(repo.ids()) + "\n")
         for rec in records:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedSet, EmbeddingSpace, embed_tokens, tokenize
+from .embedding import EmbeddedSet, EmbeddingSpace, embed_tokens, sum_pool, tokenize
 from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, ZeroNormError
-from .similarity import sim_hausdorff, sim_pooled
+from .similarity import sim_hausdorff
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
@@ -42,7 +42,9 @@ class ConceptRepository:
 
     Concepts whose tokens all fall outside the vocabulary are kept in the
     list (they still own a score column) but flagged unscoreable and skipped
-    by ranking. Immutable once embeddings are attached.
+    by ranking. Immutable once embeddings are attached; ``space`` and
+    ``stops`` keep what the embeddings were built with, so that a corpus can
+    embed its transcripts the same way.
     """
 
     def __init__(self, concepts: list[ConceptDefinition]):
@@ -52,6 +54,12 @@ class ConceptRepository:
             raise ConceptFormatError("duplicate concept ids")
         self._embedded: dict[str, EmbeddedSet] = {}
         self.unscoreable: tuple[str, ...] = ()
+        self.space: EmbeddingSpace | None = None
+        self.stops: frozenset[str] = DEFAULT_STOPWORDS
+        # pooled-kernel columns: ids, summed vectors and their norms
+        self._pooled_ids: tuple[str, ...] = ()
+        self._pooled = np.zeros((0, 0))
+        self._pooled_norms = np.zeros(0)
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -69,7 +77,8 @@ class ConceptRepository:
         return self._embedded.get(concept_id)
 
     def attach_space(self, space: EmbeddingSpace, stops=DEFAULT_STOPWORDS) -> None:
-        """Precompute every concept's embedded token set."""
+        """Precompute every concept's embedded token set and the pooled
+        concept matrix the pooled kernel ranks against."""
         excluded = []
         for concept in self.concepts:
             tokens = tokenize(concept.name, stops)
@@ -80,11 +89,31 @@ class ConceptRepository:
             except AllTokensOOV:
                 excluded.append(concept.id)
         self.unscoreable = tuple(excluded)
+        self.space, self.stops = space, stops
         if excluded:
             log.warning(
                 "%d of %d concepts fully out of vocabulary, excluded from scoring: %s",
                 len(excluded), len(self.concepts), excluded,
             )
+
+        ids, pooled, norms, degenerate = [], [], [], []
+        for concept_id in self.scoreable_ids():
+            vector = sum_pool(self._embedded[concept_id])
+            norm = float(np.linalg.norm(vector))
+            if norm == 0.0:
+                degenerate.append(concept_id)
+                continue
+            ids.append(concept_id)
+            pooled.append(vector)
+            norms.append(norm)
+        if degenerate:
+            log.warning(
+                "%d concepts have a zero-norm pooled vector, skipped by the pooled kernel: %s",
+                len(degenerate), degenerate,
+            )
+        self._pooled_ids = tuple(ids)
+        self._pooled = np.vstack(pooled) if pooled else np.zeros((0, space.dimension))
+        self._pooled_norms = np.array(norms, dtype=np.float64)
 
     def scoreable_ids(self) -> list[str]:
         return [c.id for c in self.concepts if c.id in self._embedded]
@@ -134,24 +163,33 @@ def rank_concepts(
     """Weight every scoreable concept by its similarity to the query.
 
     Sorted by weight descending, ties by id ascending; deterministic for
-    identical inputs. Concepts whose pooled vector degenerates to zero norm
-    are skipped with a warning rather than scored.
+    identical inputs. The pooled kernel is one row reduction against the
+    pooled concept matrix built by ``attach_space``, which leaves out
+    concepts whose pooled vector has zero norm.
     """
     if kernel == "pooled":
-        sim = sim_pooled
+        pooled = sum_pool(query)
+        norm = float(np.linalg.norm(pooled))
+        if norm == 0.0:
+            raise NoScoreableConcepts("query has a zero-norm pooled vector")
+        weighted = []
+        if repo._pooled_ids:
+            # a fixed-order reduction per row, never a BLAS gemv, so that a
+            # weight does not depend on the concept's row or the row count
+            weights = (repo._pooled * pooled).sum(axis=1) / (norm * repo._pooled_norms)
+            weighted = [WeightedConcept(c, w) for c, w in zip(repo._pooled_ids, weights.tolist())]
     elif kernel == "hausdorff":
-        def sim(a, b):
-            return sim_hausdorff(a, b, percentile)
+        weighted = []
+        for concept_id in repo.scoreable_ids():
+            cset = repo.embedded_set(concept_id)
+            try:
+                weighted.append(
+                    WeightedConcept(concept_id, sim_hausdorff(query, cset, percentile))
+                )
+            except ZeroNormError:
+                log.warning("concept %r has a zero-norm vector set, skipped", concept_id)
     else:
         raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
-
-    weighted = []
-    for concept_id in repo.scoreable_ids():
-        cset = repo.embedded_set(concept_id)
-        try:
-            weighted.append(WeightedConcept(concept_id, sim(query, cset)))
-        except ZeroNormError:
-            log.warning("concept %r has a zero-norm pooled vector, skipped", concept_id)
     if not weighted:
         raise NoScoreableConcepts("repository has no scoreable concepts")
     weighted.sort(key=lambda w: (-w.weight, w.concept_id))

@@ -233,6 +233,37 @@ def tokenize(text: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stops]
 
 
+def _resolve(space: EmbeddingSpace, tokens: list[str]):
+    """Greedy left-to-right resolution of tokens to table rows.
+
+    Returns (rows, resolved tokens, oov tokens, merges); see embed_tokens.
+    """
+    index = space._index
+    rows: list[int] = []
+    resolved: list[str] = []
+    oov: list[str] = []
+    merges = 0
+    i = 0
+    while i < len(tokens):
+        if i + 1 < len(tokens):
+            joined = tokens[i] + "_" + tokens[i + 1]
+            row = index.get(joined)
+            if row is not None:
+                rows.append(row)
+                resolved.append(joined)
+                merges += 1
+                i += 2
+                continue
+        row = index.get(tokens[i])
+        if row is None:
+            oov.append(tokens[i])
+        else:
+            rows.append(row)
+            resolved.append(tokens[i])
+        i += 1
+    return rows, resolved, oov, merges
+
+
 def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
     """Resolve tokens against the table, folding adjacent bigrams first.
 
@@ -241,38 +272,36 @@ def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
     single token. Unresolvable tokens are skipped and reported on the
     returned set; when nothing resolves, raises :class:`AllTokensOOV`.
     """
-    vectors: list[np.ndarray] = []
-    resolved: list[str] = []
-    oov: list[str] = []
-    merges = 0
-    i = 0
-    while i < len(tokens):
-        if i + 1 < len(tokens):
-            joined = tokens[i] + "_" + tokens[i + 1]
-            vec = space.get(joined)
-            if vec is not None:
-                vectors.append(vec)
-                resolved.append(joined)
-                merges += 1
-                i += 2
-                continue
-        vec = space.get(tokens[i])
-        if vec is None:
-            oov.append(tokens[i])
-        else:
-            vectors.append(vec)
-            resolved.append(tokens[i])
-        i += 1
-    if not vectors:
+    rows, resolved, oov, merges = _resolve(space, tokens)
+    if not rows:
         raise AllTokensOOV(tokens)
     if oov:
         log.debug("embed_tokens: %d tokens out of vocabulary: %s", len(oov), oov)
     return EmbeddedSet(
-        vectors=np.vstack(vectors),
+        vectors=space._matrix[rows].astype(np.float64),
         source_tokens=tuple(resolved),
         oov=tuple(oov),
         merges=merges,
     )
+
+
+def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STOPWORDS):
+    """Sum-pool each text's word vectors, resolved as by :func:`embed_tokens`.
+
+    Returns ``(pooled, counts)``: a (len(texts), dim) float64 matrix whose row
+    i is the sum of text i's resolved vectors, and the number of vectors in
+    that sum. A count of 0 marks a text that is empty or fully out of
+    vocabulary; its row is zero. Each row is summed in token order, so it
+    depends on its own text only.
+    """
+    pooled = np.zeros((len(texts), space.dimension), dtype=np.float64)
+    counts = np.zeros(len(texts), dtype=np.int64)
+    for i, text in enumerate(texts):
+        rows = _resolve(space, tokenize(text, stops))[0]
+        if rows:
+            counts[i] = len(rows)
+            np.add.reduce(space._matrix[rows], axis=0, dtype=np.float64, out=pooled[i])
+    return pooled, counts
 
 
 def sum_pool(embedded: EmbeddedSet | np.ndarray) -> np.ndarray:

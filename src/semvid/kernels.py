@@ -117,12 +117,16 @@ def _marginal_nb(sub, weights):
 
 
 def marginal_scores(sub: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-video raw relevance: dot of each score row with concept weights."""
+    """Per-video raw relevance: dot of each score row with concept weights.
+
+    Each row is a fixed-order reduction rather than a BLAS gemv, whose
+    summation order can depend on the row's position in the matrix.
+    """
     sub = np.ascontiguousarray(sub, dtype=np.float64)
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     if _backend == "numba":
         return _marginal_nb(sub, weights)
-    return sub @ weights
+    return (sub * weights).sum(axis=1)
 
 
 def warmup() -> None:

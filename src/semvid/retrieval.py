@@ -3,11 +3,17 @@
 The concept channel marginalizes query-concept relevance against the
 video's concept probabilities, keeping only the R most relevant concepts.
 OCR and ASR channels compare the (optionally expanded) query word set with
-the transcript word set. Channels are fused by a weighted geometric mean
-that emphasizes the concept channel.
+the transcript word set by their mean pairwise cosine. Channels are fused
+by a weighted geometric mean that emphasizes the concept channel.
 
-Every video's fused score depends only on the query, the repository and
-that video's own record, never on the rest of the corpus.
+Scoring runs over the columns of a :class:`~semvid.videos.Corpus`: the
+concept channel is one product of the selected score columns with the
+concept weights, and a text channel is one product of the pooled
+transcript vectors with the pooled query, by the identity
+mean pairwise cosine = dot(sum Q, sum T) / (|Q| |T|). Each per-row dot
+product is a fixed-order reduction, so every video's fused score depends
+only on the query, the repository and that video's own record, never on
+the rest of the corpus or on the video's position in it.
 """
 
 from __future__ import annotations
@@ -21,11 +27,18 @@ import numpy as np
 from . import kernels
 from .concepts import ConceptRepository, rank_concepts, top_r
 from .config import DEFAULT_CONFIG, RetrievalConfig
-from .embedding import EmbeddedSet, EmbeddingSpace, embed_tokens, nearest_words, sum_pool, tokenize
-from .errors import AllTokensOOV, SemvidError, ZeroNormError
-from .similarity import sim_crosssum
+from .embedding import (
+    EmbeddedSet,
+    EmbeddingSpace,
+    embed_tokens,
+    nearest_words,
+    pool_texts,
+    sum_pool,
+    tokenize,
+)
+from .errors import SemvidError, ZeroNormError
 from .stopwords import DEFAULT_STOPWORDS
-from .videos import VideoRecord
+from .videos import Corpus, VideoRecord
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +60,10 @@ class EventQuery:
 
 @dataclass(frozen=True)
 class ChannelScores:
-    """Per-channel scores in [0, 1]; None marks an unavailable channel."""
+    """Per-channel scores in [0, 1]; None marks an unavailable channel.
+
+    A field may also be an array holding one score per video.
+    """
 
     concept: float | None
     ocr: float | None
@@ -103,9 +119,26 @@ def map_cosine(value: float) -> float:
     return (value + 1.0) / 2.0
 
 
-def map_concept_raw(raw: float, r: int) -> float:
-    """Affine map of the concept channel's raw sum (bounded by R) to [0, 1]."""
-    return (raw / r + 1.0) / 2.0
+def map_concept_raw(raw, r: int):
+    """Affine map of the concept channel's raw sum (bounded by R) to [0, 1],
+    clipped so that rounding in the cosine weights cannot leave the range.
+    Works elementwise on arrays."""
+    return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
+
+
+def _concept_raws(
+    query_set: EmbeddedSet,
+    repo: ConceptRepository,
+    S: np.ndarray,
+    kernel: str,
+    r: int,
+    percentile: float,
+) -> np.ndarray:
+    """Raw concept-channel score of every row of the (n, C) matrix ``S``."""
+    selected = top_r(rank_concepts(repo, query_set, kernel, percentile), r)
+    sel_idx = np.array([repo.index_of(wc.concept_id) for wc in selected], dtype=np.intp)
+    weights = np.array([wc.weight for wc in selected], dtype=np.float64)
+    return kernels.marginal_scores(S[:, sel_idx], weights)
 
 
 def concept_raw_score(
@@ -118,11 +151,8 @@ def concept_raw_score(
 ) -> float:
     """Raw marginalized relevance: sum over the R most query-relevant
     concepts of relevance weight times detection probability."""
-    selected = top_r(rank_concepts(repo, query_set, kernel, percentile), r)
-    raw = 0.0
-    for wc in selected:
-        raw += wc.weight * float(video.concept_scores[repo.index_of(wc.concept_id)])
-    return raw
+    S = np.asarray(video.concept_scores, dtype=np.float64)[None, :]
+    return float(_concept_raws(query_set, repo, S, kernel, r, percentile)[0])
 
 
 def score_concept_channel(
@@ -134,7 +164,8 @@ def score_concept_channel(
     percentile: float = 50.0,
 ) -> float:
     """Concept channel score mapped to [0, 1]."""
-    return map_concept_raw(concept_raw_score(query_set, repo, video, kernel, r, percentile), r)
+    raw = concept_raw_score(query_set, repo, video, kernel, r, percentile)
+    return float(map_concept_raw(raw, r))
 
 
 def embed_video_fastpath(
@@ -205,29 +236,16 @@ def prepare_text_query(
     )
 
 
-def _text_score_prepared(
-    query_set: EmbeddedSet,
-    transcript: str,
-    space: EmbeddingSpace,
-    stops=DEFAULT_STOPWORDS,
-    raw_sum: bool = False,
-) -> float | None:
-    """Score one transcript against an already prepared query set.
-
-    Returns None when the transcript is empty or fully out of vocabulary
-    (channel unavailable).
-    """
-    tokens = tokenize(transcript, stops)
-    if not tokens:
-        return None
-    try:
-        tset = embed_tokens(space, tokens)
-    except AllTokensOOV:
-        return None
-    cross = sim_crosssum(query_set, tset)
-    if not raw_sum:
-        cross /= len(query_set) * len(tset)  # mean pairwise cosine
-    return min(max(map_cosine(cross), 0.0), 1.0)
+def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray, raw_sum: bool):
+    """Text-channel score in [0, 1] of every pooled transcript row; rows with
+    a count of 0 (channel missing) get the neutral 0.5."""
+    present = counts > 0
+    # a fixed-order reduction per row, never a BLAS gemv, so that a score
+    # does not depend on the video's row or on the corpus size
+    cross = (pooled * sum_pool(query_set)).sum(axis=1)
+    if not raw_sum:  # mean pairwise cosine
+        cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
+    return np.where(present, np.clip(map_cosine(cross), 0.0, 1.0), 0.5)
 
 
 def score_text_channel(
@@ -241,7 +259,10 @@ def score_text_channel(
     """OCR/ASR channel score in [0, 1], or None when the transcript cannot
     be embedded. Raises AllTokensOOV when the query itself cannot."""
     prepared = prepare_text_query(query_terms, space, augmentation_k)
-    return _text_score_prepared(prepared, transcript, space, stops, raw_sum)
+    pooled, counts = pool_texts(space, [transcript], stops)
+    if counts[0] == 0:
+        return None
+    return float(_text_scores(prepared, pooled, counts, raw_sum)[0])
 
 
 def score_matching_baseline(query_terms, transcript: str, stops=DEFAULT_STOPWORDS) -> float:
@@ -251,23 +272,64 @@ def score_matching_baseline(query_terms, transcript: str, stops=DEFAULT_STOPWORD
     return float(sum(1 for token in tokenize(transcript, stops) if token in wanted))
 
 
-def fuse(channels: ChannelScores, w: float = 6.0) -> float:
+def fuse(channels: ChannelScores, w: float = 6.0):
     """Weighted geometric mean with emphasis on the concept channel:
     (pc^w * sqrt(po * pa)) ** (1 / (w + 1)).
 
-    An unavailable channel contributes the neutral factor 0.5 (zero cosine
-    evidence under the affine map).
+    An unavailable channel (None) contributes the neutral factor 0.5 (zero
+    cosine evidence under the affine map). Channels may be arrays, fused
+    elementwise; scalar channels give a float.
     """
-    pc = 0.5 if channels.concept is None else channels.concept
-    po = 0.5 if channels.ocr is None else channels.ocr
-    pa = 0.5 if channels.asr is None else channels.asr
+    pc, po, pa = (
+        np.asarray(0.5 if value is None else value, dtype=np.float64)
+        for value in (channels.concept, channels.ocr, channels.asr)
+    )
     for value in (pc, po, pa):
-        if not 0.0 <= value <= 1.0:
-            raise SemvidError(f"channel score {value} outside [0, 1]")
-    if pc == 0.0 or po == 0.0 or pa == 0.0:
-        return 0.0
-    fused = (pc**w * (po * pa) ** 0.5) ** (1.0 / (w + 1.0))
-    return min(max(fused, 0.0), 1.0)
+        outside = ~((value >= 0.0) & (value <= 1.0))
+        if outside.any():
+            raise SemvidError(f"channel score {value[outside].flat[0]} outside [0, 1]")
+    fused = np.clip((pc**w * np.sqrt(po * pa)) ** (1.0 / (w + 1.0)), 0.0, 1.0)
+    fused = np.where((pc == 0.0) | (po == 0.0) | (pa == 0.0), 0.0, fused)
+    return float(fused) if fused.ndim == 0 else fused
+
+
+def _channels(
+    query: EventQuery,
+    space: EmbeddingSpace,
+    repo: ConceptRepository,
+    corpus: Corpus,
+    config: RetrievalConfig,
+) -> ChannelScores:
+    """Concept, OCR and ASR scores of every corpus video, as arrays; a
+    missing text channel scores the neutral 0.5."""
+    query_set = embed_tokens(space, list(query.title_terms))
+    raws = _concept_raws(query_set, repo, corpus.S, config.kernel, config.top_r, config.percentile)
+
+    ocr_terms = query.title_terms + query.ocr_terms
+    asr_terms = query.title_terms + query.asr_terms
+    ocr_query = prepare_text_query(ocr_terms, space, query.augmentation_k)
+    asr_query = (
+        ocr_query if asr_terms == ocr_terms
+        else prepare_text_query(asr_terms, space, query.augmentation_k)
+    )
+    return ChannelScores(
+        concept=map_concept_raw(raws, config.top_r),
+        ocr=_text_scores(ocr_query, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),
+        asr=_text_scores(asr_query, corpus.P_asr, corpus.n_asr, config.raw_sum_text),
+    )
+
+
+def _as_corpus(corpus, repo: ConceptRepository, space: EmbeddingSpace, stops) -> Corpus:
+    """``corpus`` itself when it is a Corpus built for this space, stop list
+    and concept count; otherwise a Corpus built from its records."""
+    if (
+        isinstance(corpus, Corpus)
+        and corpus.space is space
+        and corpus.stops == stops
+        and corpus.S.shape[1] == len(repo)
+    ):
+        return corpus
+    return Corpus(corpus, repo, space, stops)
 
 
 def score_channels(
@@ -279,71 +341,46 @@ def score_channels(
     stops=DEFAULT_STOPWORDS,
 ) -> ChannelScores:
     """All three channel scores for one video (single-video convenience)."""
-    query_set = embed_tokens(space, list(query.title_terms))
-    concept = score_concept_channel(
-        query_set, repo, video, config.kernel, config.top_r, config.percentile
+    corpus = Corpus([video], repo, space, stops)
+    channels = _channels(query, space, repo, corpus, config)
+    return ChannelScores(
+        concept=float(channels.concept[0]),
+        ocr=float(channels.ocr[0]) if corpus.n_ocr[0] else None,
+        asr=float(channels.asr[0]) if corpus.n_asr[0] else None,
     )
-    ocr = score_text_channel(
-        query.title_terms + query.ocr_terms, video.ocr_text, space,
-        query.augmentation_k, stops, config.raw_sum_text,
-    )
-    asr = score_text_channel(
-        query.title_terms + query.asr_terms, video.asr_text, space,
-        query.augmentation_k, stops, config.raw_sum_text,
-    )
-    return ChannelScores(concept=concept, ocr=ocr, asr=asr)
 
 
 def rank_event(
     query: EventQuery,
     space: EmbeddingSpace,
     repo: ConceptRepository,
-    corpus: list[VideoRecord],
+    corpus,
     config: RetrievalConfig = DEFAULT_CONFIG,
     stops=DEFAULT_STOPWORDS,
 ) -> RankedList:
     """Score every corpus video against one event and sort.
 
-    Query-side work (concept ranking, text-query expansion) happens once;
-    each video is then scored independently. A video that fails to score
-    drops to the bottom with a diagnostic instead of aborting the run.
+    ``corpus`` is a :class:`~semvid.videos.Corpus` or a sequence of
+    records; records, and a Corpus whose transcripts were embedded with
+    another space or stop list, are first built into a Corpus for
+    ``space`` and ``stops``. The query side (concept ranking, text-query
+    expansion) is computed once, the OCR and ASR expansions once between
+    them when their term lists are equal. Each channel is then scored for
+    all videos at once, fused, and sorted by (-score, video id).
     """
     if not corpus:
         raise SemvidError("corpus is empty")
-    query_set = embed_tokens(space, list(query.title_terms))
-
-    selected = top_r(
-        rank_concepts(repo, query_set, config.kernel, config.percentile), config.top_r
-    )
-    sel_idx = np.array([repo.index_of(wc.concept_id) for wc in selected], dtype=np.intp)
-    weights = np.array([wc.weight for wc in selected], dtype=np.float64)
-
-    ocr_query = prepare_text_query(query.title_terms + query.ocr_terms, space, query.augmentation_k)
-    asr_query = prepare_text_query(query.title_terms + query.asr_terms, space, query.augmentation_k)
-
-    sub = np.array([rec.concept_scores[sel_idx] for rec in corpus], dtype=np.float64)
-    raws = kernels.marginal_scores(sub, weights)
-
-    scored: list[tuple[str, float]] = []
-    failed: list[str] = []
-    for i, rec in enumerate(corpus):
-        try:
-            channels = ChannelScores(
-                concept=map_concept_raw(float(raws[i]), config.top_r),
-                ocr=_text_score_prepared(ocr_query, rec.ocr_text, space, stops, config.raw_sum_text),
-                asr=_text_score_prepared(asr_query, rec.asr_text, space, stops, config.raw_sum_text),
-            )
-            scored.append((rec.video_id, fuse(channels, config.fusion_weight)))
-        except SemvidError as exc:
-            log.warning("event %s: video %s unscoreable (%s), ranked last",
-                        query.event_id, rec.video_id, exc)
-            failed.append(rec.video_id)
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    entries = tuple(scored) + tuple((vid, 0.0) for vid in sorted(failed))
+    corpus = _as_corpus(corpus, repo, space, stops)
+    fused = fuse(_channels(query, space, repo, corpus, config), config.fusion_weight)
+    order = np.lexsort((corpus.id_rank, -fused))
+    ids = corpus.ids
+    entries = tuple(zip([ids[i] for i in order], fused[order].tolist()))
     return RankedList(event_id=query.event_id, entries=entries)
 
 
 def rank_events(queries, space, repo, corpus, config=DEFAULT_CONFIG, stops=DEFAULT_STOPWORDS):
+    if corpus:
+        corpus = _as_corpus(corpus, repo, space, stops)
     return [rank_event(q, space, repo, corpus, config, stops) for q in queries]
 
 

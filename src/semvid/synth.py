@@ -19,7 +19,7 @@ from .concepts import ConceptDefinition, ConceptRepository
 from .embedding import EmbeddingSpace
 from .evaluation import GroundTruth
 from .retrieval import EventQuery
-from .videos import ScoreTrack, VideoRecord, build_video_record
+from .videos import Corpus, ScoreTrack, VideoRecord, build_video_record
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ class SynthWorld:
     repo: ConceptRepository
     tracks: dict[str, list[ScoreTrack]]      # video id -> tracks
     transcripts: dict[str, tuple[str, str]]  # video id -> (ocr, asr)
-    corpus: list[VideoRecord]
+    corpus: Corpus
     queries: list[EventQuery]
     truth: GroundTruth
     seed: int
@@ -205,7 +205,7 @@ def synth_world(
         repo=repo,
         tracks=tracks,
         transcripts=transcripts,
-        corpus=corpus,
+        corpus=Corpus(corpus, repo),
         queries=queries,
         truth=GroundTruth(labels=truth_labels),
         seed=seed,
@@ -214,7 +214,7 @@ def synth_world(
 
 def bench_setup(seed: int, n_videos: int, n_concepts: int, dim: int):
     """Random corpus for scaling benchmarks: uniform concept scores and
-    short random transcripts."""
+    short random transcripts, returned already built into a Corpus."""
     rng = np.random.default_rng(seed)
     vocab = n_concepts + 400
     space = random_space(rng, vocab, dim)
@@ -245,7 +245,7 @@ def bench_setup(seed: int, n_videos: int, n_concepts: int, dim: int):
         event_id="bench",
         title_terms=(all_tokens[n_concepts], all_tokens[n_concepts + 1]),
     )
-    return space, repo, corpus, query
+    return space, repo, Corpus(corpus, repo), query
 
 
 def write_world_files(world: SynthWorld, directory) -> dict[str, str]:

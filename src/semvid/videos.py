@@ -2,7 +2,8 @@
 
 Per-frame (objects, scenes) and per-chunk (actions) detector probabilities
 arrive already sampled; this module reduces each concept's track to one
-video-level probability and attaches OCR/ASR transcripts. Detector
+video-level probability, attaches OCR/ASR transcripts, and holds the corpus
+as columns (:class:`Corpus`) with every transcript embedded once. Detector
 execution, frame sampling and transcript extraction all live upstream.
 """
 
@@ -11,12 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .concepts import ConceptRepository
-from .errors import IngestError
+from .embedding import EmbeddingSpace, pool_texts
+from .errors import ConceptFormatError, IngestError
 
 log = logging.getLogger(__name__)
 
@@ -99,23 +102,32 @@ def build_video_record(
     )
 
 
+def _skip_malformed(path, lineno, reason) -> None:
+    log.warning("%s line %d: malformed, skipped (%s)", path, lineno, reason)
+
+
 def _load_score_jsonl(path, repo, mode):
     """Score JSONL: one {"video", "concept", "scores"} object per line.
 
-    Malformed lines are reported with their line number and skipped; scores
-    outside [0, 1] abort the load.
+    Malformed lines, including a video or concept id that is not a string,
+    are reported with their line number and skipped; scores outside [0, 1]
+    and a second track for the same (video, concept) abort the load.
     """
     per_video: dict[str, list[ScoreTrack]] = {}
+    seen: dict[str, bytearray] = {}  # video -> a flag per concept column
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                video, concept = str(obj["video"]), str(obj["concept"])
+                video, concept = obj["video"], obj["concept"]
                 samples = tuple(float(s) for s in obj["scores"])
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                log.warning("%s line %d: malformed, skipped (%s)", path, lineno, exc)
+                _skip_malformed(path, lineno, exc)
+                continue
+            if not isinstance(video, str) or not isinstance(concept, str):
+                _skip_malformed(path, lineno, "video and concept ids must be strings")
                 continue
             for s in samples:
                 if not 0.0 <= s <= 1.0:
@@ -124,10 +136,16 @@ def _load_score_jsonl(path, repo, mode):
                 log.warning("%s line %d: empty score list, skipped", path, lineno)
                 continue
             track = ScoreTrack(video_id=video, concept_id=concept, samples=samples)
-            if any(t.concept_id == concept for t in per_video.get(video, ())):
+            flags = seen.setdefault(video, bytearray(len(repo)))
+            try:
+                column = repo.index_of(concept)
+            except ConceptFormatError as exc:
+                raise ConceptFormatError(f"{path} line {lineno}: {exc}") from None
+            if flags[column]:
                 raise IngestError(
                     f"{path} line {lineno}: duplicate track for ({video}, {concept})"
                 )
+            flags[column] = 1
             per_video.setdefault(video, []).append(track)
     records = {}
     for video, tracks in per_video.items():
@@ -172,6 +190,12 @@ def _load_score_csv(path, repo):
 
 
 def _load_transcripts(path):
+    """Transcript JSONL: one {"video", "ocr"?, "asr"?} object per line.
+
+    A missing or null ``ocr``/``asr`` is a missing channel. A video id that
+    is not a string, or an ``ocr``/``asr`` that is neither a string nor
+    null, makes the line malformed: it is reported and skipped.
+    """
     transcripts = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -179,14 +203,102 @@ def _load_transcripts(path):
                 continue
             try:
                 obj = json.loads(line)
-                video = str(obj["video"])
+                video = obj["video"]
+                texts = (obj.get("ocr"), obj.get("asr"))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                log.warning("%s line %d: malformed, skipped (%s)", path, lineno, exc)
+                _skip_malformed(path, lineno, exc)
+                continue
+            if not isinstance(video, str):
+                _skip_malformed(path, lineno, f"video id {video!r} is not a string")
+                continue
+            if any(text is not None and not isinstance(text, str) for text in texts):
+                _skip_malformed(path, lineno, "ocr and asr must be strings or null")
                 continue
             if video in transcripts:
                 raise IngestError(f"{path} line {lineno}: duplicate transcript for {video!r}")
-            transcripts[video] = (str(obj.get("ocr", "")), str(obj.get("asr", "")))
+            transcripts[video] = tuple("" if text is None else text for text in texts)
     return transcripts
+
+
+class Corpus(Sequence):
+    """The corpus as columns: a read-only sequence of :class:`VideoRecord`.
+
+    Built once, it holds what every event's scoring needs:
+
+    * ``ids``: the video ids, in record order;
+    * ``S``: the (n, C) read-only matrix of concept probabilities, in the
+      repository's concept order; each record's ``concept_scores`` is a
+      row view of it;
+    * ``P_ocr``, ``P_asr``: (n, dim) sums of each transcript's word vectors;
+    * ``n_ocr``, ``n_asr``: the number of vectors in each sum, where 0 marks
+      a missing channel (empty or fully out-of-vocabulary transcript).
+
+    The transcripts are embedded with ``space`` and ``stops``, by default
+    those the repository's concept embeddings were built with. Without a
+    space the text columns are None.
+
+    Records are validated: a concept vector of the wrong length, with a
+    value that is not finite or lies outside [0, 1], a transcript that is
+    not a string, or a repeated video id raises :class:`IngestError`
+    naming the video.
+    """
+
+    def __init__(
+        self,
+        records,
+        repo: ConceptRepository,
+        space: EmbeddingSpace | None = None,
+        stops: frozenset[str] | None = None,
+    ):
+        self.space = repo.space if space is None else space
+        self.stops = repo.stops if stops is None else stops
+        records = tuple(records)
+        n_concepts = len(repo)
+        seen: set[str] = set()
+        rows = []
+        for rec in records:
+            video = rec.video_id
+            if video in seen:
+                raise IngestError(f"duplicate video id {video!r}")
+            seen.add(video)
+            row = np.asarray(rec.concept_scores, dtype=np.float64)
+            if row.shape != (n_concepts,):
+                raise IngestError(
+                    f"video {video!r}: concept vector has shape {row.shape}, "
+                    f"expected ({n_concepts},)"
+                )
+            if not isinstance(rec.ocr_text, str) or not isinstance(rec.asr_text, str):
+                raise IngestError(f"video {video!r}: transcripts must be strings")
+            rows.append(row)
+        S = np.array(rows, dtype=np.float64).reshape(len(records), n_concepts)
+        valid = (S >= 0.0) & (S <= 1.0)  # False for NaN and both infinities too
+        if not valid.all():
+            i, j = np.argwhere(~valid)[0]
+            raise IngestError(
+                f"video {records[i].video_id!r}: concept score {S[i, j]} is not "
+                f"a probability in [0, 1]"
+            )
+        S.flags.writeable = False
+        self.S = S
+        self._records = tuple(replace(rec, concept_scores=S[i]) for i, rec in enumerate(records))
+        self.ids = tuple(rec.video_id for rec in records)
+        # each id's position in sorted order: the integer tie-break key of a ranking
+        n = len(records)
+        self.id_rank = np.empty(n, dtype=np.intp)
+        self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+
+        self.P_ocr = self.P_asr = self.n_ocr = self.n_asr = None
+        if self.space is not None:
+            ocr = [rec.ocr_text for rec in records]
+            asr = [rec.asr_text for rec in records]
+            self.P_ocr, self.n_ocr = pool_texts(self.space, ocr, self.stops)
+            self.P_asr, self.n_asr = pool_texts(self.space, asr, self.stops)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        return self._records[index]
 
 
 def load_corpus(
@@ -194,12 +306,13 @@ def load_corpus(
     repo: ConceptRepository,
     transcript_path=None,
     mode: str = "max",
-) -> list[VideoRecord]:
+) -> Corpus:
     """Build one record per video appearing in either input file.
 
     ``score_path`` ending in ``.csv`` is treated as a pre-pooled matrix and
     bypasses pooling; anything else is score JSONL. Videos present only in
-    the transcript file get an all-zero concept vector.
+    the transcript file get an all-zero concept vector. Transcripts are
+    embedded once here, with the space and stop words of the repository.
     """
     if str(score_path).endswith(".csv"):
         records = _load_score_csv(score_path, repo)
@@ -210,15 +323,7 @@ def load_corpus(
     merged = []
     for video, record in records.items():
         ocr, asr = transcripts.pop(video, ("", ""))
-        merged.append(
-            VideoRecord(
-                video_id=video,
-                concept_scores=record.concept_scores,
-                ocr_text=ocr,
-                asr_text=asr,
-                covered=record.covered,
-            )
-        )
+        merged.append(replace(record, ocr_text=ocr, asr_text=asr))
     for video, (ocr, asr) in transcripts.items():
         merged.append(
             VideoRecord(
@@ -230,4 +335,4 @@ def load_corpus(
             )
         )
     log.info("corpus: %d videos (%d transcript-only)", len(merged), len(transcripts))
-    return merged
+    return Corpus(merged, repo)

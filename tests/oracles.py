@@ -8,6 +8,7 @@ statistics, rank sums) are checked against a second route.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -207,3 +208,56 @@ def pipeline_oracle(
     mean_ap = math.fsum(aps.values()) / len(aps)
     mean_auc = math.fsum(aucs.values()) / len(aucs)
     return mean_ap, mean_auc, aps
+
+
+def event_scores_oracle(
+    vocab: dict[str, np.ndarray],
+    concept_sets: dict[str, list],  # scoreable concept id -> its word vectors
+    concept_order: list[str],  # every concept id, in score-column order
+    rows: dict[str, list[float]],  # video -> concept probabilities
+    transcripts: dict[str, tuple],  # video -> (ocr, asr); a None text is missing
+    title: list[str],
+    ocr_terms: list[str],
+    asr_terms: list[str],
+    r: int = 5,
+    w: float = 6.0,
+    augment_k: int = 5,
+    stops=frozenset(),
+) -> dict[str, float]:
+    """Fused score of every video for one event along the pairwise route:
+    pooled-kernel concept weights by full scan, the concept channel as an
+    fsum over the top R, each text channel as the mean pairwise cosine of
+    its expanded query set against the transcript's in-vocabulary words
+    (no phrase entries), and the exp/log geometric mean."""
+    tokens = sorted(vocab)
+    vectors = [vocab[t] for t in tokens]
+
+    def expanded(terms):
+        base = [t for t in terms if t in vocab]
+        out = [vocab[t] for t in base]
+        if augment_k > 0:
+            point = sum_pool_oracle(out)
+            for token, _ in scan_oracle(tokens, vectors, point, augment_k, set(terms) | set(base)):
+                out.append(vocab[token])
+        return out
+
+    query_vectors = [vocab[t] for t in title if t in vocab]
+    selected = concept_rank_oracle(query_vectors, concept_sets)[:r]
+    ocr_query = expanded(title + ocr_terms)
+    asr_query = expanded(title + asr_terms)
+
+    def text_factor(query, text) -> float:
+        words = [t for t in re.findall(r"[a-z0-9]+", (text or "").lower())
+                 if t not in stops and t in vocab]
+        if not words:
+            return 0.5
+        mean = mean_pairwise_cosine_oracle(query, [vocab[t] for t in words])
+        return min(max((mean + 1.0) / 2.0, 0.0), 1.0)
+
+    out = {}
+    for video, row in rows.items():
+        raw = math.fsum(weight * row[concept_order.index(cid)] for cid, weight in selected)
+        pc = min(max((raw / r + 1.0) / 2.0, 0.0), 1.0)
+        ocr, asr = transcripts.get(video, (None, None))
+        out[video] = fuse_oracle(pc, text_factor(ocr_query, ocr), text_factor(asr_query, asr), w)
+    return out

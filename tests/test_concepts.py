@@ -154,3 +154,29 @@ def test_default_r_matches_reference_configuration():
     from semvid.config import DEFAULT_CONFIG
 
     assert DEFAULT_CONFIG.top_r == 5
+
+
+def test_zero_norm_pooled_concept_logged_once_and_skipped_by_pooled_kernel(tmp_path, caplog):
+    from semvid.embedding import load_embeddings
+
+    path = tmp_path / "vecs.txt"
+    path.write_text("3 3\nnorth 1 0 0\nsouth -1 0 0\nq 0.6 0.8 0\n", encoding="utf-8")
+    space = load_embeddings(path)
+    repo = ConceptRepository([
+        ConceptDefinition(id="flat", name="north south"),
+        ConceptDefinition(id="north", name="north"),
+    ])
+    with caplog.at_level("WARNING"):
+        repo.attach_space(space)
+    assert sum("flat" in message for message in caplog.messages) == 1
+    assert repo.scoreable_ids() == ["flat", "north"]
+
+    caplog.clear()
+    query = embed_tokens(space, ["q"])
+    with caplog.at_level("WARNING"):
+        for _ in range(3):
+            pooled = rank_concepts(repo, query, "pooled")
+    assert caplog.messages == []
+    assert [w.concept_id for w in pooled] == ["north"]
+    assert pooled[0].weight == pytest.approx(0.6, abs=1e-7)
+    assert {w.concept_id for w in rank_concepts(repo, query, "hausdorff")} == {"flat", "north"}

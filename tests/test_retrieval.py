@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import semvid.retrieval as retrieval
-from semvid.concepts import ConceptDefinition, ConceptRepository
-from semvid.embedding import embed_tokens, load_embeddings
-from semvid.errors import AllTokensOOV, SemvidError
+from semvid.concepts import ConceptDefinition, ConceptRepository, rank_concepts
+from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings
+from semvid.config import DEFAULT_CONFIG, RetrievalConfig
+from semvid.errors import AllTokensOOV, IngestError, SemvidError
 from semvid.retrieval import (
     ChannelScores,
     EventQuery,
@@ -21,10 +22,12 @@ from semvid.retrieval import (
     score_matching_baseline,
     score_text_channel,
 )
-from semvid.synth import synth_world
-from semvid.videos import VideoRecord
+from semvid.stopwords import DEFAULT_STOPWORDS
+from semvid.synth import random_space, synth_world
+from semvid.videos import Corpus, VideoRecord, load_corpus
 
 from oracles import (
+    event_scores_oracle,
     fuse_oracle,
     marginalization_oracle,
     mean_pairwise_cosine_oracle,
@@ -287,25 +290,18 @@ def test_rank_event_output_is_permutation_of_corpus():
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
-def test_rank_event_contains_per_video_failures(axis_space, monkeypatch):
+def test_rank_event_rejects_invalid_records(axis_space):
+    # a hand-built record is validated when the corpus is built, instead of
+    # being scored and ranked last
     repo = make_repo(axis_space, ["t1"])
-    videos = [
-        VideoRecord(video_id="good", concept_scores=np.array([0.9]), asr_text="t1"),
-        VideoRecord(video_id="poison", concept_scores=np.array([0.9]), asr_text="t1"),
-    ]
-    real = retrieval._text_score_prepared
-
-    def poisoned(query_set, transcript, space, stops, raw_sum=False):
-        if transcript == "boom":
-            raise SemvidError("injected")
-        return real(query_set, transcript, space, stops, raw_sum)
-
-    videos[1] = VideoRecord(video_id="poison", concept_scores=np.array([0.9]), asr_text="boom")
-    monkeypatch.setattr(retrieval, "_text_score_prepared", poisoned)
     query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
-    ranked = rank_event(query, axis_space, repo, videos)
-    assert [vid for vid, _ in ranked.entries] == ["good", "poison"]
-    assert ranked.entries[-1][1] == 0.0
+    for bad in (np.array([np.nan]), np.array([1.5]), np.array([-0.5]), np.array([0.1, 0.2])):
+        videos = [
+            VideoRecord(video_id="good", concept_scores=np.array([0.9]), asr_text="t1"),
+            VideoRecord(video_id="poison", concept_scores=bad, asr_text="t1"),
+        ]
+        with pytest.raises(IngestError, match="video 'poison'"):
+            rank_event(query, axis_space, repo, videos)
 
 
 def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
@@ -327,6 +323,151 @@ def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
     ranked_a = rank_event(query, axis_space, repo_a, corpus_a)
     ranked_b = rank_event(query, axis_space, repo_b, corpus_b)
     assert ranked_a.entries == ranked_b.entries
+
+
+# --------------------------------------- columnar corpus at an odd size
+
+ODD_VIDEOS = 261  # not a multiple of any SIMD or BLAS block width
+
+
+@pytest.fixture(scope="module")
+def odd_world(tmp_path_factory):
+    """261 videos from files, with empty, all-OOV, null and absent
+    transcripts, and the stop word "the" inside the vocabulary."""
+    directory = tmp_path_factory.mktemp("odd")
+    rng = np.random.default_rng(261)
+    base = random_space(rng, 120, 300)
+    tokens = base.tokens() + ["the"]
+    space = EmbeddingSpace(tokens, np.vstack([base._matrix, base._matrix[7]]))
+    defs = []
+    for i in range(61):
+        picked = rng.choice(120, size=int(rng.integers(1, 4)), replace=False)
+        defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(f"w{j}" for j in picked)))
+    repo = ConceptRepository(defs)
+    repo.attach_space(space)
+
+    def text(kind):
+        words = [f"w{j}" for j in rng.integers(0, 120, size=int(rng.integers(1, 9)))]
+        if kind == 7:
+            return ""
+        if kind == 8:
+            return "zzz qqq"
+        if kind == 9:
+            return None
+        return " ".join(words + (["the", "zzz"] if kind == 0 else []))
+
+    rows, transcripts, lines = {}, {}, ["video," + ",".join(repo.ids())]
+    for i in range(ODD_VIDEOS):
+        video = f"v{(i * 7919) % 1000:03d}"
+        row = rng.uniform(0, 1, size=len(repo)) * (i % 9 != 0)
+        rows[video] = [float(x) for x in row]
+        lines.append(video + "," + ",".join(repr(x) for x in rows[video]))
+        if i % 11 != 5:
+            transcripts[video] = (text(i % 10), text((i // 10) % 10))
+    (directory / "pooled.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "tr.jsonl").write_text("".join(
+        json.dumps({"video": video, "ocr": ocr, "asr": asr}) + "\n"
+        for video, (ocr, asr) in transcripts.items()
+    ), encoding="utf-8")
+    corpus = load_corpus(directory / "pooled.csv", repo, directory / "tr.jsonl")
+    assert len(corpus) == ODD_VIDEOS
+    queries = [
+        EventQuery(event_id="e0", title_terms=("w1", "w2")),
+        EventQuery(event_id="e1", title_terms=("w30",), ocr_terms=("w31",), asr_terms=("w90",)),
+        EventQuery(event_id="e2", title_terms=("w55", "zzz", "w56")),
+    ]
+    vocab = {t: space.vector(t) for t in tokens}
+    concept_sets = {c.id: [vocab[t] for t in c.name.split()] for c in defs}
+    return space, repo, corpus, queries, vocab, concept_sets, rows, transcripts
+
+
+def test_rank_event_matches_pairwise_oracle_at_odd_size(odd_world):
+    space, repo, corpus, queries, vocab, concept_sets, rows, transcripts = odd_world
+    for query in queries:
+        ranked = rank_event(query, space, repo, corpus)
+        keys = [(-score, video) for video, score in ranked.entries]
+        assert keys == sorted(keys)
+        expected = event_scores_oracle(
+            vocab, concept_sets, repo.ids(), rows, transcripts,
+            list(query.title_terms), list(query.ocr_terms), list(query.asr_terms),
+            stops=DEFAULT_STOPWORDS,
+        )
+        got = dict(ranked.entries)
+        assert set(got) == set(expected)
+        worst = max(abs(got[video] - expected[video]) for video in expected)
+        assert worst <= 1e-12, f"event {query.event_id}: worst deviation {worst:.3e}"
+
+
+def test_rank_event_bit_exact_under_shuffle_and_reversal(odd_world):
+    # at dim 300 a BLAS gemv changes the last bit of some rows when they move
+    space, repo, corpus, queries = odd_world[:4]
+    records = list(corpus)
+    rng = np.random.default_rng(3)
+    reorderings = [Corpus(records[::-1], repo)] + [
+        Corpus([records[i] for i in rng.permutation(len(records))], repo) for _ in range(20)
+    ]
+    # raw sums keep more of the last bit of a text score than means do
+    for config in (DEFAULT_CONFIG, RetrievalConfig(raw_sum_text=True)):
+        for query in queries:
+            ranked = rank_event(query, space, repo, corpus, config)
+            for reordered in reorderings:
+                assert rank_event(query, space, repo, reordered, config).entries == ranked.entries
+            assert rank_event(query, space, repo, records[::-1], config).entries == ranked.entries
+
+
+def test_concept_weights_bit_exact_under_concept_order(odd_world):
+    space, repo = odd_world[:2]
+    reversed_repo = ConceptRepository(repo.concepts[::-1])
+    reversed_repo.attach_space(space)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        shuffled_repo = ConceptRepository([repo.concepts[i] for i in rng.permutation(len(repo))])
+        shuffled_repo.attach_space(space)
+        for title in (["w1", "w2"], ["w30"], ["w55", "w56", "w57"]):
+            query = embed_tokens(space, title)
+            ranked = rank_concepts(repo, query)
+            assert rank_concepts(reversed_repo, query) == ranked
+            assert rank_concepts(shuffled_repo, query) == ranked
+
+
+def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch):
+    space, repo, corpus, queries = odd_world[:4]
+    prepared = []
+    real = retrieval.prepare_text_query
+
+    def recording(terms, space, augmentation_k=5):
+        result = real(terms, space, augmentation_k)
+        prepared.append(result.source_tokens)
+        return result
+
+    monkeypatch.setattr(retrieval, "prepare_text_query", recording)
+    rank_event(queries[0], space, repo, corpus)
+    assert len(prepared) == 1  # equal term lists share one expansion
+    prepared.clear()
+    rank_event(queries[1], space, repo, corpus)
+    assert len(prepared) == 2 and prepared[0] != prepared[1]
+    assert prepared[0][:2] == ("w30", "w31") and prepared[1][:2] == ("w30", "w90")
+
+
+def test_corpus_built_with_other_stops_is_rebuilt_for_the_ranking(odd_world, monkeypatch):
+    space, repo, corpus, queries = odd_world[:4]
+    no_stops = Corpus(list(corpus), repo, stops=frozenset())
+    for query in queries:
+        as_records = rank_event(query, space, repo, list(corpus))
+        assert rank_event(query, space, repo, no_stops).entries == as_records.entries
+        assert rank_event(query, space, repo, corpus).entries == as_records.entries
+    # "the" counts as a transcript word only without the stop list
+    assert rank_event(queries[0], space, repo, no_stops, stops=frozenset()).entries != (
+        rank_event(queries[0], space, repo, corpus).entries
+    )
+
+    # a corpus built for the ranking's space and stop list is used as is
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("transcripts pooled again")
+
+    monkeypatch.setattr("semvid.videos.pool_texts", no_rebuild)
+    rank_event(queries[0], space, repo, corpus)
+    rank_event(queries[0], space, repo, no_stops, stops=frozenset())
 
 
 def test_map_concept_raw_bounds():

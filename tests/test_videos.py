@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from semvid.concepts import ConceptDefinition, ConceptRepository
-from semvid.errors import IngestError
-from semvid.videos import ScoreTrack, build_video_record, load_corpus, pool
+from semvid.embedding import load_embeddings
+from semvid.errors import ConceptFormatError, IngestError
+from semvid.retrieval import EventQuery, rank_event
+from semvid.videos import Corpus, ScoreTrack, VideoRecord, build_video_record, load_corpus, pool
 
 
 @pytest.fixture
@@ -163,3 +165,124 @@ def test_load_corpus_lookup_total_over_union(tmp_path, repo3):
     write_lines(transcripts, [json.dumps({"video": "b", "asr": "x"})])
     records = {r.video_id for r in load_corpus(scores, repo3, transcripts)}
     assert records == {"a", "b"}
+
+
+def test_load_corpus_duplicate_track_rejected_with_line(tmp_path, repo3):
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.5]}),
+        json.dumps({"video": "v1", "concept": "c2", "scores": [0.4]}),
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.7]}),
+    ])
+    with pytest.raises(IngestError, match=r"line 3: duplicate track for \(v1, c1\)"):
+        load_corpus(scores, repo3)
+
+
+def test_load_corpus_unknown_concept_cites_line(tmp_path, repo3):
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.5]}),
+        json.dumps({"video": "v1", "concept": "xyz", "scores": [0.4]}),
+    ])
+    with pytest.raises(ConceptFormatError, match="line 2: unknown concept id 'xyz'"):
+        load_corpus(scores, repo3)
+
+
+def test_null_transcript_is_a_missing_channel(tmp_path):
+    # "none" is in the vocabulary, so a null read as the text "None" would
+    # be embedded and scored instead of counting as a missing channel
+    space_path = tmp_path / "space.txt"
+    space_path.write_text("3 3\nnone 1 0 0\nq 0.6 0.8 0\nc 0 0 1\n", encoding="utf-8")
+    space = load_embeddings(space_path)
+    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")])
+    repo.attach_space(space)
+    scores = tmp_path / "pooled.csv"
+    write_lines(scores, ["video,c1", "null_ocr,0.5", "empty_ocr,0.5"])
+    transcripts = tmp_path / "tr.jsonl"
+    write_lines(transcripts, [
+        json.dumps({"video": "null_ocr", "ocr": None, "asr": None}),
+        json.dumps({"video": "empty_ocr", "ocr": "", "asr": ""}),
+    ])
+    corpus = load_corpus(scores, repo, transcripts)
+    records = {r.video_id: r for r in corpus}
+    assert records["null_ocr"].ocr_text == "" and records["null_ocr"].asr_text == ""
+    assert corpus.n_ocr.tolist() == [0, 0] and corpus.n_asr.tolist() == [0, 0]
+
+    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
+    scores_by_video = dict(rank_event(query, space, repo, corpus).entries)
+    assert scores_by_video["null_ocr"] == scores_by_video["empty_ocr"]
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"video": "v2", "ocr": 7, "asr": "x"}, "ocr and asr must be strings or null"),
+    ({"video": "v2", "ocr": "x", "asr": ["x"]}, "ocr and asr must be strings or null"),
+    ({"video": None, "ocr": "x"}, "video id None is not a string"),
+    ({"video": 12, "ocr": "x"}, "video id 12 is not a string"),
+])
+def test_load_transcripts_bad_field_skipped_with_line(tmp_path, repo3, caplog, entry, reason):
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [json.dumps({"video": "v1", "concept": "c1", "scores": [0.2]})])
+    transcripts = tmp_path / "tr.jsonl"
+    write_lines(transcripts, [json.dumps({"video": "v1", "asr": "y"}), json.dumps(entry)])
+    with caplog.at_level("WARNING"):
+        corpus = load_corpus(scores, repo3, transcripts)
+    assert [r.video_id for r in corpus] == ["v1"]
+    assert any(
+        f"{transcripts} line 2: malformed, skipped ({reason})" in message
+        for message in caplog.messages
+    )
+
+
+def test_load_scores_non_string_ids_skipped_with_line(tmp_path, repo3, caplog):
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.2]}),
+        json.dumps({"video": None, "concept": "c1", "scores": [0.2]}),
+        json.dumps({"video": "v2", "concept": 3, "scores": [0.2]}),
+    ])
+    with caplog.at_level("WARNING"):
+        corpus = load_corpus(scores, repo3)
+    assert [r.video_id for r in corpus] == ["v1"]
+    for lineno in (2, 3):
+        assert any(f"line {lineno}: malformed" in message for message in caplog.messages)
+
+
+# ------------------------------------------------------------------ Corpus
+
+def test_corpus_is_a_read_only_sequence_over_its_columns(repo3):
+    records = [
+        VideoRecord(video_id="b", concept_scores=np.array([0.1, 0.2, 0.3]), ocr_text="x"),
+        VideoRecord(video_id="a", concept_scores=np.array([0.4, 0.5, 0.6])),
+    ]
+    corpus = Corpus(records, repo3)
+    assert len(corpus) == 2
+    assert [r.video_id for r in corpus] == ["b", "a"] == list(corpus.ids)
+    assert corpus[1].video_id == "a" and list(corpus)[0].ocr_text == "x"
+    np.testing.assert_array_equal(corpus.S, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    assert np.shares_memory(corpus[0].concept_scores, corpus.S)
+    with pytest.raises(ValueError):
+        corpus[0].concept_scores[0] = 0.9
+    assert corpus.P_ocr is None  # no space attached, no text columns
+
+
+@pytest.mark.parametrize("scores, problem", [
+    (np.array([0.1, 0.2]), "shape"),
+    (np.array([0.1, 0.2, 0.3, 0.4]), "shape"),
+    (np.array([0.1, np.nan, 0.3]), "nan"),
+    (np.array([0.1, np.inf, 0.3]), "inf"),
+    (np.array([0.1, 1.5, 0.3]), "1.5"),
+    (np.array([-0.1, 0.2, 0.3]), "-0.1"),
+])
+def test_corpus_rejects_invalid_concept_vector_naming_video(repo3, scores, problem):
+    records = [
+        VideoRecord(video_id="fine", concept_scores=np.zeros(3)),
+        VideoRecord(video_id="broken", concept_scores=scores),
+    ]
+    with pytest.raises(IngestError, match=f"'broken'.*{problem}"):
+        Corpus(records, repo3)
+
+
+def test_corpus_rejects_duplicate_video_id(repo3):
+    records = [VideoRecord(video_id="twice", concept_scores=np.zeros(3))] * 2
+    with pytest.raises(IngestError, match="duplicate video id 'twice'"):
+        Corpus(records, repo3)
