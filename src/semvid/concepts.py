@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedSet, EmbeddingSpace, embed_tokens, sum_pool, tokenize
-from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, ZeroNormError
-from .similarity import sim_hausdorff
+from .embedding import EmbeddedSet, EmbeddingSpace, _dot_norms, embed_tokens, sum_pool, tokenize
+from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts
+from .similarity import lower_percentile_index
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
@@ -60,6 +60,16 @@ class ConceptRepository:
         self._pooled_ids: tuple[str, ...] = ()
         self._pooled = np.zeros((0, 0))
         self._pooled_norms = np.zeros(0)
+        # Hausdorff-kernel columns: ids, every concept's word vectors stacked
+        # in concept order with their norms, each concept's first row and
+        # word count, and each row's (concept, position) cell in a
+        # concept-by-word table
+        self._set_ids: tuple[str, ...] = ()
+        self._set_vectors = np.zeros((0, 0))
+        self._set_norms = np.zeros(0)
+        self._set_starts = np.zeros(0, dtype=np.intp)
+        self._set_sizes = np.zeros(0, dtype=np.intp)
+        self._set_cells = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -77,8 +87,9 @@ class ConceptRepository:
         return self._embedded.get(concept_id)
 
     def attach_space(self, space: EmbeddingSpace, stops=DEFAULT_STOPWORDS) -> None:
-        """Precompute every concept's embedded token set and the pooled
-        concept matrix the pooled kernel ranks against."""
+        """Precompute every concept's embedded token set and the matrices
+        the two kernels rank against: the pooled concept vectors with their
+        norms, and all concepts' word vectors stacked with their norms."""
         excluded = []
         for concept in self.concepts:
             tokens = tokenize(concept.name, stops)
@@ -96,32 +107,60 @@ class ConceptRepository:
                 len(excluded), len(self.concepts), excluded,
             )
 
-        ids, pooled, norms, degenerate = [], [], [], []
-        for concept_id in self.scoreable_ids():
-            vector = sum_pool(self._embedded[concept_id])
-            norm = float(np.linalg.norm(vector))
-            if norm == 0.0:
-                degenerate.append(concept_id)
-                continue
-            ids.append(concept_id)
-            pooled.append(vector)
-            norms.append(norm)
-        if degenerate:
-            log.warning(
-                "%d concepts have a zero-norm pooled vector, skipped by the pooled kernel: %s",
-                len(degenerate), degenerate,
-            )
-        self._pooled_ids = tuple(ids)
-        self._pooled = np.vstack(pooled) if pooled else np.zeros((0, space.dimension))
-        self._pooled_norms = np.array(norms, dtype=np.float64)
+        ids = self.scoreable_ids()
+        sets = [self._embedded[concept_id].vectors for concept_id in ids]
+        sizes = np.array([len(vectors) for vectors in sets], dtype=np.intp)
+        vectors = np.vstack(sets) if sets else np.zeros((0, space.dimension))
+
+        # pooled kernel: each concept's vectors summed row after row, as
+        # sum_pool does, and the norms of those sums
+        pooled = np.add.reduceat(vectors, np.cumsum(sizes) - sizes, axis=0) if sets else vectors
+        norms = _dot_norms(pooled)
+        keep = norms != 0.0
+        _warn_skipped(ids, keep, "a zero-norm pooled vector", "pooled")
+        self._pooled_ids = tuple(c for c, kept in zip(ids, keep) if kept)
+        self._pooled, self._pooled_norms = pooled[keep], norms[keep]
+
+        # Hausdorff kernel: the word vectors of every concept without a
+        # zero-norm word, stacked in concept order
+        word_norms = np.linalg.norm(vectors, axis=1)
+        owner = np.repeat(np.arange(len(ids)), sizes)  # the concept of each row
+        keep = np.bincount(owner, weights=word_norms == 0.0, minlength=len(ids)) == 0
+        _warn_skipped(ids, keep, "a zero-norm word vector", "Hausdorff")
+        rows, sizes = keep[owner], sizes[keep]
+        self._set_ids = tuple(c for c, kept in zip(ids, keep) if kept)
+        self._set_vectors, self._set_norms = vectors[rows], word_norms[rows]
+        self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        self._set_cells = (owner, np.arange(len(owner)) - self._set_starts[owner])
 
     def scoreable_ids(self) -> list[str]:
         return [c.id for c in self.concepts if c.id in self._embedded]
 
 
+def _warn_skipped(ids, keep, reason: str, kernel: str) -> None:
+    skipped = [c for c, kept in zip(ids, keep) if not kept]
+    if skipped:
+        log.warning(
+            "%d concepts have %s, skipped by the %s kernel: %s",
+            len(skipped), reason, kernel, skipped,
+        )
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ConceptFormatError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPWORDS) -> ConceptRepository:
     """Read a concept repository from a JSON array of
-    {"id", "name", "keywords"?, "kind"} objects."""
+    {"id", "name", "keywords"?, "kind"} objects.
+
+    The id and name are strings and the keywords a list of strings; anything
+    else (a null, a number) is rejected with the file and the entry's index
+    in the array rather than read as text.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -132,26 +171,67 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
 
     concepts = []
     seen = set()
-    for entry in raw:
+    for index, entry in enumerate(raw):
+        where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "id" not in entry or "name" not in entry:
-            raise ConceptFormatError(f"concept entry missing id/name: {entry!r}")
-        cid = str(entry["id"])
+            raise ConceptFormatError(f"{where}: concept entry missing id/name: {entry!r}")
+        cid = _string(entry["id"], f"{where}: concept id")
         if cid in seen:
-            raise ConceptFormatError(f"duplicate concept id {cid!r}")
+            raise ConceptFormatError(f"{where}: duplicate concept id {cid!r}")
         seen.add(cid)
-        name = str(entry["name"])
+        name = _string(entry["name"], f"{where}: concept {cid!r} name")
         if not name.strip():
-            raise ConceptFormatError(f"concept {cid!r} has an empty name")
+            raise ConceptFormatError(f"{where}: concept {cid!r} has an empty name")
         kind = entry.get("kind", "object")
         if kind not in KINDS:
-            raise ConceptFormatError(f"concept {cid!r} has unknown kind {kind!r}")
-        keywords = tuple(str(k) for k in entry.get("keywords", ()))
+            raise ConceptFormatError(f"{where}: concept {cid!r} has unknown kind {kind!r}")
+        keywords = entry.get("keywords", [])
+        if not isinstance(keywords, list):
+            raise ConceptFormatError(
+                f"{where}: concept {cid!r} keywords must be a list, got {keywords!r}"
+            )
+        keywords = tuple(_string(k, f"{where}: concept {cid!r} keyword") for k in keywords)
         concepts.append(ConceptDefinition(id=cid, name=name, keywords=keywords, kind=kind))
 
     repo = ConceptRepository(concepts)
     if space is not None:
         repo.attach_space(space, stops)
     return repo
+
+
+def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: float):
+    """Percentile Hausdorff similarity of the query to every concept of
+    ``repo._set_ids``, all concepts at once.
+
+    One (T, q) table holds the cosine of every concept word (T rows over
+    all concepts) with every query word. A row's maximum is that concept
+    word's best match; a segment maximum over a concept's rows is each
+    query word's best match in that concept. Each direction takes its lower
+    percentile from a sort (the concept direction padded with +inf to the
+    longest concept), and the weight is the smaller of the two.
+    """
+    Q = query.vectors
+    from_query_index = lower_percentile_index(percentile, len(Q))
+    q_norms = np.linalg.norm(Q, axis=1)
+    if not q_norms.all():
+        raise NoScoreableConcepts("query has a zero-norm word vector")
+    T = repo._set_vectors
+    cos = np.empty((T.shape[0], Q.shape[0]), dtype=np.float64)
+    for j in range(Q.shape[0]):
+        # a fixed-order reduction per row, never a BLAS gemm or gemv, so
+        # that a weight does not depend on the concept's row
+        cos[:, j] = (T * Q[j]).sum(axis=1) / (q_norms[j] * repo._set_norms)
+
+    per_query = np.maximum.reduceat(cos, repo._set_starts, axis=0)
+    per_query.sort(axis=1)
+    from_query = per_query[:, from_query_index]
+
+    sizes = repo._set_sizes
+    per_word = np.full((len(sizes), int(sizes.max())), np.inf)
+    per_word[repo._set_cells] = cos.max(axis=1)
+    per_word.sort(axis=1)
+    from_concept = per_word[np.arange(len(sizes)), lower_percentile_index(percentile, sizes)]
+    return np.minimum(from_query, from_concept)
 
 
 def rank_concepts(
@@ -163,35 +243,35 @@ def rank_concepts(
     """Weight every scoreable concept by its similarity to the query.
 
     Sorted by weight descending, ties by id ascending; deterministic for
-    identical inputs. The pooled kernel is one row reduction against the
-    pooled concept matrix built by ``attach_space``, which leaves out
-    concepts whose pooled vector has zero norm.
+    identical inputs. Both kernels rank against matrices built by
+    ``attach_space``. The pooled kernel is one row reduction against the
+    pooled concept matrix, and leaves out concepts whose pooled vector has
+    zero norm. The Hausdorff kernel scores every concept at once (see
+    :func:`_hausdorff_weights`), equal to
+    :func:`semvid.similarity.sim_hausdorff` per concept up to the rounding
+    of the dot products, and leaves out concepts with a zero-norm word
+    vector. Every dot product is a fixed-order reduction over one concept
+    row, so a weight depends only on the query and that concept.
     """
     if kernel == "pooled":
         pooled = sum_pool(query)
         norm = float(np.linalg.norm(pooled))
         if norm == 0.0:
             raise NoScoreableConcepts("query has a zero-norm pooled vector")
-        weighted = []
-        if repo._pooled_ids:
+        ids = repo._pooled_ids
+        if ids:
             # a fixed-order reduction per row, never a BLAS gemv, so that a
             # weight does not depend on the concept's row or the row count
             weights = (repo._pooled * pooled).sum(axis=1) / (norm * repo._pooled_norms)
-            weighted = [WeightedConcept(c, w) for c, w in zip(repo._pooled_ids, weights.tolist())]
     elif kernel == "hausdorff":
-        weighted = []
-        for concept_id in repo.scoreable_ids():
-            cset = repo.embedded_set(concept_id)
-            try:
-                weighted.append(
-                    WeightedConcept(concept_id, sim_hausdorff(query, cset, percentile))
-                )
-            except ZeroNormError:
-                log.warning("concept %r has a zero-norm vector set, skipped", concept_id)
+        ids = repo._set_ids
+        if ids:
+            weights = _hausdorff_weights(repo, query, percentile)
     else:
         raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
-    if not weighted:
+    if not ids:
         raise NoScoreableConcepts("repository has no scoreable concepts")
+    weighted = [WeightedConcept(c, w) for c, w in zip(ids, weights.tolist())]
     weighted.sort(key=lambda w: (-w.weight, w.concept_id))
     return weighted
 

@@ -30,6 +30,30 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # band is treated as already normalized.
 _UNIT_TOL = 1e-6
 
+# Unit roundoff of float32, and the row-norm range inside which a float32
+# dot product neither overflows nor loses more than a float64 rounding to
+# underflow (see nearest_words).
+_U32 = 2.0**-24
+_F32_SAFE = (2.0**-100, 2.0**100)
+
+# Rows per block when a float64 copy of table rows is needed.
+_BLOCK = 1024
+
+
+def _dot_norms(block: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a float64 block. Each is the BLAS dot of the
+    row with itself, the value ``np.linalg.norm`` gives for the row alone."""
+    return np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """Float64 norm of every row, in blocks: no float64 copy of the table."""
+    norms = np.empty(matrix.shape[0], dtype=np.float64)
+    for start in range(0, matrix.shape[0], _BLOCK):
+        block = matrix[start : start + _BLOCK].astype(np.float64)
+        norms[start : start + len(block)] = _dot_norms(block)
+    return norms
+
 
 @dataclass(frozen=True)
 class EmbeddedSet:
@@ -62,7 +86,14 @@ class EmbeddingSpace:
         self.dimension = int(matrix.shape[1])
         self._tokens = np.asarray(tokens, dtype=object)
         self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self._norms = np.linalg.norm(self._matrix.astype(np.float64), axis=1)
+        self._norms = _row_norms(self._matrix)
+        # rows whose norm is outside the range where the float32 prefilter of
+        # nearest_words is proven exact (zero, subnormal-scale or huge rows of
+        # a hand-built table); nearest_words always re-scores them in float64
+        low, high = _F32_SAFE
+        self._outliers = np.flatnonzero(~((self._norms >= low) & (self._norms <= high)))
+        self._inv_norms = np.zeros_like(self._norms)
+        np.divide(1.0, self._norms, out=self._inv_norms, where=self._norms > 0.0)
         self._index = {t: i for i, t in enumerate(tokens)}
         self.duplicates = duplicates
 
@@ -90,15 +121,27 @@ class EmbeddingSpace:
 
 
 def _normalize_rows(tokens, rows):
-    """Unit-normalize parsed rows; reject zero norms, keep near-unit rows."""
-    matrix = np.empty((len(rows), rows[0].shape[0]), dtype=np.float32)
-    for i, row in enumerate(rows):
-        norm = float(np.linalg.norm(row))
-        if not np.isfinite(norm) or norm == 0.0:
-            raise EmbeddingFormatError(f"zero-norm vector for token {tokens[i]!r}")
-        if abs(norm - 1.0) > _UNIT_TOL:
-            row = row / norm
-        matrix[i] = row.astype(np.float32)
+    """Unit-normalize parsed rows into one float32 matrix; reject zero
+    norms, keep near-unit rows bit-for-bit.
+
+    ``rows`` is a float32 matrix, normalized in place, or a sequence of
+    float64 rows. Each block of rows takes its norms in one pass (see
+    :func:`_dot_norms`); a row off unit length is divided by its norm in
+    float64 and rounded to float32 once.
+    """
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float32:
+        matrix = rows
+    else:
+        matrix = np.empty((len(rows), len(rows[0])), dtype=np.float32)
+    for start in range(0, len(rows), _BLOCK):
+        block = np.asarray(rows[start : start + _BLOCK], dtype=np.float64)
+        norms = _dot_norms(block)
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if bad.size:
+            raise EmbeddingFormatError(f"zero-norm vector for token {tokens[start + bad[0]]!r}")
+        off = np.abs(norms - 1.0) > _UNIT_TOL
+        block[off] /= norms[off, None]
+        matrix[start : start + len(block)] = block
     return matrix
 
 
@@ -116,18 +159,17 @@ def _parse_header(line: str):
 
 
 def _dedupe(tokens, rows):
-    seen = {}
-    out_tokens, out_rows, dups = [], [], 0
-    for token, row in zip(tokens, rows):
-        if token in seen:
-            dups += 1
-            continue
-        seen[token] = True
-        out_tokens.append(token)
-        out_rows.append(row)
+    """Keep the first row of every token; ``rows`` is a matrix or a list."""
+    first = {}
+    for i, token in enumerate(tokens):
+        first.setdefault(token, i)
+    dups = len(tokens) - len(first)
     if dups:
         log.warning("embedding file: %d duplicate tokens dropped (first kept)", dups)
-    return out_tokens, out_rows, dups
+        keep = list(first.values())
+        tokens = list(first)
+        rows = rows[keep] if isinstance(rows, np.ndarray) else [rows[i] for i in keep]
+    return tokens, rows, dups
 
 
 def load_embeddings(path, fmt: str = "text") -> EmbeddingSpace:
@@ -171,36 +213,37 @@ def _read_text(path):
 
 
 def _read_binary(path):
+    """Tokens and the (count, dim) float32 matrix of a binary table, read
+    as one buffer."""
     with open(path, "rb") as fh:
-        header = b""
-        while not header.endswith(b"\n"):
-            byte = fh.read(1)
-            if not byte:
-                raise EmbeddingFormatError("unexpected end of file in header")
-            header += byte
-        count, dim = _parse_header(header.decode("utf-8"))
-        width = 4 * dim
-        tokens, rows = [], []
-        for row in range(count):
-            token = b""
-            while True:
-                byte = fh.read(1)
-                if not byte:
-                    raise EmbeddingFormatError(f"unexpected end of file at row {row + 1}")
-                if byte == b" ":
-                    break
-                if byte == b"\n" and not token:
-                    continue  # writer convention: newline after each vector
-                token += byte
-            packed = fh.read(width)
-            if len(packed) != width:
-                raise EmbeddingFormatError(
-                    f"dimension mismatch at row {row + 1}: expected {dim} float32 values"
-                )
-            values = np.frombuffer(packed, dtype="<f4").astype(np.float64)
-            tokens.append(token.decode("utf-8"))
-            rows.append(values)
-    return tokens, rows
+        data = fh.read()
+    end = data.find(b"\n")
+    if end < 0:
+        raise EmbeddingFormatError("unexpected end of file in header")
+    count, dim = _parse_header(data[: end + 1].decode("utf-8"))
+    width = 4 * dim
+    pos = end + 1
+    # an entry takes at least width + 1 bytes, so a count the file cannot
+    # hold fails at its first missing row without allocating for it
+    packed = bytearray(min(count, (len(data) - pos) // (width + 1)) * width)
+    view = memoryview(data)
+    tokens = []
+    for row in range(count):
+        while data.startswith(b"\n", pos):
+            pos += 1  # writer convention: newline after each vector
+        gap = data.find(b" ", pos)
+        if gap < 0:
+            raise EmbeddingFormatError(f"unexpected end of file at row {row + 1}")
+        tokens.append(data[pos:gap].decode("utf-8"))
+        pos = gap + 1
+        if pos + width > len(data):
+            raise EmbeddingFormatError(
+                f"dimension mismatch at row {row + 1}: expected {dim} float32 values"
+            )
+        packed[row * width : (row + 1) * width] = view[pos : pos + width]
+        pos += width
+    matrix = np.frombuffer(packed, dtype="<f4").reshape(count, dim)
+    return tokens, matrix.astype(np.float32, copy=False)
 
 
 def save_embeddings(space: EmbeddingSpace, path, fmt: str = "text") -> None:
@@ -320,8 +363,28 @@ def nearest_words(
 ) -> list[tuple[str, float]]:
     """Top-k vocabulary tokens by cosine to ``point``, descending.
 
-    Exhaustive scan; ties break lexicographically. Excluded tokens are
-    removed before selection.
+    Exhaustive and exact: the result is that of scoring every row in
+    float64 and sorting by (-cosine, token), so ties break
+    lexicographically. Excluded tokens are removed before selection.
+
+    The table is scanned once in float32: with q the unit point rounded to
+    float32, c32_i = fl32(m_i . q) / |m_i|. Against the float64 cosine c64_i
+    of the same row, |c32_i - c64_i| <= delta = gamma_{d+2} = (d+2)u /
+    (1 - (d+2)u) with u = 2**-24 and d the dimension: the float32 dot product
+    of length d errs by at most gamma_d |m_i| |q| in any summation order,
+    rounding q costs one u, and the float64 steps (the norms, the division,
+    c64 itself) stay far below one more u. Dividing by |m_i| puts this on
+    the cosine scale by Cauchy-Schwarz, so it holds for rows of any norm in
+    [2**-100, 2**100]; rows outside that range (hand-built tables only) are
+    always re-scored.
+
+    Let K be the k-th largest c32 among kept rows. At least k rows have
+    c32 >= K, so c64 >= K - delta; a row with c32 < K - 2 delta has
+    c64 < K - delta, strictly below k other rows, and cannot be in the top
+    k whatever its token. Only the rows with c32 >= K - 2 delta are
+    therefore re-scored in float64 and sorted. Each float64 cosine is a
+    fixed-order reduction over its own row, so it does not depend on the
+    row's position in the table, and equal rows score equal.
     """
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (space.dimension,):
@@ -329,21 +392,25 @@ def nearest_words(
     if k < 1:
         raise ValueError("k must be >= 1")
     norm = float(np.linalg.norm(point))
-    if norm == 0.0:
-        raise ZeroNormError("cannot search neighbors of a zero-norm point")
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
 
-    # Scan in float64; cast the float32 rows in blocks to bound memory.
-    sims = np.empty(len(space), dtype=np.float64)
-    block = 1 << 18
-    for start in range(0, len(space), block):
-        stop = min(start + block, len(space))
-        sims[start:stop] = space._matrix[start:stop].astype(np.float64) @ point
-    sims /= space._norms * norm
-    if exclude:
-        keep = np.array([t not in exclude for t in space._tokens], dtype=bool)
-        sims = sims[keep]
-        tokens = space._tokens[keep]
+    keep = np.ones(len(space), dtype=bool)
+    keep[[space._index[t] for t in exclude if t in space._index]] = False
+    if k >= np.count_nonzero(keep):
+        rows = np.flatnonzero(keep)
     else:
-        tokens = space._tokens
-    order = np.lexsort((tokens, -sims))[: min(k, sims.shape[0])]
+        cos32 = (space._matrix @ (point / norm).astype(np.float32)) * space._inv_norms
+        cos32[~keep] = -np.inf
+        cos32[space._outliers] = -np.inf
+        kth = np.partition(cos32, cos32.shape[0] - k)[cos32.shape[0] - k]
+        n = space.dimension + 2
+        delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
+        near = cos32 >= kth - 2.0 * delta
+        near[space._outliers] = True
+        rows = np.flatnonzero(near & keep)
+    sims = (space._matrix[rows].astype(np.float64) * point).sum(axis=1)
+    sims /= space._norms[rows] * norm
+    tokens = space._tokens[rows]
+    order = np.lexsort((tokens, -sims))[:k]
     return [(str(tokens[i]), float(sims[i])) for i in order]

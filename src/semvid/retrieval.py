@@ -77,7 +77,12 @@ class RankedList:
 
 
 def load_queries(path, stops=DEFAULT_STOPWORDS, augmentation_k: int = 5) -> list[EventQuery]:
-    """Read a JSON array of {"event", "title", "ocr_terms"?, "asr_terms"?}."""
+    """Read a JSON array of {"event", "title", "ocr_terms"?, "asr_terms"?}.
+
+    The event id and title are strings and the term fields lists of
+    strings; anything else (a null, a number) is rejected with the file and
+    the entry's index in the array rather than read as text.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -88,30 +93,40 @@ def load_queries(path, stops=DEFAULT_STOPWORDS, augmentation_k: int = 5) -> list
 
     queries = []
     seen = set()
-    for entry in raw:
+    for index, entry in enumerate(raw):
+        where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "event" not in entry or "title" not in entry:
-            raise SemvidError(f"query entry missing event/title: {entry!r}")
-        event_id = str(entry["event"])
+            raise SemvidError(f"{where}: query entry missing event/title: {entry!r}")
+        event_id = _string(entry["event"], f"{where}: event id")
         if event_id in seen:
-            raise SemvidError(f"duplicate event id {event_id!r}")
+            raise SemvidError(f"{where}: duplicate event id {event_id!r}")
         seen.add(event_id)
 
         def _terms(key):
+            terms = entry.get(key, [])
+            if not isinstance(terms, list):
+                raise SemvidError(f"{where}: {key} must be a list of strings, got {terms!r}")
             out = []
-            for term in entry.get(key, ()):
-                out.extend(tokenize(str(term), stops))
+            for term in terms:
+                out.extend(tokenize(_string(term, f"{where}: {key} item"), stops))
             return tuple(out)
 
         queries.append(
             EventQuery(
                 event_id=event_id,
-                title_terms=tuple(tokenize(str(entry["title"]), stops)),
+                title_terms=tuple(tokenize(_string(entry["title"], f"{where}: title"), stops)),
                 ocr_terms=_terms("ocr_terms"),
                 asr_terms=_terms("asr_terms"),
                 augmentation_k=augmentation_k,
             )
         )
     return queries
+
+
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise SemvidError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def map_cosine(value: float) -> float:

@@ -12,8 +12,6 @@ Three kernels, all symmetric:
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import kernels
@@ -36,17 +34,22 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b)) / (na * nb)
 
 
+def lower_percentile_index(percentile: float, sizes):
+    """Index ceil(l/100 * n) - 1 (at least 0) of the lower percentile l in
+    an ascending sort of n values, for each n in ``sizes``."""
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    return np.maximum(np.ceil(percentile / 100.0 * np.asarray(sizes)).astype(np.intp) - 1, 0)
+
+
 def lower_percentile(values: np.ndarray, percentile: float) -> float:
     """Order statistic at index ceil(l/100 * n) - 1 of the ascending sort.
 
     This is the value with l percent of the entries at or below it; no
     interpolation.
     """
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
     ordered = np.sort(np.asarray(values, dtype=np.float64))
-    idx = max(math.ceil(percentile / 100.0 * ordered.shape[0]) - 1, 0)
-    return float(ordered[idx])
+    return float(ordered[lower_percentile_index(percentile, ordered.shape[0])])
 
 
 def sim_pooled(x, y) -> float:

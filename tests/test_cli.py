@@ -150,6 +150,50 @@ def test_eval_perfect_fixture_map_one(tmp_path, capsys):
     assert report.split("\t")[1] == "1.000000"
 
 
+def _report(path):
+    rows = [line.split("\t") for line in path.read_text().splitlines()[1:]]
+    return {row[0]: (row[1], row[2]) for row in rows}
+
+
+def test_eval_matches_library_on_in_memory_lists(world_dir, tmp_path, capsys):
+    # eval reads ranked.tsv's six-decimal scores; on this world no positive
+    # and negative score round to the same value, so AP and AUC agree with
+    # evaluate on the unrounded lists
+    from semvid.evaluation import evaluate, load_truth
+    from semvid.retrieval import rank_events
+
+    world, paths = world_dir
+    ranked = tmp_path / "ranked.tsv"
+    assert main([
+        "rank", paths["embeddings"], paths["concepts"], paths["queries"],
+        "--scores", paths["scores"], "--transcripts", paths["transcripts"], "--out", str(ranked),
+    ]) == 0
+    assert main(["eval", str(ranked), paths["truth"], "--out", str(tmp_path / "rep.tsv")]) == 0
+    runs = rank_events(world.queries, world.space, world.repo, world.corpus)
+    library = evaluate(runs, load_truth(paths["truth"]))
+    assert _report(tmp_path / "rep.tsv") == {
+        r.event_id: (f"{r.ap:.6f}", f"{r.auc:.6f}") for r in library.per_event
+    }
+
+
+def test_eval_rounding_ties_change_auc_not_ap(tmp_path, capsys):
+    # scores closer than the sixth decimal print equal: AUC counts the pair
+    # as a tie (half a win), AP follows the list order and does not change
+    from semvid.evaluation import evaluate, load_truth
+    from semvid.retrieval import RankedList, write_ranked_tsv
+
+    runs = [RankedList("e1", (("va", 0.5000004), ("vb", 0.5000001), ("vc", 0.1)))]
+    truth = tmp_path / "truth.csv"
+    truth.write_text("e1,va,1\ne1,vb,0\ne1,vc,0\n", encoding="utf-8")
+    ranked = tmp_path / "ranked.tsv"
+    with open(ranked, "w", encoding="utf-8") as fh:
+        write_ranked_tsv(runs, fh)
+    assert main(["eval", str(ranked), str(truth), "--out", str(tmp_path / "rep.tsv")]) == 0
+    library = evaluate(runs, load_truth(truth)).per_event[0]
+    assert (library.ap, library.auc) == (1.0, 1.0)
+    assert _report(tmp_path / "rep.tsv") == {"e1": ("1.000000", "0.750000")}
+
+
 def test_bench_smoke(capsys):
     code = main(["bench", "--videos", "64,128", "--concepts", "20", "--dim", "8",
                  "--repeat", "1", "--backend", "numpy"])

@@ -11,8 +11,9 @@ from semvid.concepts import (
     top_r,
     WeightedConcept,
 )
-from semvid.embedding import embed_tokens
-from semvid.errors import ConceptFormatError
+from semvid.embedding import EmbeddingSpace, embed_tokens
+from semvid.errors import ConceptFormatError, NoScoreableConcepts
+from semvid.synth import random_space
 from oracles import concept_rank_oracle
 
 
@@ -121,15 +122,83 @@ def test_rank_output_covers_every_scoreable_concept(space50):
 
 def test_adding_a_concept_never_changes_existing_weights(space50):
     base = [ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(8)]
+    base += [
+        ConceptDefinition(id="pair", name="w10 w11"),
+        ConceptDefinition(id="triple", name="w12 w13 w12"),
+    ]
     repo_small = ConceptRepository(base)
     repo_small.attach_space(space50)
-    repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name="w30")])
-    repo_big.attach_space(space50)
-    query = embed_tokens(space50, ["w40", "w41"])
-    small = {w.concept_id: w.weight for w in rank_concepts(repo_small, query)}
-    big = {w.concept_id: w.weight for w in rank_concepts(repo_big, query)}
-    for cid, weight in small.items():
-        assert big[cid] == weight
+    # the Hausdorff kernel pads every concept to the longest: add a longer one
+    for extra in ("w30", "w30 w31 w32 w33 w34"):
+        repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name=extra)])
+        repo_big.attach_space(space50)
+        for kernel in ("pooled", "hausdorff"):
+            for title in (["w40", "w41"], ["w12"], ["w40", "w11", "w13", "w2"]):
+                query = embed_tokens(space50, title)
+                small = {w.concept_id: w.weight for w in rank_concepts(repo_small, query, kernel)}
+                big = {w.concept_id: w.weight for w in rank_concepts(repo_big, query, kernel)}
+                for cid, weight in small.items():
+                    assert big[cid] == weight
+
+
+def test_hausdorff_rank_concepts_matches_oracle():
+    # percentiles 1, 50 and 100; concepts of 1 to 5 words, some repeating a
+    # word; queries of 1 to 4 words, some repeating a word. Query words are
+    # not concept words: a self-match cosine of 1 rounds either way in its
+    # last bit, which would make the id order of such concepts arbitrary.
+    space = random_space(np.random.default_rng(31), 60, 300)
+    rng = np.random.default_rng(32)
+    defs, sets = [], {}
+    for i in range(40):
+        picked = [f"w{j}" for j in rng.choice(np.arange(30, 60), size=int(rng.integers(1, 6)))]
+        if i % 7 == 3:
+            picked = picked[:4] + [picked[0]]
+        defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
+        sets[f"c{i:02d}"] = [space.vector(t) for t in picked]
+    assert any(len(set(v.tobytes() for v in vecs)) < len(vecs) for vecs in sets.values())
+    assert {len(v) for v in sets.values()} == {1, 2, 3, 4, 5}
+    repo = ConceptRepository(defs)
+    repo.attach_space(space, stops=frozenset())
+    for size in (1, 2, 3, 4):
+        for trial in range(3):
+            title = [f"w{j}" for j in rng.choice(30, size=size)]
+            if trial == 2 and size > 1:
+                title[-1] = title[0]
+            query = embed_tokens(space, title)
+            for percentile in (1.0, 50.0, 100.0):
+                ranked = rank_concepts(repo, query, "hausdorff", percentile)
+                expected = concept_rank_oracle(
+                    [space.vector(t) for t in title], sets, "hausdorff", percentile
+                )
+                assert [w.concept_id for w in ranked] == [cid for cid, _ in expected]
+                np.testing.assert_allclose(
+                    [w.weight for w in ranked], [w for _, w in expected], rtol=0, atol=1e-12
+                )
+
+
+def test_hausdorff_zero_norm_word_skipped_and_logged_once(caplog):
+    space = EmbeddingSpace(
+        ["north", "void", "q"], np.array([[1, 0, 0], [0, 0, 0], [0.6, 0.8, 0]], dtype=np.float32)
+    )
+    repo = ConceptRepository([
+        ConceptDefinition(id="hollow", name="north void"),
+        ConceptDefinition(id="north", name="north"),
+    ])
+    with caplog.at_level("WARNING"):
+        repo.attach_space(space)
+    assert sum("hollow" in message for message in caplog.messages) == 1
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        ranked = rank_concepts(repo, embed_tokens(space, ["q"]), "hausdorff")
+    assert caplog.messages == []
+    assert [w.concept_id for w in ranked] == ["north"]
+    assert ranked[0].weight == pytest.approx(0.6, abs=1e-7)
+    pooled = rank_concepts(repo, embed_tokens(space, ["q"]), "pooled")
+    assert {w.concept_id for w in pooled} == {"hollow", "north"}
+    with pytest.raises(NoScoreableConcepts, match="zero-norm"):
+        rank_concepts(repo, embed_tokens(space, ["q", "void"]), "hausdorff")
+    with pytest.raises(ValueError, match="percentile"):
+        rank_concepts(repo, embed_tokens(space, ["q"]), "hausdorff", 0.0)
 
 
 def test_rerank_is_bit_identical(space50):
@@ -180,3 +249,20 @@ def test_zero_norm_pooled_concept_logged_once_and_skipped_by_pooled_kernel(tmp_p
     assert [w.concept_id for w in pooled] == ["north"]
     assert pooled[0].weight == pytest.approx(0.6, abs=1e-7)
     assert {w.concept_id for w in rank_concepts(repo, query, "hausdorff")} == {"flat", "north"}
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"id": None, "name": "a"}, "concept id"),
+    ({"id": 7, "name": "a"}, "concept id"),
+    ({"id": "c2", "name": None}, "name"),
+    ({"id": "c2", "name": ["a"]}, "name"),
+    ({"id": "c2", "name": "a", "keywords": ["b", None]}, "keyword"),
+    ({"id": "c2", "name": "a", "keywords": [3]}, "keyword"),
+    ({"id": "c2", "name": "a", "keywords": "b"}, "keywords must be a list"),
+])
+def test_load_rejects_non_string_fields_with_file_and_entry(tmp_path, entry, field):
+    path = write_concepts(tmp_path, [{"id": "c1", "name": "a"}, entry])
+    with pytest.raises(ConceptFormatError) as info:
+        load_concepts(path)
+    message = str(info.value)
+    assert str(path) in message and "entry 1" in message and field in message

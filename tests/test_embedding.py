@@ -3,6 +3,7 @@ import pytest
 
 from semvid.embedding import (
     EmbeddedSet,
+    EmbeddingSpace,
     embed_tokens,
     load_embeddings,
     nearest_words,
@@ -79,6 +80,78 @@ def test_binary_roundtrip_exact(tmp_path):
     loaded = load_embeddings(path, fmt="binary")
     assert loaded.tokens() == space.tokens()
     np.testing.assert_array_equal(loaded._matrix, space._matrix)
+
+
+def write_binary(path, dim, entries, count=None, newline=b"\n"):
+    """A binary table by hand: header, then token, space, packed float32
+    values and ``newline`` per entry."""
+    with open(path, "wb") as fh:
+        fh.write(f"{len(entries) if count is None else count} {dim}\n".encode())
+        for token, values in entries:
+            fh.write(token.encode() + b" " + np.asarray(values, dtype="<f4").tobytes() + newline)
+
+
+def test_binary_truncated_in_header(tmp_path):
+    path = tmp_path / "vecs.bin"
+    path.write_bytes(b"3 4")
+    with pytest.raises(EmbeddingFormatError, match="end of file in header"):
+        load_embeddings(path, fmt="binary")
+
+
+def test_binary_truncated_in_token(tmp_path):
+    path = tmp_path / "vecs.bin"
+    write_binary(path, 2, [("a", [1, 0]), ("b", [0, 1])], count=3)
+    path.write_bytes(path.read_bytes() + b"trunc")
+    with pytest.raises(EmbeddingFormatError, match="end of file at row 3"):
+        load_embeddings(path, fmt="binary")
+
+
+def test_binary_truncated_in_vector(tmp_path):
+    path = tmp_path / "vecs.bin"
+    write_binary(path, 3, [("a", [1, 0, 0]), ("b", [0, 1, 0])])
+    path.write_bytes(path.read_bytes()[:-6])  # newline and 5 bytes of b's vector
+    with pytest.raises(EmbeddingFormatError, match="dimension mismatch at row 2"):
+        load_embeddings(path, fmt="binary")
+
+
+def test_binary_count_beyond_file_fails_at_first_missing_row(tmp_path):
+    path = tmp_path / "vecs.bin"
+    write_binary(path, 2, [("a", [1, 0])], count=10**12)
+    with pytest.raises(EmbeddingFormatError, match="row 2"):
+        load_embeddings(path, fmt="binary")
+
+
+def test_binary_newline_convention_dedupe_and_zero_norm(tmp_path):
+    entries = [("a", [3, 4]), ("b", [0, 1]), ("a", [1, 0]), ("c", [0.6, 0.8])]
+    for newline in (b"", b"\n", b"\n\n"):
+        path = tmp_path / "vecs.bin"
+        write_binary(path, 2, entries, newline=newline)
+        space = load_embeddings(path, fmt="binary")
+        assert space.tokens() == ["a", "b", "c"] and space.duplicates == 1
+        np.testing.assert_array_equal(space._matrix[0], np.float32([0.6, 0.8]))
+    write_binary(path, 2, [("a", [1, 0]), ("dead", [0, 0])])
+    with pytest.raises(EmbeddingFormatError, match="dead"):
+        load_embeddings(path, fmt="binary")
+
+
+def test_load_normalizes_like_one_row_at_a_time(tmp_path):
+    # oracle: each row divided by its own np.linalg.norm in float64 and
+    # rounded to float32 once; near-unit rows are stored as read
+    rng = np.random.default_rng(17)
+    scale = rng.uniform(0.01, 50, size=(2600, 1))
+    raw = (rng.standard_normal((2600, 7)) * scale).astype(np.float32)
+    raw[::5] /= np.linalg.norm(raw[::5].astype(np.float64), axis=1, keepdims=True)
+    expected = np.empty_like(raw)
+    for i, row in enumerate(raw.astype(np.float64)):
+        norm = float(np.linalg.norm(row))
+        expected[i] = row if abs(norm - 1.0) <= 1e-6 else row / norm
+    binary, text = tmp_path / "vecs.bin", tmp_path / "vecs.txt"
+    write_binary(binary, 7, [(f"t{i}", row) for i, row in enumerate(raw)])
+    text.write_text("2600 7\n" + "".join(
+        f"t{i} " + " ".join(repr(float(v)) for v in row) + "\n" for i, row in enumerate(raw)
+    ), encoding="utf-8")
+    for path, fmt in ((binary, "binary"), (text, "text")):
+        np.testing.assert_array_equal(load_embeddings(path, fmt=fmt)._matrix, expected)
 
 
 def test_all_stored_vectors_unit_norm(space50):
@@ -203,6 +276,94 @@ def test_nearest_words_exclusion(space50):
     tokens = {t for t, _ in result}
     assert "w7" not in tokens and "w9" not in tokens
     assert len(result) == len(space50) - 2
+
+
+def oracle_neighbors(space, point, k, exclude=frozenset()):
+    return scan_oracle(space.tokens(), list(space._matrix), point, k, exclude)
+
+
+def assert_same_neighbors(got, expected):
+    assert [t for t, _ in got] == [t for t, _ in expected]
+    np.testing.assert_allclose([s for _, s in got], [s for _, s in expected], rtol=0, atol=1e-12)
+
+
+def test_nearest_words_duplicate_rows_tie_lexicographically():
+    rng = np.random.default_rng(21)
+    matrix = rng.standard_normal((40, 300)).astype(np.float32)
+    tokens = [f"w{i:02d}" for i in range(40)]
+    for row, name in ((3, "zeta"), (31, "alpha"), (17, "mid")):  # copies of row 9
+        matrix[row], tokens[row] = matrix[9], name
+    space = EmbeddingSpace(tokens, matrix)
+    for k in (1, 2, 3, 4, 6):
+        got = nearest_words(space, matrix[9].astype(np.float64), k)
+        assert_same_neighbors(got, oracle_neighbors(space, matrix[9], k))
+    got = nearest_words(space, matrix[9].astype(np.float64), 4)
+    assert [t for t, _ in got] == ["alpha", "mid", "w09", "zeta"]
+    assert len({s for _, s in got}) == 1
+
+
+def test_nearest_words_last_bit_neighbors_around_kth():
+    # eleven copies of one row, each a few float32 ulps apart in one
+    # component: their cosines to the point lie far inside the float32
+    # error bound, so only the float64 re-score can order them
+    rng = np.random.default_rng(22)
+    dim = 300
+    base = rng.standard_normal(dim).astype(np.float32)
+    point = base + 0.9 * rng.standard_normal(dim)
+    cluster = np.repeat(base[None, :], 11, axis=0)
+    cluster[:, 5] = base[5] + np.arange(-5, 6) * np.spacing(base[5])
+    others = rng.standard_normal((200, dim)).astype(np.float32)
+    order = rng.permutation(211)
+    tokens = [f"t{i:03d}" for i in order]
+    space = EmbeddingSpace(tokens, np.vstack([cluster, others]))
+    cosines = [cosine_oracle(row, point) for row in cluster]
+    gamma = (dim + 2) * 2.0**-24 / (1 - (dim + 2) * 2.0**-24)
+    assert 0 < max(cosines) - min(cosines) < gamma
+    assert len(set(cosines)) == 11
+    for k in range(1, 13):
+        assert_same_neighbors(nearest_words(space, point, k), oracle_neighbors(space, point, k))
+
+
+def test_nearest_words_excluded_tokens_inside_the_true_top_k(space50):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        point = rng.standard_normal(8)
+        top = [t for t, _ in oracle_neighbors(space50, point, 6)]
+        exclude = {top[0], top[3], top[5], "not-a-token"}
+        for k in (1, 3, 6):
+            got = nearest_words(space50, point, k, exclude)
+            assert_same_neighbors(got, oracle_neighbors(space50, point, k, exclude))
+
+
+def test_nearest_words_k_at_least_the_kept_rows(space50):
+    point = np.random.default_rng(24).standard_normal(8)
+    exclude = {f"w{i}" for i in range(0, 50, 7)}
+    for k in (42, 43, 500):
+        got = nearest_words(space50, point, k, exclude)
+        assert len(got) == 50 - len(exclude)
+        assert_same_neighbors(got, oracle_neighbors(space50, point, k, exclude))
+
+
+def test_nearest_words_non_unit_rows():
+    # a hand-built table: row norms from 1e-35 to 1e35, beyond the range
+    # where the float32 bound is proven for the extreme rows
+    rng = np.random.default_rng(25)
+    dim = 64
+    matrix = rng.standard_normal((120, dim))
+    matrix *= 10.0 ** rng.uniform(-3, 3, size=(120, 1))
+    matrix[7] *= 1e-33
+    matrix[8] *= 1e33
+    matrix[9] = matrix[10] / np.linalg.norm(matrix[10]) * 1e-33  # parallel to n10
+    space = EmbeddingSpace([f"n{i}" for i in range(120)], matrix.astype(np.float32))
+    assert set(space._outliers) >= {7, 8, 9}
+    for trial in range(10):
+        point = rng.standard_normal(dim) * 10.0 ** rng.uniform(-5, 5)
+        if trial == 0:
+            point = space._matrix[9].astype(np.float64)
+        for k in (1, 4, 10, 119):
+            exclude = {"n10"} if trial % 2 else set()
+            got = nearest_words(space, point, k, exclude)
+            assert_same_neighbors(got, oracle_neighbors(space, point, k, exclude))
 
 
 def test_nearest_words_zero_point_error(space50):

@@ -425,9 +425,10 @@ def test_concept_weights_bit_exact_under_concept_order(odd_world):
         shuffled_repo.attach_space(space)
         for title in (["w1", "w2"], ["w30"], ["w55", "w56", "w57"]):
             query = embed_tokens(space, title)
-            ranked = rank_concepts(repo, query)
-            assert rank_concepts(reversed_repo, query) == ranked
-            assert rank_concepts(shuffled_repo, query) == ranked
+            for kernel in ("pooled", "hausdorff"):
+                ranked = rank_concepts(repo, query, kernel)
+                assert rank_concepts(reversed_repo, query, kernel) == ranked
+                assert rank_concepts(shuffled_repo, query, kernel) == ranked
 
 
 def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch):
@@ -498,6 +499,26 @@ def test_load_queries_duplicate_event(tmp_path):
     ]), encoding="utf-8")
     with pytest.raises(SemvidError, match="duplicate"):
         load_queries(path)
+
+
+@pytest.mark.parametrize("entry, field", [
+    ({"event": None, "title": "a b"}, "event id"),
+    ({"event": 3, "title": "a b"}, "event id"),
+    ({"event": "E2", "title": None}, "title"),
+    ({"event": "E2", "title": ["a"]}, "title"),
+    ({"event": "E2", "title": "a", "ocr_terms": ["b", None]}, "ocr_terms item"),
+    ({"event": "E2", "title": "a", "ocr_terms": "b c"}, "ocr_terms must be a list"),
+    ({"event": "E2", "title": "a", "asr_terms": [None]}, "asr_terms item"),
+    ({"event": "E2", "title": "a", "asr_terms": [1.5]}, "asr_terms item"),
+])
+def test_load_queries_rejects_non_string_fields_with_file_and_entry(tmp_path, entry, field):
+    # a null title used to load as the term "none", which is no stop word
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps([{"event": "E1", "title": "a b"}, entry]), encoding="utf-8")
+    with pytest.raises(SemvidError) as info:
+        load_queries(path)
+    message = str(info.value)
+    assert str(path) in message and "entry 1" in message and field in message
 
 
 def test_query_requires_nonstop_title():
