@@ -251,13 +251,26 @@ def prepare_text_query(
     )
 
 
+# Bytes of float64 product per block of a text-channel reduction, small
+# enough to stay in a core's L2 cache: at 8000 x 300 (one BLAS thread) one
+# call took 3.0 ms and blocks of 256-320 rows 2.4 ms.
+_TEXT_BLOCK_BYTES = 768 * 1024
+
+
 def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray, raw_sum: bool):
     """Text-channel score in [0, 1] of every pooled transcript row; rows with
     a count of 0 (channel missing) get the neutral 0.5."""
     present = counts > 0
+    q_sum = sum_pool(query_set)
     # a fixed-order reduction per row, never a BLAS gemv, so that a score
-    # does not depend on the video's row or on the corpus size
-    cross = (pooled * sum_pool(query_set)).sum(axis=1)
+    # does not depend on the video's row or on the corpus size; the rows are
+    # reduced a block at a time, which keeps the product in cache and gives
+    # each row the same sum (a corpus of one block makes one call)
+    rows = max(1, _TEXT_BLOCK_BYTES // (8 * pooled.shape[1]))
+    cross = np.empty(len(pooled))
+    for start in range(0, len(pooled), rows):
+        block = pooled[start : start + rows]
+        np.sum(block * q_sum, axis=1, out=cross[start : start + len(block)])
     if not raw_sum:  # mean pairwise cosine
         cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
     return np.where(present, np.clip(map_cosine(cross), 0.0, 1.0), 0.5)

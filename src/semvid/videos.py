@@ -14,6 +14,7 @@ import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -106,56 +107,168 @@ def _skip_malformed(path, lineno, reason) -> None:
     log.warning("%s line %d: malformed, skipped (%s)", path, lineno, reason)
 
 
+# Score lines read between two conversions of their samples to an array.
+_CHUNK = 4096
+# CSV values held as strings before their rows are converted to numbers:
+# each is a Python str of ~60 bytes, so a block stays near 120 KB, and
+# larger blocks convert no faster per value.
+_CSV_VALUES = 1 << 11
+
+
+def _json_int(text: str) -> float:
+    """A JSON integer literal as a float, as a float literal would give it:
+    too large for a float is +-inf, and -0 is 0.0 (as int("-0") gives)."""
+    return float(text) + 0.0
+
+
+# json.loads with integers read as floats; one call per score line
+_decode_json = json.JSONDecoder(parse_int=_json_int).decode
+_FLOAT = frozenset([float])
+
+
+def _pool_chunk(path, samples, counts, lines, mode):
+    """Pool a chunk of tracks stored back to back in ``samples``.
+
+    ``counts`` holds each track's sample count (>= 1) and ``lines`` its line.
+    The whole chunk is range-checked with one mask first; a sample outside
+    [0, 1] (NaN included) aborts, naming the line of the first.
+    """
+    samples = np.array(samples, dtype=np.float64)
+    counts = np.array(counts, dtype=np.intp)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    outside = ~((samples >= 0.0) & (samples <= 1.0))
+    if outside.any():
+        first = int(np.argmax(outside))
+        line = lines[int(np.searchsorted(ends, first, side="right"))]
+        raise IngestError(f"{path} line {line}: score {float(samples[first])} outside [0, 1]")
+    if mode == "max":
+        pooled = np.maximum.reduceat(samples, starts)
+        # max() returns the first of equal maxima; only a zero maximum can
+        # differ from it in its bits (0.0 against -0.0)
+        zero = np.flatnonzero(pooled == 0.0)
+        pooled[zero] = samples[starts[zero]]
+        return pooled
+    # the mean of each track's own row, grouped by length: the value
+    # np.mean gives the track alone, which np.add.reduceat / n is not
+    pooled = np.empty(len(counts))
+    for length in np.unique(counts):
+        group = np.flatnonzero(counts == length)
+        pooled[group] = samples[starts[group, None] + np.arange(length)].mean(axis=1)
+    return pooled
+
+
 def _load_score_jsonl(path, repo, mode):
     """Score JSONL: one {"video", "concept", "scores"} object per line.
 
-    Malformed lines, including a video or concept id that is not a string,
-    are reported with their line number and skipped; scores outside [0, 1]
-    and a second track for the same (video, concept) abort the load.
+    Malformed lines are reported with their line number and skipped: a line
+    that is not a JSON object with the three keys, a video or concept id that
+    is not a string, and a ``scores`` that is not a list of JSON numbers
+    (booleans and strings are not numbers). An empty score list is reported
+    and skipped. A score outside [0, 1], an unknown concept id and a second
+    track for the same (video, concept) abort the load at the first such
+    line.
+
+    Accepted tracks are kept as flat columns: row, column and sample count
+    per line, the samples back to back. Every ``_CHUNK`` lines the samples
+    are range-checked and pooled as arrays (:func:`_pool_chunk`), and the
+    pooled values are scattered into one (videos x concepts) matrix at the
+    end. Videos are rows in the order of their first accepted track.
     """
-    per_video: dict[str, list[ScoreTrack]] = {}
-    seen: dict[str, bytearray] = {}  # video -> a flag per concept column
+    if mode not in POOL_MODES:
+        raise ValueError(f"pool mode must be max or avg, got {mode!r}")
+    video_rows: dict[str, int] = {}
+    seen: list[bytearray] = []  # per video row, a flag per concept column
+    rows, cols = [], []  # per accepted track
+    pooled = []  # per chunk, an array over its tracks
+    lineno = 0
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                video, concept = obj["video"], obj["concept"]
-                samples = tuple(float(s) for s in obj["scores"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                _skip_malformed(path, lineno, exc)
-                continue
-            if not isinstance(video, str) or not isinstance(concept, str):
-                _skip_malformed(path, lineno, "video and concept ids must be strings")
-                continue
-            for s in samples:
-                if not 0.0 <= s <= 1.0:
-                    raise IngestError(f"{path} line {lineno}: score {s} outside [0, 1]")
-            if not samples:
-                log.warning("%s line %d: empty score list, skipped", path, lineno)
-                continue
-            track = ScoreTrack(video_id=video, concept_id=concept, samples=samples)
-            flags = seen.setdefault(video, bytearray(len(repo)))
-            try:
-                column = repo.index_of(concept)
-            except ConceptFormatError as exc:
-                raise ConceptFormatError(f"{path} line {lineno}: {exc}") from None
-            if flags[column]:
-                raise IngestError(
-                    f"{path} line {lineno}: duplicate track for ({video}, {concept})"
-                )
-            flags[column] = 1
-            per_video.setdefault(video, []).append(track)
-    records = {}
-    for video, tracks in per_video.items():
-        records[video] = build_video_record(tracks, repo, mode)
-    return records
+        for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
+            samples, counts, lines = [], [], []
+            for line in chunk:
+                lineno += 1
+                try:
+                    obj = _decode_json(line)
+                    video, concept, scores = obj["video"], obj["concept"], obj["scores"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.strip():
+                        _skip_malformed(path, lineno, exc)
+                    continue
+                if type(scores) is not list or not _FLOAT.issuperset(map(type, scores)):
+                    _skip_malformed(path, lineno, "scores must be a list of numbers")
+                    continue
+                if not isinstance(video, str) or not isinstance(concept, str):
+                    _skip_malformed(path, lineno, "video and concept ids must be strings")
+                    continue
+                if not scores:
+                    log.warning("%s line %d: empty score list, skipped", path, lineno)
+                    continue
+                samples += scores
+                counts.append(len(scores))
+                lines.append(lineno)
+                try:
+                    column = repo.index_of(concept)
+                except ConceptFormatError as exc:
+                    _pool_chunk(path, samples, counts, lines, mode)  # earlier lines abort first
+                    raise ConceptFormatError(f"{path} line {lineno}: {exc}") from None
+                row = video_rows.setdefault(video, len(video_rows))
+                if row == len(seen):
+                    seen.append(bytearray(len(repo)))
+                if seen[row][column]:
+                    _pool_chunk(path, samples, counts, lines, mode)
+                    raise IngestError(
+                        f"{path} line {lineno}: duplicate track for ({video}, {concept})"
+                    )
+                seen[row][column] = 1
+                rows.append(row)
+                cols.append(column)
+            if counts:
+                pooled.append(_pool_chunk(path, samples, counts, lines, mode))
+    S = np.zeros((len(video_rows), len(repo)), dtype=np.float64)
+    if pooled:
+        S[rows, cols] = np.concatenate(pooled)
+    covered = np.bincount(np.array(rows, dtype=np.intp), minlength=len(video_rows))
+    return {
+        video: VideoRecord(video_id=video, concept_scores=S[i], covered=int(covered[i]))
+        for video, i in video_rows.items()
+    }
+
+
+def _csv_scores(path, block, width):
+    """The (len(block), width) float64 scores of pre-pooled CSV rows, given
+    as (line number, fields), converted in one ``np.array`` call. The first
+    non-numeric value, or score outside [0, 1], in file order aborts with
+    its line; values are parsed by ``float()``."""
+    try:
+        values = np.array([fields[1:] for _, fields in block], dtype=np.float64)
+    except ValueError:
+        for lineno, fields in block:
+            for raw in fields[1:]:
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise IngestError(f"{path} line {lineno}: non-numeric score {raw!r}") from None
+                if not 0.0 <= value <= 1.0:
+                    raise IngestError(f"{path} line {lineno}: score {value} outside [0, 1]")
+        raise
+    values = values.reshape(len(block), width)
+    outside = ~((values >= 0.0) & (values <= 1.0))
+    if outside.any():
+        i, j = np.argwhere(outside)[0]
+        raise IngestError(
+            f"{path} line {block[i][0]}: score {float(values[i, j])} outside [0, 1]"
+        )
+    return values
 
 
 def _load_score_csv(path, repo):
-    """Pre-pooled CSV: header of concept ids, one row per video."""
-    records = {}
+    """Pre-pooled CSV: header of concept ids, one row per video.
+
+    Rows are converted to numbers a block of about ``_CSV_VALUES`` values
+    at a time (:func:`_csv_scores`). A row with the wrong field count, a
+    repeated video id, a non-numeric value or a score outside [0, 1] aborts
+    the load at the first such line.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -164,29 +277,33 @@ def _load_score_csv(path, repo):
             raise IngestError(f"{path}: empty pre-pooled CSV")
         columns = header[1:] if header and header[0] == "video" else header
         col_idx = [repo.index_of(c) for c in columns]
+        block_rows = max(1, _CSV_VALUES // max(1, len(columns)))
+        ids: dict[str, None] = {}
+        blocks, block = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(columns) + 1:
+                _csv_scores(path, block, len(columns))  # earlier rows abort first
                 raise IngestError(
                     f"{path} line {lineno}: expected {len(columns) + 1} fields, got {len(row)}"
                 )
             video = row[0]
-            if video in records:
+            if video in ids:
+                _csv_scores(path, block, len(columns))
                 raise IngestError(f"{path} line {lineno}: duplicate video id {video!r}")
-            scores = np.zeros(len(repo), dtype=np.float64)
-            for idx, raw in zip(col_idx, row[1:]):
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise IngestError(f"{path} line {lineno}: non-numeric score {raw!r}")
-                if not 0.0 <= value <= 1.0:
-                    raise IngestError(f"{path} line {lineno}: score {value} outside [0, 1]")
-                scores[idx] = value
-            records[video] = VideoRecord(
-                video_id=video, concept_scores=scores, covered=len(columns)
-            )
-    return records
+            ids[video] = None
+            block.append((lineno, row))
+            if len(block) == block_rows:
+                blocks.append(_csv_scores(path, block, len(columns)))
+                block = []
+        blocks.append(_csv_scores(path, block, len(columns)))
+    S = np.zeros((len(ids), len(repo)), dtype=np.float64)
+    S[:, col_idx] = np.concatenate(blocks)
+    return {
+        video: VideoRecord(video_id=video, concept_scores=S[i], covered=len(columns))
+        for i, video in enumerate(ids)
+    }
 
 
 def _load_transcripts(path):

@@ -7,10 +7,14 @@ statistics, rank sums) are checked against a second route.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 
 import numpy as np
+
+from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError
+from semvid.videos import ScoreTrack, pool
 
 
 def cosine_oracle(x, y) -> float:
@@ -261,3 +265,118 @@ def event_scores_oracle(
         ocr, asr = transcripts.get(video, (None, None))
         out[video] = fuse_oracle(pc, text_factor(ocr_query, ocr), text_factor(asr_query, asr), w)
     return out
+
+
+def _json_number(value) -> float:
+    """A JSON number as a float; an integer too large for one is +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def score_jsonl_oracle(path, repo, mode, warnings: list) -> dict:
+    """Score JSONL read one line and one track at a time, each track pooled
+    by :func:`semvid.videos.pool`.
+
+    Returns {video: concept score row}, videos in the order of their first
+    accepted track. Each skipped line appends its report to ``warnings``;
+    an aborting line raises the loader's error.
+    """
+    tracks: dict[str, list] = {}
+    seen: dict[str, set] = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                video, concept, scores = obj["video"], obj["concept"], obj["scores"]
+            except (ValueError, KeyError, TypeError) as exc:
+                warnings.append(f"{path} line {lineno}: malformed, skipped ({exc})")
+                continue
+            if not isinstance(scores, list) or any(
+                isinstance(s, bool) or not isinstance(s, (int, float)) for s in scores
+            ):
+                warnings.append(
+                    f"{path} line {lineno}: malformed, skipped (scores must be a list of numbers)"
+                )
+                continue
+            if not isinstance(video, str) or not isinstance(concept, str):
+                warnings.append(
+                    f"{path} line {lineno}: malformed, skipped "
+                    "(video and concept ids must be strings)"
+                )
+                continue
+            samples = tuple(_json_number(s) for s in scores)
+            for s in samples:
+                if not 0.0 <= s <= 1.0:
+                    raise IngestError(f"{path} line {lineno}: score {s} outside [0, 1]")
+            if not samples:
+                warnings.append(f"{path} line {lineno}: empty score list, skipped")
+                continue
+            try:
+                column = repo.index_of(concept)
+            except ConceptFormatError as exc:
+                raise ConceptFormatError(f"{path} line {lineno}: {exc}") from None
+            if concept in seen.setdefault(video, set()):
+                raise IngestError(
+                    f"{path} line {lineno}: duplicate track for ({video}, {concept})"
+                )
+            seen[video].add(concept)
+            tracks.setdefault(video, []).append((column, ScoreTrack(video, concept, samples)))
+    rows = {}
+    for video, video_tracks in tracks.items():
+        row = np.zeros(len(repo), dtype=np.float64)
+        for column, track in video_tracks:
+            row[column] = pool(track, mode)
+        rows[video] = row
+    return rows
+
+
+def _table_number(text: str) -> float:
+    """A table value as float() reads it, except that np.loadtxt, which
+    the loader parses with, reads no digit separators or non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number for np.loadtxt: {text!r}")
+    return float(text)
+
+
+def text_table_oracle(path):
+    """A word2vec text table read one line and one value at a time.
+
+    Returns (tokens, float32 matrix, duplicates): the first row of each
+    token, divided by its own np.linalg.norm in float64 and rounded to
+    float32 once unless already within 1e-6 of unit length. Raises the
+    loader's error for the first bad row, then for a wrong row count, then
+    for the first kept row of zero or non-finite norm.
+    """
+    with open(path, encoding="utf-8") as fh:
+        count, dim = (int(part) for part in fh.readline().split())
+        tokens, rows = [], []
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != dim + 1:
+                raise EmbeddingFormatError(
+                    f"dimension mismatch at row {lineno}: expected {dim} values, got {len(parts) - 1}"
+                )
+            try:
+                values = [_table_number(p) for p in parts[1:]]
+            except ValueError:
+                raise EmbeddingFormatError(f"non-numeric value at row {lineno}") from None
+            tokens.append(parts[0])
+            rows.append(np.array(values, dtype=np.float64))
+    if len(tokens) != count:
+        raise EmbeddingFormatError(f"header declared {count} entries, file has {len(tokens)}")
+    first: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        first.setdefault(token, i)
+    matrix = np.empty((len(first), dim), dtype=np.float32)
+    for j, (token, i) in enumerate(first.items()):
+        norm = float(np.linalg.norm(rows[i]))
+        if not math.isfinite(norm) or norm == 0.0:
+            raise EmbeddingFormatError(f"zero-norm vector for token {token!r}")
+        matrix[j] = rows[i] if abs(norm - 1.0) <= 1e-6 else rows[i] / norm
+    return list(first), matrix, len(tokens) - len(first)

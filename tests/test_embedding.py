@@ -1,3 +1,7 @@
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -377,3 +381,96 @@ def test_self_cosine_for_every_token(space50):
         assert cosine_oracle(vec, vec) == pytest.approx(1.0, abs=1e-9)
         best, sim = nearest_words(space50, vec, 1)[0]
         assert best == token and sim == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", ["1_0", "١", "0x1", "#"])
+def test_text_value_outside_loadtxt_syntax_is_non_numeric(tmp_path, value):
+    # float() reads "1_0" and Arabic-Indic digits; np.loadtxt does not
+    path = tmp_path / "bad.txt"
+    path.write_text(f"2 2\na 1 0\n\nb 0 {value}\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="non-numeric value at row 3"):
+        load_embeddings(path)
+
+
+def test_text_token_only_line_is_a_dimension_mismatch(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2 2\nlonely\nb 0 1\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmbeddingFormatError, match="row 1: expected 2 values, got 0"):
+            load_embeddings(path)
+
+
+def test_text_errors_in_file_order_across_blocks(tmp_path, monkeypatch):
+    monkeypatch.setattr("semvid.embedding._TEXT_LINES", 2)
+    path = tmp_path / "bad.txt"
+    # a zero-norm row in the first block, a bad row in the third
+    path.write_text("5 2\nz 0 0\na 1 0\nb 0 1\nc 1 1\nd 1 x\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="non-numeric value at row 5"):
+        load_embeddings(path)
+    # then the row count, then the zero norm
+    path.write_text("6 2\nz 0 0\na 1 0\nb 0 1\nc 1 1\nd 1 2\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="header declared 6 entries, file has 5"):
+        load_embeddings(path)
+    path.write_text("5 2\na 1 0\nb 0 1\nc 1 1\nz 0 0\nd 1 2\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'z'"):
+        load_embeddings(path)
+
+
+def test_text_zero_norm_of_dropped_duplicate_loads(tmp_path, monkeypatch):
+    monkeypatch.setattr("semvid.embedding._TEXT_LINES", 2)
+    path = tmp_path / "dup.txt"
+    path.write_text("4 2\na 3 4\nb 0 1\na 0 0\nc 1 0\n", encoding="utf-8")
+    space = load_embeddings(path)
+    assert space.tokens() == ["a", "b", "c"] and space.duplicates == 1
+    np.testing.assert_array_equal(space._matrix, np.float32([[0.6, 0.8], [0, 1], [1, 0]]))
+
+
+def test_text_count_beyond_file_fails_without_allocating_it(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{10**12} 300\na " + " ".join(["1"] * 300) + "\n", encoding="utf-8")
+    message = f"header declared {10**12} entries, file has 1"
+    with pytest.raises(EmbeddingFormatError, match=message):
+        load_embeddings(path)
+
+
+def _load_through_pipe(text: str) -> EmbeddingSpace:
+    # a pipe reports st_size 0, as process substitution <(zcat ...) does
+    read_fd, write_fd = os.pipe()
+
+    def write():
+        with os.fdopen(write_fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return load_embeddings(f"/dev/fd/{read_fd}")
+    finally:
+        writer.join()
+        os.close(read_fd)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_text_table_through_a_pipe_loads_like_the_file(tmp_path, monkeypatch):
+    monkeypatch.setattr("semvid.embedding._TEXT_LINES", 2)
+    text = "6 2\na 3 4\nb 0 1\na 0 0\nc 1 0\nd 0 2\ne 5 0\n"
+    path = tmp_path / "vecs.txt"
+    path.write_text(text, encoding="utf-8")
+    piped, stored = _load_through_pipe(text), load_embeddings(path)
+    assert piped.tokens() == stored.tokens() == ["a", "b", "c", "d", "e"]
+    assert piped.duplicates == stored.duplicates == 1
+    np.testing.assert_array_equal(piped._matrix, stored._matrix)
+    with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'z'"):
+        _load_through_pipe("3 2\na 1 0\nb 0 1\nz 0 0\n")
+    with pytest.raises(EmbeddingFormatError, match="header declared 2 entries, file has 3"):
+        _load_through_pipe("2 2\na 1 0\nb 0 1\nc 1 1\n")
+
+
+def test_text_row_with_overflowing_norm_is_rejected_without_warnings(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("2 2\na 1 0\nhuge 1e200 1e200\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'huge'"):
+            load_embeddings(path)

@@ -524,3 +524,22 @@ def test_load_queries_rejects_non_string_fields_with_file_and_entry(tmp_path, en
 def test_query_requires_nonstop_title():
     with pytest.raises(SemvidError):
         EventQuery(event_id="E1", title_terms=())
+
+
+def test_text_scores_in_row_blocks_equal_one_reduction():
+    # a corpus of several blocks gives every row the sum that one call over
+    # the whole matrix gives it, so a score does not depend on corpus size
+    from semvid.embedding import EmbeddedSet
+
+    rng = np.random.default_rng(11)
+    dim = 300
+    rows = retrieval._TEXT_BLOCK_BYTES // (8 * dim)
+    pooled = rng.standard_normal((3 * rows + 5, dim))
+    counts = rng.integers(0, 4, size=len(pooled))
+    query = EmbeddedSet(vectors=rng.standard_normal((3, dim)), source_tokens=("a", "b", "c"))
+    got = retrieval._text_scores(query, pooled, counts, raw_sum=True)
+    cross = (pooled * query.vectors.sum(axis=0)).sum(axis=1)
+    expected = np.where(counts > 0, np.clip((cross + 1.0) / 2.0, 0.0, 1.0), 0.5)
+    np.testing.assert_array_equal(got, expected)
+    head = retrieval._text_scores(query, pooled[:rows], counts[:rows], raw_sum=True)
+    np.testing.assert_array_equal(head, got[:rows])

@@ -286,3 +286,80 @@ def test_corpus_rejects_duplicate_video_id(repo3):
     records = [VideoRecord(video_id="twice", concept_scores=np.zeros(3))] * 2
     with pytest.raises(IngestError, match="duplicate video id 'twice'"):
         Corpus(records, repo3)
+
+
+@pytest.mark.parametrize("scores", ["01", ["0.5", True], [True], {"0.5": 1}, 0.5, [[0.5]]])
+def test_scores_that_are_not_a_list_of_numbers_are_skipped_with_line(
+    tmp_path, repo3, caplog, scores
+):
+    # "01" was read character by character and ["0.5", true] element by
+    # element with float(), both loading as the score 1.0
+    path = tmp_path / "scores.jsonl"
+    write_lines(path, [
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.2]}),
+        json.dumps({"video": "v2", "concept": "c1", "scores": scores}),
+    ])
+    with caplog.at_level("WARNING"):
+        corpus = load_corpus(path, repo3)
+    assert list(corpus.ids) == ["v1"]
+    assert f"{path} line 2: malformed, skipped (scores must be a list of numbers)" in caplog.messages
+
+
+def test_integer_scores_load_and_a_huge_one_is_out_of_range(tmp_path, repo3):
+    path = tmp_path / "scores.jsonl"
+    write_lines(path, [
+        '{"video": "v1", "concept": "c1", "scores": [0, 1, -0]}',
+        '{"video": "v1", "concept": "c2", "scores": [-0]}',
+    ])
+    S = load_corpus(path, repo3, mode="avg").S
+    np.testing.assert_array_equal(S, [[1 / 3, 0.0, 0.0]])
+    assert not np.signbit(S).any()  # the integer -0 is 0, as int("-0") is
+    write_lines(path, ['{"video": "v1", "concept": "c1", "scores": [1' + "0" * 400 + "]}"])
+    with pytest.raises(IngestError, match="line 1: score inf outside"):
+        load_corpus(path, repo3)
+
+
+def test_score_range_checked_across_chunks_names_first_line(tmp_path, repo3, monkeypatch):
+    monkeypatch.setattr("semvid.videos._CHUNK", 2)
+    path = tmp_path / "scores.jsonl"
+    write_lines(path, [
+        json.dumps({"video": "v1", "concept": "c1", "scores": [0.5]}),
+        json.dumps({"video": "v1", "concept": "c2", "scores": [0.5]}),
+        json.dumps({"video": "v2", "concept": "c1", "scores": [0.1, 7.0]}),
+        json.dumps({"video": "v2", "concept": "c2", "scores": [-1.0]}),
+        json.dumps({"video": "v3", "concept": "nope", "scores": [0.5]}),
+    ])
+    with pytest.raises(IngestError, match=r"line 3: score 7\.0 outside \[0, 1\]"):
+        load_corpus(path, repo3)
+
+
+def write_csv(tmp_path, rows):
+    path = tmp_path / "pooled.csv"
+    write_lines(path, ["video,c1,c2,c3"] + rows)
+    return path
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["a,0.1,0.2,0.3", "b,0.1,0.2"], "line 3: expected 4 fields, got 3"),
+    (["a,0.1,0.2,0.3", "", "b,0.1,x,0.3"], "line 4: non-numeric score 'x'"),
+    (["a,0.1,0.2,0.3", "b,0.1,1.5,x"], r"line 3: score 1\.5 outside \[0, 1\]"),
+    (["a,0.1,0.2,0.3", "b,0.1,nan,0.3"], r"line 3: score nan outside \[0, 1\]"),
+    (["a,0.1,0.2,0.3", "a,0.1,0.2,0.3"], "line 3: duplicate video id 'a'"),
+    # an earlier row's bad value aborts before a later row's field count
+    (["a,0.1,x,0.3", "b,0.1"], "line 2: non-numeric score 'x'"),
+    (["a,0.1,2.0,0.3", "a,0.1,0.2,0.3"], r"line 2: score 2\.0 outside \[0, 1\]"),
+])
+def test_prepooled_csv_errors_cite_line(tmp_path, repo3, rows, message):
+    with pytest.raises(IngestError, match=message):
+        load_corpus(write_csv(tmp_path, rows), repo3)
+
+
+def test_prepooled_csv_across_blocks(tmp_path, repo3, monkeypatch):
+    monkeypatch.setattr("semvid.videos._CSV_VALUES", 6)  # two rows of three
+    rows = [f"v{i},{i / 10},0.5,{1 - i / 10}" for i in range(5)]
+    corpus = load_corpus(write_csv(tmp_path, rows), repo3)
+    assert list(corpus.ids) == [f"v{i}" for i in range(5)]
+    np.testing.assert_array_equal(corpus.S, [[i / 10, 0.5, 1 - i / 10] for i in range(5)])
+    assert {r.covered for r in corpus} == {3}
+    with pytest.raises(IngestError, match="line 5: non-numeric score ''"):
+        load_corpus(write_csv(tmp_path, rows[:3] + ["x,0.1,,0.3"] + rows[3:]), repo3)
