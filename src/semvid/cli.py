@@ -12,7 +12,6 @@ import logging
 import sys
 
 from . import kernels
-from .bench import format_bench_table, run_bench
 from .concepts import load_concepts, rank_concepts, top_r
 from .config import build_config, parse_config_file
 from .embedding import embed_tokens, load_embeddings, tokenize
@@ -165,6 +164,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # imported here, so that the other commands do not compile the bench
+    # and the synthetic-world generator in each run
+    from .bench import format_bench_table, run_bench
+
     try:
         sizes = [int(s) for s in args.videos.split(",") if s.strip()]
     except ValueError:

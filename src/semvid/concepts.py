@@ -56,15 +56,15 @@ class ConceptRepository:
         self.unscoreable: tuple[str, ...] = ()
         self.space: EmbeddingSpace | None = None
         self.stops: frozenset[str] = DEFAULT_STOPWORDS
-        # pooled-kernel columns: ids, summed vectors and their norms
-        self._pooled_ids: tuple[str, ...] = ()
+        # each kernel's scoreable ids as (ids, score columns, sorted-id ranks)
+        self._pooled_index = self._set_index = _id_columns(self, ())
+        # pooled-kernel columns: summed vectors and their norms
         self._pooled = np.zeros((0, 0))
         self._pooled_norms = np.zeros(0)
-        # Hausdorff-kernel columns: ids, every concept's word vectors stacked
-        # in concept order with their norms, each concept's first row and
-        # word count, and each row's (concept, position) cell in a
-        # concept-by-word table
-        self._set_ids: tuple[str, ...] = ()
+        # Hausdorff-kernel columns: every concept's word vectors stacked in
+        # concept order with their norms, each concept's first row and word
+        # count, and each row's (concept, position) cell in a concept-by-word
+        # table
         self._set_vectors = np.zeros((0, 0))
         self._set_norms = np.zeros(0)
         self._set_starts = np.zeros(0, dtype=np.intp)
@@ -118,7 +118,7 @@ class ConceptRepository:
         norms = _dot_norms(pooled)
         keep = norms != 0.0
         _warn_skipped(ids, keep, "a zero-norm pooled vector", "pooled")
-        self._pooled_ids = tuple(c for c, kept in zip(ids, keep) if kept)
+        self._pooled_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
         self._pooled, self._pooled_norms = pooled[keep], norms[keep]
 
         # Hausdorff kernel: the word vectors of every concept without a
@@ -128,7 +128,7 @@ class ConceptRepository:
         keep = np.bincount(owner, weights=word_norms == 0.0, minlength=len(ids)) == 0
         _warn_skipped(ids, keep, "a zero-norm word vector", "Hausdorff")
         rows, sizes = keep[owner], sizes[keep]
-        self._set_ids = tuple(c for c, kept in zip(ids, keep) if kept)
+        self._set_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
         self._set_vectors, self._set_norms = vectors[rows], word_norms[rows]
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
         owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -136,6 +136,14 @@ class ConceptRepository:
 
     def scoreable_ids(self) -> list[str]:
         return [c.id for c in self.concepts if c.id in self._embedded]
+
+
+def _id_columns(repo: ConceptRepository, ids):
+    """``ids`` as a tuple, with each id's score column and its position in
+    sorted id order (the integer tie-break key of a concept ranking)."""
+    ranks = np.empty(len(ids), dtype=np.intp)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return tuple(ids), np.array([repo._order[c] for c in ids], dtype=np.intp), ranks
 
 
 def _warn_skipped(ids, keep, reason: str, kernel: str) -> None:
@@ -201,7 +209,7 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
 
 def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: float):
     """Percentile Hausdorff similarity of the query to every concept of
-    ``repo._set_ids``, all concepts at once.
+    ``repo._set_index``, all concepts at once.
 
     One (T, q) table holds the cosine of every concept word (T rows over
     all concepts) with every query word. A row's maximum is that concept
@@ -234,6 +242,31 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     return np.minimum(from_query, from_concept)
 
 
+def _ranked(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
+    """The kernel's scoreable ids with their score columns, each id's
+    weight, and the order of the ids by weight descending, ties by id
+    ascending (see :func:`rank_concepts`)."""
+    if kernel == "pooled":
+        pooled = sum_pool(query)
+        norm = float(np.linalg.norm(pooled))
+        if norm == 0.0:
+            raise NoScoreableConcepts("query has a zero-norm pooled vector")
+        ids, columns, ranks = repo._pooled_index
+        if ids:
+            # a fixed-order reduction per row, never a BLAS gemv, so that a
+            # weight does not depend on the concept's row or the row count
+            weights = (repo._pooled * pooled).sum(axis=1) / (norm * repo._pooled_norms)
+    elif kernel == "hausdorff":
+        ids, columns, ranks = repo._set_index
+        if ids:
+            weights = _hausdorff_weights(repo, query, percentile)
+    else:
+        raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
+    if not ids:
+        raise NoScoreableConcepts("repository has no scoreable concepts")
+    return ids, columns, weights, np.lexsort((ranks, -weights))
+
+
 def rank_concepts(
     repo: ConceptRepository,
     query: EmbeddedSet,
@@ -253,27 +286,8 @@ def rank_concepts(
     vector. Every dot product is a fixed-order reduction over one concept
     row, so a weight depends only on the query and that concept.
     """
-    if kernel == "pooled":
-        pooled = sum_pool(query)
-        norm = float(np.linalg.norm(pooled))
-        if norm == 0.0:
-            raise NoScoreableConcepts("query has a zero-norm pooled vector")
-        ids = repo._pooled_ids
-        if ids:
-            # a fixed-order reduction per row, never a BLAS gemv, so that a
-            # weight does not depend on the concept's row or the row count
-            weights = (repo._pooled * pooled).sum(axis=1) / (norm * repo._pooled_norms)
-    elif kernel == "hausdorff":
-        ids = repo._set_ids
-        if ids:
-            weights = _hausdorff_weights(repo, query, percentile)
-    else:
-        raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
-    if not ids:
-        raise NoScoreableConcepts("repository has no scoreable concepts")
-    weighted = [WeightedConcept(c, w) for c, w in zip(ids, weights.tolist())]
-    weighted.sort(key=lambda w: (-w.weight, w.concept_id))
-    return weighted
+    ids, _, weights, order = _ranked(repo, query, kernel, percentile)
+    return [WeightedConcept(ids[i], w) for i, w in zip(order.tolist(), weights[order].tolist())]
 
 
 def top_r(ranked: list[WeightedConcept], r: int) -> list[WeightedConcept]:
@@ -282,3 +296,18 @@ def top_r(ranked: list[WeightedConcept], r: int) -> list[WeightedConcept]:
     if r < 1:
         raise ValueError("R must be >= 1")
     return ranked[: min(r, len(ranked))]
+
+
+def top_r_columns(
+    repo: ConceptRepository,
+    query: EmbeddedSet,
+    kernel: str,
+    r: int,
+    percentile: float = 50.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score columns and weights of ``top_r(rank_concepts(...), r)``, taken
+    from the ranking's order as arrays, with no per-concept objects."""
+    if r < 1:
+        raise ValueError("R must be >= 1")
+    _, columns, weights, order = _ranked(repo, query, kernel, percentile)
+    return columns[order[:r]], weights[order[:r]]

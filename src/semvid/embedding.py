@@ -41,6 +41,13 @@ _F32_SAFE = (2.0**-100, 2.0**100)
 # Rows per block when a float64 copy of table rows is needed.
 _BLOCK = 1024
 
+# Bytes of candidate scores per block of the nearest-word scan: a block has
+# fewer rows the more points share the scan, so its temporaries keep this
+# size at any vocabulary size (21k rows for one point). At 100k x 300, 37
+# points scan about 7% slower than with 1 MiB blocks; with 1 MiB blocks, a
+# 25-event ranking over a 5000-word table often peaked 1 MB higher in RSS.
+_SCAN_BYTES = 1 << 18
+
 # Lines per np.loadtxt call of the text reader. At dim 300, 256 lines parse
 # as fast as 1024 and hold a quarter of the text and float64 rows: the
 # 3000-word perfbench table loads at a 38 MB peak against 48 MB.
@@ -445,56 +452,124 @@ def nearest_words(
     k: int,
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[tuple[str, float]]:
-    """Top-k vocabulary tokens by cosine to ``point``, descending.
+    """Top-k vocabulary tokens by cosine to ``point``, descending: the
+    one-point case of :func:`nearest_words_many`."""
+    return nearest_words_many(space, [point], [k], [exclude])[0]
 
-    Exhaustive and exact: the result is that of scoring every row in
+
+def nearest_words_many(
+    space: EmbeddingSpace, points, ks, excludes
+) -> list[list[tuple[str, float]]]:
+    """For each point, its top-``ks[i]`` vocabulary tokens by cosine,
+    descending, with the tokens of ``excludes[i]`` removed before selection.
+
+    Exhaustive and exact: each result is that of scoring every row in
     float64 and sorting by (-cosine, token), so ties break
-    lexicographically. Excluded tokens are removed before selection.
+    lexicographically.
 
-    The table is scanned once in float32: with q the unit point rounded to
-    float32, c32_i = fl32(m_i . q) / |m_i|. Against the float64 cosine c64_i
-    of the same row, |c32_i - c64_i| <= delta = gamma_{d+2} = (d+2)u /
-    (1 - (d+2)u) with u = 2**-24 and d the dimension: the float32 dot product
-    of length d errs by at most gamma_d |m_i| |q| in any summation order,
-    rounding q costs one u, and the float64 steps (the norms, the division,
-    c64 itself) stay far below one more u. Dividing by |m_i| puts this on
-    the cosine scale by Cauchy-Schwarz, so it holds for rows of any norm in
-    [2**-100, 2**100]; rows outside that range (hand-built tables only) are
-    always re-scored.
+    The table is scanned once for all points, in float32: with q the unit
+    point rounded to float32, c32_i = fl32(m_i . q) / |m_i|. Against the
+    float64 cosine c64_i of the same row, |c32_i - c64_i| <= delta =
+    gamma_{d+2} = (d+2)u / (1 - (d+2)u) with u = 2**-24 and d the
+    dimension: the float32 dot product of length d errs by at most
+    gamma_d |m_i| |q| in any summation order (a GEMM over all points is
+    one), rounding q costs one u, and the float64 steps (the norms, the
+    division, c64 itself) stay far below one more u. Dividing by |m_i|
+    puts this on the cosine scale by Cauchy-Schwarz, so it holds for rows
+    of any norm in [2**-100, 2**100]; rows outside that range (hand-built
+    tables only) are always re-scored.
 
     Let K be the k-th largest c32 among kept rows. At least k rows have
     c32 >= K, so c64 >= K - delta; a row with c32 < K - 2 delta has
     c64 < K - delta, strictly below k other rows, and cannot be in the top
-    k whatever its token. Only the rows with c32 >= K - 2 delta are
-    therefore re-scored in float64 and sorted. Each float64 cosine is a
-    fixed-order reduction over its own row, so it does not depend on the
-    row's position in the table, and equal rows score equal.
+    k whatever its token. The scan runs in row blocks of
+    ``_SCAN_BYTES`` of scores, and drops a block's rows with
+    c32 < F - 2 delta, F being the largest k-th largest c32 of this block
+    and the blocks before it (-inf while every block has at most k rows).
+    K >= F, so a dropped row has c32 < K - 2 delta too, and the k largest
+    c32 of the table are kept: K is the k-th largest of the kept rows. Only the kept rows with
+    c32 >= K - 2 delta are therefore re-scored in float64 and sorted.
+    Each float64 cosine is a fixed-order reduction over its own row, so it
+    does not depend on the row's position in the table, and equal rows
+    score equal.
     """
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (space.dimension,):
-        raise ZeroNormError(f"point dimension {point.shape} != ({space.dimension},)")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    norm = float(np.linalg.norm(point))
-    if norm == 0.0 or not np.isfinite(norm):
-        raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
+    points = [np.asarray(point, dtype=np.float64) for point in points]
+    norms = []
+    for point, k in zip(points, ks):
+        if point.shape != (space.dimension,):
+            raise ZeroNormError(f"point dimension {point.shape} != ({space.dimension},)")
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        norm = float(np.linalg.norm(point))
+        if norm == 0.0 or not np.isfinite(norm):
+            raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
+        norms.append(norm)
+    excluded = [
+        np.array(sorted({space._index[t] for t in exclude if t in space._index}), dtype=np.intp)
+        for exclude in excludes
+    ]
+    n = space.dimension + 2
+    delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
+    # a point whose k reaches its kept rows takes them all, without a scan
+    scan = [i for i, k in enumerate(ks) if k < len(space) - len(excluded[i])]
+    found = dict(zip(scan, _scan_candidates(
+        space,
+        [(points[i] / norms[i]).astype(np.float32) for i in scan],
+        max([ks[i] for i in scan], default=1),
+        [excluded[i] for i in scan],
+        delta,
+    )))
+    results = []
+    for i, (point, norm, k) in enumerate(zip(points, norms, ks)):
+        if i in found:
+            rows, cos32 = found[i]
+            last = len(cos32) - k
+            kth = np.partition(cos32, last)[last] if last >= 0 else -np.inf
+            # excluded rows and outliers scanned as -inf; every outlier is re-scored
+            near = (cos32 >= kth - 2.0 * delta) & (cos32 > -np.inf)
+            rows = np.concatenate((rows[near], space._outliers))
+        else:
+            rows = np.arange(len(space))
+        rows = rows[~np.isin(rows, excluded[i])]
+        sims = (space._matrix[rows].astype(np.float64) * point).sum(axis=1)
+        sims /= space._norms[rows] * norm
+        tokens = space._tokens[rows]
+        order = np.lexsort((tokens, -sims))[:k]
+        results.append([(str(tokens[j]), float(sims[j])) for j in order])
+    return results
 
-    keep = np.ones(len(space), dtype=bool)
-    keep[[space._index[t] for t in exclude if t in space._index]] = False
-    if k >= np.count_nonzero(keep):
-        rows = np.flatnonzero(keep)
-    else:
-        cos32 = (space._matrix @ (point / norm).astype(np.float32)) * space._inv_norms
-        cos32[~keep] = -np.inf
-        cos32[space._outliers] = -np.inf
-        kth = np.partition(cos32, cos32.shape[0] - k)[cos32.shape[0] - k]
-        n = space.dimension + 2
-        delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
-        near = cos32 >= kth - 2.0 * delta
-        near[space._outliers] = True
-        rows = np.flatnonzero(near & keep)
-    sims = (space._matrix[rows].astype(np.float64) * point).sum(axis=1)
-    sims /= space._norms[rows] * norm
-    tokens = space._tokens[rows]
-    order = np.lexsort((tokens, -sims))[:k]
-    return [(str(tokens[i]), float(sims[i])) for i in order]
+
+def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: float):
+    """Per float32 unit point, the rows of the table within ``2 delta`` of
+    the largest block k-th score up to their block, and those rows' float32
+    cosines (see :func:`nearest_words_many`). Each block is one
+    (rows x dim) @ (dim x points) float32 product; excluded rows and
+    outliers score -inf."""
+    m = len(units)
+    if not m:
+        return []
+    units = np.ascontiguousarray(np.array(units).T)  # gemv speed for one point
+    ex_point = np.repeat(np.arange(m), [len(rows) for rows in excluded])
+    ex_row = np.concatenate(excluded)
+    block = max(1, _SCAN_BYTES // (12 * m))  # float32 products and float64 cosines
+    floor = np.full(m, -np.inf)  # per point, the largest block k-th score so far
+    rows, points, scores = [], [], []
+    for start in range(0, len(space), block):
+        stop = min(start + block, len(space))
+        cos32 = (space._matrix[start:stop] @ units) * space._inv_norms[start:stop, None]
+        inside = (ex_row >= start) & (ex_row < stop)
+        cos32[ex_row[inside] - start, ex_point[inside]] = -np.inf
+        outliers = space._outliers
+        cos32[outliers[(outliers >= start) & (outliers < stop)] - start] = -np.inf
+        width = stop - start
+        if width > k:
+            floor = np.maximum(floor, np.partition(cos32, width - k, axis=0)[width - k])
+        row, point = np.nonzero(cos32 >= floor - 2.0 * delta)
+        rows.append(row + start)
+        points.append(point)
+        scores.append(cos32[row, point])
+    points = np.concatenate(points)
+    order = np.argsort(points, kind="stable")  # by point, each point's rows ascending
+    ends = np.cumsum(np.bincount(points, minlength=m))[:-1]
+    return list(zip(np.split(np.concatenate(rows)[order], ends),
+                    np.split(np.concatenate(scores)[order], ends)))

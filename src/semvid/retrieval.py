@@ -25,13 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .concepts import ConceptRepository, rank_concepts, top_r
+from .concepts import ConceptRepository, top_r_columns
 from .config import DEFAULT_CONFIG, RetrievalConfig
 from .embedding import (
     EmbeddedSet,
     EmbeddingSpace,
     embed_tokens,
-    nearest_words,
+    nearest_words_many,
     pool_texts,
     sum_pool,
     tokenize,
@@ -141,21 +141,6 @@ def map_concept_raw(raw, r: int):
     return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
 
 
-def _concept_raws(
-    query_set: EmbeddedSet,
-    repo: ConceptRepository,
-    S: np.ndarray,
-    kernel: str,
-    r: int,
-    percentile: float,
-) -> np.ndarray:
-    """Raw concept-channel score of every row of the (n, C) matrix ``S``."""
-    selected = top_r(rank_concepts(repo, query_set, kernel, percentile), r)
-    sel_idx = np.array([repo.index_of(wc.concept_id) for wc in selected], dtype=np.intp)
-    weights = np.array([wc.weight for wc in selected], dtype=np.float64)
-    return kernels.marginal_scores(S[:, sel_idx], weights)
-
-
 def concept_raw_score(
     query_set: EmbeddedSet,
     repo: ConceptRepository,
@@ -166,8 +151,9 @@ def concept_raw_score(
 ) -> float:
     """Raw marginalized relevance: sum over the R most query-relevant
     concepts of relevance weight times detection probability."""
+    columns, weights = top_r_columns(repo, query_set, kernel, r, percentile)
     S = np.asarray(video.concept_scores, dtype=np.float64)[None, :]
-    return float(_concept_raws(query_set, repo, S, kernel, r, percentile)[0])
+    return float(kernels.marginal_scores(S[:, columns], weights)[0])
 
 
 def score_concept_channel(
@@ -229,26 +215,44 @@ def prepare_text_query(
     space: EmbeddingSpace,
     augmentation_k: int = 5,
 ) -> EmbeddedSet:
-    """Embed the channel query terms, expanded with the nearest vocabulary
-    words to their pooled point (the query's own tokens are excluded)."""
-    base = embed_tokens(space, list(terms))
-    if augmentation_k <= 0:
-        return base
-    exclude = set(terms) | set(base.source_tokens)
-    try:
-        neighbors = nearest_words(space, sum_pool(base), augmentation_k, exclude)
-    except ZeroNormError:
-        log.warning("text query %s pools to zero norm, skipping augmentation", list(terms))
-        return base
-    if not neighbors:
-        return base
-    extra = np.vstack([space.vector(token) for token, _ in neighbors])
-    return EmbeddedSet(
-        vectors=np.vstack([base.vectors, extra]),
-        source_tokens=base.source_tokens + tuple(t for t, _ in neighbors),
-        oov=base.oov,
-        merges=base.merges,
+    """One term list's query set: the one-list case of
+    :func:`prepare_text_queries`."""
+    return prepare_text_queries([(tuple(terms), augmentation_k)], space)[0]
+
+
+def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]:
+    """Embed the channel query terms of each (terms, augmentation k) pair,
+    expanded with the k nearest vocabulary words to their pooled point (the
+    query's own tokens are excluded). The expansions of all pairs are found
+    in one table scan (:func:`~semvid.embedding.nearest_words_many`)."""
+    bases = [embed_tokens(space, list(terms)) for terms, _ in term_lists]
+    expand, points = [], []
+    for i, ((terms, k), base) in enumerate(zip(term_lists, bases)):
+        if k > 0:
+            point = sum_pool(base)
+            norm = float(np.linalg.norm(point))
+            if norm == 0.0 or not np.isfinite(norm):
+                log.warning("text query %s pools to zero norm, skipping augmentation", list(terms))
+                continue
+            expand.append(i)
+            points.append(point)
+    found = nearest_words_many(
+        space,
+        points,
+        [term_lists[i][1] for i in expand],
+        [set(term_lists[i][0]) | set(bases[i].source_tokens) for i in expand],
     )
+    for i, neighbors in zip(expand, found):
+        if neighbors:
+            base = bases[i]
+            extra = np.vstack([space.vector(token) for token, _ in neighbors])
+            bases[i] = EmbeddedSet(
+                vectors=np.vstack([base.vectors, extra]),
+                source_tokens=base.source_tokens + tuple(t for t, _ in neighbors),
+                oov=base.oov,
+                merges=base.merges,
+            )
+    return bases
 
 
 # Bytes of float64 product per block of a text-channel reduction, small
@@ -321,30 +325,28 @@ def fuse(channels: ChannelScores, w: float = 6.0):
     return float(fused) if fused.ndim == 0 else fused
 
 
-def _channels(
-    query: EventQuery,
-    space: EmbeddingSpace,
-    repo: ConceptRepository,
-    corpus: Corpus,
-    config: RetrievalConfig,
-) -> ChannelScores:
-    """Concept, OCR and ASR scores of every corpus video, as arrays; a
-    missing text channel scores the neutral 0.5."""
-    query_set = embed_tokens(space, list(query.title_terms))
-    raws = _concept_raws(query_set, repo, corpus.S, config.kernel, config.top_r, config.percentile)
+def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config):
+    """The query side of every event, in event order: the score columns and
+    weights of its top-R concepts, and its OCR and ASR query sets.
 
-    ocr_terms = query.title_terms + query.ocr_terms
-    asr_terms = query.title_terms + query.asr_terms
-    ocr_query = prepare_text_query(ocr_terms, space, query.augmentation_k)
-    asr_query = (
-        ocr_query if asr_terms == ocr_terms
-        else prepare_text_query(asr_terms, space, query.augmentation_k)
-    )
-    return ChannelScores(
-        concept=map_concept_raw(raws, config.top_r),
-        ocr=_text_scores(ocr_query, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),
-        asr=_text_scores(asr_query, corpus.P_asr, corpus.n_asr, config.raw_sum_text),
-    )
+    Titles are embedded and concepts selected event by event, so the first
+    event that cannot be ranked raises what it raises alone. The OCR and
+    ASR term lists (the title terms plus each channel's extra terms) are
+    then expanded together, each distinct list once, in one table scan.
+    """
+    concepts, terms = [], {}
+    for query in queries:
+        title = embed_tokens(space, list(query.title_terms))
+        concepts.append(top_r_columns(repo, title, config.kernel, config.top_r, config.percentile))
+        for extra in (query.ocr_terms, query.asr_terms):
+            terms.setdefault((query.title_terms + extra, query.augmentation_k))
+    prepared = dict(zip(terms, prepare_text_queries(list(terms), space)))
+    return [
+        (columns, weights,
+         prepared[query.title_terms + query.ocr_terms, query.augmentation_k],
+         prepared[query.title_terms + query.asr_terms, query.augmentation_k])
+        for query, (columns, weights) in zip(queries, concepts)
+    ]
 
 
 def _as_corpus(corpus, repo: ConceptRepository, space: EmbeddingSpace, stops) -> Corpus:
@@ -360,24 +362,6 @@ def _as_corpus(corpus, repo: ConceptRepository, space: EmbeddingSpace, stops) ->
     return Corpus(corpus, repo, space, stops)
 
 
-def score_channels(
-    query: EventQuery,
-    space: EmbeddingSpace,
-    repo: ConceptRepository,
-    video: VideoRecord,
-    config: RetrievalConfig = DEFAULT_CONFIG,
-    stops=DEFAULT_STOPWORDS,
-) -> ChannelScores:
-    """All three channel scores for one video (single-video convenience)."""
-    corpus = Corpus([video], repo, space, stops)
-    channels = _channels(query, space, repo, corpus, config)
-    return ChannelScores(
-        concept=float(channels.concept[0]),
-        ocr=float(channels.ocr[0]) if corpus.n_ocr[0] else None,
-        asr=float(channels.asr[0]) if corpus.n_asr[0] else None,
-    )
-
-
 def rank_event(
     query: EventQuery,
     space: EmbeddingSpace,
@@ -386,30 +370,52 @@ def rank_event(
     config: RetrievalConfig = DEFAULT_CONFIG,
     stops=DEFAULT_STOPWORDS,
 ) -> RankedList:
-    """Score every corpus video against one event and sort.
+    """Score every corpus video against one event and sort: the one-event
+    case of :func:`rank_events`."""
+    return rank_events([query], space, repo, corpus, config, stops)[0]
+
+
+def rank_events(
+    queries,
+    space: EmbeddingSpace,
+    repo: ConceptRepository,
+    corpus,
+    config: RetrievalConfig = DEFAULT_CONFIG,
+    stops=DEFAULT_STOPWORDS,
+) -> list[RankedList]:
+    """Score every corpus video against each event and sort, in event order.
 
     ``corpus`` is a :class:`~semvid.videos.Corpus` or a sequence of
     records; records, and a Corpus whose transcripts were embedded with
     another space or stop list, are first built into a Corpus for
-    ``space`` and ``stops``. The query side (concept ranking, text-query
-    expansion) is computed once, the OCR and ASR expansions once between
-    them when their term lists are equal. Each channel is then scored for
-    all videos at once, fused, and sorted by (-score, video id).
+    ``space`` and ``stops``. The query side of every event is computed
+    first (see :func:`_query_sides`): all text-query expansions, OCR and
+    ASR of every event, share one float32 scan of the table. Each event's
+    channels are then scored for all videos at once, fused, and sorted by
+    (-score, video id). The result equals ranking each event on its own.
     """
+    queries = list(queries)
+    if not queries:
+        return []
     if not corpus:
         raise SemvidError("corpus is empty")
     corpus = _as_corpus(corpus, repo, space, stops)
-    fused = fuse(_channels(query, space, repo, corpus, config), config.fusion_weight)
-    order = np.lexsort((corpus.id_rank, -fused))
-    ids = corpus.ids
-    entries = tuple(zip([ids[i] for i in order], fused[order].tolist()))
-    return RankedList(event_id=query.event_id, entries=entries)
-
-
-def rank_events(queries, space, repo, corpus, config=DEFAULT_CONFIG, stops=DEFAULT_STOPWORDS):
-    if corpus:
-        corpus = _as_corpus(corpus, repo, space, stops)
-    return [rank_event(q, space, repo, corpus, config, stops) for q in queries]
+    ranked = []
+    for query, (columns, weights, ocr, asr) in zip(
+        queries, _query_sides(queries, space, repo, config)
+    ):
+        raws = kernels.marginal_scores(corpus.S[:, columns], weights)
+        channels = ChannelScores(  # a missing text channel scores the neutral 0.5
+            concept=map_concept_raw(raws, config.top_r),
+            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),
+            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr, config.raw_sum_text),
+        )
+        fused = fuse(channels, config.fusion_weight)
+        order = np.lexsort((corpus.id_rank, -fused))
+        ids = corpus.ids
+        entries = tuple(zip([ids[i] for i in order], fused[order].tolist()))
+        ranked.append(RankedList(event_id=query.event_id, entries=entries))
+    return ranked
 
 
 def write_ranked_tsv(ranked_lists, fh) -> None:

@@ -13,7 +13,7 @@ import csv
 import json
 import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
@@ -108,7 +108,9 @@ def _skip_malformed(path, lineno, reason) -> None:
 
 
 # Score lines read between two conversions of their samples to an array.
-_CHUNK = 4096
+# 4096 lines loaded at the same speed but peaked about 1 MB higher in RSS
+# on a 60k-line file.
+_CHUNK = 1024
 # CSV values held as strings before their rows are converted to numbers:
 # each is a Python str of ~60 bytes, so a block stays near 120 KB, and
 # larger blocks convert no faster per value.
@@ -121,9 +123,24 @@ def _json_int(text: str) -> float:
     return float(text) + 0.0
 
 
-# json.loads with integers read as floats; one call per score line
-_decode_json = json.JSONDecoder(parse_int=_json_int).decode
+# json.loads with integers read as floats, and the C scanner it wraps
+_decoder = json.JSONDecoder(parse_int=_json_int)
+_scan_json = _decoder.scan_once
 _FLOAT = frozenset([float])
+
+
+def _decode_json(line: str):
+    """``json.JSONDecoder.decode`` of one score line. A line that is one
+    JSON value and its newline is read by the C scanner alone, without the
+    decoder's pure-Python wrapper; any other line goes through the decoder,
+    for its whitespace rule and its errors."""
+    try:
+        obj, end = _scan_json(line, 0)
+    except StopIteration:
+        return _decoder.decode(line)
+    if end == len(line) or line[end:] == "\n":
+        return obj
+    return _decoder.decode(line)
 
 
 def _pool_chunk(path, samples, counts, lines, mode):
@@ -173,7 +190,8 @@ def _load_score_jsonl(path, repo, mode):
     per line, the samples back to back. Every ``_CHUNK`` lines the samples
     are range-checked and pooled as arrays (:func:`_pool_chunk`), and the
     pooled values are scattered into one (videos x concepts) matrix at the
-    end. Videos are rows in the order of their first accepted track.
+    end. Returns the video ids, in the order of their first accepted track,
+    that matrix with a row per video, and each video's track count.
     """
     if mode not in POOL_MODES:
         raise ValueError(f"pool mode must be max or avg, got {mode!r}")
@@ -228,10 +246,7 @@ def _load_score_jsonl(path, repo, mode):
     if pooled:
         S[rows, cols] = np.concatenate(pooled)
     covered = np.bincount(np.array(rows, dtype=np.intp), minlength=len(video_rows))
-    return {
-        video: VideoRecord(video_id=video, concept_scores=S[i], covered=int(covered[i]))
-        for video, i in video_rows.items()
-    }
+    return list(video_rows), S, covered.tolist()
 
 
 def _csv_scores(path, block, width):
@@ -267,7 +282,8 @@ def _load_score_csv(path, repo):
     Rows are converted to numbers a block of about ``_CSV_VALUES`` values
     at a time (:func:`_csv_scores`). A row with the wrong field count, a
     repeated video id, a non-numeric value or a score outside [0, 1] aborts
-    the load at the first such line.
+    the load at the first such line. Returns the video ids in file order,
+    the (videos x concepts) matrix and each video's covered-concept count.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -300,10 +316,7 @@ def _load_score_csv(path, repo):
         blocks.append(_csv_scores(path, block, len(columns)))
     S = np.zeros((len(ids), len(repo)), dtype=np.float64)
     S[:, col_idx] = np.concatenate(blocks)
-    return {
-        video: VideoRecord(video_id=video, concept_scores=S[i], covered=len(columns))
-        for i, video in enumerate(ids)
-    }
+    return list(ids), S, [len(columns)] * len(ids)
 
 
 def _load_transcripts(path):
@@ -352,7 +365,8 @@ class Corpus(Sequence):
 
     The transcripts are embedded with ``space`` and ``stops``, by default
     those the repository's concept embeddings were built with. Without a
-    space the text columns are None.
+    space the text columns are None. Records are made from the columns
+    when they are read.
 
     Records are validated: a concept vector of the wrong length, with a
     value that is not finite or lies outside [0, 1], a transcript that is
@@ -367,8 +381,6 @@ class Corpus(Sequence):
         space: EmbeddingSpace | None = None,
         stops: frozenset[str] | None = None,
     ):
-        self.space = repo.space if space is None else space
-        self.stops = repo.stops if stops is None else stops
         records = tuple(records)
         n_concepts = len(repo)
         seen: set[str] = set()
@@ -395,27 +407,45 @@ class Corpus(Sequence):
                 f"video {records[i].video_id!r}: concept score {S[i, j]} is not "
                 f"a probability in [0, 1]"
             )
+        self._set_columns(
+            repo, space, stops, [rec.video_id for rec in records], S,
+            [rec.covered for rec in records],
+            [rec.ocr_text for rec in records], [rec.asr_text for rec in records],
+        )
+
+    @classmethod
+    def _from_columns(cls, repo, ids, S, covered, ocr, asr) -> Corpus:
+        """A corpus of columns that a loader has validated, taken as they
+        are: unique ids, scores in [0, 1], string transcripts."""
+        corpus = cls.__new__(cls)
+        corpus._set_columns(repo, None, None, ids, S, covered, ocr, asr)
+        return corpus
+
+    def _set_columns(self, repo, space, stops, ids, S, covered, ocr, asr) -> None:
+        self.space = repo.space if space is None else space
+        self.stops = repo.stops if stops is None else stops
         S.flags.writeable = False
         self.S = S
-        self._records = tuple(replace(rec, concept_scores=S[i]) for i, rec in enumerate(records))
-        self.ids = tuple(rec.video_id for rec in records)
+        self.ids = tuple(ids)
+        self._covered, self._ocr, self._asr = tuple(covered), tuple(ocr), tuple(asr)
         # each id's position in sorted order: the integer tie-break key of a ranking
-        n = len(records)
+        n = len(self.ids)
         self.id_rank = np.empty(n, dtype=np.intp)
         self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
 
         self.P_ocr = self.P_asr = self.n_ocr = self.n_asr = None
         if self.space is not None:
-            ocr = [rec.ocr_text for rec in records]
-            asr = [rec.asr_text for rec in records]
-            self.P_ocr, self.n_ocr = pool_texts(self.space, ocr, self.stops)
-            self.P_asr, self.n_asr = pool_texts(self.space, asr, self.stops)
+            self.P_ocr, self.n_ocr = pool_texts(self.space, self._ocr, self.stops)
+            self.P_asr, self.n_asr = pool_texts(self.space, self._asr, self.stops)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.ids)
 
     def __getitem__(self, index):
-        return self._records[index]
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        i = range(len(self))[index]
+        return VideoRecord(self.ids[i], self.S[i], self._ocr[i], self._asr[i], self._covered[i])
 
 
 def load_corpus(
@@ -430,26 +460,21 @@ def load_corpus(
     bypasses pooling; anything else is score JSONL. Videos present only in
     the transcript file get an all-zero concept vector. Transcripts are
     embedded once here, with the space and stop words of the repository.
+    The loaders' validated columns become the corpus as they are.
     """
     if str(score_path).endswith(".csv"):
-        records = _load_score_csv(score_path, repo)
+        ids, S, covered = _load_score_csv(score_path, repo)
     else:
-        records = _load_score_jsonl(score_path, repo, mode)
+        ids, S, covered = _load_score_jsonl(score_path, repo, mode)
     transcripts = _load_transcripts(transcript_path) if transcript_path else {}
 
-    merged = []
-    for video, record in records.items():
-        ocr, asr = transcripts.pop(video, ("", ""))
-        merged.append(replace(record, ocr_text=ocr, asr_text=asr))
-    for video, (ocr, asr) in transcripts.items():
-        merged.append(
-            VideoRecord(
-                video_id=video,
-                concept_scores=np.zeros(len(repo), dtype=np.float64),
-                ocr_text=ocr,
-                asr_text=asr,
-                covered=0,
-            )
-        )
-    log.info("corpus: %d videos (%d transcript-only)", len(merged), len(transcripts))
-    return Corpus(merged, repo)
+    texts = [transcripts.pop(video, ("", "")) for video in ids]
+    if transcripts:  # transcript-only videos, after the scored ones
+        ids += transcripts
+        S = np.vstack([S, np.zeros((len(transcripts), len(repo)))])
+        covered += [0] * len(transcripts)
+        texts += transcripts.values()
+    log.info("corpus: %d videos (%d transcript-only)", len(ids), len(transcripts))
+    return Corpus._from_columns(
+        repo, ids, S, covered, [ocr for ocr, _ in texts], [asr for _, asr in texts]
+    )

@@ -9,10 +9,12 @@ from semvid.concepts import (
     load_concepts,
     rank_concepts,
     top_r,
+    top_r_columns,
     WeightedConcept,
 )
 from semvid.embedding import EmbeddingSpace, embed_tokens
 from semvid.errors import ConceptFormatError, NoScoreableConcepts
+import semvid.concepts as concepts
 from semvid.synth import random_space
 from oracles import concept_rank_oracle
 
@@ -217,6 +219,57 @@ def test_top_r_prefix_and_saturation():
     kept = top_r(ranked, 5)
     floor = min(w.weight for w in kept)
     assert all(w.weight <= floor for w in ranked[5:])
+
+
+def tie_world(tmp_path):
+    """Concepts with equal weights (repeated names), orthogonal concepts of
+    weight 0, and an out-of-vocabulary concept owning the first score
+    column; the repository order is not the id order."""
+    from semvid.embedding import load_embeddings
+
+    path = tmp_path / "ties.txt"
+    path.write_text("4 3\nq 1 0 0\na 0.8 0.6 0\nb 0.6 0.8 0\no 0 0 1\n", encoding="utf-8")
+    space = load_embeddings(path)
+    names = {"ghost": "zzz", "m_b": "b", "k_a": "a", "z_a": "a", "c_o": "o", "a_o": "o",
+             "b_b": "b", "x_o": "o", "e_a": "a q"}
+    repo = ConceptRepository([ConceptDefinition(id=c, name=n) for c, n in names.items()])
+    repo.attach_space(space, stops=frozenset())
+    sets = {c: [space.vector(t) for t in n.split()] for c, n in names.items() if c != "ghost"}
+    return space, repo, sets
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+def test_top_r_columns_is_the_ranked_prefix_with_ties_straddling_r(tmp_path, kernel):
+    space, repo, sets = tie_world(tmp_path)
+    query = embed_tokens(space, ["q"])
+    ranked = rank_concepts(repo, query, kernel)
+    oracle = concept_rank_oracle(list(query.vectors), sets, kernel)
+    assert [w.concept_id for w in ranked] == [c for c, _ in oracle]
+    assert [w.concept_id for w in ranked][:4] == ["e_a", "k_a", "z_a", "b_b"]
+    for r in range(1, len(ranked) + 2):
+        columns, weights = top_r_columns(repo, query, kernel, r)
+        prefix = top_r(ranked, r)
+        assert [repo.ids()[c] for c in columns] == [w.concept_id for w in prefix]
+        assert weights.tolist() == [w.weight for w in prefix]
+    with pytest.raises(ValueError, match="R must be"):
+        top_r_columns(repo, query, kernel, 0)
+
+
+def test_top_r_columns_orders_signed_zero_weights_by_id(tmp_path, monkeypatch):
+    space, repo, _ = tie_world(tmp_path)
+    ids = repo._set_index[0]
+    weights = np.array([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, -0.25, -0.0])
+    assert len(weights) == len(ids)
+    monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
+    query = embed_tokens(space, ["q"])
+    expected = sorted(zip(ids, weights.tolist()), key=lambda pair: (-pair[1], pair[0]))
+    ranked = rank_concepts(repo, query, "hausdorff")
+    assert [(w.concept_id, w.weight) for w in ranked] == expected
+    assert [np.signbit(w.weight) for w in ranked] == [np.signbit(w) for _, w in expected]
+    for r in range(1, len(ids) + 1):
+        columns, selected = top_r_columns(repo, query, "hausdorff", r)
+        assert [repo.ids()[c] for c in columns] == [c for c, _ in expected[:r]]
+        assert np.signbit(selected).tolist() == [bool(np.signbit(w)) for _, w in expected[:r]]
 
 
 def test_default_r_matches_reference_configuration():

@@ -5,12 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
+import semvid.embedding as embedding
 from semvid.embedding import (
     EmbeddedSet,
     EmbeddingSpace,
     embed_tokens,
     load_embeddings,
     nearest_words,
+    nearest_words_many,
     save_embeddings,
     sum_pool,
     tokenize,
@@ -368,6 +370,104 @@ def test_nearest_words_non_unit_rows():
             exclude = {"n10"} if trial % 2 else set()
             got = nearest_words(space, point, k, exclude)
             assert_same_neighbors(got, oracle_neighbors(space, point, k, exclude))
+
+
+# --------------------------------------------- multi-point nearest_words
+
+def blocked(monkeypatch, rows, points):
+    """Scan blocks of ``rows`` table rows for a call with ``points`` points."""
+    monkeypatch.setattr(embedding, "_SCAN_BYTES", 12 * points * rows)
+
+
+def assert_many_matches_oracle(space, points, ks, excludes):
+    got = nearest_words_many(space, points, ks, excludes)
+    assert len(got) == len(points)
+    for result, point, k, exclude in zip(got, points, ks, excludes):
+        assert_same_neighbors(result, oracle_neighbors(space, point, k, exclude))
+        assert result == nearest_words(space, point, k, exclude)
+
+
+def tie_table():
+    """40 random rows at dim 300 with copies of row 9 at rows 3, 17, 31
+    and 39, so equal cosines fall in different blocks of a few rows."""
+    rng = np.random.default_rng(31)
+    matrix = rng.standard_normal((40, 300)).astype(np.float32)
+    tokens = [f"w{i:02d}" for i in range(40)]
+    for row, name in ((3, "zeta"), (17, "mid"), (31, "alpha"), (39, "omega")):
+        matrix[row], tokens[row] = matrix[9], name
+    return EmbeddingSpace(tokens, matrix), matrix
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 7, 16, 1000])
+def test_nearest_words_many_matches_scan_oracle_at_every_block_size(monkeypatch, rows):
+    space, matrix = tie_table()
+    rng = np.random.default_rng(rows)
+    points = [matrix[9].astype(np.float64), rng.standard_normal(300), matrix[[2, 9]].sum(axis=0)]
+    points.append(points[0] * 1e-3)  # a repeated direction at another scale
+    blocked(monkeypatch, rows, len(points))
+    for k in (1, 2, 4, 5, 6, 9):
+        assert_many_matches_oracle(space, points, [k, k + 1, k, 3], [set()] * 4)
+    # the five copies tie exactly and break lexicographically across blocks
+    top = nearest_words_many(space, points[:1], [5], [set()])[0]
+    assert [t for t, _ in top] == ["alpha", "mid", "omega", "w09", "zeta"]
+    assert len({s for _, s in top}) == 1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 4, 9])
+def test_nearest_words_many_exclusions_inside_the_true_top_k(monkeypatch, space50, rows):
+    rng = np.random.default_rng(32)
+    points = [rng.standard_normal(8) for _ in range(6)]
+    excludes = []
+    for point in points:
+        top = [t for t, _ in oracle_neighbors(space50, point, 8)]
+        excludes.append({top[0], top[2], top[7], "not-a-token"})
+    excludes[5] = set()  # points with and without exclusions share the scan
+    blocked(monkeypatch, rows, len(points))
+    for k in (1, 3, 6):
+        assert_many_matches_oracle(space50, points, [k] * 6, excludes)
+    # one k per point: each point is cut at its own k
+    assert_many_matches_oracle(space50, points, [1, 2, 3, 5, 8, 13], excludes)
+
+
+def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
+    rng = np.random.default_rng(33)
+    points = [rng.standard_normal(8) for _ in range(4)]
+    exclude = {f"w{i}" for i in range(0, 50, 7)}
+    blocked(monkeypatch, 3, 4)
+    # 42 rows are kept: k larger than a block, one short of, equal to and
+    # beyond the kept rows, the last two next to points that are scanned
+    assert_many_matches_oracle(space50, points, [4, 41, 42, 500], [exclude] * 4)
+    found = nearest_words_many(space50, points, [41, 42, 43, 5], [exclude] * 4)
+    assert [len(result) for result in found] == [41, 42, 42, 5]
+    assert nearest_words_many(space50, [], [], []) == []
+
+
+def test_nearest_words_many_outlier_norm_rows(monkeypatch):
+    rng = np.random.default_rng(34)
+    dim = 64
+    matrix = rng.standard_normal((60, dim))
+    matrix *= 10.0 ** rng.uniform(-3, 3, size=(60, 1))
+    matrix[7] *= 1e-33
+    matrix[30] *= 1e33
+    matrix[45] = matrix[10] / np.linalg.norm(matrix[10]) * 1e-33  # parallel to n10
+    space = EmbeddingSpace([f"n{i}" for i in range(60)], matrix.astype(np.float32))
+    assert set(space._outliers) >= {7, 30, 45}
+    points = [space._matrix[45].astype(np.float64)] + [
+        rng.standard_normal(dim) * 10.0 ** rng.uniform(-5, 5) for _ in range(4)
+    ]
+    for rows in (1, 4, 13):
+        blocked(monkeypatch, rows, len(points))
+        for k in (1, 4, 10):
+            excludes = [{"n10"}, set(), {"n45"}, {"n30"}, set()]
+            assert_many_matches_oracle(space, points, [k] * 5, excludes)
+
+
+def test_nearest_words_many_rejects_a_bad_point(space50):
+    good = space50.vector("w1")
+    with pytest.raises(ZeroNormError):
+        nearest_words_many(space50, [good, np.zeros(8)], [3, 3], [set(), set()])
+    with pytest.raises(ValueError, match="k must be"):
+        nearest_words_many(space50, [good, good], [3, 0], [set(), set()])
 
 
 def test_nearest_words_zero_point_error(space50):

@@ -7,7 +7,7 @@ import semvid.retrieval as retrieval
 from semvid.concepts import ConceptDefinition, ConceptRepository, rank_concepts
 from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings
 from semvid.config import DEFAULT_CONFIG, RetrievalConfig
-from semvid.errors import AllTokensOOV, IngestError, SemvidError
+from semvid.errors import AllTokensOOV, IngestError, NoScoreableConcepts, SemvidError
 from semvid.retrieval import (
     ChannelScores,
     EventQuery,
@@ -18,6 +18,7 @@ from semvid.retrieval import (
     load_queries,
     map_concept_raw,
     rank_event,
+    rank_events,
     score_concept_channel,
     score_matching_baseline,
     score_text_channel,
@@ -434,14 +435,14 @@ def test_concept_weights_bit_exact_under_concept_order(odd_world):
 def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch):
     space, repo, corpus, queries = odd_world[:4]
     prepared = []
-    real = retrieval.prepare_text_query
+    real = retrieval.prepare_text_queries
 
-    def recording(terms, space, augmentation_k=5):
-        result = real(terms, space, augmentation_k)
-        prepared.append(result.source_tokens)
-        return result
+    def recording(term_lists, space):
+        results = real(term_lists, space)
+        prepared.extend(result.source_tokens for result in results)
+        return results
 
-    monkeypatch.setattr(retrieval, "prepare_text_query", recording)
+    monkeypatch.setattr(retrieval, "prepare_text_queries", recording)
     rank_event(queries[0], space, repo, corpus)
     assert len(prepared) == 1  # equal term lists share one expansion
     prepared.clear()
@@ -469,6 +470,63 @@ def test_corpus_built_with_other_stops_is_rebuilt_for_the_ranking(odd_world, mon
     monkeypatch.setattr("semvid.videos.pool_texts", no_rebuild)
     rank_event(queries[0], space, repo, corpus)
     rank_event(queries[0], space, repo, no_stops, stops=frozenset())
+
+
+def test_rank_events_equal_ranking_each_event_alone(odd_world):
+    space, repo, corpus, queries = odd_world[:4]
+    queries = queries + [
+        # an OCR list repeated from e1, and an ASR list equal to the OCR list
+        EventQuery(event_id="e3", title_terms=("w30",), ocr_terms=("w31",), asr_terms=("w31",)),
+        EventQuery(event_id="e4", title_terms=("w1", "w2")),  # e0's lists again
+        EventQuery(event_id="e5", title_terms=("w1", "w2"), augmentation_k=2),
+        EventQuery(event_id="e6", title_terms=("w7",), ocr_terms=("w8", "w9"), augmentation_k=0),
+        EventQuery(event_id="e7", title_terms=("w60", "w61"), asr_terms=("w62", "zzz")),
+    ]
+    for config in (DEFAULT_CONFIG, RetrievalConfig(kernel="hausdorff", raw_sum_text=True, top_r=7)):
+        alone = [rank_event(query, space, repo, corpus, config) for query in queries]
+        assert rank_events(queries, space, repo, corpus, config) == alone
+        assert rank_events(queries[::-1], space, repo, corpus, config) == alone[::-1]
+        assert rank_events(queries, space, repo, list(corpus), config) == alone
+    assert rank_events([], space, repo, corpus) == []
+
+
+def outcome(rank):
+    try:
+        return rank()
+    except SemvidError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_failing_batch_raises_what_the_first_failing_event_raises():
+    # north and south cancel: a title of both pools to a zero vector
+    rng = np.random.default_rng(41)
+    matrix = rng.standard_normal((12, 6))
+    matrix[1] = -matrix[0]
+    tokens = ["north", "south"] + [f"t{i}" for i in range(10)]
+    space = EmbeddingSpace(tokens, matrix.astype(np.float32))
+    repo = make_repo(space, ["t1", "t2", "t3"])
+    corpus = [VideoRecord(video_id=f"v{i}", concept_scores=rng.uniform(0, 1, 3), asr_text="t4 t5")
+              for i in range(5)]
+    good = EventQuery(event_id="good", title_terms=("t1", "t6"))
+    oov = EventQuery(event_id="oov", title_terms=("zzz", "qqq"))
+    flat = EventQuery(event_id="flat", title_terms=("north", "south"))
+    for queries, error in (
+        ([good, oov, flat], AllTokensOOV),
+        ([good, flat, oov], NoScoreableConcepts),
+        ([flat, good], NoScoreableConcepts),
+    ):
+        loop = outcome(lambda: [rank_event(query, space, repo, corpus) for query in queries])
+        assert loop[0] is error
+        assert outcome(lambda: rank_events(queries, space, repo, corpus)) == loop
+    empty = (SemvidError, "corpus is empty")
+    assert outcome(lambda: rank_events([good], space, repo, [])) == empty
+    assert outcome(lambda: rank_event(good, space, repo, [])) == empty
+    # the Hausdorff kernel ranks the flat title; its text query is not expanded
+    config = RetrievalConfig(kernel="hausdorff")
+    queries = [good, flat]
+    assert rank_events(queries, space, repo, corpus, config) == [
+        rank_event(query, space, repo, corpus, config) for query in queries
+    ]
 
 
 def test_map_concept_raw_bounds():

@@ -8,6 +8,7 @@ from semvid.embedding import load_embeddings
 from semvid.errors import ConceptFormatError, IngestError
 from semvid.retrieval import EventQuery, rank_event
 from semvid.videos import Corpus, ScoreTrack, VideoRecord, build_video_record, load_corpus, pool
+from semvid.videos import _decode_json, _json_int
 
 
 @pytest.fixture
@@ -263,6 +264,64 @@ def test_corpus_is_a_read_only_sequence_over_its_columns(repo3):
     with pytest.raises(ValueError):
         corpus[0].concept_scores[0] = 0.9
     assert corpus.P_ocr is None  # no space attached, no text columns
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
+    space = load_embeddings_text(tmp_path)
+    repo = ConceptRepository([ConceptDefinition(id=c, name=c) for c in ("one", "two", "three")])
+    repo.attach_space(space)
+    scores = tmp_path / f"scores{suffix}"
+    if suffix == ".csv":
+        write_lines(scores, ["video,three,one", "v2,0.5,0.25", "v1,1,0"])
+    else:
+        write_lines(scores, [
+            json.dumps({"video": "v2", "concept": "three", "scores": [0.5, 0.25]}),
+            json.dumps({"video": "v1", "concept": "one", "scores": [0]}),
+            json.dumps({"video": "v2", "concept": "one", "scores": [0.25]}),
+        ])
+    transcripts = tmp_path / "tr.jsonl"
+    write_lines(transcripts, [
+        json.dumps({"video": "v9", "ocr": "two one", "asr": None}),
+        json.dumps({"video": "v1", "asr": "three"}),
+        json.dumps({"video": "v5", "ocr": "one"}),
+    ])
+    loaded = load_corpus(scores, repo, transcripts)
+    # scored videos first, then transcript-only ones with zero scores
+    assert loaded.ids == ("v2", "v1", "v9", "v5")
+    assert [r.covered for r in loaded] == ([2, 2, 0, 0] if suffix == ".csv" else [2, 1, 0, 0])
+    assert not loaded.S.flags.writeable and not loaded.S[2:].any()
+    rebuilt = Corpus(list(loaded), repo)
+    for name in ("ids", "S", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_rank"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(rebuilt, name))
+    for a, b in zip(loaded, rebuilt):
+        assert (a.video_id, a.ocr_text, a.asr_text, a.covered) == (
+            b.video_id, b.ocr_text, b.asr_text, b.covered)
+        assert np.shares_memory(a.concept_scores, loaded.S)
+    assert loaded[-1].video_id == "v5" and [r.video_id for r in loaded[1::2]] == ["v1", "v5"]
+    with pytest.raises(IndexError):
+        loaded[4]
+
+
+def load_embeddings_text(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_text("3 3\none 1 0 0\ntwo 0 1 0\nthree 0 0 1\n", encoding="utf-8")
+    return load_embeddings(path)
+
+
+@pytest.mark.parametrize("line", [
+    '{"video": "v", "concept": "c", "scores": [1, 0.5]}\n',
+    ' \t{"a": 1}\r\n', "", "\n", " \t\r\n", '{"a": 1} x\n', '{"a": 1}}', '{"a"', "[1,]",
+    '\x0c{"a": 1}', '{"a": 1}\x0c', "\u00a0{}", "nul", "NaN", "-0", "1e999", "[] []", '"abc',
+    '{"a": tru}', "12 ", '{"a": 1} \n \n',
+])
+def test_score_line_decoder_matches_the_json_decoder(line):
+    def outcome(decode):
+        try:
+            return repr(decode(line))
+        except json.JSONDecodeError as exc:
+            return str(exc), exc.pos
+    assert outcome(_decode_json) == outcome(json.JSONDecoder(parse_int=_json_int).decode)
 
 
 @pytest.mark.parametrize("scores, problem", [
