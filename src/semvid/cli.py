@@ -11,15 +11,10 @@ import argparse
 import logging
 import sys
 
-from . import kernels
-from .concepts import load_concepts, rank_concepts, top_r
-from .config import build_config, parse_config_file
-from .embedding import embed_tokens, load_embeddings, tokenize
 from .errors import SemvidError
-from .evaluation import evaluate, format_report_table, load_truth, write_report_tsv
-from .retrieval import load_queries, rank_events, read_ranked_tsv, write_ranked_tsv
-from .stopwords import DEFAULT_STOPWORDS, load_stopwords
-from .videos import load_corpus
+
+# Each command imports what it runs and pays only its own start-up: ``eval``
+# loads no numpy, and only ``bench`` loads the kernels, bench and synth.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +83,8 @@ def _build_parser() -> _Parser:
 
 
 def _stops(args):
+    from .stopwords import DEFAULT_STOPWORDS, load_stopwords
+
     return load_stopwords(args.stopwords) if getattr(args, "stopwords", None) else DEFAULT_STOPWORDS
 
 
@@ -96,6 +93,9 @@ def _fmt(args):
 
 
 def _cmd_pool(args) -> int:
+    from .concepts import load_concepts
+    from .videos import load_corpus
+
     repo = load_concepts(args.concepts)
     records = sorted(load_corpus(args.scores, repo, mode=args.mode), key=lambda r: r.video_id)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -107,6 +107,9 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_relevance(args) -> int:
+    from .concepts import load_concepts, rank_concepts, top_r
+    from .embedding import embed_tokens, load_embeddings, tokenize
+
     stops = _stops(args)
     space = load_embeddings(args.embeddings, _fmt(args))
     repo = load_concepts(args.concepts, space, stops)
@@ -125,6 +128,13 @@ def _cmd_relevance(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    from .concepts import load_concepts
+    from .config import build_config, parse_config_file
+    from .embedding import load_embeddings
+    from .ranked import write_ranked_tsv
+    from .retrieval import load_queries, rank_events
+    from .videos import load_corpus
+
     stops = _stops(args)
     file_values = parse_config_file(args.config) if args.config else None
     config = build_config(
@@ -150,6 +160,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import evaluate, format_report_table, load_truth, write_report_tsv
+    from .ranked import read_ranked_tsv
+
     runs = read_ranked_tsv(args.ranked)
     truth = load_truth(args.truth)
     report = evaluate(runs, truth)
@@ -164,8 +177,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    # imported here, so that the other commands do not compile the bench
-    # and the synthetic-world generator in each run
+    from . import kernels
     from .bench import format_bench_table, run_bench
 
     try:

@@ -53,6 +53,10 @@ _SCAN_BYTES = 1 << 18
 # 3000-word perfbench table loads at a 38 MB peak against 48 MB.
 _TEXT_LINES = 256
 
+# Bytes per read of the binary reader, which copies each vector from the
+# chunk into the matrix, so that the load holds one copy of the table.
+_READ_BYTES = 1 << 20
+
 
 def _dot_norms(block: np.ndarray) -> np.ndarray:
     """L2 norm of each row of a float64 block. Each is the BLAS dot of the
@@ -305,35 +309,48 @@ def _read_text(path):
 
 def _read_binary(path):
     """Tokens and the (count, dim) float32 matrix of a binary table, read
-    as one buffer."""
+    ``_READ_BYTES`` at a time after the header: each vector is copied from
+    its chunk into a preallocated matrix, so the load holds the table once."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    end = data.find(b"\n")
-    if end < 0:
-        raise EmbeddingFormatError("unexpected end of file in header")
-    count, dim = _parse_header(data[: end + 1].decode("utf-8"))
-    width = 4 * dim
-    pos = end + 1
-    # an entry takes at least width + 1 bytes, so a count the file cannot
-    # hold fails at its first missing row without allocating for it
-    packed = bytearray(min(count, (len(data) - pos) // (width + 1)) * width)
-    view = memoryview(data)
-    tokens = []
-    for row in range(count):
-        while data.startswith(b"\n", pos):
-            pos += 1  # writer convention: newline after each vector
-        gap = data.find(b" ", pos)
-        if gap < 0:
-            raise EmbeddingFormatError(f"unexpected end of file at row {row + 1}")
-        tokens.append(data[pos:gap].decode("utf-8"))
-        pos = gap + 1
-        if pos + width > len(data):
-            raise EmbeddingFormatError(
-                f"dimension mismatch at row {row + 1}: expected {dim} float32 values"
-            )
-        packed[row * width : (row + 1) * width] = view[pos : pos + width]
-        pos += width
-    matrix = np.frombuffer(packed, dtype="<f4").reshape(count, dim)
+        header = fh.readline()
+        if not header.endswith(b"\n"):
+            raise EmbeddingFormatError("unexpected end of file in header")
+        count, dim = _parse_header(header.decode("utf-8"))
+        width = 4 * dim
+        # an entry takes at least width + 1 bytes, so a count the file cannot
+        # hold fails at its first missing row without allocating for it; a
+        # pipe reports no size and grows the matrix as its rows arrive
+        size = os.fstat(fh.fileno()).st_size - len(header)
+        capacity = min(count, max(size, 0) // (width + 1))
+        matrix = np.empty((capacity, dim), dtype="<f4")
+        out = memoryview(matrix.reshape(-1).view(np.uint8))
+        buf, view, pos, eof = b"", memoryview(b""), 0, False
+        tokens = []
+        for row in range(count):
+            while True:
+                while pos < len(buf) and buf[pos] == 10:
+                    pos += 1  # writer convention: newline after each vector
+                gap = buf.find(b" ", pos)
+                if eof or 0 <= gap <= len(buf) - width - 1:
+                    break
+                chunk = fh.read(_READ_BYTES)
+                buf, pos, eof = buf[pos:] + chunk, 0, not chunk
+                view = memoryview(buf)
+            if gap < 0:
+                raise EmbeddingFormatError(f"unexpected end of file at row {row + 1}")
+            tokens.append(buf[pos:gap].decode("utf-8"))
+            pos = gap + 1
+            if pos + width > len(buf):
+                raise EmbeddingFormatError(
+                    f"dimension mismatch at row {row + 1}: expected {dim} float32 values"
+                )
+            if row == capacity:
+                capacity = min(count, max(2 * capacity, 256))
+                grown = np.empty((capacity, dim), dtype="<f4")
+                grown[:row] = matrix[:row]
+                matrix, out = grown, memoryview(grown.reshape(-1).view(np.uint8))
+            out[row * width : (row + 1) * width] = view[pos : pos + width]
+            pos += width
     return tokens, matrix.astype(np.float32, copy=False)
 
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import EvaluationError
-from .retrieval import RankedList
+from .ranked import RankedList
 
 
 @dataclass(frozen=True)
@@ -56,20 +54,26 @@ def load_truth(path) -> GroundTruth:
 
 
 def _labeled(ranked: RankedList, truth: GroundTruth):
-    """Restrict the ranked entries to judged videos, keeping order."""
-    event = ranked.event_id
-    kept = [(vid, score) for vid, score in ranked.entries if (event, vid) in truth]
-    relevance = np.array([truth.label(event, vid) for vid, _ in kept], dtype=np.int64)
-    scores = np.array([score for _, score in kept], dtype=np.float64)
+    """The labels and scores of the judged videos, in ranked order."""
+    event, labels = ranked.event_id, truth.labels
+    relevance, scores = [], []
+    for vid, score in ranked.entries:
+        label = labels.get((event, vid))
+        if label is not None:
+            relevance.append(label)
+            scores.append(score)
     return relevance, scores
 
 
 def average_precision(ranked: RankedList, truth: GroundTruth) -> float:
     """Mean of precision-at-k over the positions of the positives."""
-    relevance, _ = _labeled(ranked, truth)
-    positives = int(relevance.sum())
+    return _average_precision(ranked.event_id, _labeled(ranked, truth)[0])
+
+
+def _average_precision(event_id: str, relevance: list[int]) -> float:
+    positives = sum(relevance)
     if positives == 0:
-        raise EvaluationError(f"event {ranked.event_id!r} has no labeled positives")
+        raise EvaluationError(f"event {event_id!r} has no labeled positives")
     hits = 0
     total = 0.0
     for k, rel in enumerate(relevance, start=1):
@@ -79,16 +83,21 @@ def average_precision(ranked: RankedList, truth: GroundTruth) -> float:
     return total / positives
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """Ascending 1-based ranks; tied values share their mean rank."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0], dtype=np.float64)
+def _average_ranks(scores: list[float]) -> list[float]:
+    """Ascending 1-based ranks; tied values share their mean rank. A NaN
+    sorts after every number and ties with nothing, as in numpy."""
+    n = len(scores)
+    order = sorted([i for i, s in enumerate(scores) if s == s], key=scores.__getitem__)
+    if len(order) < n:
+        order += [i for i, s in enumerate(scores) if s != s]
+    ranks = [0.0] * n
     i = 0
-    while i < scores.shape[0]:
+    while i < n:
         j = i
-        while j + 1 < scores.shape[0] and scores[order[j + 1]] == scores[order[i]]:
+        while j + 1 < n and scores[order[j + 1]] == scores[order[i]]:
             j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        for row in order[i : j + 1]:
+            ranks[row] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
 
@@ -96,17 +105,46 @@ def _average_ranks(scores: np.ndarray) -> np.ndarray:
 def roc_auc(ranked: RankedList, truth: GroundTruth) -> float:
     """Rank-sum AUC: probability a random positive outscores a random
     negative, ties counted half."""
-    relevance, scores = _labeled(ranked, truth)
-    positives = int(relevance.sum())
-    negatives = relevance.shape[0] - positives
+    return _roc_auc(ranked.event_id, *_labeled(ranked, truth))
+
+
+def _roc_auc(event_id: str, relevance: list[int], scores: list[float]) -> float:
+    positives = sum(relevance)
+    negatives = len(relevance) - positives
     if positives == 0 or negatives == 0:
         raise EvaluationError(
-            f"event {ranked.event_id!r} needs both classes for AUC "
+            f"event {event_id!r} needs both classes for AUC "
             f"(got {positives} positive, {negatives} negative)"
         )
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[relevance == 1].sum())
+    # the ranks are half-integers, so their sum is exact in any order
+    rank_sum = sum(rank for rank, rel in zip(_average_ranks(scores), relevance) if rel)
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
+
+
+def _mean(values: list[float]) -> float:
+    """``float(np.mean(values))`` bit for bit: the sum is taken in numpy's
+    pairwise order, added to the reduction's start value 0.0 (so a sum of
+    negative zeros is +0.0), then divided by the count."""
+    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
+
+
+def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
+    """numpy's float64 pairwise sum of values[lo:hi]: eight accumulators up
+    to 128 values, above that the two halves split at a multiple of 8."""
+    n = hi - lo
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
+    total, end = 0.0, lo
+    if n >= 8:
+        acc, end = values[lo : lo + 8], hi - n % 8
+        for start in range(lo + 8, end, 8):
+            for j in range(8):
+                acc[j] += values[start + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for value in values[end:hi]:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -132,22 +170,22 @@ def evaluate(runs: list[RankedList], truth: GroundTruth) -> EvaluationReport:
     for ranked in runs:
         if ranked.event_id not in known:
             raise EvaluationError(f"event {ranked.event_id!r} absent from ground truth")
-        relevance, _ = _labeled(ranked, truth)
+        relevance, scores = _labeled(ranked, truth)
         results.append(
             EventResult(
                 event_id=ranked.event_id,
-                ap=average_precision(ranked, truth),
-                auc=roc_auc(ranked, truth),
-                n_videos=int(relevance.shape[0]),
-                n_positives=int(relevance.sum()),
+                ap=_average_precision(ranked.event_id, relevance),
+                auc=_roc_auc(ranked.event_id, relevance, scores),
+                n_videos=len(relevance),
+                n_positives=sum(relevance),
             )
         )
     if not results:
         raise EvaluationError("nothing to evaluate")
     return EvaluationReport(
         per_event=tuple(results),
-        mean_ap=float(np.mean([r.ap for r in results])),
-        mean_auc=float(np.mean([r.auc for r in results])),
+        mean_ap=_mean([r.ap for r in results]),
+        mean_auc=_mean([r.auc for r in results]),
     )
 
 

@@ -1,0 +1,43 @@
+"""Ranked lists and their TSV form; free of numpy, which ``semvid eval`` never loads."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import SemvidError
+
+
+@dataclass(frozen=True)
+class RankedList:
+    event_id: str
+    entries: tuple[tuple[str, float], ...]  # (video id, fused score), descending
+
+
+def write_ranked_tsv(ranked_lists, fh) -> None:
+    """TSV: event_id, rank, video_id, score (six decimal places)."""
+    fh.write("event_id\trank\tvideo_id\tscore\n")
+    for ranked in ranked_lists:
+        for position, (video_id, score) in enumerate(ranked.entries, start=1):
+            fh.write(f"{ranked.event_id}\t{position}\t{video_id}\t{score:.6f}\n")
+
+
+def read_ranked_tsv(path) -> list[RankedList]:
+    """Read the TSV back into RankedLists (entry order is authoritative)."""
+    per_event: dict[str, list[tuple[str, float]]] = {}
+    order: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if parts == ["event_id", "rank", "video_id", "score"]:
+                continue
+            if len(parts) != 4:
+                raise SemvidError(f"{path} line {lineno}: expected 4 TSV columns")
+            event_id, _, video_id, score = parts
+            if event_id not in per_event:
+                per_event[event_id] = []
+                order.append(event_id)
+            per_event[event_id].append((video_id, float(score)))
+    return [RankedList(event_id=e, entries=tuple(per_event[e])) for e in order]

@@ -167,9 +167,10 @@ def _pool_chunk(path, samples, counts, lines, mode):
         pooled[zero] = samples[starts[zero]]
         return pooled
     # the mean of each track's own row, grouped by length: the value
-    # np.mean gives the track alone, which np.add.reduceat / n is not
+    # np.mean gives the track alone, which np.add.reduceat / n is not (the
+    # lengths come from bincount, as the first np.unique imports numpy.ma)
     pooled = np.empty(len(counts))
-    for length in np.unique(counts):
+    for length in np.flatnonzero(np.bincount(counts)):
         group = np.flatnonzero(counts == length)
         pooled[group] = samples[starts[group, None] + np.arange(length)].mean(axis=1)
     return pooled

@@ -380,3 +380,54 @@ def text_table_oracle(path):
             raise EmbeddingFormatError(f"zero-norm vector for token {token!r}")
         matrix[j] = rows[i] if abs(norm - 1.0) <= 1e-6 else rows[i] / norm
     return list(first), matrix, len(tokens) - len(first)
+
+
+def binary_table_oracle(data: bytes):
+    """A binary table read from one buffer holding the whole file.
+
+    Returns (tokens, float32 matrix) before dedupe and normalization: the
+    token and packed little-endian float32 vector of each entry, newlines
+    before a token skipped. Raises the reader's error for a header without
+    a newline, then for the first entry without its token or its vector.
+    """
+    end = data.find(b"\n")
+    if end < 0:
+        raise EmbeddingFormatError("unexpected end of file in header")
+    count, dim = (int(part) for part in data[:end].split())
+    pos = end + 1
+    tokens, rows = [], []
+    for row in range(1, count + 1):
+        while data[pos : pos + 1] == b"\n":
+            pos += 1
+        gap = data.find(b" ", pos)
+        if gap < 0:
+            raise EmbeddingFormatError(f"unexpected end of file at row {row}")
+        tokens.append(data[pos:gap].decode("utf-8"))
+        pos = gap + 1
+        if pos + 4 * dim > len(data):
+            raise EmbeddingFormatError(
+                f"dimension mismatch at row {row}: expected {dim} float32 values"
+            )
+        rows.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
+        pos += 4 * dim
+    return tokens, np.array(rows, dtype=np.float32).reshape(count, dim)
+
+
+def rank_sum_auc_oracle(scores, labels) -> float:
+    """Rank-sum AUC on numpy arrays: stable argsort ranks, tied scores
+    sharing their mean rank, and the positives' rank sum."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores), dtype=np.float64)
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and scores[order[j + 1]] == scores[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    positives = int(labels.sum())
+    negatives = len(labels) - positives
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)

@@ -1,5 +1,6 @@
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from semvid.embedding import (
 from semvid.errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError
 from semvid.synth import random_space
 
-from oracles import cosine_oracle, scan_oracle, sum_pool_oracle
+from oracles import binary_table_oracle, cosine_oracle, scan_oracle, sum_pool_oracle
 
 
 # ---------------------------------------------------------------- loading
@@ -138,6 +139,120 @@ def test_binary_newline_convention_dedupe_and_zero_norm(tmp_path):
     write_binary(path, 2, [("a", [1, 0]), ("dead", [0, 0])])
     with pytest.raises(EmbeddingFormatError, match="dead"):
         load_embeddings(path, fmt="binary")
+
+
+def _binary_bytes(dim, entries, count=None, newline=b"\n") -> bytes:
+    header = f"{len(entries) if count is None else count} {dim}\n".encode()
+    return header + b"".join(
+        token.encode() + b" " + np.asarray(values, dtype="<f4").tobytes() + newline
+        for token, values in entries
+    )
+
+
+def _read_both(path):
+    """(tokens, matrix bytes) or the error message, from the reader and from
+    the whole-buffer oracle."""
+    results = []
+    for read in (embedding._read_binary, lambda p: binary_table_oracle(p.read_bytes())):
+        try:
+            tokens, matrix = read(path)
+        except EmbeddingFormatError as exc:
+            results.append(str(exc))
+        else:
+            assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
+            results.append((tokens, matrix.shape, matrix.tobytes()))
+    return results
+
+
+# tokens of 1-9 bytes, multi-byte UTF-8 among them, so that with chunks of
+# 1-64 bytes every kind of boundary falls inside a token, a vector, a
+# newline run and the header
+_ENTRIES = [
+    (token, np.random.default_rng(i).standard_normal(3))
+    for i, token in enumerate(["a", "bb", "cafe\u0301", "dd", "\u65e5\u672c", "e", "ffffffff", "a", "g"])
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 7, 8, 13, 16, 31, 64])
+def test_binary_reader_matches_whole_buffer_oracle_at_any_chunk(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(embedding, "_READ_BYTES", chunk)
+    path = tmp_path / "vecs.bin"
+    full = _binary_bytes(3, _ENTRIES)
+    cases = [_binary_bytes(3, _ENTRIES, newline=nl) for nl in (b"", b"\n", b"\n\n\n")] + [
+        full + b"trailing bytes after the last entry",
+        b"3 4",  # header without its newline
+        b"9 3\n",  # no entries at all
+        full[: full.index("\u65e5".encode()) + 2],  # inside the fifth token
+        full[: full.index(b"ffffffff") + 8],  # a token without its space
+        _binary_bytes(3, _ENTRIES, count=10) + b"tr",  # inside the tenth token
+        full[:-7],  # inside the last vector
+        _binary_bytes(3, _ENTRIES[:2], count=10**12),  # a count beyond the file
+    ]
+    outcomes = []
+    for data in cases:
+        path.write_bytes(data)
+        reader, oracle = _read_both(path)
+        assert reader == oracle, data
+        outcomes.append(reader if isinstance(reader, str) else len(reader[0]))
+    assert outcomes == [9, 9, 9, 9] + [
+        "unexpected end of file in header",
+        "unexpected end of file at row 1",
+        "unexpected end of file at row 5",
+        "unexpected end of file at row 7",
+        "unexpected end of file at row 10",
+        "dimension mismatch at row 9: expected 3 float32 values",
+        "unexpected end of file at row 3",
+    ]
+
+
+def test_binary_reader_errors_name_row_and_kind(tmp_path, monkeypatch):
+    monkeypatch.setattr(embedding, "_READ_BYTES", 4)
+    path = tmp_path / "vecs.bin"
+    full = _binary_bytes(3, _ENTRIES)
+    for data, message in (
+        (b"3 4", "unexpected end of file in header"),
+        (full[: full.index(b"ffffffff") + 8], "unexpected end of file at row 7"),
+        (full[:-7], "dimension mismatch at row 9: expected 3 float32 values"),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(EmbeddingFormatError, match=message):
+            load_embeddings(path, fmt="binary")
+
+
+def test_binary_reader_holds_about_one_copy_of_the_table(tmp_path, monkeypatch):
+    monkeypatch.setattr(embedding, "_READ_BYTES", 1 << 16)
+    rng = np.random.default_rng(8)
+    entries = [(f"w{i}", row) for i, row in enumerate(rng.standard_normal((4000, 300)))]
+    path = tmp_path / "vecs.bin"
+    path.write_bytes(_binary_bytes(300, entries))
+    tracemalloc.start()
+    try:
+        tokens, matrix = embedding._read_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) == 4000 and matrix.nbytes == 4000 * 300 * 4
+    assert peak < 1.2 * matrix.nbytes  # the whole-buffer reader took 2x
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("chunk", [5, 1 << 20])
+def test_binary_table_through_a_pipe_loads_like_the_file(tmp_path, monkeypatch, chunk):
+    # 600 rows grow the matrix from nothing past its first two sizes
+    monkeypatch.setattr(embedding, "_READ_BYTES", chunk)
+    rng = np.random.default_rng(5)
+    entries = [(f"w{i % 590}", rng.standard_normal(4)) for i in range(600)]
+    data = _binary_bytes(4, entries)
+    path = tmp_path / "vecs.bin"
+    path.write_bytes(data)
+    piped, stored = _load_through_pipe(data, "binary"), load_embeddings(path, fmt="binary")
+    assert piped.tokens() == stored.tokens() and len(piped) == 590
+    assert piped.duplicates == stored.duplicates == 10
+    np.testing.assert_array_equal(piped._matrix, stored._matrix)
+    with pytest.raises(EmbeddingFormatError, match="dimension mismatch at row 600"):
+        _load_through_pipe(data[:-3], "binary")
+    with pytest.raises(EmbeddingFormatError, match="unexpected end of file at row 3"):
+        _load_through_pipe(_binary_bytes(4, entries[:2], count=10**12), "binary")
 
 
 def test_load_normalizes_like_one_row_at_a_time(tmp_path):
@@ -534,18 +649,18 @@ def test_text_count_beyond_file_fails_without_allocating_it(tmp_path):
         load_embeddings(path)
 
 
-def _load_through_pipe(text: str) -> EmbeddingSpace:
+def _load_through_pipe(data, fmt: str = "text") -> EmbeddingSpace:
     # a pipe reports st_size 0, as process substitution <(zcat ...) does
     read_fd, write_fd = os.pipe()
 
     def write():
-        with os.fdopen(write_fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(write_fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
 
     writer = threading.Thread(target=write)
     writer.start()
     try:
-        return load_embeddings(f"/dev/fd/{read_fd}")
+        return load_embeddings(f"/dev/fd/{read_fd}", fmt)
     finally:
         writer.join()
         os.close(read_fd)
