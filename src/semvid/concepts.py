@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddedSet, EmbeddingSpace, _dot_norms, embed_tokens, sum_pool, tokenize
-from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts
+from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, open_utf8
 from .similarity import lower_percentile_index
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -170,7 +170,7 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
     in the array rather than read as text.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path, ConceptFormatError) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConceptFormatError(f"cannot read concept file {path}: {exc}")

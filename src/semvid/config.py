@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import SemvidError
+from .errors import SemvidError, open_utf8
 
 # File/flag keys understood by the config layer.
 CONFIG_KEYS = ("kernel", "mode", "R", "w", "k", "percentile")
@@ -31,7 +31,7 @@ DEFAULT_CONFIG = RetrievalConfig()
 def parse_config_file(path) -> dict:
     """Read ``key = value`` pairs; '#' starts a comment."""
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

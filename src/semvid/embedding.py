@@ -20,8 +20,9 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError
+from .errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError, open_utf8
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
@@ -53,8 +54,10 @@ _SCAN_BYTES = 1 << 18
 # 3000-word perfbench table loads at a 38 MB peak against 48 MB.
 _TEXT_LINES = 256
 
-# Bytes per read of the binary reader, which copies each vector from the
-# chunk into the matrix, so that the load holds one copy of the table.
+# Bytes per read of the binary reader, which copies each chunk's vectors
+# into the matrix, and about the size of the blocks in which the binary load
+# dedupes and normalizes the matrix in place: the load holds one copy of the
+# table and temporaries of a few times this size.
 _READ_BYTES = 1 << 20
 
 
@@ -104,18 +107,32 @@ class EmbeddingSpace:
     def __init__(self, tokens: list[str], matrix: np.ndarray, duplicates: int = 0):
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise EmbeddingFormatError("token list and matrix row count disagree")
+        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
+        index = dict(zip(tokens, range(len(tokens))))
+        self._setup(tokens, matrix, _row_norms(matrix), index, duplicates)
+
+    @classmethod
+    def _loaded(cls, tokens, matrix, norms, index, duplicates):
+        """A space from a loader: a C-contiguous float32 matrix, the float64
+        norm of each of its rows and the token -> row dict, taken as they
+        are instead of computed again."""
+        space = cls.__new__(cls)
+        space._setup(tokens, matrix, norms, index, duplicates)
+        return space
+
+    def _setup(self, tokens, matrix, norms, index, duplicates):
         self.dimension = int(matrix.shape[1])
         self._tokens = np.asarray(tokens, dtype=object)
-        self._matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self._norms = _row_norms(self._matrix)
+        self._matrix = matrix
+        self._norms = norms
         # rows whose norm is outside the range where the float32 prefilter of
         # nearest_words is proven exact (zero, subnormal-scale or huge rows of
         # a hand-built table); nearest_words always re-scores them in float64
         low, high = _F32_SAFE
-        self._outliers = np.flatnonzero(~((self._norms >= low) & (self._norms <= high)))
-        self._inv_norms = np.zeros_like(self._norms)
-        np.divide(1.0, self._norms, out=self._inv_norms, where=self._norms > 0.0)
-        self._index = {t: i for i, t in enumerate(tokens)}
+        self._outliers = np.flatnonzero(~((norms >= low) & (norms <= high)))
+        self._inv_norms = np.zeros_like(norms)
+        np.divide(1.0, norms, out=self._inv_norms, where=norms > 0.0)
+        self._index = index
         self.duplicates = duplicates
 
     def __len__(self) -> int:
@@ -141,33 +158,48 @@ class EmbeddingSpace:
         return vec
 
 
-def _normalize_block(block: np.ndarray, out: np.ndarray):
-    """Unit-normalize a float64 block of rows into the float32 ``out``.
+def _normalize_block(block: np.ndarray, out: np.ndarray, norms: np.ndarray, exact: bool):
+    """Unit-normalize a float64 block of rows into the float32 ``out``, and
+    write the float64 norm of each row of ``out`` into ``norms``.
 
     The block takes its norms in one pass (see :func:`_dot_norms`); a row off
     unit length is divided by its norm in float64 and rounded to float32
-    once, a near-unit row is kept bit-for-bit. Returns the index of the first
-    row whose norm is zero or not finite, or None; such rows are written as
-    zeros.
+    once, a near-unit row is kept bit-for-bit. When the block is ``exact``,
+    the float64 copy of ``out`` itself, a kept row and its norm are already
+    those of the stored row, so a block without rescaled rows is not
+    written back. Returns the index of the first row whose norm is zero or
+    not finite, or None; such rows are written as zeros.
     """
-    norms = _dot_norms(block)
+    norms[...] = _dot_norms(block)
     bad = ~np.isfinite(norms) | (norms == 0.0)
+    first_bad = int(np.argmax(bad)) if bad.any() else None
     off = ~bad & (np.abs(norms - 1.0) > _UNIT_TOL)
-    block[off] /= norms[off, None]
+    if off.any():
+        block /= np.where(off, norms, 1.0)[:, None]  # a division by 1.0 changes nothing
+    elif exact:
+        return first_bad
     block[bad] = 0.0  # no float32 overflow in the cast below
-    out[...] = block
-    return int(np.argmax(bad)) if bad.any() else None
+    out[...] = block  # in an exact block, a kept row rounds back to itself
+    np.copyto(block, out)
+    norms[...] = _dot_norms(block)
+    return first_bad
 
 
 def _normalize_rows(tokens, matrix):
-    """Unit-normalize a float32 matrix in place, a block of rows at a time;
-    reject zero norms."""
-    for start in range(0, len(matrix), _BLOCK):
-        part = matrix[start : start + _BLOCK]
-        bad = _normalize_block(part.astype(np.float64), part)
+    """Unit-normalize a float32 matrix in place, in float64 blocks of about
+    ``_READ_BYTES``, and return the float64 norms of its stored rows; reject
+    zero norms."""
+    norms = np.empty(len(matrix), dtype=np.float64)
+    step = max(1, _READ_BYTES // (8 * matrix.shape[1]))
+    buffer = np.empty((step, matrix.shape[1]), dtype=np.float64)
+    for start in range(0, len(matrix), step):
+        part = matrix[start : start + step]
+        block = buffer[: len(part)]
+        np.copyto(block, part)
+        bad = _normalize_block(block, part, norms[start : start + step], True)
         if bad is not None:
             raise EmbeddingFormatError(f"zero-norm vector for token {tokens[start + bad]!r}")
-    return matrix
+    return norms
 
 
 def _parse_header(line: str):
@@ -189,16 +221,26 @@ def _warn_duplicates(dups: int) -> None:
 
 
 def _dedupe(tokens, matrix):
-    """Keep the first row of every token."""
-    first = {}
-    for i, token in enumerate(tokens):
-        first.setdefault(token, i)
-    dups = len(tokens) - len(first)
+    """Keep the first row of every token: the kept rows move up in place,
+    in increasing order, a block of about ``_READ_BYTES`` at a time.
+    Returns the kept tokens and rows, the token -> row dict and the number
+    of rows dropped."""
+    # built back to front, so that a token's first row is the one that stays
+    index = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
+    dups = len(tokens) - len(index)
     _warn_duplicates(dups)
     if dups:
-        matrix = matrix[list(first.values())]
-        tokens = list(first)
-    return tokens, matrix, dups
+        keep = np.fromiter(index.values(), dtype=np.intp, count=len(index))
+        keep.sort()
+        # keep[i] >= i: a block reads only rows at or after the rows it writes
+        step = max(1, _READ_BYTES // (4 * matrix.shape[1]))
+        for start in range(0, len(keep), step):
+            rows = keep[start : start + step]
+            matrix[start : start + len(rows)] = matrix[rows]
+        matrix = matrix[: len(keep)]
+        tokens = list(map(tokens.__getitem__, keep.tolist()))
+        index.update(zip(tokens, range(len(tokens))))
+    return tokens, matrix, index, dups
 
 
 def load_embeddings(path, fmt: str = "text") -> EmbeddingSpace:
@@ -209,13 +251,13 @@ def load_embeddings(path, fmt: str = "text") -> EmbeddingSpace:
     little-endian float32 values and an optional newline.
     """
     if fmt == "text":
-        tokens, matrix, dups = _read_text(path)
+        tokens, matrix, norms, index, dups = _read_text(path)
     elif fmt == "binary":
-        tokens, matrix, dups = _dedupe(*_read_binary(path))
-        matrix = _normalize_rows(tokens, matrix)
+        tokens, matrix, index, dups = _dedupe(*_read_binary(path))
+        norms = _normalize_rows(tokens, matrix)
     else:
         raise EmbeddingFormatError(f"unknown embedding format {fmt!r}")
-    return EmbeddingSpace(tokens, matrix, duplicates=dups)
+    return EmbeddingSpace._loaded(tokens, matrix, norms, index, dups)
 
 
 def _parse_values(lines, dim: int):
@@ -247,8 +289,14 @@ def _row_error(lines, lineno: int, dim: int) -> EmbeddingFormatError:
     return EmbeddingFormatError(f"unparseable rows {lineno + 1}-{lineno + len(lines)}")
 
 
+def _text_row(line: int) -> str:
+    """A text table's line number as its reader counts rows."""
+    return f"row {line - 1}" if line > 1 else "header"
+
+
 def _read_text(path):
-    """Tokens, unit float32 matrix and duplicate count of a text table.
+    """Tokens, unit float32 matrix, float64 row norms, token -> row dict and
+    duplicate count of a text table.
 
     Each line is split once into its token and its values, and each block
     of ``_TEXT_LINES`` lines is parsed by one ``np.loadtxt`` in float64 and
@@ -259,13 +307,14 @@ def _read_text(path):
     a row count other than ``V``, the first kept row of zero norm. A zero
     norm in a dropped duplicate does not fail.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, EmbeddingFormatError, label=_text_row) as fh:
         count, dim = _parse_header(fh.readline())
         # a row takes at least 2 * dim + 1 characters, so a count larger
         # than the file can hold allocates no more than the file could fill;
         # a pipe reports no size and grows the matrix as its rows arrive
         capacity = min(count, os.fstat(fh.fileno()).st_size // (2 * dim + 1))
         matrix = np.empty((capacity, dim), dtype=np.float32)
+        norms = []  # per block, the norms of its kept rows
         first: dict[str, int] = {}  # token -> its row in the matrix
         rows = 0  # rows read, duplicates included
         lineno = 0
@@ -296,7 +345,8 @@ def _read_text(path):
             end = min(len(first), capacity)
             if end > start:
                 block = values if len(keep) == len(tokens) else values[keep]
-                bad = _normalize_block(block[: end - start], matrix[start:end])
+                norms.append(np.empty(end - start))
+                bad = _normalize_block(block[: end - start], matrix[start:end], norms[-1], False)
                 if bad is not None and zero is None:
                     zero = tokens[keep[bad]]
     if rows != count:
@@ -304,53 +354,97 @@ def _read_text(path):
     _warn_duplicates(rows - len(first))
     if zero is not None:
         raise EmbeddingFormatError(f"zero-norm vector for token {zero!r}")
-    return list(first), matrix[: len(first)], rows - len(first)
+    norms = np.concatenate(norms) if norms else np.empty(0)
+    return list(first), matrix[: len(first)], norms, first, rows - len(first)
+
+
+# Between the tokens of a chunk's joined entry heads (see _read_binary).
+_HEAD_SEP = re.compile(" \n*")
+
+
+def _entry_pattern(width: int):
+    """A regex over a buffer of binary entries. Each match of a complete
+    entry is its head, the run of newlines before it, its token up to the
+    first space and that space, plus ``width`` vector bytes; findall gives
+    the head. Then at most one match takes the bytes after the last
+    complete entry, and gives b"".
+
+    A token cannot start with a newline, so that the first alternative
+    fails in time linear in the bytes it reads; it fails only where the
+    buffer ends before the space or before the vector does, and the rest is
+    then that truncated tail."""
+    return re.compile(rb"(\n*(?:[^ \n][^ ]*)? ).{%d}|.+" % width, re.S)
 
 
 def _read_binary(path):
     """Tokens and the (count, dim) float32 matrix of a binary table, read
-    ``_READ_BYTES`` at a time after the header: each vector is copied from
-    its chunk into a preallocated matrix, so the load holds the table once."""
+    ``_READ_BYTES`` at a time after the header.
+
+    Each chunk, after the truncated tail of the one before, is split into
+    the heads of its complete entries by one regex ``findall``
+    (:func:`_entry_pattern`), and their lengths place the vectors. The
+    heads are decoded together, and the vectors are copied into a
+    preallocated matrix by one fancy index into the chunk, so that the load
+    holds the table once. Rows after the header's count are not read. A bad
+    file fails at its first entry whose token is not UTF-8, or that ends
+    before its token's space ("unexpected end of file") or its vector
+    ("dimension mismatch")."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
             raise EmbeddingFormatError("unexpected end of file in header")
-        count, dim = _parse_header(header.decode("utf-8"))
+        try:
+            count, dim = _parse_header(header.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise EmbeddingFormatError(f"malformed header {header!r}, not UTF-8") from None
         width = 4 * dim
+        if width >= 1 << 31:  # a regex repeat spans under 2**32 - 1 bytes
+            raise EmbeddingFormatError(f"header dimension {dim} is too large")
+        entries = _entry_pattern(width)
         # an entry takes at least width + 1 bytes, so a count the file cannot
         # hold fails at its first missing row without allocating for it; a
         # pipe reports no size and grows the matrix as its rows arrive
         size = os.fstat(fh.fileno()).st_size - len(header)
         capacity = min(count, max(size, 0) // (width + 1))
         matrix = np.empty((capacity, dim), dtype="<f4")
-        out = memoryview(matrix.reshape(-1).view(np.uint8))
-        buf, view, pos, eof = b"", memoryview(b""), 0, False
-        tokens = []
-        for row in range(count):
-            while True:
-                while pos < len(buf) and buf[pos] == 10:
-                    pos += 1  # writer convention: newline after each vector
-                gap = buf.find(b" ", pos)
-                if eof or 0 <= gap <= len(buf) - width - 1:
-                    break
-                chunk = fh.read(_READ_BYTES)
-                buf, pos, eof = buf[pos:] + chunk, 0, not chunk
-                view = memoryview(buf)
-            if gap < 0:
-                raise EmbeddingFormatError(f"unexpected end of file at row {row + 1}")
-            tokens.append(buf[pos:gap].decode("utf-8"))
-            pos = gap + 1
-            if pos + width > len(buf):
-                raise EmbeddingFormatError(
-                    f"dimension mismatch at row {row + 1}: expected {dim} float32 values"
-                )
-            if row == capacity:
-                capacity = min(count, max(2 * capacity, 256))
+        tokens: list[str] = []
+        buf, tail = bytearray(_READ_BYTES), b""  # buf: the tail, then a chunk
+        while len(tokens) < count:
+            if len(buf) < len(tail) + _READ_BYTES:
+                buf = bytearray(len(tail) + _READ_BYTES)
+            buf[: len(tail)] = tail
+            got = fh.readinto(memoryview(buf)[len(tail) : len(tail) + _READ_BYTES])
+            if not got:
+                row = len(tokens) + 1
+                if b" " in tail.lstrip(b"\n"):
+                    raise EmbeddingFormatError(
+                        f"dimension mismatch at row {row}: expected {dim} float32 values"
+                    )
+                raise EmbeddingFormatError(f"unexpected end of file at row {row}")
+            filled = len(tail) + got
+            heads = entries.findall(buf, 0, filled)
+            if heads and not heads[-1]:
+                heads.pop()
+            # the entries lie back to back from the start of buf
+            ends = np.cumsum(np.fromiter(map(len, heads), np.intp, len(heads)) + width)
+            tail = buf[int(ends[-1]) if heads else 0 : filled]
+            del heads[count - len(tokens) :]
+            if not heads:
+                continue
+            rows, end = len(tokens), len(tokens) + len(heads)
+            joined = b"".join(heads)  # each head ends at its token's space
+            try:
+                tokens += _HEAD_SEP.split(joined.decode("utf-8").lstrip("\n")[:-1])
+            except UnicodeDecodeError as exc:
+                row = rows + joined.count(b" ", 0, exc.start) + 1
+                raise EmbeddingFormatError(f"{path} row {row}: not valid UTF-8") from None
+            if end > capacity:
+                capacity = min(count, max(2 * capacity, end, 256))
                 grown = np.empty((capacity, dim), dtype="<f4")
-                grown[:row] = matrix[:row]
-                matrix, out = grown, memoryview(grown.reshape(-1).view(np.uint8))
-            out[row * width : (row + 1) * width] = view[pos : pos + width]
-            pos += width
+                grown[:rows] = matrix[:rows]
+                matrix = grown
+            windows = sliding_window_view(np.frombuffer(buf, np.uint8, filled), width)
+            matrix[rows:end].view(np.uint8)[...] = windows[ends[: len(heads)] - width]
     return tokens, matrix.astype(np.float32, copy=False)
 
 

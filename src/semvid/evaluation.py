@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .errors import EvaluationError
+from .errors import EvaluationError, open_utf8
 from .ranked import RankedList
 
 
@@ -35,7 +35,7 @@ def load_truth(path) -> GroundTruth:
     """CSV with columns event_id, video_id, label (1 or 0); the header row
     is optional."""
     labels: dict[tuple[str, str], int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, EvaluationError, csv=True) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import SemvidError
+from .errors import SemvidError, open_utf8
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ def read_ranked_tsv(path) -> list[RankedList]:
     """Read the TSV back into RankedLists (entry order is authoritative)."""
     per_event: dict[str, list[tuple[str, float]]] = {}
     order: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

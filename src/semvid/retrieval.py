@@ -36,7 +36,7 @@ from .embedding import (
     sum_pool,
     tokenize,
 )
-from .errors import SemvidError, ZeroNormError
+from .errors import SemvidError, ZeroNormError, open_utf8
 from .ranked import RankedList, read_ranked_tsv, write_ranked_tsv  # the TSV helpers are re-exported
 from .stopwords import DEFAULT_STOPWORDS
 from .videos import Corpus, VideoRecord
@@ -79,7 +79,7 @@ def load_queries(path, stops=DEFAULT_STOPWORDS, augmentation_k: int = 5) -> list
     the entry's index in the array rather than read as text.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SemvidError(f"cannot read query file {path}: {exc}")

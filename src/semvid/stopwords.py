@@ -6,6 +6,8 @@ The list covers ~150 function words. A file with one token per line
 
 from __future__ import annotations
 
+from .errors import open_utf8
+
 DEFAULT_STOPWORDS: frozenset[str] = frozenset("""
 a about above after again against all am an and any are aren as at be because
 been before being below between both but by can cannot could couldn did didn
@@ -23,7 +25,7 @@ won would wouldn y you your yours yourself yourselves
 def load_stopwords(path) -> frozenset[str]:
     """Read a stop-word override file: one lowercase token per line."""
     words = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line in fh:
             token = line.split("#", 1)[0].strip().lower()
             if token:

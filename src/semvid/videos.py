@@ -20,7 +20,7 @@ import numpy as np
 
 from .concepts import ConceptRepository
 from .embedding import EmbeddingSpace, pool_texts
-from .errors import ConceptFormatError, IngestError
+from .errors import ConceptFormatError, IngestError, open_utf8
 
 log = logging.getLogger(__name__)
 
@@ -201,7 +201,7 @@ def _load_score_jsonl(path, repo, mode):
     rows, cols = [], []  # per accepted track
     pooled = []  # per chunk, an array over its tracks
     lineno = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, IngestError) as fh:
         for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
             samples, counts, lines = [], [], []
             for line in chunk:
@@ -286,7 +286,7 @@ def _load_score_csv(path, repo):
     the load at the first such line. Returns the video ids in file order,
     the (videos x concepts) matrix and each video's covered-concept count.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, IngestError, csv=True) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -328,7 +328,7 @@ def _load_transcripts(path):
     null, makes the line malformed: it is reported and skipped.
     """
     transcripts = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path, IngestError) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -370,25 +370,35 @@ def text_table_oracle(path):
             rows.append(np.array(values, dtype=np.float64))
     if len(tokens) != count:
         raise EmbeddingFormatError(f"header declared {count} entries, file has {len(tokens)}")
+    return normalized_table_oracle(tokens, rows, dim)
+
+
+def normalized_table_oracle(tokens, rows, dim: int):
+    """The first row of each token, divided by its own np.linalg.norm in
+    float64 and rounded to float32 once unless already within 1e-6 of unit
+    length: (tokens, float32 matrix, duplicates). Raises the loaders' error
+    for the first kept row of zero or non-finite norm."""
     first: dict[str, int] = {}
     for i, token in enumerate(tokens):
         first.setdefault(token, i)
     matrix = np.empty((len(first), dim), dtype=np.float32)
     for j, (token, i) in enumerate(first.items()):
-        norm = float(np.linalg.norm(rows[i]))
+        row = np.asarray(rows[i], dtype=np.float64)
+        norm = float(np.linalg.norm(row))
         if not math.isfinite(norm) or norm == 0.0:
             raise EmbeddingFormatError(f"zero-norm vector for token {token!r}")
-        matrix[j] = rows[i] if abs(norm - 1.0) <= 1e-6 else rows[i] / norm
+        matrix[j] = row if abs(norm - 1.0) <= 1e-6 else row / norm
     return list(first), matrix, len(tokens) - len(first)
 
 
-def binary_table_oracle(data: bytes):
+def binary_table_oracle(data: bytes, path=None):
     """A binary table read from one buffer holding the whole file.
 
     Returns (tokens, float32 matrix) before dedupe and normalization: the
     token and packed little-endian float32 vector of each entry, newlines
     before a token skipped. Raises the reader's error for a header without
-    a newline, then for the first entry without its token or its vector.
+    a newline, then for the first entry without its token or its vector, or
+    whose token is not UTF-8 (naming ``path``).
     """
     end = data.find(b"\n")
     if end < 0:
@@ -402,12 +412,16 @@ def binary_table_oracle(data: bytes):
         gap = data.find(b" ", pos)
         if gap < 0:
             raise EmbeddingFormatError(f"unexpected end of file at row {row}")
-        tokens.append(data[pos:gap].decode("utf-8"))
+        token = data[pos:gap]
         pos = gap + 1
         if pos + 4 * dim > len(data):
             raise EmbeddingFormatError(
                 f"dimension mismatch at row {row}: expected {dim} float32 values"
             )
+        try:
+            tokens.append(token.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise EmbeddingFormatError(f"{path} row {row}: not valid UTF-8") from None
         rows.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
         pos += 4 * dim
     return tokens, np.array(rows, dtype=np.float32).reshape(count, dim)

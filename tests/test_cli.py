@@ -1,13 +1,18 @@
 """End-to-end command tests through cli.main with real files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semvid
 from semvid.cli import main
 from semvid.concepts import load_concepts
-from semvid.embedding import load_embeddings
+from semvid.embedding import EmbeddingSpace, load_embeddings, save_embeddings
 from semvid.synth import synth_world, write_world_files
 from semvid.videos import load_corpus
 
@@ -220,3 +225,92 @@ def test_outputs_end_with_newline(world_dir, tmp_path):
         "--scores", paths["scores"], "--out", str(out),
     ])
     assert out.read_bytes().endswith(b"\n")
+
+
+def _with_bad_byte(src, dst, line: int) -> str:
+    """A copy of ``src`` with a byte that is not UTF-8 at the end of line
+    ``line``; returns the copy's path."""
+    lines = Path(src).read_bytes().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rstrip(b"\n") + b"\xff\n"
+    Path(dst).write_bytes(b"".join(lines))
+    return str(dst)
+
+
+@pytest.mark.parametrize("which, where", [
+    ("embeddings", "row 2"),
+    ("binary", "row 3"),
+    ("concepts", "line 3"),
+    ("queries", "line 4"),
+    ("scores", "line 5"),
+    ("pooled", "line 3"),
+    ("transcripts", "line 2"),
+    ("config", "line 2"),
+    ("stopwords", "line 2"),
+    ("ranked", "line 5"),
+    ("truth", "line 3"),
+])
+def test_input_that_is_not_utf8_is_an_input_error(world_dir, tmp_path, capsys, which, where):
+    world, paths = world_dir
+    files = dict(paths)
+    binary = tmp_path / "embeddings.bin"
+    save_embeddings(world.space, binary, fmt="binary")
+    files["binary"] = str(binary)
+    files["pooled"] = str(tmp_path / "pooled.csv")
+    assert main(["pool", paths["scores"], paths["concepts"], "--out", files["pooled"]]) == 0
+    files["config"] = str(tmp_path / "run.conf")
+    files["stopwords"] = str(tmp_path / "stops.txt")
+    (tmp_path / "run.conf").write_text("R = 2\nk = 1\n", encoding="utf-8")
+    (tmp_path / "stops.txt").write_text("a\nthe\n", encoding="utf-8")
+    files["ranked"] = str(tmp_path / "ranked.tsv")
+    assert main(["rank", paths["embeddings"], paths["concepts"], paths["queries"],
+                 "--scores", paths["scores"], "--out", files["ranked"]]) == 0
+    capsys.readouterr()
+    bad = tmp_path / f"bad-{which}"
+    if which == "binary":
+        # the third token gains the byte: a binary table has no lines
+        data = binary.read_bytes()
+        token = ("\n" + world.space.tokens()[2] + " ").encode()
+        bad.write_bytes(data.replace(token, token[:-1] + b"\xff ", 1))
+    else:
+        _with_bad_byte(files[which], bad, int(where.split()[1]) + (which == "embeddings"))
+    files[which] = str(bad)
+    if which in ("ranked", "truth"):
+        argv = ["eval", files["ranked"], files["truth"]]
+    else:
+        argv = ["rank", files["binary" if which == "binary" else "embeddings"], files["concepts"],
+                files["queries"], "--transcripts", files["transcripts"],
+                "--scores", files["pooled" if which == "pooled" else "scores"],
+                "--config", files["config"], "--stopwords", files["stopwords"],
+                "--out", str(tmp_path / "out.tsv")]
+        argv += ["--binary"] if which == "binary" else []
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {bad} {where}: not valid UTF-8" in err, err
+
+
+def test_rank_is_the_same_with_one_and_two_blas_threads(tmp_path):
+    # the float32 table scan only selects candidates, and every score that
+    # reaches the ranking is a fixed-order reduction: the BLAS thread count
+    # must not change a byte. 20000 filler rows make the scan's GEMMs large
+    # enough for OpenBLAS to split them.
+    world = synth_world(seed=5, n_events=3, positives_per_event=10, n_videos=80, dim=300)
+    paths = write_world_files(world, tmp_path)
+    fillers = np.random.default_rng(6).standard_normal((20000, 300)).astype(np.float32)
+    space = EmbeddingSpace(world.space.tokens() + [f"filler{i}" for i in range(20000)],
+                           np.vstack([world.space._matrix, fillers]))
+    binary = tmp_path / "embeddings.bin"
+    save_embeddings(space, binary, fmt="binary")
+    src = str(Path(semvid.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ranked-{threads}.tsv"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        subprocess.run(
+            [sys.executable, "-m", "semvid.cli", "rank", str(binary), paths["concepts"],
+             paths["queries"], "--scores", paths["scores"], "--transcripts",
+             paths["transcripts"], "--binary", "--kernel", "hausdorff", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] and outputs[0].count(b"\n") == 1 + 3 * 80

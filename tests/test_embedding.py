@@ -121,6 +121,13 @@ def test_binary_truncated_in_vector(tmp_path):
         load_embeddings(path, fmt="binary")
 
 
+def test_binary_dimension_beyond_any_row_is_rejected(tmp_path):
+    path = tmp_path / "vecs.bin"
+    path.write_bytes(b"1 600000000\na ")
+    with pytest.raises(EmbeddingFormatError, match="header dimension 600000000 is too large"):
+        load_embeddings(path, fmt="binary")
+
+
 def test_binary_count_beyond_file_fails_at_first_missing_row(tmp_path):
     path = tmp_path / "vecs.bin"
     write_binary(path, 2, [("a", [1, 0])], count=10**12)
@@ -153,7 +160,7 @@ def _read_both(path):
     """(tokens, matrix bytes) or the error message, from the reader and from
     the whole-buffer oracle."""
     results = []
-    for read in (embedding._read_binary, lambda p: binary_table_oracle(p.read_bytes())):
+    for read in (embedding._read_binary, lambda p: binary_table_oracle(p.read_bytes(), p)):
         try:
             tokens, matrix = read(path)
         except EmbeddingFormatError as exc:
@@ -187,6 +194,8 @@ def test_binary_reader_matches_whole_buffer_oracle_at_any_chunk(tmp_path, monkey
         _binary_bytes(3, _ENTRIES, count=10) + b"tr",  # inside the tenth token
         full[:-7],  # inside the last vector
         _binary_bytes(3, _ENTRIES[:2], count=10**12),  # a count beyond the file
+        full.replace(b"dd", b"d\xff"),  # a token that is not UTF-8
+        full.replace("\u65e5".encode(), "\u65e5".encode()[:2]),  # a cut UTF-8 character
     ]
     outcomes = []
     for data in cases:
@@ -202,6 +211,8 @@ def test_binary_reader_matches_whole_buffer_oracle_at_any_chunk(tmp_path, monkey
         "unexpected end of file at row 10",
         "dimension mismatch at row 9: expected 3 float32 values",
         "unexpected end of file at row 3",
+        f"{path} row 4: not valid UTF-8",
+        f"{path} row 5: not valid UTF-8",
     ]
 
 
@@ -220,19 +231,23 @@ def test_binary_reader_errors_name_row_and_kind(tmp_path, monkeypatch):
 
 
 def test_binary_reader_holds_about_one_copy_of_the_table(tmp_path, monkeypatch):
+    # the whole load, dedupe, normalization and space included, with no,
+    # one and ten duplicate tokens: the kept rows move up in place
     monkeypatch.setattr(embedding, "_READ_BYTES", 1 << 16)
     rng = np.random.default_rng(8)
-    entries = [(f"w{i}", row) for i, row in enumerate(rng.standard_normal((4000, 300)))]
+    rows = rng.standard_normal((4000, 300))
     path = tmp_path / "vecs.bin"
-    path.write_bytes(_binary_bytes(300, entries))
-    tracemalloc.start()
-    try:
-        tokens, matrix = embedding._read_binary(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(tokens) == 4000 and matrix.nbytes == 4000 * 300 * 4
-    assert peak < 1.2 * matrix.nbytes  # the whole-buffer reader took 2x
+    for names in (range(4000), [i if i != 3000 else 5 for i in range(4000)],
+                  [i % 3990 for i in range(4000)]):
+        path.write_bytes(_binary_bytes(300, [(f"w{i}", row) for i, row in zip(names, rows)]))
+        tracemalloc.start()
+        try:
+            space = load_embeddings(path, fmt="binary")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(space) == len(set(names)) == 4000 - space.duplicates
+        assert peak < 1.2 * 4000 * 300 * 4  # the whole-buffer reader took 2x
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
@@ -689,3 +704,27 @@ def test_text_row_with_overflowing_norm_is_rejected_without_warnings(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'huge'"):
             load_embeddings(path)
+
+
+def test_text_table_that_is_not_utf8_names_its_row(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 2\na 1 0\n\nb\xff 0 1\n")
+    with pytest.raises(EmbeddingFormatError, match=r"bad.txt row 3: not valid UTF-8$"):
+        load_embeddings(path)
+    path.write_bytes(b"3\xff 2\na 1 0\n")
+    with pytest.raises(EmbeddingFormatError, match=r"bad.txt header: not valid UTF-8$"):
+        load_embeddings(path)
+    path.write_bytes(b"1\xff 2\na " + bytes(8))
+    with pytest.raises(EmbeddingFormatError, match=r"malformed header .*not UTF-8"):
+        load_embeddings(path, fmt="binary")
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_table_through_a_pipe_that_is_not_utf8_names_the_file(tmp_path):
+    # a pipe cannot be read again to find the line; the binary reader
+    # counts its rows itself
+    with pytest.raises(EmbeddingFormatError, match=r"^/dev/fd/\d+: not valid UTF-8$"):
+        _load_through_pipe(b"3 2\na 1 0\n\nb\xff 0 1\n")
+    data = _binary_bytes(2, [("a", [1, 0]), ("b", [0, 1])]).replace(b"\nb ", b"\nb\xff ")
+    with pytest.raises(EmbeddingFormatError, match=r"^/dev/fd/\d+ row 2: not valid UTF-8$"):
+        _load_through_pipe(data, "binary")

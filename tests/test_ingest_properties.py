@@ -2,7 +2,8 @@
 
 Generated score JSONL files and text tables mix valid entries with blank
 lines, malformed lines, NaN/Infinity literals, empty lists, unknown
-concepts, duplicates and several faults in one file. The chunk and block
+concepts, duplicates and several faults in one file; generated binary
+tables are checked against the whole-buffer oracle. The chunk and block
 sizes are shrunk so that files cross their boundaries.
 """
 
@@ -22,11 +23,16 @@ from hypothesis import strategies as st  # noqa: E402
 
 from semvid import embedding, videos  # noqa: E402
 from semvid.concepts import ConceptDefinition, ConceptRepository  # noqa: E402
-from semvid.embedding import load_embeddings  # noqa: E402
+from semvid.embedding import EmbeddingSpace, load_embeddings  # noqa: E402
 from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError  # noqa: E402
 from semvid.videos import POOL_MODES, ScoreTrack, load_corpus, pool  # noqa: E402
 
-from oracles import score_jsonl_oracle, text_table_oracle  # noqa: E402
+from oracles import (  # noqa: E402
+    binary_table_oracle,
+    normalized_table_oracle,
+    score_jsonl_oracle,
+    text_table_oracle,
+)
 
 VIDEOS = ["v0", "v1", "v2", "v3"]
 CONCEPTS = [f"c{i}" for i in range(6)]
@@ -264,3 +270,85 @@ def test_text_table_matches_line_oracle(workdir, text, block):
         assert got_warnings == (
             [f"embedding file: {dups} duplicate tokens dropped (first kept)"] if dups else []
         )
+
+
+# ---------------------------------------------------------- binary tables
+
+# multi-byte UTF-8, the empty token and a token with a newline inside
+BINARY_TOKENS = ["a", "b", "café", "日本", "", "x\ny", "ß"]
+FLOAT32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+
+
+def rarely(draw) -> bool:
+    """True about once in twenty draws (hypothesis favours a range's ends)."""
+    return draw(st.sampled_from([False] * 19 + [True]))
+
+
+@st.composite
+def binary_tables(draw):
+    """(bytes, _READ_BYTES) of a binary table: newline runs, duplicates,
+    unit and off-unit rows, a zero-norm duplicate that is dropped, and at
+    times a zero or non-finite kept row, a token that is not UTF-8, a count
+    other than the entries' or a truncation at any byte."""
+    dim = draw(st.integers(1, 4))
+    entries = []
+    for _ in range(draw(st.integers(1, 10))):
+        token = draw(st.sampled_from(BINARY_TOKENS)).encode()
+        kind = draw(st.sampled_from(["random", "unit", "scaled"]))
+        if rarely(draw):
+            values = [draw(st.sampled_from([0.0, float("nan"), float("inf")]))] * dim
+        elif kind == "random":
+            values = draw(st.lists(FLOAT32, min_size=dim, max_size=dim))
+        elif kind == "unit":
+            values = [0.0] * dim
+            values[draw(st.integers(0, dim - 1))] = draw(st.sampled_from([1.0, -1.0]))
+        else:
+            values = [draw(st.sampled_from([0.6, 3.0, 1e-30, 1e30]))] * dim
+        if rarely(draw):
+            token += b"\xff"
+        entries.append((token, values))
+    if draw(st.booleans()):  # a zero-norm duplicate of a kept token, dropped
+        entries.insert(draw(st.integers(1, len(entries))), (entries[0][0], [0.0] * dim))
+    count = len(entries) + draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    data = f"{max(count, 1)} {dim}\n".encode() + b"".join(
+        b"\n" * draw(st.integers(0, 3)) + token + b" " + np.asarray(values, "<f4").tobytes()
+        for token, values in entries
+    )
+    if draw(st.sampled_from([False, False, False, True])):
+        data = data[: draw(st.integers(0, len(data)))]
+    return data, draw(st.one_of(st.integers(1, 40), st.just(1 << 20)))
+
+
+@given(table=binary_tables())
+@settings(max_examples=300, deadline=None)
+def test_binary_table_matches_whole_buffer_oracle(workdir, table):
+    data, read_bytes = table
+    path = workdir / "table.bin"
+    path.write_bytes(data)
+    try:
+        raw_tokens, raw = binary_table_oracle(data, path)
+        expected, expected_error = normalized_table_oracle(raw_tokens, raw, raw.shape[1]), None
+    except EmbeddingFormatError as exc:
+        expected, expected_error = None, exc
+    with captured_warnings("semvid.embedding") as got_warnings, \
+            mock.patch.object(embedding, "_READ_BYTES", read_bytes), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            space, error = load_embeddings(path, fmt="binary"), None
+        except EmbeddingFormatError as exc:
+            space, error = None, exc
+    if expected_error is not None:
+        assert str(error) == str(expected_error)
+        return
+    assert error is None
+    tokens, matrix, dups = expected
+    assert space.tokens() == tokens and space.duplicates == dups
+    assert np.array_equal(bits(space._matrix), bits(matrix))
+    assert got_warnings == (
+        [f"embedding file: {dups} duplicate tokens dropped (first kept)"] if dups else []
+    )
+    # the norms the load kept are those a new space computes for itself
+    fresh = EmbeddingSpace(tokens, matrix)
+    for name in ("_norms", "_inv_norms", "_outliers"):
+        assert np.array_equal(bits(getattr(space, name)), bits(getattr(fresh, name))), name
+    assert space._index == fresh._index
