@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import os
 import re
-import struct
 from dataclasses import dataclass
 from itertools import islice
 
@@ -48,6 +47,17 @@ _BLOCK = 1024
 # points scan about 7% slower than with 1 MiB blocks; with 1 MiB blocks, a
 # 25-event ranking over a 5000-word table often peaked 1 MB higher in RSS.
 _SCAN_BYTES = 1 << 18
+
+# Multiply-adds per row tile of a scan block's float32 product, and the
+# point counts whose product runs in such tiles: OpenBLAS takes its
+# small-matrix path for a product of under 10**6 multiply-adds, which is
+# faster for a few points. At 16000 x 300 (OpenBLAS 0.3.31, one thread),
+# a product took 579 / 1129 / 1514 / 1126 / 1223 / 1374 / 2915 us for
+# 1 / 2 / 3 / 4 / 8 / 16 / 37 points as one call and 623 / 562 / 768 /
+# 591 / 924 / 1312 / 2846 us in tiles; one point is a gemv, slower in
+# tiles, and the gain fades beyond 8 points.
+_TILE_MADDS = 1 << 19
+_TILED_POINTS = range(2, 9)
 
 # Lines per np.loadtxt call of the text reader. At dim 300, 256 lines parse
 # as fast as 1024 and hold a quarter of the text and float64 rows: the
@@ -105,10 +115,20 @@ class EmbeddingSpace:
     """Immutable token -> unit-vector table with exhaustive k-NN search."""
 
     def __init__(self, tokens: list[str], matrix: np.ndarray, duplicates: int = 0):
+        """A space over ``matrix`` with one row per token; a token given
+        twice is an :class:`EmbeddingFormatError` (the loaders keep a
+        token's first row and count the rest in ``duplicates``)."""
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise EmbeddingFormatError("token list and matrix row count disagree")
-        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         index = dict(zip(tokens, range(len(tokens))))
+        if len(index) < len(tokens):
+            first: dict[str, int] = {}
+            for row, token in enumerate(tokens):
+                if first.setdefault(token, row) != row:
+                    raise EmbeddingFormatError(
+                        f"token {token!r} repeated at rows {first[token]} and {row}"
+                    )
+        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
         self._setup(tokens, matrix, _row_norms(matrix), index, duplicates)
 
     @classmethod
@@ -450,23 +470,30 @@ def _read_binary(path):
 
 def save_embeddings(space: EmbeddingSpace, path, fmt: str = "text") -> None:
     """Write the table back out; text mode uses 9 significant digits, which
-    round-trips the stored float32 values exactly."""
-    tokens = space.tokens()
-    if fmt == "text":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"{len(space)} {space.dimension}\n")
-            for i, token in enumerate(tokens):
-                row = space._matrix[i]
-                fh.write(token + " " + " ".join(format(float(v), ".9g") for v in row) + "\n")
-    elif fmt == "binary":
-        with open(path, "wb") as fh:
-            fh.write(f"{len(space)} {space.dimension}\n".encode("utf-8"))
-            for i, token in enumerate(tokens):
-                fh.write(token.encode("utf-8") + b" ")
-                fh.write(struct.pack(f"<{space.dimension}f", *space._matrix[i]))
-                fh.write(b"\n")
-    else:
+    round-trips the stored float32 values exactly. Each block of about
+    ``_READ_BYTES`` of vectors is formatted and written at once."""
+    if fmt not in ("text", "binary"):
         raise EmbeddingFormatError(f"unknown embedding format {fmt!r}")
+    tokens, dim = space.tokens(), space.dimension
+    header = f"{len(space)} {dim}\n"
+    width = 4 * dim  # bytes of a packed vector
+    step = max(1, _READ_BYTES // width)
+    blocks = ((tokens[start : start + step], space._matrix[start : start + step])
+              for start in range(0, len(space), step))
+    if fmt == "text":
+        values = " ".join(["%.9g"] * dim)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header)
+            for names, rows in blocks:
+                fh.write("".join([f"{token} {values % tuple(row)}\n"
+                                  for token, row in zip(names, rows.tolist())]))
+    else:
+        with open(path, "wb") as fh:
+            fh.write(header.encode("utf-8"))
+            for names, rows in blocks:
+                vectors = rows.astype("<f4", copy=False).tobytes()
+                fh.write(b"".join([b"%s %s\n" % (token.encode("utf-8"), vectors[at : at + width])
+                                   for at, token in zip(range(0, len(vectors), width), names)]))
 
 
 def tokenize(text: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -650,12 +677,22 @@ def nearest_words_many(
     return results
 
 
+def _products(rows: np.ndarray, units: np.ndarray, tile: int) -> np.ndarray:
+    """The float32 ``rows @ units``, one product per tile of ``tile`` rows."""
+    out = np.empty((len(rows), units.shape[1]), dtype=np.float32)
+    for at in range(0, len(rows), tile):
+        np.matmul(rows[at : at + tile], units, out=out[at : at + tile])
+    return out
+
+
 def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: float):
     """Per float32 unit point, the rows of the table within ``2 delta`` of
     the largest block k-th score up to their block, and those rows' float32
-    cosines (see :func:`nearest_words_many`). Each block is one
-    (rows x dim) @ (dim x points) float32 product; excluded rows and
-    outliers score -inf."""
+    cosines (see :func:`nearest_words_many`). Each block is a
+    (rows x dim) @ (dim x points) float32 product, in row tiles of
+    ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the tiles
+    change only the order of the float32 sums, which the bound allows.
+    Excluded rows and outliers score -inf."""
     m = len(units)
     if not m:
         return []
@@ -663,19 +700,23 @@ def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: floa
     ex_point = np.repeat(np.arange(m), [len(rows) for rows in excluded])
     ex_row = np.concatenate(excluded)
     block = max(1, _SCAN_BYTES // (12 * m))  # float32 products and float64 cosines
+    tile = max(1, _TILE_MADDS // (space.dimension * m)) if m in _TILED_POINTS else block
     floor = np.full(m, -np.inf)  # per point, the largest block k-th score so far
     rows, points, scores = [], [], []
     for start in range(0, len(space), block):
         stop = min(start + block, len(space))
-        cos32 = (space._matrix[start:stop] @ units) * space._inv_norms[start:stop, None]
+        width = stop - start
+        # float32 products times float64 inverse norms: float64 cosines
+        cos32 = _products(space._matrix[start:stop], units, tile)
+        cos32 = cos32 * space._inv_norms[start:stop, None]
         inside = (ex_row >= start) & (ex_row < stop)
         cos32[ex_row[inside] - start, ex_point[inside]] = -np.inf
         outliers = space._outliers
         cos32[outliers[(outliers >= start) & (outliers < stop)] - start] = -np.inf
-        width = stop - start
         if width > k:
             floor = np.maximum(floor, np.partition(cos32, width - k, axis=0)[width - k])
-        row, point = np.nonzero(cos32 >= floor - 2.0 * delta)
+        # the flat indices of a C-contiguous mask, in np.nonzero's order
+        row, point = np.divmod(np.flatnonzero(cos32 >= floor - 2.0 * delta), m)
         rows.append(row + start)
         points.append(point)
         scores.append(cos32[row, point])

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -425,6 +426,26 @@ def binary_table_oracle(data: bytes, path=None):
         rows.append(np.frombuffer(data, dtype="<f4", count=dim, offset=pos))
         pos += 4 * dim
     return tokens, np.array(rows, dtype=np.float32).reshape(count, dim)
+
+
+def save_embeddings_oracle(tokens, matrix, path, fmt: str) -> None:
+    """A table written one row at a time: the header ``V M``, then per row
+    its token and each value as ``format(v, ".9g")`` (text) or its token, a
+    space, ``struct.pack`` of the little-endian float32 values and a newline
+    (binary)."""
+    count, dim = matrix.shape
+    if fmt == "text":
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"{count} {dim}\n")
+            for token, row in zip(tokens, matrix):
+                fh.write(token + " " + " ".join(format(float(v), ".9g") for v in row) + "\n")
+    else:
+        with open(path, "wb") as fh:
+            fh.write(f"{count} {dim}\n".encode("utf-8"))
+            for token, row in zip(tokens, matrix):
+                fh.write(token.encode("utf-8") + b" ")
+                fh.write(struct.pack(f"<{dim}f", *row))
+                fh.write(b"\n")
 
 
 def rank_sum_auc_oracle(scores, labels) -> float:

@@ -105,6 +105,42 @@ def test_rank_deterministic_and_matches_library(world_dir, tmp_path):
         assert [v for v, _ in got.entries] == [v for v, _ in expected.entries]
 
 
+def shuffled_lines(source, target, rng, header=False):
+    """``source``'s lines in a seeded random order (a header line stays first)."""
+    lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)
+    head, body = (lines[:1], lines[1:]) if header else ([], lines)
+    Path(target).write_text("".join(head + [body[i] for i in rng.permutation(len(body))]),
+                            encoding="utf-8")
+    return str(target)
+
+
+@pytest.mark.parametrize("mode", ["max", "avg"])
+def test_rank_is_the_same_for_input_lines_in_any_order(world_dir, tmp_path, mode):
+    _, paths = world_dir
+
+    def rank(scores, transcripts):
+        out = tmp_path / "ranked.tsv"
+        assert main([
+            "rank", paths["embeddings"], paths["concepts"], paths["queries"], "--scores", scores,
+            "--transcripts", transcripts, "--mode", mode, "--out", str(out),
+        ]) == 0
+        return out.read_bytes()
+
+    pooled = tmp_path / "pooled.csv"
+    assert main(["pool", paths["scores"], paths["concepts"], "--mode", mode,
+                 "--out", str(pooled)]) == 0
+    expected = rank(paths["scores"], paths["transcripts"])
+    assert rank(str(pooled), paths["transcripts"]) == expected
+    rng = np.random.default_rng(17 if mode == "max" else 18)
+    for trial in range(4):
+        scores = shuffled_lines(paths["scores"], tmp_path / f"scores{trial}.jsonl", rng)
+        transcripts = shuffled_lines(paths["transcripts"], tmp_path / f"tr{trial}.jsonl", rng)
+        csv = shuffled_lines(pooled, tmp_path / f"pooled{trial}.csv", rng, header=True)
+        assert rank(scores, transcripts) == expected
+        assert rank(scores, paths["transcripts"]) == expected
+        assert rank(csv, transcripts) == expected
+
+
 def test_rank_config_file_and_flag_precedence(world_dir, tmp_path):
     _, paths = world_dir
     config = tmp_path / "run.conf"

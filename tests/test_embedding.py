@@ -21,7 +21,13 @@ from semvid.embedding import (
 from semvid.errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError
 from semvid.synth import random_space
 
-from oracles import binary_table_oracle, cosine_oracle, scan_oracle, sum_pool_oracle
+from oracles import (
+    binary_table_oracle,
+    cosine_oracle,
+    save_embeddings_oracle,
+    scan_oracle,
+    sum_pool_oracle,
+)
 
 
 # ---------------------------------------------------------------- loading
@@ -87,6 +93,49 @@ def test_binary_roundtrip_exact(tmp_path):
     loaded = load_embeddings(path, fmt="binary")
     assert loaded.tokens() == space.tokens()
     np.testing.assert_array_equal(loaded._matrix, space._matrix)
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+@pytest.mark.parametrize("block_rows", [1, 3, None])
+def test_save_writes_the_bytes_of_a_row_at_a_time_writer(tmp_path, monkeypatch, fmt, block_rows):
+    # a hand-built table keeps its rows as given: -0.0, subnormals, the
+    # float32 extremes and values 9 digits do not round
+    dim = 5
+    rng = np.random.default_rng(41)
+    matrix = rng.standard_normal((11, dim)).astype(np.float32)
+    matrix[1] = [-0.0, 0.0, 1.0, -1.0, 0.5]
+    matrix[2] = [1e-45, -1e-45, 1e-40, np.finfo(np.float32).tiny, np.finfo(np.float32).max]
+    matrix[3] = np.float32(1) / np.float32(3) * np.arange(1, dim + 1, dtype=np.float32)
+    tokens = [f"w{i}" for i in range(11)]
+    tokens[4], tokens[5], tokens[6] = "naïve", "日本語_語", "emoji\U0001f600"
+    space = EmbeddingSpace(tokens, matrix)
+    if block_rows is not None:  # blocks of block_rows rows: 11 rows end mid-block
+        monkeypatch.setattr(embedding, "_READ_BYTES", 4 * dim * block_rows)
+    save_embeddings(space, tmp_path / "bulk", fmt)
+    save_embeddings_oracle(tokens, matrix, tmp_path / "rows", fmt)
+    assert (tmp_path / "bulk").read_bytes() == (tmp_path / "rows").read_bytes()
+
+
+def test_save_of_a_loaded_table_at_dim_300_writes_the_oracle_bytes(tmp_path):
+    space = random_space(np.random.default_rng(42), 1000, 300)  # 1000 rows: 2 blocks
+    for fmt in ("text", "binary"):
+        save_embeddings(space, tmp_path / f"bulk.{fmt}", fmt)
+        save_embeddings_oracle(space.tokens(), space._matrix, tmp_path / f"rows.{fmt}", fmt)
+        assert (tmp_path / f"bulk.{fmt}").read_bytes() == (tmp_path / f"rows.{fmt}").read_bytes()
+        loaded = load_embeddings(tmp_path / f"bulk.{fmt}", fmt)
+        np.testing.assert_array_equal(loaded._matrix, space._matrix)
+    with pytest.raises(EmbeddingFormatError, match="unknown embedding format"):
+        save_embeddings(space, tmp_path / "x", "csv")
+
+
+def test_space_rejects_a_repeated_token():
+    matrix = np.array([[1, 0], [0.6, 0.8], [0, 1], [0.8, 0.6]], dtype=np.float32)
+    with pytest.raises(EmbeddingFormatError, match=r"token 'a' repeated at rows 0 and 2"):
+        EmbeddingSpace(["a", "b", "a", "c"], matrix)
+    with pytest.raises(EmbeddingFormatError, match=r"token 'b' repeated at rows 1 and 2"):
+        EmbeddingSpace(["a", "b", "b", "b"], matrix)
+    space = EmbeddingSpace(["a", "b", "c", "d"], matrix)
+    assert [t for t, _ in nearest_words(space, [1, 0], 4)] == ["a", "d", "b", "c"]
 
 
 def write_binary(path, dim, entries, count=None, newline=b"\n"):
@@ -598,6 +647,64 @@ def test_nearest_words_many_rejects_a_bad_point(space50):
         nearest_words_many(space50, [good, np.zeros(8)], [3, 3], [set(), set()])
     with pytest.raises(ValueError, match="k must be"):
         nearest_words_many(space50, [good, good], [3, 0], [set(), set()])
+
+
+def tiled(monkeypatch, rows, points, dim=300):
+    """Scan tiles of ``rows`` table rows for a call with ``points`` points,
+    whatever the point count."""
+    monkeypatch.setattr(embedding, "_TILE_MADDS", rows * dim * points)
+    monkeypatch.setattr(embedding, "_TILED_POINTS", range(1, points + 1))
+
+
+def test_scan_tiles_only_a_few_points():
+    assert 1 not in embedding._TILED_POINTS  # one point is a gemv, faster whole
+    assert 2 in embedding._TILED_POINTS and 25 not in embedding._TILED_POINTS
+
+
+@pytest.mark.parametrize("tile", [1, 2, 7, 64])
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 40])
+def test_nearest_words_many_in_row_tiles_matches_oracle(monkeypatch, m, tile):
+    # tie_table's copies of row 9 (rows 3, 9, 17, 31, 39) fall in different
+    # tiles and blocks of 13 rows; rows 12 and 25 are outliers in tiles of
+    # their own, and the excluded rows 5 and 22 in others
+    space, matrix = tie_table()
+    matrix = matrix.copy()
+    matrix[12] *= 1e-33
+    matrix[25] *= 1e33
+    space = EmbeddingSpace(space.tokens(), matrix)
+    assert set(space._outliers) == {12, 25}
+    rng = np.random.default_rng(100 * m + tile)
+    points = [matrix[9].astype(np.float64), matrix[25].astype(np.float64)]
+    points += [rng.standard_normal(300) for _ in range(m)]
+    points = points[:m]
+    ks = [(1, 2, 4, 5, 6, 9)[i % 6] for i in range(m)]
+    excludes = [(set(), {"w05", "w22"}, {"zeta", "w25", "w12"})[i % 3] for i in range(m)]
+    alone = [nearest_words(space, *args) for args in zip(points, ks, excludes)]
+    blocked(monkeypatch, 13, m)
+    tiled(monkeypatch, tile, m)
+    got = nearest_words_many(space, points, ks, excludes)
+    assert got == alone
+    for result, point, k, exclude in zip(got, points, ks, excludes):
+        assert_same_neighbors(result, oracle_neighbors(space, point, k, exclude))
+    top = nearest_words(space, points[0], 5)
+    assert [t for t, _ in top] == ["alpha", "mid", "omega", "w09", "zeta"]
+
+
+@pytest.mark.parametrize("tile", [1, 7, None])
+def test_scan_cosines_keep_the_float64_norm_scaling(monkeypatch, tile):
+    # the bound covers float32 products divided by float64 norms; a float32
+    # rounding of the quotient would add an error it does not cover
+    space, matrix = tie_table()
+    units = [(matrix[i] / np.linalg.norm(matrix[i])).astype(np.float32) for i in (2, 9)]
+    if tile is not None:
+        tiled(monkeypatch, tile, 2)
+    none = np.empty(0, dtype=np.intp)
+    found = embedding._scan_candidates(space, units, 3, [none, none], 1.0)  # every row
+    for (rows, cos), unit in zip(found, units):
+        np.testing.assert_array_equal(rows, np.arange(40))
+        assert cos.dtype == np.float64 and np.any(cos != cos.astype(np.float32))
+        products = np.array([np.dot(row, unit) for row in matrix], dtype=np.float32)
+        np.testing.assert_allclose(cos, products * space._inv_norms, rtol=0, atol=1e-5)
 
 
 def test_nearest_words_zero_point_error(space50):

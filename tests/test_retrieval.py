@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import semvid.embedding as embedding
 import semvid.retrieval as retrieval
 from semvid.concepts import ConceptDefinition, ConceptRepository, rank_concepts
 from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings
@@ -488,6 +489,24 @@ def test_rank_events_equal_ranking_each_event_alone(odd_world):
         assert rank_events(queries[::-1], space, repo, corpus, config) == alone[::-1]
         assert rank_events(queries, space, repo, list(corpus), config) == alone
     assert rank_events([], space, repo, corpus) == []
+
+
+@pytest.mark.parametrize("tile", [1, 7, 64, None])
+def test_a_two_point_event_in_row_tiles_equals_its_batch_ranking(odd_world, monkeypatch, tile):
+    # an event with distinct OCR and ASR terms scans two points, in row
+    # tiles; the batch of all events scans 16 points as one product a block
+    space, repo, corpus, queries = odd_world[:4]
+    queries = queries + [
+        EventQuery(event_id=f"t{i}", title_terms=(f"w{10 + i}",),
+                   ocr_terms=(f"w{40 + i}",), asr_terms=(f"w{70 + i}", f"w{71 + i}"))
+        for i in range(6)
+    ]
+    if tile is not None:
+        monkeypatch.setattr(embedding, "_TILE_MADDS", tile * space.dimension * 2)
+        monkeypatch.setattr(embedding, "_SCAN_BYTES", 12 * 2 * 50)  # blocks of 50 rows
+    batch = rank_events(queries, space, repo, corpus)
+    for query, ranked in zip(queries, batch):
+        assert rank_event(query, space, repo, corpus) == ranked
 
 
 def outcome(rank):
