@@ -37,8 +37,7 @@ _EXPORTS = {
         "ranked": ("RankedList",),
         "retrieval": (
             "ChannelScores", "EventQuery", "embed_video_fastpath", "fuse", "load_queries",
-            "rank_event", "rank_events", "score_concept_channel", "score_matching_baseline",
-            "score_text_channel",
+            "rank_event", "rank_events", "score_matching_baseline", "score_text_channel",
         ),
         "similarity": ("sim_crosssum", "sim_hausdorff", "sim_pooled"),
         "stopwords": ("DEFAULT_STOPWORDS", "load_stopwords"),

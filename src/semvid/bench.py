@@ -11,15 +11,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from . import kernels
 from .config import RetrievalConfig
+from .errors import SemvidError
 from .retrieval import rank_event
 from .synth import bench_setup
 
 
 @dataclass(frozen=True)
 class BenchRow:
-    backend: str
     n_videos: int
     min_seconds: float
     median_seconds: float
@@ -40,65 +39,52 @@ def run_bench(
     dim: int = 300,
     repeat: int = 3,
     seed: int = 7,
-    backends: list[str] | None = None,
     config: RetrievalConfig = RetrievalConfig(),
 ) -> list[BenchRow]:
-    """Time rank_event at each corpus size for each kernel backend.
+    """Time rank_event at each corpus size.
 
     Each corpus is built into its columns once, before any timing, so the
     figures measure ranking rather than ingest.
     """
-    if not sizes:
-        raise ValueError("need at least one corpus size")
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    if backends is None:
-        backends = [kernels.active_backend()]
+    if not sizes or any(n < 1 for n in sizes):
+        raise SemvidError("need at least one corpus size, each >= 1")
+    for name, value, least in (
+        ("repeat", repeat, 1), ("concepts", n_concepts, 1), ("dim", dim, 1), ("seed", seed, 0)
+    ):
+        if value < least:
+            raise SemvidError(f"bench {name} must be >= {least}, got {value}")
 
     setups = [(n, bench_setup(seed, n, n_concepts, dim)) for n in sizes]
+    space, repo, small_corpus, query = setups[0][1]
+    rank_event(query, space, repo, small_corpus[: min(64, len(small_corpus))], config)
 
-    previous_backend = kernels.active_backend()
     rows: list[BenchRow] = []
-    try:
-        for backend in backends:
-            kernels.set_backend(backend)
-            kernels.warmup()
-            space, repo, small_corpus, query = setups[0][1]
-            rank_event(query, space, repo, small_corpus[: min(64, len(small_corpus))], config)
-
-            prev_min: float | None = None
-            for n, (space, repo, corpus, query) in setups:
-                times = []
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    rank_event(query, space, repo, corpus, config)
-                    times.append(time.perf_counter() - start)
-                lo = min(times)
-                ratio = None if prev_min is None else lo / prev_min
-                rows.append(
-                    BenchRow(
-                        backend=backend,
-                        n_videos=n,
-                        min_seconds=lo,
-                        median_seconds=_median(times),
-                        ratio_vs_previous=ratio,
-                    )
-                )
-                prev_min = lo
-    finally:
-        kernels.set_backend(previous_backend)
+    prev_min: float | None = None
+    for n, (space, repo, corpus, query) in setups:
+        times = []
+        for _ in range(repeat):
+            start = time.perf_counter()
+            rank_event(query, space, repo, corpus, config)
+            times.append(time.perf_counter() - start)
+        lo = min(times)
+        ratio = None if prev_min is None else lo / prev_min
+        rows.append(
+            BenchRow(n_videos=n, min_seconds=lo, median_seconds=_median(times),
+                     ratio_vs_previous=ratio)
+        )
+        prev_min = lo
     return rows
 
 
 def format_bench_table(rows: list[BenchRow], seed: int) -> str:
     lines = [
         f"# synthetic corpora seeded with {seed}",
-        f"{'backend':<8} {'videos':>8} {'min_s':>10} {'median_s':>10} {'t(2n)/t(n)':>11}",
+        f"{'videos':>8} {'min_s':>10} {'median_s':>10} {'t(2n)/t(n)':>11}",
     ]
     for row in rows:
         ratio = "-" if row.ratio_vs_previous is None else f"{row.ratio_vs_previous:.3f}"
         lines.append(
-            f"{row.backend:<8} {row.n_videos:>8} {row.min_seconds:>10.4f} "
+            f"{row.n_videos:>8} {row.min_seconds:>10.4f} "
             f"{row.median_seconds:>10.4f} {ratio:>11}"
         )
     return "\n".join(lines) + "\n"

@@ -14,7 +14,7 @@ import sys
 from .errors import SemvidError
 
 # Each command imports what it runs and pays only its own start-up: ``eval``
-# loads no numpy, and only ``bench`` loads the kernels, bench and synth.
+# loads no numpy, and only ``bench`` loads the bench and synth modules.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,12 +73,6 @@ def _build_parser() -> _Parser:
     bench.add_argument("--dim", type=int, default=300)
     bench.add_argument("--repeat", type=int, default=3)
     bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument(
-        "--backend",
-        choices=["numpy", "numba", "both", "active"],
-        default="active",
-        help="kernel backend(s) to time",
-    )
     return parser
 
 
@@ -177,28 +171,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from . import kernels
     from .bench import format_bench_table, run_bench
 
     try:
         sizes = [int(s) for s in args.videos.split(",") if s.strip()]
     except ValueError:
         raise SemvidError(f"--videos must be comma-separated integers, got {args.videos!r}")
-    if not sizes or any(s < 1 for s in sizes):
-        raise SemvidError("--videos needs at least one positive size")
-    if args.backend == "both":
-        backends = ["numpy", "numba"] if kernels.HAS_NUMBA else ["numpy"]
-    elif args.backend == "active":
-        backends = [kernels.active_backend()]
-    else:
-        backends = [args.backend]
     rows = run_bench(
-        sizes,
-        n_concepts=args.concepts,
-        dim=args.dim,
-        repeat=args.repeat,
-        seed=args.seed,
-        backends=backends,
+        sizes, n_concepts=args.concepts, dim=args.dim, repeat=args.repeat, seed=args.seed
     )
     sys.stdout.write(format_bench_table(rows, args.seed))
     return 0

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .concepts import ConceptRepository, top_r_columns
 from .config import DEFAULT_CONFIG, RetrievalConfig
 from .embedding import (
@@ -134,34 +133,6 @@ def map_concept_raw(raw, r: int):
     clipped so that rounding in the cosine weights cannot leave the range.
     Works elementwise on arrays."""
     return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
-
-
-def concept_raw_score(
-    query_set: EmbeddedSet,
-    repo: ConceptRepository,
-    video: VideoRecord,
-    kernel: str = "pooled",
-    r: int = 5,
-    percentile: float = 50.0,
-) -> float:
-    """Raw marginalized relevance: sum over the R most query-relevant
-    concepts of relevance weight times detection probability."""
-    columns, weights = top_r_columns(repo, query_set, kernel, r, percentile)
-    S = np.asarray(video.concept_scores, dtype=np.float64)[None, :]
-    return float(kernels.marginal_scores(S[:, columns], weights)[0])
-
-
-def score_concept_channel(
-    query_set: EmbeddedSet,
-    repo: ConceptRepository,
-    video: VideoRecord,
-    kernel: str = "pooled",
-    r: int = 5,
-    percentile: float = 50.0,
-) -> float:
-    """Concept channel score mapped to [0, 1]."""
-    raw = concept_raw_score(query_set, repo, video, kernel, r, percentile)
-    return float(map_concept_raw(raw, r))
 
 
 def embed_video_fastpath(
@@ -399,7 +370,9 @@ def rank_events(
     for query, (columns, weights, ocr, asr) in zip(
         queries, _query_sides(queries, space, repo, config)
     ):
-        raws = kernels.marginal_scores(corpus.S[:, columns], weights)
+        # a fixed-order reduction per row, never a BLAS gemv, so that a
+        # score does not depend on the video's row in the matrix
+        raws = (corpus.S[:, columns] * weights).sum(axis=1)
         channels = ChannelScores(  # a missing text channel scores the neutral 0.5
             concept=map_concept_raw(raws, config.top_r),
             ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
 from .embedding import EmbeddedSet
 from .errors import ZeroNormError
 
@@ -23,7 +22,7 @@ def _vectors(value) -> np.ndarray:
     arr = value.vectors if isinstance(value, EmbeddedSet) else np.asarray(value, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ZeroNormError("similarity kernels need a non-empty (n, dim) vector set")
-    return np.asarray(arr, dtype=np.float64)
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -69,7 +68,8 @@ def sim_hausdorff(x, y, percentile: float = 50.0) -> float:
     xs, ys = _vectors(x), _vectors(y)
     if xs.shape[0] == 1 and ys.shape[0] == 1:
         return _cosine(xs[0], ys[0])
-    best_x, best_y = kernels.directed_max_cosines(xs, ys)
+    sims = (xs @ ys.T) / np.outer(np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1))
+    best_x, best_y = sims.max(axis=1), sims.max(axis=0)
     return min(lower_percentile(best_x, percentile), lower_percentile(best_y, percentile))
 
 

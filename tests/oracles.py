@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Everything here recomputes results with plain loops, math.fsum and sorted()
-so that the production paths (vectorized numpy, numba kernels, order
-statistics, rank sums) are checked against a second route.
+so that the production paths (vectorized numpy, order statistics, rank
+sums) are checked against a second route.
 """
 
 from __future__ import annotations

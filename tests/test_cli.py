@@ -237,16 +237,27 @@ def test_eval_rounding_ties_change_auc_not_ap(tmp_path, capsys):
 
 def test_bench_smoke(capsys):
     code = main(["bench", "--videos", "64,128", "--concepts", "20", "--dim", "8",
-                 "--repeat", "1", "--backend", "numpy"])
+                 "--repeat", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "t(2n)/t(n)" in out
-    assert "numpy" in out
 
 
 def test_bench_empty_sizes_usage_error(capsys):
     assert main(["bench", "--videos", ","]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--repeat", "0"], ["--seed", "-1"], ["--dim", "0"], ["--concepts", "0"],
+     ["--videos", "64,0"]],
+)
+def test_bench_bad_size_is_input_error_before_any_work(flags, capsys, caplog):
+    assert main(["bench", "--videos", "64", "--concepts", "20", "--dim", "8", *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "internal error" not in err
+    assert not caplog.records  # rejected before a world is built
 
 
 def test_missing_file_is_input_error(capsys):

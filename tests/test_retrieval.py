@@ -12,7 +12,6 @@ from semvid.errors import AllTokensOOV, IngestError, NoScoreableConcepts, Semvid
 from semvid.retrieval import (
     ChannelScores,
     EventQuery,
-    concept_raw_score,
     embed_video_fastpath,
     fastpath_raw_score,
     fuse,
@@ -20,7 +19,6 @@ from semvid.retrieval import (
     map_concept_raw,
     rank_event,
     rank_events,
-    score_concept_channel,
     score_matching_baseline,
     score_text_channel,
 )
@@ -64,20 +62,26 @@ def make_repo(space, names):
 
 # ------------------------------------------------------- concept channel
 
+def concept_only_scores(space, repo, title, videos, r=5):
+    """rank_event's score per video id on videos without transcripts, where
+    both text channels are the neutral 0.5 and the concept channel alone
+    moves the fused score."""
+    ranked = rank_event(EventQuery("e", tuple(title)), space, repo, videos, RetrievalConfig(top_r=r))
+    return dict(ranked.entries)
+
+
 def test_concept_raw_degenerate_sum(axis_space):
     repo = make_repo(axis_space, ["q"])
-    query = embed_tokens(axis_space, ["q"])
     video = VideoRecord(video_id="v", concept_scores=np.array([1.0]))
-    assert concept_raw_score(query, repo, video, r=1) == pytest.approx(1.0, abs=1e-9)
-    assert score_concept_channel(query, repo, video, r=1) == pytest.approx(1.0, abs=1e-9)
+    got = concept_only_scores(axis_space, repo, ["q"], [video], r=1)["v"]
+    assert got == pytest.approx(fuse_oracle(1.0, 0.5, 0.5, 6), abs=1e-9)
 
 
 def test_concept_raw_annihilated_by_zero_scores(axis_space):
     repo = make_repo(axis_space, ["t1", "t2", "t3"])
-    query = embed_tokens(axis_space, ["q"])
     video = VideoRecord(video_id="v", concept_scores=np.zeros(3))
-    assert concept_raw_score(query, repo, video, r=2) == 0.0
-    assert score_concept_channel(query, repo, video, r=2) == pytest.approx(0.5)
+    got = concept_only_scores(axis_space, repo, ["q"], [video], r=2)["v"]
+    assert got == pytest.approx(fuse_oracle(0.5, 0.5, 0.5, 6), abs=1e-12)  # 0.5
 
 
 def test_concept_raw_matches_naive_marginalization_oracle(space50):
@@ -92,14 +96,16 @@ def test_concept_raw_matches_naive_marginalization_oracle(space50):
     repo.attach_space(space50)
     order = repo.ids()
     qtokens = [str(t) for t in rng.choice(tokens, size=2, replace=False)]
-    query = embed_tokens(space50, qtokens)
     qvecs = [space50.vector(t) for t in qtokens]
-    for v in range(40):
-        vc = rng.uniform(0, 1, size=30)
-        video = VideoRecord(video_id=f"v{v}", concept_scores=vc)
-        got = concept_raw_score(query, repo, video, "pooled", 5)
-        expected = marginalization_oracle(qvecs, sets, order, vc, 5)
-        assert got == pytest.approx(expected, abs=1e-10)
+    videos = [
+        VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=30))
+        for v in range(40)
+    ]
+    got = concept_only_scores(space50, repo, qtokens, videos)
+    for video in videos:
+        raw = marginalization_oracle(qvecs, sets, order, video.concept_scores, 5)
+        expected = fuse_oracle((raw / 5 + 1.0) / 2.0, 0.5, 0.5, 6)
+        assert got[video.video_id] == pytest.approx(expected, abs=1e-10)
 
 
 # ------------------------------------------------------------- fast path
@@ -126,11 +132,13 @@ def test_fastpath_equals_naive_raw(space50):
 
     rng = np.random.default_rng(22)
     repo = make_repo(space50, [f"w{i}" for i in range(20)])
+    sets = {f"c_w{i}": [space50.vector(f"w{i}")] for i in range(20)}
     query = embed_tokens(space50, ["w30", "w31"])
+    qvecs = [space50.vector("w30"), space50.vector("w31")]
     selected = [w.concept_id for w in top_r(rank_concepts(repo, query), 5)]
     for v in range(25):
         video = VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=20))
-        naive = concept_raw_score(query, repo, video, "pooled", 5)
+        naive = marginalization_oracle(qvecs, sets, repo.ids(), video.concept_scores, 5)
         fast = fastpath_raw_score(query, repo, video, selected)
         assert fast == pytest.approx(naive, rel=1e-9, abs=1e-12)
 
