@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .concepts import ConceptRepository, top_r_columns
 from .config import DEFAULT_CONFIG, RetrievalConfig
 from .embedding import (
@@ -370,9 +371,7 @@ def rank_events(
     for query, (columns, weights, ocr, asr) in zip(
         queries, _query_sides(queries, space, repo, config)
     ):
-        # a fixed-order reduction per row, never a BLAS gemv, so that a
-        # score does not depend on the video's row in the matrix
-        raws = (corpus.S[:, columns] * weights).sum(axis=1)
+        raws = kernels.marginal_scores(corpus.S[:, columns], weights)
         channels = ChannelScores(  # a missing text channel scores the neutral 0.5
             concept=map_concept_raw(raws, config.top_r),
             ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),

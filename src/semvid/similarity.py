@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernels
 from .embedding import EmbeddedSet
 from .errors import ZeroNormError
 
@@ -68,8 +69,7 @@ def sim_hausdorff(x, y, percentile: float = 50.0) -> float:
     xs, ys = _vectors(x), _vectors(y)
     if xs.shape[0] == 1 and ys.shape[0] == 1:
         return _cosine(xs[0], ys[0])
-    sims = (xs @ ys.T) / np.outer(np.linalg.norm(xs, axis=1), np.linalg.norm(ys, axis=1))
-    best_x, best_y = sims.max(axis=1), sims.max(axis=0)
+    best_x, best_y = kernels.directed_max_cosines(xs, ys)
     return min(lower_percentile(best_x, percentile), lower_percentile(best_y, percentile))
 
 

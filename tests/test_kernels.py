@@ -1,48 +1,10 @@
-"""Both kernel backends must agree; the env flag picks the default."""
-
-import os
-import subprocess
-import sys
+"""The numeric kernels of ranking on their own."""
 
 import numpy as np
-import pytest
 
 from semvid import kernels
 
 from oracles import random_set
-
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
-
-
-@pytest.fixture
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
-
-
-@needs_numba
-def test_backends_agree_on_directed_max(restore_backend):
-    rng = np.random.default_rng(1)
-    x, y = random_set(rng, 9, 12, unit=False), random_set(rng, 7, 12, unit=False)
-    kernels.set_backend("numpy")
-    np_x, np_y = kernels.directed_max_cosines(x, y)
-    kernels.set_backend("numba")
-    nb_x, nb_y = kernels.directed_max_cosines(x, y)
-    np.testing.assert_allclose(np_x, nb_x, atol=1e-12)
-    np.testing.assert_allclose(np_y, nb_y, atol=1e-12)
-
-
-@needs_numba
-def test_backends_agree_on_marginal_scores(restore_backend):
-    rng = np.random.default_rng(2)
-    sub = rng.uniform(0, 1, size=(40, 5))
-    weights = rng.uniform(-1, 1, size=5)
-    kernels.set_backend("numpy")
-    a = kernels.marginal_scores(sub, weights)
-    kernels.set_backend("numba")
-    b = kernels.marginal_scores(sub, weights)
-    np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 def test_directed_max_shapes_and_bounds():
@@ -51,27 +13,3 @@ def test_directed_max_shapes_and_bounds():
     best_x, best_y = kernels.directed_max_cosines(x, y)
     assert best_x.shape == (5,) and best_y.shape == (3,)
     assert np.all(best_x <= 1.0 + 1e-12) and np.all(best_x >= -1.0 - 1e-12)
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(Exception):
-        kernels.set_backend("fortran")
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SEMVID_KERNELS="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c", "from semvid import kernels; print(kernels.active_backend())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-@needs_numba
-def test_env_flag_selects_numba_backend():
-    env = dict(os.environ, SEMVID_KERNELS="numba")
-    out = subprocess.run(
-        [sys.executable, "-c", "from semvid import kernels; print(kernels.active_backend())"],
-        capture_output=True, text=True, env=env,
-    )
-    assert out.stdout.strip() == "numba"
