@@ -36,8 +36,7 @@ _EXPORTS = {
         ),
         "ranked": ("RankedList",),
         "retrieval": (
-            "ChannelScores", "EventQuery", "embed_video_fastpath", "fuse", "load_queries",
-            "rank_event", "rank_events", "score_matching_baseline", "score_text_channel",
+            "ChannelScores", "EventQuery", "fuse", "load_queries", "rank_event", "rank_events",
         ),
         "similarity": ("sim_crosssum", "sim_hausdorff", "sim_pooled"),
         "stopwords": ("DEFAULT_STOPWORDS", "load_stopwords"),

@@ -36,7 +36,7 @@ def _build_parser() -> _Parser:
     pool.add_argument("--out", required=True, help="output CSV path")
 
     rel = sub.add_parser("relevance", help="rank concepts by relevance to a query")
-    rel.add_argument("embeddings", help="embedding table (text format)")
+    rel.add_argument("embeddings", help="word2vec embedding table (text, or --binary)")
     rel.add_argument("concepts", help="concept repository JSON")
     rel.add_argument("--query", required=True, help="free-text event query")
     rel.add_argument("--kernel", choices=["pooled", "hausdorff"], default="pooled")
@@ -101,7 +101,7 @@ def _cmd_pool(args) -> int:
 
 
 def _cmd_relevance(args) -> int:
-    from .concepts import load_concepts, rank_concepts, top_r
+    from .concepts import load_concepts, rank_concepts
     from .embedding import embed_tokens, load_embeddings, tokenize
 
     stops = _stops(args)
@@ -111,9 +111,7 @@ def _cmd_relevance(args) -> int:
     query_set = embed_tokens(space, tokens)
     if query_set.oov:
         print(f"note: query tokens out of vocabulary: {list(query_set.oov)}", file=sys.stderr)
-    ranked = top_r(rank_concepts(repo, query_set, args.kernel, args.percentile), max(args.top, 1))
-    if args.top <= 0:
-        ranked = []
+    ranked = rank_concepts(repo, query_set, args.kernel, args.percentile)[: max(args.top, 0)]
     width = max([len("concept")] + [len(w.concept_id) for w in ranked])
     print(f"{'concept':<{width}}  {'weight':>9}")
     for wc in ranked:
@@ -143,7 +141,7 @@ def _cmd_rank(args) -> int:
     space = load_embeddings(args.embeddings, _fmt(args))
     repo = load_concepts(args.concepts, space, stops)
     corpus = load_corpus(args.scores, repo, args.transcripts, config.mode)
-    queries = load_queries(args.queries, stops, config.augment_k)
+    queries = load_queries(args.queries, stops)
     runs = rank_events(queries, space, repo, corpus, config, stops)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -52,7 +52,6 @@ class ConceptRepository:
         self._order = {c.id: i for i, c in enumerate(self.concepts)}
         if len(self._order) != len(self.concepts):
             raise ConceptFormatError("duplicate concept ids")
-        self._embedded: dict[str, EmbeddedSet] = {}
         self.unscoreable: tuple[str, ...] = ()
         self.space: EmbeddingSpace | None = None
         self.stops: frozenset[str] = DEFAULT_STOPWORDS
@@ -83,20 +82,17 @@ class ConceptRepository:
     def ids(self) -> list[str]:
         return [c.id for c in self.concepts]
 
-    def embedded_set(self, concept_id: str) -> EmbeddedSet | None:
-        return self._embedded.get(concept_id)
-
     def attach_space(self, space: EmbeddingSpace, stops=DEFAULT_STOPWORDS) -> None:
-        """Precompute every concept's embedded token set and the matrices
-        the two kernels rank against: the pooled concept vectors with their
-        norms, and all concepts' word vectors stacked with their norms."""
-        excluded = []
+        """Embed every concept's tokens and precompute the matrices the two
+        kernels rank against: the pooled concept vectors with their norms,
+        and all concepts' word vectors stacked with their norms."""
+        embedded, excluded = {}, []
         for concept in self.concepts:
             tokens = tokenize(concept.name, stops)
             for keyword in concept.keywords:
                 tokens.extend(tokenize(keyword, stops))
             try:
-                self._embedded[concept.id] = embed_tokens(space, tokens)
+                embedded[concept.id] = embed_tokens(space, tokens)
             except AllTokensOOV:
                 excluded.append(concept.id)
         self.unscoreable = tuple(excluded)
@@ -107,8 +103,8 @@ class ConceptRepository:
                 len(excluded), len(self.concepts), excluded,
             )
 
-        ids = self.scoreable_ids()
-        sets = [self._embedded[concept_id].vectors for concept_id in ids]
+        ids = list(embedded)  # the scoreable ids, in concept order
+        sets = [embedded[concept_id].vectors for concept_id in ids]
         sizes = np.array([len(vectors) for vectors in sets], dtype=np.intp)
         vectors = np.vstack(sets) if sets else np.zeros((0, space.dimension))
 
@@ -135,7 +131,8 @@ class ConceptRepository:
         self._set_cells = (owner, np.arange(len(owner)) - self._set_starts[owner])
 
     def scoreable_ids(self) -> list[str]:
-        return [c.id for c in self.concepts if c.id in self._embedded]
+        unscoreable = set(self.unscoreable)
+        return [c.id for c in self.concepts if c.id not in unscoreable]
 
 
 def _id_columns(repo: ConceptRepository, ids):

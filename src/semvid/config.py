@@ -22,7 +22,6 @@ class RetrievalConfig:
     fusion_weight: float = 6.0    # geometric-mean emphasis on the concept channel
     augment_k: int = 5            # nearest words added to the text-channel query
     percentile: float = 50.0      # order statistic for the Hausdorff kernel
-    raw_sum_text: bool = False    # length-sensitive raw cross-sum text scoring
 
 
 DEFAULT_CONFIG = RetrievalConfig()

@@ -106,10 +106,6 @@ class EmbeddedSet:
     def __len__(self) -> int:
         return self.vectors.shape[0]
 
-    def pooled(self) -> np.ndarray:
-        """Component-wise sum of the member vectors (not renormalized)."""
-        return sum_pool(self)
-
 
 class EmbeddingSpace:
     """Immutable token -> unit-vector table with exhaustive k-NN search."""

@@ -32,14 +32,13 @@ from .embedding import (
     EmbeddingSpace,
     embed_tokens,
     nearest_words_many,
-    pool_texts,
     sum_pool,
     tokenize,
 )
-from .errors import SemvidError, ZeroNormError, open_utf8
+from .errors import SemvidError, open_utf8
 from .ranked import RankedList, read_ranked_tsv, write_ranked_tsv  # the TSV helpers are re-exported
 from .stopwords import DEFAULT_STOPWORDS
-from .videos import Corpus, VideoRecord
+from .videos import Corpus
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +51,6 @@ class EventQuery:
     title_terms: tuple[str, ...]
     ocr_terms: tuple[str, ...] = ()
     asr_terms: tuple[str, ...] = ()
-    augmentation_k: int = 5
 
     def __post_init__(self):
         if not self.title_terms:
@@ -71,7 +69,7 @@ class ChannelScores:
     asr: float | None
 
 
-def load_queries(path, stops=DEFAULT_STOPWORDS, augmentation_k: int = 5) -> list[EventQuery]:
+def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     """Read a JSON array of {"event", "title", "ocr_terms"?, "asr_terms"?}.
 
     The event id and title are strings and the term fields lists of
@@ -112,7 +110,6 @@ def load_queries(path, stops=DEFAULT_STOPWORDS, augmentation_k: int = 5) -> list
                 title_terms=tuple(tokenize(_string(entry["title"], f"{where}: title"), stops)),
                 ocr_terms=_terms("ocr_terms"),
                 asr_terms=_terms("asr_terms"),
-                augmentation_k=augmentation_k,
             )
         )
     return queries
@@ -136,59 +133,14 @@ def map_concept_raw(raw, r: int):
     return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
 
 
-def embed_video_fastpath(
-    repo: ConceptRepository,
-    video: VideoRecord,
-    selected_ids,
-) -> np.ndarray:
-    """Collapse a video into one vector: detection-weighted sum of the
-    selected concepts' unit pooled vectors.
-
-    Its dot product with the query's unit pooled vector reproduces the raw
-    pooled-kernel channel score (valid for the pooled kernel only).
-    """
-    psi = None
-    for concept_id in selected_ids:
-        cset = repo.embedded_set(concept_id)
-        if cset is None:
-            raise SemvidError(f"concept {concept_id!r} has no embedding")
-        pooled = sum_pool(cset)
-        norm = float(np.linalg.norm(pooled))
-        if norm == 0.0:
-            raise ZeroNormError(f"concept {concept_id!r} has a zero-norm pooled vector")
-        term = (pooled / norm) * float(video.concept_scores[repo.index_of(concept_id)])
-        psi = term if psi is None else psi + term
-    if psi is None:
-        raise SemvidError("fast path needs at least one selected concept")
-    return psi
-
-
-def fastpath_raw_score(
-    query_set: EmbeddedSet,
-    repo: ConceptRepository,
-    video: VideoRecord,
-    selected_ids,
-) -> float:
-    """Dot of the unit pooled query vector with the fast-path video vector."""
-    pooled = sum_pool(query_set)
-    norm = float(np.linalg.norm(pooled))
-    if norm == 0.0:
-        raise ZeroNormError("query has a zero-norm pooled vector")
-    return float(np.dot(pooled / norm, embed_video_fastpath(repo, video, selected_ids)))
-
-
-def prepare_text_query(
-    terms,
-    space: EmbeddingSpace,
-    augmentation_k: int = 5,
-) -> EmbeddedSet:
+def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
     """One term list's query set: the one-list case of
     :func:`prepare_text_queries`."""
-    return prepare_text_queries([(tuple(terms), augmentation_k)], space)[0]
+    return prepare_text_queries([(tuple(terms), k)], space)[0]
 
 
 def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]:
-    """Embed the channel query terms of each (terms, augmentation k) pair,
+    """Embed the channel query terms of each (terms, k) pair,
     expanded with the k nearest vocabulary words to their pooled point (the
     query's own tokens are excluded). The expansions of all pairs are found
     in one table scan (:func:`~semvid.embedding.nearest_words_many`)."""
@@ -228,9 +180,10 @@ def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]
 _TEXT_BLOCK_BYTES = 768 * 1024
 
 
-def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray, raw_sum: bool):
-    """Text-channel score in [0, 1] of every pooled transcript row; rows with
-    a count of 0 (channel missing) get the neutral 0.5."""
+def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray):
+    """Text-channel score in [0, 1] of every pooled transcript row, the
+    affine map of its mean pairwise cosine with the query set; rows with a
+    count of 0 (channel missing) get the neutral 0.5."""
     present = counts > 0
     q_sum = sum_pool(query_set)
     # a fixed-order reduction per row, never a BLAS gemv, so that a score
@@ -242,33 +195,8 @@ def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray,
     for start in range(0, len(pooled), rows):
         block = pooled[start : start + rows]
         np.sum(block * q_sum, axis=1, out=cross[start : start + len(block)])
-    if not raw_sum:  # mean pairwise cosine
-        cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
+    cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
     return np.where(present, np.clip(map_cosine(cross), 0.0, 1.0), 0.5)
-
-
-def score_text_channel(
-    query_terms,
-    transcript: str,
-    space: EmbeddingSpace,
-    augmentation_k: int = 5,
-    stops=DEFAULT_STOPWORDS,
-    raw_sum: bool = False,
-) -> float | None:
-    """OCR/ASR channel score in [0, 1], or None when the transcript cannot
-    be embedded. Raises AllTokensOOV when the query itself cannot."""
-    prepared = prepare_text_query(query_terms, space, augmentation_k)
-    pooled, counts = pool_texts(space, [transcript], stops)
-    if counts[0] == 0:
-        return None
-    return float(_text_scores(prepared, pooled, counts, raw_sum)[0])
-
-
-def score_matching_baseline(query_terms, transcript: str, stops=DEFAULT_STOPWORDS) -> float:
-    """Exact string matching: count transcript tokens equal to any query
-    token. No semantics, the comparison baseline."""
-    wanted = set(query_terms)
-    return float(sum(1 for token in tokenize(transcript, stops) if token in wanted))
 
 
 def fuse(channels: ChannelScores, w: float = 6.0):
@@ -299,19 +227,22 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
     Titles are embedded and concepts selected event by event, so the first
     event that cannot be ranked raises what it raises alone. The OCR and
     ASR term lists (the title terms plus each channel's extra terms) are
-    then expanded together, each distinct list once, in one table scan.
+    then expanded by ``config.augment_k`` words together, each distinct list
+    once, in one table scan.
     """
     concepts, terms = [], {}
     for query in queries:
         title = embed_tokens(space, list(query.title_terms))
         concepts.append(top_r_columns(repo, title, config.kernel, config.top_r, config.percentile))
         for extra in (query.ocr_terms, query.asr_terms):
-            terms.setdefault((query.title_terms + extra, query.augmentation_k))
-    prepared = dict(zip(terms, prepare_text_queries(list(terms), space)))
+            terms.setdefault(query.title_terms + extra)
+    prepared = dict(
+        zip(terms, prepare_text_queries([(t, config.augment_k) for t in terms], space))
+    )
     return [
         (columns, weights,
-         prepared[query.title_terms + query.ocr_terms, query.augmentation_k],
-         prepared[query.title_terms + query.asr_terms, query.augmentation_k])
+         prepared[query.title_terms + query.ocr_terms],
+         prepared[query.title_terms + query.asr_terms])
         for query, (columns, weights) in zip(queries, concepts)
     ]
 
@@ -374,8 +305,8 @@ def rank_events(
         raws = kernels.marginal_scores(corpus.S[:, columns], weights)
         channels = ChannelScores(  # a missing text channel scores the neutral 0.5
             concept=map_concept_raw(raws, config.top_r),
-            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, config.raw_sum_text),
-            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr, config.raw_sum_text),
+            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr),
+            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr),
         )
         fused = fuse(channels, config.fusion_weight)
         order = np.lexsort((corpus.id_rank, -fused))

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from semvid.embedding import load_embeddings
+import semvid.retrieval as retrieval
+from semvid.embedding import load_embeddings, pool_texts
+from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space
 
 
@@ -16,3 +18,18 @@ def tiny_space(tmp_path):
 @pytest.fixture
 def space50():
     return random_space(np.random.default_rng(1234), 50, 8)
+
+
+@pytest.fixture
+def text_channel():
+    """The OCR/ASR channel score of one transcript for a term list, made of
+    the pieces ``rank_events`` scores a channel with: the expanded query
+    set, the pooled transcript and the channel reduction. A transcript with
+    no in-vocabulary word scores the neutral 0.5; a query with none raises
+    AllTokensOOV."""
+    def score(terms, transcript, space, k=5, stops=DEFAULT_STOPWORDS):
+        query = retrieval.prepare_text_query(terms, space, k)
+        pooled, counts = pool_texts(space, [transcript], stops)
+        return float(retrieval._text_scores(query, pooled, counts)[0])
+
+    return score

@@ -14,6 +14,7 @@ import struct
 
 import numpy as np
 
+from semvid.embedding import tokenize
 from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError
 from semvid.videos import ScoreTrack, pool
 
@@ -105,6 +106,31 @@ def marginalization_oracle(query_vectors, concept_sets, concept_order, vc, r, ke
     return math.fsum(
         weights.get(cid, 0.0) * float(vc[i]) for i, cid in enumerate(concept_order)
     )
+
+
+def psi_fastpath_oracle(query_vectors, concept_sets, concept_order, vc, selected) -> float:
+    """Appendix-A form of the pooled concept channel's raw score: the video
+    collapsed into one vector psi, the sum over the selected concepts of
+    each one's unit pooled vector times the video's probability for it,
+    dotted with the query's unit pooled vector."""
+    def unit(vector):
+        norm = math.sqrt(math.fsum(v * v for v in vector))
+        return [v / norm for v in vector]
+
+    terms = [
+        [float(vc[concept_order.index(cid)]) * v for v in unit(sum_pool_oracle(concept_sets[cid]))]
+        for cid in selected
+    ]
+    psi = [math.fsum(term[d] for term in terms) for d in range(len(terms[0]))]
+    return math.fsum(q * p for q, p in zip(unit(sum_pool_oracle(query_vectors)), psi))
+
+
+def score_matching_baseline(query_terms, transcript: str) -> float:
+    """Exact string matching: the count of transcript tokens equal to any
+    query token, with no semantics. The comparison baseline of the
+    semantic text channel."""
+    wanted = set(query_terms)
+    return float(sum(1 for token in tokenize(transcript) if token in wanted))
 
 
 def fuse_oracle(pc, po, pa, w) -> float:

@@ -12,21 +12,18 @@ import pytest
 
 from semvid.bench import run_bench
 from semvid.cli import main
-from semvid.concepts import ConceptDefinition, ConceptRepository, rank_concepts, top_r
+from semvid.concepts import ConceptDefinition, ConceptRepository
 from semvid.config import DEFAULT_CONFIG
-from semvid.embedding import embed_tokens, load_embeddings, nearest_words, tokenize
+from semvid.embedding import load_embeddings, nearest_words, tokenize
 from semvid.evaluation import GroundTruth, average_precision, evaluate, roc_auc
 from semvid.retrieval import (
     ChannelScores,
     EventQuery,
     RankedList,
-    fastpath_raw_score,
     fuse,
     map_concept_raw,
     rank_event,
     rank_events,
-    score_matching_baseline,
-    score_text_channel,
 )
 from semvid.synth import random_space, synth_world, write_world_files
 from semvid.videos import VideoRecord
@@ -34,12 +31,15 @@ from semvid.videos import VideoRecord
 from oracles import (
     ap_oracle,
     auc_oracle,
+    concept_rank_oracle,
     crosssum_oracle,
     fuse_oracle,
     hausdorff_oracle,
     marginalization_oracle,
     pipeline_oracle,
+    psi_fastpath_oracle,
     random_set,
+    score_matching_baseline,
 )
 
 # Values computed with the independent oracles before the main build.
@@ -54,8 +54,9 @@ def _ok(name):
 
 
 def test_appendix_a_equivalence():
-    """Fast-path score == naive marginalization, 1000 pairs, rel err 1e-9;
-    its fused score == rank_event's on a corpus without transcripts, 1e-12."""
+    """Appendix-A psi form of the raw concept score == naive marginalization,
+    1000 pairs, rel err 1e-9; its fused score == rank_event's on a corpus
+    without transcripts, 1e-12."""
     started = time.perf_counter()
     rng = np.random.default_rng(42)
     space = random_space(rng, 300, 16)
@@ -74,9 +75,8 @@ def test_appendix_a_equivalence():
     worst = worst_fused = 0.0
     for e in range(20):
         qtokens = [str(t) for t in rng.choice(tokens, size=int(rng.integers(1, 4)), replace=False)]
-        query = embed_tokens(space, qtokens)
         qvecs = [space.vector(t) for t in qtokens]
-        selected = [w.concept_id for w in top_r(rank_concepts(repo, query, "pooled"), 5)]
+        selected = [cid for cid, _ in concept_rank_oracle(qvecs, sets)[:5]]
         videos = [
             VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=100))
             for v in range(50)
@@ -84,7 +84,7 @@ def test_appendix_a_equivalence():
         ranked = dict(rank_event(EventQuery(f"e{e}", tuple(qtokens)), space, repo, videos).entries)
         for video in videos:
             naive = marginalization_oracle(qvecs, sets, order, video.concept_scores, 5)
-            fast = fastpath_raw_score(query, repo, video, selected)
+            fast = psi_fastpath_oracle(qvecs, sets, order, video.concept_scores, selected)
             worst = max(worst, abs(fast - naive) / max(abs(naive), 1e-30))
             fused = fuse(ChannelScores(map_concept_raw(fast, 5), None, None))
             worst_fused = max(worst_fused, abs(fused - ranked[video.video_id]))
@@ -238,7 +238,7 @@ def test_synthetic_end_to_end(synth):
     )
 
 
-def test_matching_baseline_inferiority(synth):
+def test_matching_baseline_inferiority(synth, text_channel):
     """Semantic text channel strictly beats exact string matching when the
     transcripts use synonyms."""
     def map_for(scorer):
@@ -252,9 +252,7 @@ def test_matching_baseline_inferiority(synth):
             aps.append(ap_oracle(relevance))
         return float(np.mean(aps))
 
-    semantic = map_for(
-        lambda q, rec: score_text_channel(q.title_terms, rec.asr_text, synth.space, 5) or 0.0
-    )
+    semantic = map_for(lambda q, rec: text_channel(q.title_terms, rec.asr_text, synth.space, 5))
     matching = map_for(lambda q, rec: score_matching_baseline(q.title_terms, rec.asr_text))
     assert semantic > matching, f"semantic {semantic:.4f} vs matching {matching:.4f}"
     _ok(f"matching baseline inferiority (semantic {semantic:.4f} > matching {matching:.4f})")

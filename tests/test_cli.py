@@ -339,7 +339,8 @@ def test_rank_is_the_same_with_one_and_two_blas_threads(tmp_path):
     # the float32 table scan only selects candidates, and every score that
     # reaches the ranking is a fixed-order reduction: the BLAS thread count
     # must not change a byte. 20000 filler rows make the scan's GEMMs large
-    # enough for OpenBLAS to split them.
+    # enough for OpenBLAS to split them. The two runs also hash strings with
+    # different seeds, so no set or dict order can reach the output.
     world = synth_world(seed=5, n_events=3, positives_per_event=10, n_videos=80, dim=300)
     paths = write_world_files(world, tmp_path)
     fillers = np.random.default_rng(6).standard_normal((20000, 300)).astype(np.float32)
@@ -349,10 +350,11 @@ def test_rank_is_the_same_with_one_and_two_blas_threads(tmp_path):
     save_embeddings(space, binary, fmt="binary")
     src = str(Path(semvid.__file__).resolve().parent.parent)
     outputs = []
-    for threads in ("1", "2"):
+    for threads, hash_seed in (("1", "0"), ("2", "1")):
         out = tmp_path / f"ranked-{threads}.tsv"
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
-                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed,
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
         subprocess.run(
             [sys.executable, "-m", "semvid.cli", "rank", str(binary), paths["concepts"],
              paths["queries"], "--scores", paths["scores"], "--transcripts",

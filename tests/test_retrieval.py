@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -12,26 +13,25 @@ from semvid.errors import AllTokensOOV, IngestError, NoScoreableConcepts, Semvid
 from semvid.retrieval import (
     ChannelScores,
     EventQuery,
-    embed_video_fastpath,
-    fastpath_raw_score,
     fuse,
     load_queries,
     map_concept_raw,
     rank_event,
     rank_events,
-    score_matching_baseline,
-    score_text_channel,
 )
 from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space, synth_world
 from semvid.videos import Corpus, VideoRecord, load_corpus
 
 from oracles import (
+    concept_rank_oracle,
     event_scores_oracle,
     fuse_oracle,
     marginalization_oracle,
     mean_pairwise_cosine_oracle,
+    psi_fastpath_oracle,
     scan_oracle,
+    score_matching_baseline,
 )
 
 FUSE_WORKED_VALUE = 0.7458708749256284  # (0.8^6 * sqrt(0.6*0.4)) ** (1/7)
@@ -110,60 +110,48 @@ def test_concept_raw_matches_naive_marginalization_oracle(space50):
 
 # ------------------------------------------------------------- fast path
 
-def test_fastpath_single_concept_is_unit_concept_vector(axis_space):
-    repo = make_repo(axis_space, ["t1"])
-    video = VideoRecord(video_id="v", concept_scores=np.array([1.0]))
-    psi = embed_video_fastpath(repo, video, ["c_t1"])
-    expected = axis_space.vector("t1")
-    np.testing.assert_allclose(psi, expected / np.linalg.norm(expected), atol=1e-12)
-
-
-def test_fastpath_zero_scores_give_zero_vector(axis_space):
-    repo = make_repo(axis_space, ["t1", "t2"])
-    video = VideoRecord(video_id="v", concept_scores=np.zeros(2))
-    psi = embed_video_fastpath(repo, video, ["c_t1", "c_t2"])
-    np.testing.assert_array_equal(psi, np.zeros(4))
-    query = embed_tokens(axis_space, ["q"])
-    assert fastpath_raw_score(query, repo, video, ["c_t1", "c_t2"]) == 0.0
-
-
 def test_fastpath_equals_naive_raw(space50):
-    from semvid.concepts import rank_concepts, top_r
-
+    # Appendix A: with singleton concepts, the psi form of the raw concept
+    # score equals the marginalization, and fuses to rank_event's score
     rng = np.random.default_rng(22)
     repo = make_repo(space50, [f"w{i}" for i in range(20)])
     sets = {f"c_w{i}": [space50.vector(f"w{i}")] for i in range(20)}
-    query = embed_tokens(space50, ["w30", "w31"])
     qvecs = [space50.vector("w30"), space50.vector("w31")]
-    selected = [w.concept_id for w in top_r(rank_concepts(repo, query), 5)]
-    for v in range(25):
-        video = VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=20))
+    selected = [cid for cid, _ in concept_rank_oracle(qvecs, sets)[:5]]
+    videos = [
+        VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=20)) for v in range(25)
+    ]
+    got = concept_only_scores(space50, repo, ["w30", "w31"], videos)
+    for video in videos:
         naive = marginalization_oracle(qvecs, sets, repo.ids(), video.concept_scores, 5)
-        fast = fastpath_raw_score(query, repo, video, selected)
+        fast = psi_fastpath_oracle(qvecs, sets, repo.ids(), video.concept_scores, selected)
         assert fast == pytest.approx(naive, rel=1e-9, abs=1e-12)
+        expected = fuse_oracle((fast / 5 + 1.0) / 2.0, 0.5, 0.5, 6)
+        assert got[video.video_id] == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------------ text channel
 
-def test_text_channel_self_match(axis_space):
-    score = score_text_channel(["q"], "q", axis_space, augmentation_k=0)
+def test_text_channel_self_match(axis_space, text_channel):
+    score = text_channel(["q"], "q", axis_space, k=0)
     assert score == pytest.approx(1.0, abs=1e-12)
 
 
-def test_text_channel_empty_transcript_unavailable(axis_space):
-    assert score_text_channel(["q"], "", axis_space, augmentation_k=0) is None
-    assert score_text_channel(["q"], "zzz yyy", axis_space, augmentation_k=0) is None
+def test_text_channel_empty_transcript_unavailable(axis_space, text_channel):
+    # a transcript with no in-vocabulary word is a missing channel: neutral
+    assert text_channel(["q"], "", axis_space, k=0) == 0.5
+    assert text_channel(["q"], "zzz yyy", axis_space, k=0) == 0.5
 
 
-def test_text_channel_oov_query_raises(axis_space):
+def test_text_channel_oov_query_raises(axis_space, text_channel):
     with pytest.raises(AllTokensOOV):
-        score_text_channel(["zzz"], "q", axis_space, augmentation_k=0)
+        text_channel(["zzz"], "q", axis_space, k=0)
 
 
-def test_text_channel_expansion_matches_pairwise_oracle(space50):
+def test_text_channel_expansion_matches_pairwise_oracle(space50, text_channel):
     terms = ["w0"]
     transcript = "w5 w9 w14"
-    got = score_text_channel(terms, transcript, space50, augmentation_k=2)
+    got = text_channel(terms, transcript, space50, k=2)
 
     tokens = space50.tokens()
     vectors = [space50.vector(t) for t in tokens]
@@ -172,13 +160,6 @@ def test_text_channel_expansion_matches_pairwise_oracle(space50):
     tset = [space50.vector(t) for t in transcript.split()]
     expected = (mean_pairwise_cosine_oracle(expanded, tset) + 1.0) / 2.0
     assert got == pytest.approx(expected, abs=1e-10)
-
-
-def test_text_channel_raw_sum_flag(axis_space):
-    mean_form = score_text_channel(["q"], "t1 t2", axis_space, augmentation_k=0)
-    raw_form = score_text_channel(["q"], "t1 t2", axis_space, augmentation_k=0, raw_sum=True)
-    assert raw_form != mean_form
-    assert 0.0 <= raw_form <= 1.0
 
 
 # ------------------------------------------------------- matching baseline
@@ -253,8 +234,8 @@ def small_world():
 def test_rank_event_singleton_corpus(axis_space):
     repo = make_repo(axis_space, ["t1", "t2"])
     video = VideoRecord(video_id="only", concept_scores=np.array([0.4, 0.2]))
-    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
-    ranked = rank_event(query, axis_space, repo, [video])
+    query = EventQuery(event_id="e", title_terms=("q",))
+    ranked = rank_event(query, axis_space, repo, [video], RetrievalConfig(augment_k=0))
     assert len(ranked.entries) == 1 and ranked.entries[0][0] == "only"
 
 
@@ -265,8 +246,8 @@ def test_rank_event_tie_rule_id_ascending(axis_space):
         VideoRecord(video_id="zeta", concept_scores=scores.copy()),
         VideoRecord(video_id="alpha", concept_scores=scores.copy()),
     ]
-    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
-    ranked = rank_event(query, axis_space, repo, videos)
+    query = EventQuery(event_id="e", title_terms=("q",))
+    ranked = rank_event(query, axis_space, repo, videos, RetrievalConfig(augment_k=0))
     assert [vid for vid, _ in ranked.entries] == ["alpha", "zeta"]
     assert ranked.entries[0][1] == ranked.entries[1][1]
 
@@ -304,19 +285,19 @@ def test_rank_event_rejects_invalid_records(axis_space):
     # a hand-built record is validated when the corpus is built, instead of
     # being scored and ranked last
     repo = make_repo(axis_space, ["t1"])
-    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
+    query = EventQuery(event_id="e", title_terms=("q",))
     for bad in (np.array([np.nan]), np.array([1.5]), np.array([-0.5]), np.array([0.1, 0.2])):
         videos = [
             VideoRecord(video_id="good", concept_scores=np.array([0.9]), asr_text="t1"),
             VideoRecord(video_id="poison", concept_scores=bad, asr_text="t1"),
         ]
         with pytest.raises(IngestError, match="video 'poison'"):
-            rank_event(query, axis_space, repo, videos)
+            rank_event(query, axis_space, repo, videos, RetrievalConfig(augment_k=0))
 
 
 def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
     # the added concept is far from the query, so it cannot crack the top R
-    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
+    query = EventQuery(event_id="e", title_terms=("q",))
     names = ["t1", "t2", "t3", "t4", "t5"]
     rng = np.random.default_rng(40)
     base_scores = [rng.uniform(0, 1, size=5) for _ in range(8)]
@@ -330,8 +311,9 @@ def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
         VideoRecord(video_id=f"v{i}", concept_scores=np.append(s, 0.0))
         for i, s in enumerate(base_scores)
     ]
-    ranked_a = rank_event(query, axis_space, repo_a, corpus_a)
-    ranked_b = rank_event(query, axis_space, repo_b, corpus_b)
+    config = RetrievalConfig(augment_k=0)
+    ranked_a = rank_event(query, axis_space, repo_a, corpus_a, config)
+    ranked_b = rank_event(query, axis_space, repo_b, corpus_b, config)
     assert ranked_a.entries == ranked_b.entries
 
 
@@ -393,19 +375,19 @@ def odd_world(tmp_path_factory):
 
 def test_rank_event_matches_pairwise_oracle_at_odd_size(odd_world):
     space, repo, corpus, queries, vocab, concept_sets, rows, transcripts = odd_world
-    for query in queries:
-        ranked = rank_event(query, space, repo, corpus)
+    for k, query in itertools.product((0, 2, 5), queries):
+        ranked = rank_event(query, space, repo, corpus, RetrievalConfig(augment_k=k))
         keys = [(-score, video) for video, score in ranked.entries]
         assert keys == sorted(keys)
         expected = event_scores_oracle(
             vocab, concept_sets, repo.ids(), rows, transcripts,
             list(query.title_terms), list(query.ocr_terms), list(query.asr_terms),
-            stops=DEFAULT_STOPWORDS,
+            augment_k=k, stops=DEFAULT_STOPWORDS,
         )
         got = dict(ranked.entries)
         assert set(got) == set(expected)
         worst = max(abs(got[video] - expected[video]) for video in expected)
-        assert worst <= 1e-12, f"event {query.event_id}: worst deviation {worst:.3e}"
+        assert worst <= 1e-12, f"event {query.event_id}, k={k}: worst deviation {worst:.3e}"
 
 
 def test_rank_event_bit_exact_under_shuffle_and_reversal(odd_world):
@@ -416,13 +398,11 @@ def test_rank_event_bit_exact_under_shuffle_and_reversal(odd_world):
     reorderings = [Corpus(records[::-1], repo)] + [
         Corpus([records[i] for i in rng.permutation(len(records))], repo) for _ in range(20)
     ]
-    # raw sums keep more of the last bit of a text score than means do
-    for config in (DEFAULT_CONFIG, RetrievalConfig(raw_sum_text=True)):
-        for query in queries:
-            ranked = rank_event(query, space, repo, corpus, config)
-            for reordered in reorderings:
-                assert rank_event(query, space, repo, reordered, config).entries == ranked.entries
-            assert rank_event(query, space, repo, records[::-1], config).entries == ranked.entries
+    for query in queries:
+        ranked = rank_event(query, space, repo, corpus)
+        for reordered in reorderings:
+            assert rank_event(query, space, repo, reordered).entries == ranked.entries
+        assert rank_event(query, space, repo, records[::-1]).entries == ranked.entries
 
 
 def test_concept_weights_bit_exact_under_concept_order(odd_world):
@@ -487,11 +467,10 @@ def test_rank_events_equal_ranking_each_event_alone(odd_world):
         # an OCR list repeated from e1, and an ASR list equal to the OCR list
         EventQuery(event_id="e3", title_terms=("w30",), ocr_terms=("w31",), asr_terms=("w31",)),
         EventQuery(event_id="e4", title_terms=("w1", "w2")),  # e0's lists again
-        EventQuery(event_id="e5", title_terms=("w1", "w2"), augmentation_k=2),
-        EventQuery(event_id="e6", title_terms=("w7",), ocr_terms=("w8", "w9"), augmentation_k=0),
-        EventQuery(event_id="e7", title_terms=("w60", "w61"), asr_terms=("w62", "zzz")),
+        EventQuery(event_id="e5", title_terms=("w7",), ocr_terms=("w8", "w9")),
+        EventQuery(event_id="e6", title_terms=("w60", "w61"), asr_terms=("w62", "zzz")),
     ]
-    for config in (DEFAULT_CONFIG, RetrievalConfig(kernel="hausdorff", raw_sum_text=True, top_r=7)):
+    for config in (DEFAULT_CONFIG, RetrievalConfig(kernel="hausdorff", top_r=7, augment_k=2)):
         alone = [rank_event(query, space, repo, corpus, config) for query in queries]
         assert rank_events(queries, space, repo, corpus, config) == alone
         assert rank_events(queries[::-1], space, repo, corpus, config) == alone[::-1]
@@ -622,9 +601,10 @@ def test_text_scores_in_row_blocks_equal_one_reduction():
     pooled = rng.standard_normal((3 * rows + 5, dim))
     counts = rng.integers(0, 4, size=len(pooled))
     query = EmbeddedSet(vectors=rng.standard_normal((3, dim)), source_tokens=("a", "b", "c"))
-    got = retrieval._text_scores(query, pooled, counts, raw_sum=True)
+    got = retrieval._text_scores(query, pooled, counts)
     cross = (pooled * query.vectors.sum(axis=0)).sum(axis=1)
-    expected = np.where(counts > 0, np.clip((cross + 1.0) / 2.0, 0.0, 1.0), 0.5)
+    mean = np.divide(cross, 3 * counts, out=np.zeros_like(cross), where=counts > 0)
+    expected = np.where(counts > 0, np.clip((mean + 1.0) / 2.0, 0.0, 1.0), 0.5)
     np.testing.assert_array_equal(got, expected)
-    head = retrieval._text_scores(query, pooled[:rows], counts[:rows], raw_sum=True)
+    head = retrieval._text_scores(query, pooled[:rows], counts[:rows])
     np.testing.assert_array_equal(head, got[:rows])

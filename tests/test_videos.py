@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semvid.concepts import ConceptDefinition, ConceptRepository
+from semvid.config import RetrievalConfig
 from semvid.embedding import load_embeddings
 from semvid.errors import ConceptFormatError, IngestError
 from semvid.retrieval import EventQuery, rank_event
@@ -209,8 +210,9 @@ def test_null_transcript_is_a_missing_channel(tmp_path):
     assert records["null_ocr"].ocr_text == "" and records["null_ocr"].asr_text == ""
     assert corpus.n_ocr.tolist() == [0, 0] and corpus.n_asr.tolist() == [0, 0]
 
-    query = EventQuery(event_id="e", title_terms=("q",), augmentation_k=0)
-    scores_by_video = dict(rank_event(query, space, repo, corpus).entries)
+    query = EventQuery(event_id="e", title_terms=("q",))
+    ranked = rank_event(query, space, repo, corpus, RetrievalConfig(augment_k=0))
+    scores_by_video = dict(ranked.entries)
     assert scores_by_video["null_ocr"] == scores_by_video["empty_ocr"]
 
 
