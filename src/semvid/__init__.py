@@ -40,9 +40,7 @@ _EXPORTS = {
         ),
         "similarity": ("sim_crosssum", "sim_hausdorff", "sim_pooled"),
         "stopwords": ("DEFAULT_STOPWORDS", "load_stopwords"),
-        "videos": (
-            "Corpus", "ScoreTrack", "VideoRecord", "build_video_record", "load_corpus", "pool",
-        ),
+        "videos": ("Corpus", "load_corpus"),
     }.items()
     for name in names
 }

@@ -91,12 +91,12 @@ def _cmd_pool(args) -> int:
     from .videos import load_corpus
 
     repo = load_concepts(args.concepts)
-    records = sorted(load_corpus(args.scores, repo, mode=args.mode), key=lambda r: r.video_id)
+    corpus = load_corpus(args.scores, repo, mode=args.mode)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("video," + ",".join(repo.ids()) + "\n")
-        for rec in records:
-            fh.write(rec.video_id + "," + ",".join(repr(float(v)) for v in rec.concept_scores) + "\n")
-    print(f"pooled {len(records)} videos x {len(repo)} concepts -> {args.out}")
+        for video, row in sorted(zip(corpus.ids, corpus.S.tolist())):  # ids are unique
+            fh.write(video + "," + ",".join(map(repr, row)) + "\n")
+    print(f"pooled {len(corpus)} videos x {len(repo)} concepts -> {args.out}")
     return 0
 
 
@@ -104,6 +104,8 @@ def _cmd_relevance(args) -> int:
     from .concepts import load_concepts, rank_concepts
     from .embedding import embed_tokens, load_embeddings, tokenize
 
+    if args.top < 0:
+        raise SemvidError(f"--top must be >= 0, got {args.top}")
     stops = _stops(args)
     space = load_embeddings(args.embeddings, _fmt(args))
     repo = load_concepts(args.concepts, space, stops)
@@ -111,7 +113,7 @@ def _cmd_relevance(args) -> int:
     query_set = embed_tokens(space, tokens)
     if query_set.oov:
         print(f"note: query tokens out of vocabulary: {list(query_set.oov)}", file=sys.stderr)
-    ranked = rank_concepts(repo, query_set, args.kernel, args.percentile)[: max(args.top, 0)]
+    ranked = rank_concepts(repo, query_set, args.kernel, args.percentile)[: args.top]
     width = max([len("concept")] + [len(w.concept_id) for w in ranked])
     print(f"{'concept':<{width}}  {'weight':>9}")
     for wc in ranked:
@@ -142,7 +144,7 @@ def _cmd_rank(args) -> int:
     repo = load_concepts(args.concepts, space, stops)
     corpus = load_corpus(args.scores, repo, args.transcripts, config.mode)
     queries = load_queries(args.queries, stops)
-    runs = rank_events(queries, space, repo, corpus, config, stops)
+    runs = rank_events(queries, space, repo, corpus, config)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             write_ranked_tsv(runs, fh)

@@ -6,14 +6,15 @@ OCR and ASR channels compare the (optionally expanded) query word set with
 the transcript word set by their mean pairwise cosine. Channels are fused
 by a weighted geometric mean that emphasizes the concept channel.
 
-Scoring runs over the columns of a :class:`~semvid.videos.Corpus`: the
-concept channel is one product of the selected score columns with the
-concept weights, and a text channel is one product of the pooled
+Scoring takes the corpus only as the columns of a
+:class:`~semvid.videos.Corpus`, whose transcripts were embedded when it was
+built: the concept channel is one product of the selected score columns
+with the concept weights, and a text channel is one product of the pooled
 transcript vectors with the pooled query, by the identity
 mean pairwise cosine = dot(sum Q, sum T) / (|Q| |T|). Each per-row dot
 product is a fixed-order reduction, so every video's fused score depends
-only on the query, the repository and that video's own record, never on
-the rest of the corpus or on the video's position in it.
+only on the query, the repository and that video's own row, never on the
+rest of the corpus or on the video's position in it.
 """
 
 from __future__ import annotations
@@ -247,57 +248,47 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
     ]
 
 
-def _as_corpus(corpus, repo: ConceptRepository, space: EmbeddingSpace, stops) -> Corpus:
-    """``corpus`` itself when it is a Corpus built for this space, stop list
-    and concept count; otherwise a Corpus built from its records."""
-    if (
-        isinstance(corpus, Corpus)
-        and corpus.space is space
-        and corpus.stops == stops
-        and corpus.S.shape[1] == len(repo)
-    ):
-        return corpus
-    return Corpus(corpus, repo, space, stops)
-
-
 def rank_event(
     query: EventQuery,
     space: EmbeddingSpace,
     repo: ConceptRepository,
-    corpus,
+    corpus: Corpus,
     config: RetrievalConfig = DEFAULT_CONFIG,
-    stops=DEFAULT_STOPWORDS,
 ) -> RankedList:
     """Score every corpus video against one event and sort: the one-event
     case of :func:`rank_events`."""
-    return rank_events([query], space, repo, corpus, config, stops)[0]
+    return rank_events([query], space, repo, corpus, config)[0]
 
 
 def rank_events(
     queries,
     space: EmbeddingSpace,
     repo: ConceptRepository,
-    corpus,
+    corpus: Corpus,
     config: RetrievalConfig = DEFAULT_CONFIG,
-    stops=DEFAULT_STOPWORDS,
 ) -> list[RankedList]:
     """Score every corpus video against each event and sort, in event order.
 
-    ``corpus`` is a :class:`~semvid.videos.Corpus` or a sequence of
-    records; records, and a Corpus whose transcripts were embedded with
-    another space or stop list, are first built into a Corpus for
-    ``space`` and ``stops``. The query side of every event is computed
-    first (see :func:`_query_sides`): all text-query expansions, OCR and
-    ASR of every event, share one float32 scan of the table. Each event's
-    channels are then scored for all videos at once, fused, and sorted by
+    ``corpus`` is a :class:`~semvid.videos.Corpus` built with a repository
+    of ``len(repo)`` concepts attached to ``space``; anything else raises
+    :class:`SemvidError`. The query side of every event is computed first
+    (see :func:`_query_sides`): all text-query expansions, OCR and ASR of
+    every event, share one float32 scan of the table. Each event's channels
+    are then scored for all videos at once, fused, and sorted by
     (-score, video id). The result equals ranking each event on its own.
     """
+    if not (
+        isinstance(corpus, Corpus) and corpus.space is space and corpus.S.shape[1] == len(repo)
+    ):
+        raise SemvidError(
+            f"rank_events needs a Corpus built for this space and {len(repo)} concepts, "
+            f"got {type(corpus).__name__}"
+        )
     queries = list(queries)
     if not queries:
         return []
-    if not corpus:
+    if not len(corpus):
         raise SemvidError("corpus is empty")
-    corpus = _as_corpus(corpus, repo, space, stops)
     ranked = []
     for query, (columns, weights, ocr, asr) in zip(
         queries, _query_sides(queries, space, repo, config)

@@ -19,7 +19,7 @@ from .concepts import ConceptDefinition, ConceptRepository
 from .embedding import EmbeddingSpace
 from .evaluation import GroundTruth
 from .retrieval import EventQuery
-from .videos import Corpus, ScoreTrack, VideoRecord, build_video_record
+from .videos import Corpus
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def random_space(rng: np.random.Generator, n_tokens: int, dim: int, prefix: str 
 class SynthWorld:
     space: EmbeddingSpace
     repo: ConceptRepository
-    tracks: dict[str, list[ScoreTrack]]      # video id -> tracks
+    tracks: dict[str, dict[str, tuple[float, ...]]]  # video id -> concept id -> samples
     transcripts: dict[str, tuple[str, str]]  # video id -> (ocr, asr)
     corpus: Corpus
     queries: list[EventQuery]
@@ -121,22 +121,17 @@ def synth_world(
     repo.attach_space(space)
     all_ids = repo.ids()
 
-    def low_track(video_id: str, concept_id: str, cap: float) -> ScoreTrack:
-        return ScoreTrack(
-            video_id=video_id,
-            concept_id=concept_id,
-            samples=tuple(rng.uniform(0.0, cap, size=4)),
-        )
+    def low_track(cap: float) -> tuple[float, ...]:
+        return tuple(rng.uniform(0.0, cap, size=4))
 
-    tracks: dict[str, list[ScoreTrack]] = {}
+    tracks: dict[str, dict[str, tuple[float, ...]]] = {}
     transcripts: dict[str, tuple[str, str]] = {}
     truth_labels: dict[tuple[str, str], int] = {}
-    corpus: list[VideoRecord] = []
 
     for idx in range(n_videos):
         video_id = f"v{idx:03d}"
         event = idx // positives_per_event if idx < n_events * positives_per_event else None
-        video_tracks: list[ScoreTrack] = []
+        video_tracks: dict[str, tuple[float, ...]] = {}
         if event is not None:
             own_ids = per_event_concept_ids[event]
             n_hi = int(rng.integers(1, 5))
@@ -144,10 +139,10 @@ def synth_world(
             for cid in hi_ids:
                 peak = float(rng.uniform(0.3, 0.95))
                 samples = tuple(float(s) for s in rng.uniform(0.0, peak, size=4)) + (peak,)
-                video_tracks.append(ScoreTrack(video_id=video_id, concept_id=cid, samples=samples))
+                video_tracks[str(cid)] = samples
             others = [c for c in all_ids if c not in hi_ids]
             for cid in rng.choice(others, size=3, replace=False):
-                video_tracks.append(low_track(video_id, str(cid), 0.25))
+                video_tracks[str(cid)] = low_track(0.25)
             syn = per_event_synonyms[event]
             n_syn = int(rng.integers(1, 5))
             ocr_words = list(rng.choice(syn, size=n_syn, replace=False)) + list(
@@ -159,7 +154,7 @@ def synth_world(
         else:
             shown = [str(c) for c in rng.choice(all_ids, size=4, replace=False)]
             for cid in shown:
-                video_tracks.append(low_track(video_id, cid, 0.4))
+                video_tracks[cid] = low_track(0.4)
             ocr_words = list(rng.choice(background_tokens, size=4, replace=False))
             asr_words = list(rng.choice(background_tokens, size=5, replace=False))
             # a slice of background videos is deliberately confusable: a
@@ -170,13 +165,7 @@ def synth_world(
                 cid = str(rng.choice(per_event_concept_ids[k]))
                 if cid not in shown:
                     peak = float(rng.uniform(0.3, 0.7))
-                    video_tracks.append(
-                        ScoreTrack(
-                            video_id=video_id,
-                            concept_id=cid,
-                            samples=tuple(rng.uniform(0.0, peak, size=4)) + (peak,),
-                        )
-                    )
+                    video_tracks[cid] = tuple(rng.uniform(0.0, peak, size=4)) + (peak,)
                 syn = per_event_synonyms[k]
                 ocr_words[0] = str(rng.choice(syn))
                 asr_words[0] = str(rng.choice(syn))
@@ -186,9 +175,6 @@ def synth_world(
         asr = " ".join(str(w) for w in asr_words)
         tracks[video_id] = video_tracks
         transcripts[video_id] = (ocr, asr)
-        corpus.append(
-            build_video_record(video_tracks, repo, mode="max", ocr_text=ocr, asr_text=asr)
-        )
 
     queries = []
     for k in range(n_events):
@@ -200,12 +186,20 @@ def synth_world(
             positive = idx < n_events * positives_per_event and idx // positives_per_event == k
             truth_labels[(event_id, f"v{idx:03d}")] = int(positive)
 
+    # each track pooled by its max, as ``load_corpus`` pools score JSONL
+    S = np.zeros((n_videos, len(repo)))
+    for row, video_tracks in enumerate(tracks.values()):
+        for cid, samples in video_tracks.items():
+            S[row, repo.index_of(cid)] = max(samples)
     return SynthWorld(
         space=space,
         repo=repo,
         tracks=tracks,
         transcripts=transcripts,
-        corpus=Corpus(corpus, repo),
+        corpus=Corpus(
+            repo, tracks, S, [ocr for ocr, _ in transcripts.values()],
+            [asr for _, asr in transcripts.values()],
+        ),
         queries=queries,
         truth=GroundTruth(labels=truth_labels),
         seed=seed,
@@ -229,23 +223,17 @@ def bench_setup(seed: int, n_videos: int, n_concepts: int, dim: int):
 
     scores = rng.uniform(0.0, 1.0, size=(n_videos, n_concepts))
     filler = all_tokens[n_concepts:]
-    corpus = []
-    for i in range(n_videos):
+    ocr, asr = [], []
+    for _ in range(n_videos):
         words = rng.choice(filler, size=8)
-        corpus.append(
-            VideoRecord(
-                video_id=f"v{i:06d}",
-                concept_scores=scores[i],
-                ocr_text=" ".join(str(w) for w in words[:4]),
-                asr_text=" ".join(str(w) for w in words[4:]),
-                covered=n_concepts,
-            )
-        )
+        ocr.append(" ".join(str(w) for w in words[:4]))
+        asr.append(" ".join(str(w) for w in words[4:]))
+    ids = [f"v{i:06d}" for i in range(n_videos)]
     query = EventQuery(
         event_id="bench",
         title_terms=(all_tokens[n_concepts], all_tokens[n_concepts + 1]),
     )
-    return space, repo, Corpus(corpus, repo), query
+    return space, repo, Corpus(repo, ids, scores, ocr, asr), query
 
 
 def write_world_files(world: SynthWorld, directory) -> dict[str, str]:
@@ -280,15 +268,9 @@ def write_world_files(world: SynthWorld, directory) -> dict[str, str]:
 
     with open(paths["scores"], "w", encoding="utf-8", newline="\n") as fh:
         for video_id in sorted(world.tracks):
-            for track in world.tracks[video_id]:
+            for concept_id, samples in world.tracks[video_id].items():
                 fh.write(
-                    json.dumps(
-                        {
-                            "video": track.video_id,
-                            "concept": track.concept_id,
-                            "scores": list(track.samples),
-                        }
-                    )
+                    json.dumps({"video": video_id, "concept": concept_id, "scores": list(samples)})
                     + "\n"
                 )
 

@@ -1,10 +1,11 @@
-"""Video evidence ingestion: pooling detector score tracks into records.
+"""Video evidence ingestion: pooling detector score tracks into a corpus.
 
 Per-frame (objects, scenes) and per-chunk (actions) detector probabilities
 arrive already sampled; this module reduces each concept's track to one
-video-level probability, attaches OCR/ASR transcripts, and holds the corpus
-as columns (:class:`Corpus`) with every transcript embedded once. Detector
-execution, frame sampling and transcript extraction all live upstream.
+video-level probability (its max or its mean), attaches OCR/ASR
+transcripts, and holds the corpus as columns (:class:`Corpus`) with every
+transcript embedded once. Detector execution, frame sampling and
+transcript extraction all live upstream.
 """
 
 from __future__ import annotations
@@ -12,95 +13,17 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
 
 from .concepts import ConceptRepository
-from .embedding import EmbeddingSpace, pool_texts
+from .embedding import pool_texts
 from .errors import ConceptFormatError, IngestError, open_utf8
 
 log = logging.getLogger(__name__)
 
 POOL_MODES = ("max", "avg")
-
-
-@dataclass(frozen=True)
-class ScoreTrack:
-    """One concept's sampled detector probabilities for one video."""
-
-    video_id: str
-    concept_id: str
-    samples: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.samples) == 0:
-            raise IngestError(f"empty score track for ({self.video_id}, {self.concept_id})")
-        for s in self.samples:
-            if not 0.0 <= s <= 1.0:
-                raise IngestError(
-                    f"score {s} outside [0, 1] in track ({self.video_id}, {self.concept_id})"
-                )
-
-
-@dataclass(frozen=True)
-class VideoRecord:
-    """Video-level evidence: concept probability vector plus transcripts.
-
-    ``concept_scores`` is aligned to the repository's concept order; concepts
-    without a track are zero. ``covered`` counts concepts that had one.
-    """
-
-    video_id: str
-    concept_scores: np.ndarray
-    ocr_text: str = ""
-    asr_text: str = ""
-    covered: int = 0
-
-
-def pool(track: ScoreTrack, mode: str = "max") -> float:
-    """Reduce a track to one probability: max or arithmetic mean."""
-    if mode == "max":
-        return float(max(track.samples))
-    if mode == "avg":
-        return float(np.mean(np.asarray(track.samples, dtype=np.float64)))
-    raise ValueError(f"pool mode must be max or avg, got {mode!r}")
-
-
-def build_video_record(
-    tracks: list[ScoreTrack],
-    repo: ConceptRepository,
-    mode: str = "max",
-    ocr_text: str = "",
-    asr_text: str = "",
-) -> VideoRecord:
-    """Assemble one video's record from its score tracks."""
-    if not tracks:
-        raise IngestError("build_video_record needs at least one track")
-    video_ids = {t.video_id for t in tracks}
-    if len(video_ids) != 1:
-        raise IngestError(f"tracks mix video ids: {sorted(video_ids)}")
-    scores = np.zeros(len(repo), dtype=np.float64)
-    seen = set()
-    for track in tracks:
-        if track.concept_id in seen:
-            raise IngestError(
-                f"duplicate track for concept {track.concept_id!r} in video {track.video_id!r}"
-            )
-        seen.add(track.concept_id)
-        scores[repo.index_of(track.concept_id)] = pool(track, mode)
-    covered = len(seen)
-    if covered < len(repo):
-        log.debug("video %s: %d/%d concepts covered", tracks[0].video_id, covered, len(repo))
-    return VideoRecord(
-        video_id=tracks[0].video_id,
-        concept_scores=scores,
-        ocr_text=ocr_text,
-        asr_text=asr_text,
-        covered=covered,
-    )
 
 
 def _skip_malformed(path, lineno, reason) -> None:
@@ -192,10 +115,8 @@ def _load_score_jsonl(path, repo, mode):
     are range-checked and pooled as arrays (:func:`_pool_chunk`), and the
     pooled values are scattered into one (videos x concepts) matrix at the
     end. Returns the video ids, in the order of their first accepted track,
-    that matrix with a row per video, and each video's track count.
+    and that matrix with a row per video.
     """
-    if mode not in POOL_MODES:
-        raise ValueError(f"pool mode must be max or avg, got {mode!r}")
     video_rows: dict[str, int] = {}
     seen: list[bytearray] = []  # per video row, a flag per concept column
     rows, cols = [], []  # per accepted track
@@ -246,8 +167,7 @@ def _load_score_jsonl(path, repo, mode):
     S = np.zeros((len(video_rows), len(repo)), dtype=np.float64)
     if pooled:
         S[rows, cols] = np.concatenate(pooled)
-    covered = np.bincount(np.array(rows, dtype=np.intp), minlength=len(video_rows))
-    return list(video_rows), S, covered.tolist()
+    return list(video_rows), S
 
 
 def _csv_scores(path, block, width):
@@ -283,8 +203,8 @@ def _load_score_csv(path, repo):
     Rows are converted to numbers a block of about ``_CSV_VALUES`` values
     at a time (:func:`_csv_scores`). A row with the wrong field count, a
     repeated video id, a non-numeric value or a score outside [0, 1] aborts
-    the load at the first such line. Returns the video ids in file order,
-    the (videos x concepts) matrix and each video's covered-concept count.
+    the load at the first such line. Returns the video ids in file order
+    and the (videos x concepts) matrix.
     """
     with open_utf8(path, IngestError, csv=True) as fh:
         reader = csv.reader(fh)
@@ -317,7 +237,7 @@ def _load_score_csv(path, repo):
         blocks.append(_csv_scores(path, block, len(columns)))
     S = np.zeros((len(ids), len(repo)), dtype=np.float64)
     S[:, col_idx] = np.concatenate(blocks)
-    return list(ids), S, [len(columns)] * len(ids)
+    return list(ids), S
 
 
 def _load_transcripts(path):
@@ -351,102 +271,72 @@ def _load_transcripts(path):
     return transcripts
 
 
-class Corpus(Sequence):
-    """The corpus as columns: a read-only sequence of :class:`VideoRecord`.
+class Corpus:
+    """The corpus as columns, built once with what every event's scoring
+    needs:
 
-    Built once, it holds what every event's scoring needs:
-
-    * ``ids``: the video ids, in record order;
+    * ``ids``: the video ids;
     * ``S``: the (n, C) read-only matrix of concept probabilities, in the
-      repository's concept order; each record's ``concept_scores`` is a
-      row view of it;
+      repository's concept order;
+    * ``ocr``, ``asr``: the transcripts, "" where a video has none;
     * ``P_ocr``, ``P_asr``: (n, dim) sums of each transcript's word vectors;
     * ``n_ocr``, ``n_asr``: the number of vectors in each sum, where 0 marks
-      a missing channel (empty or fully out-of-vocabulary transcript).
+      a missing channel (empty or fully out-of-vocabulary transcript);
+    * ``id_rank``: each id's position in sorted order, the tie-break key of
+      a ranking.
 
-    The transcripts are embedded with ``space`` and ``stops``, by default
-    those the repository's concept embeddings were built with. Without a
-    space the text columns are None. Records are made from the columns
-    when they are read.
-
-    Records are validated: a concept vector of the wrong length, with a
-    value that is not finite or lies outside [0, 1], a transcript that is
-    not a string, or a repeated video id raises :class:`IngestError`
-    naming the video.
+    The transcripts are embedded with the space and stop words the
+    repository's concept embeddings were built with; without a space the
+    text columns are None. A float64 ``S`` is kept without a copy and made
+    read-only. A repeated video id, a matrix or transcript column of the
+    wrong shape, a score that is NaN or lies outside [0, 1], or a transcript
+    that is not a string raises :class:`IngestError`, naming the video where
+    there is one.
     """
 
-    def __init__(
-        self,
-        records,
-        repo: ConceptRepository,
-        space: EmbeddingSpace | None = None,
-        stops: frozenset[str] | None = None,
-    ):
-        records = tuple(records)
-        n_concepts = len(repo)
-        seen: set[str] = set()
-        rows = []
-        for rec in records:
-            video = rec.video_id
+    def __init__(self, repo: ConceptRepository, ids, S, ocr=None, asr=None):
+        self.ids = ids = tuple(ids)
+        n = len(ids)
+        seen = set()
+        for video in ids:
             if video in seen:
                 raise IngestError(f"duplicate video id {video!r}")
             seen.add(video)
-            row = np.asarray(rec.concept_scores, dtype=np.float64)
-            if row.shape != (n_concepts,):
-                raise IngestError(
-                    f"video {video!r}: concept vector has shape {row.shape}, "
-                    f"expected ({n_concepts},)"
-                )
-            if not isinstance(rec.ocr_text, str) or not isinstance(rec.asr_text, str):
-                raise IngestError(f"video {video!r}: transcripts must be strings")
-            rows.append(row)
-        S = np.array(rows, dtype=np.float64).reshape(len(records), n_concepts)
+        try:
+            S = np.asarray(S, dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # ragged rows, or a value that is no number
+            raise IngestError(f"concept scores are not a matrix of numbers: {exc}") from None
+        if S.shape != (n, len(repo)):
+            raise IngestError(
+                f"concept scores have shape {S.shape}, expected ({n}, {len(repo)})"
+            )
         valid = (S >= 0.0) & (S <= 1.0)  # False for NaN and both infinities too
         if not valid.all():
             i, j = np.argwhere(~valid)[0]
             raise IngestError(
-                f"video {records[i].video_id!r}: concept score {S[i, j]} is not "
-                f"a probability in [0, 1]"
+                f"video {ids[i]!r}: concept score {S[i, j]} is not a probability in [0, 1]"
             )
-        self._set_columns(
-            repo, space, stops, [rec.video_id for rec in records], S,
-            [rec.covered for rec in records],
-            [rec.ocr_text for rec in records], [rec.asr_text for rec in records],
-        )
-
-    @classmethod
-    def _from_columns(cls, repo, ids, S, covered, ocr, asr) -> Corpus:
-        """A corpus of columns that a loader has validated, taken as they
-        are: unique ids, scores in [0, 1], string transcripts."""
-        corpus = cls.__new__(cls)
-        corpus._set_columns(repo, None, None, ids, S, covered, ocr, asr)
-        return corpus
-
-    def _set_columns(self, repo, space, stops, ids, S, covered, ocr, asr) -> None:
-        self.space = repo.space if space is None else space
-        self.stops = repo.stops if stops is None else stops
         S.flags.writeable = False
         self.S = S
-        self.ids = tuple(ids)
-        self._covered, self._ocr, self._asr = tuple(covered), tuple(ocr), tuple(asr)
-        # each id's position in sorted order: the integer tie-break key of a ranking
-        n = len(self.ids)
+        self.ocr = ("",) * n if ocr is None else tuple(ocr)
+        self.asr = ("",) * n if asr is None else tuple(asr)
+        for name, texts in (("OCR", self.ocr), ("ASR", self.asr)):
+            if len(texts) != n:
+                raise IngestError(f"{len(texts)} {name} transcripts for {n} videos")
+            for video, text in zip(ids, texts):
+                if not isinstance(text, str):
+                    raise IngestError(f"video {video!r}: {name} transcript is not a string")
         self.id_rank = np.empty(n, dtype=np.intp)
-        self.id_rank[sorted(range(n), key=self.ids.__getitem__)] = np.arange(n)
+        self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
 
+        self.space = repo.space
         self.P_ocr = self.P_asr = self.n_ocr = self.n_asr = None
         if self.space is not None:
-            self.P_ocr, self.n_ocr = pool_texts(self.space, self._ocr, self.stops)
-            self.P_asr, self.n_asr = pool_texts(self.space, self._asr, self.stops)
+            self.P_ocr, self.n_ocr = pool_texts(self.space, self.ocr, repo.stops)
+            self.P_asr, self.n_asr = pool_texts(self.space, self.asr, repo.stops)
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        i = range(len(self))[index]
-        return VideoRecord(self.ids[i], self.S[i], self._ocr[i], self._asr[i], self._covered[i])
 
 
 def load_corpus(
@@ -455,27 +345,26 @@ def load_corpus(
     transcript_path=None,
     mode: str = "max",
 ) -> Corpus:
-    """Build one record per video appearing in either input file.
+    """The corpus of every video appearing in either input file.
 
     ``score_path`` ending in ``.csv`` is treated as a pre-pooled matrix and
-    bypasses pooling; anything else is score JSONL. Videos present only in
-    the transcript file get an all-zero concept vector. Transcripts are
-    embedded once here, with the space and stop words of the repository.
-    The loaders' validated columns become the corpus as they are.
+    bypasses pooling; anything else is score JSONL, whose tracks are pooled
+    by ``mode`` (max or avg). Videos present only in the transcript file
+    get an all-zero concept vector, after the scored ones. Transcripts are
+    embedded once, with the space and stop words of the repository.
     """
+    if mode not in POOL_MODES:
+        raise ValueError(f"pool mode must be max or avg, got {mode!r}")
     if str(score_path).endswith(".csv"):
-        ids, S, covered = _load_score_csv(score_path, repo)
+        ids, S = _load_score_csv(score_path, repo)
     else:
-        ids, S, covered = _load_score_jsonl(score_path, repo, mode)
+        ids, S = _load_score_jsonl(score_path, repo, mode)
     transcripts = _load_transcripts(transcript_path) if transcript_path else {}
 
     texts = [transcripts.pop(video, ("", "")) for video in ids]
     if transcripts:  # transcript-only videos, after the scored ones
         ids += transcripts
         S = np.vstack([S, np.zeros((len(transcripts), len(repo)))])
-        covered += [0] * len(transcripts)
         texts += transcripts.values()
     log.info("corpus: %d videos (%d transcript-only)", len(ids), len(transcripts))
-    return Corpus._from_columns(
-        repo, ids, S, covered, [ocr for ocr, _ in texts], [asr for _, asr in texts]
-    )
+    return Corpus(repo, ids, S, [ocr for ocr, _ in texts], [asr for _, asr in texts])

@@ -16,7 +16,6 @@ import numpy as np
 
 from semvid.embedding import tokenize
 from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError
-from semvid.videos import ScoreTrack, pool
 
 
 def cosine_oracle(x, y) -> float:
@@ -97,10 +96,10 @@ def concept_rank_oracle(query_vectors, concept_sets, kernel="pooled", percentile
     return weighted
 
 
-def marginalization_oracle(query_vectors, concept_sets, concept_order, vc, r, kernel="pooled"):
+def marginalization_oracle(ranked, concept_order, vc, r):
     """Full-sum form of the concept channel: every concept contributes, but
-    weights outside the top R are zeroed first."""
-    ranked = concept_rank_oracle(query_vectors, concept_sets, kernel)
+    weights outside the top R are zeroed first. ``ranked`` is the event's
+    :func:`concept_rank_oracle` ranking."""
     kept = {cid for cid, _ in ranked[:r]}
     weights = {cid: (w if cid in kept else 0.0) for cid, w in ranked}
     return math.fsum(
@@ -212,12 +211,13 @@ def pipeline_oracle(
             for token, _ in scan_oracle(tokens, vectors, point, augment_k, set(title)):
                 expanded.append(vocab[token])
 
+        ranked = concept_rank_oracle(query_vectors, concept_sets)
         scored = []
         for video_id in sorted(video_tracks):
             vc = [0.0] * len(concept_order)
             for cid, samples in video_tracks[video_id].items():
                 vc[concept_order.index(cid)] = max(samples)
-            raw = marginalization_oracle(query_vectors, concept_sets, concept_order, vc, r)
+            raw = marginalization_oracle(ranked, concept_order, vc, r)
             pc = (raw / r + 1.0) / 2.0
 
             def text_factor(text: str) -> float:
@@ -302,9 +302,16 @@ def _json_number(value) -> float:
         return math.copysign(math.inf, value)
 
 
+def pool_oracle(samples, mode: str) -> float:
+    """One track's video-level probability: its max or its arithmetic mean."""
+    if mode == "max":
+        return float(max(samples))
+    return float(np.mean(np.asarray(samples, dtype=np.float64)))
+
+
 def score_jsonl_oracle(path, repo, mode, warnings: list) -> dict:
     """Score JSONL read one line and one track at a time, each track pooled
-    by :func:`semvid.videos.pool`.
+    by :func:`pool_oracle`.
 
     Returns {video: concept score row}, videos in the order of their first
     accepted track. Each skipped line appends its report to ``warnings``;
@@ -351,12 +358,12 @@ def score_jsonl_oracle(path, repo, mode, warnings: list) -> dict:
                     f"{path} line {lineno}: duplicate track for ({video}, {concept})"
                 )
             seen[video].add(concept)
-            tracks.setdefault(video, []).append((column, ScoreTrack(video, concept, samples)))
+            tracks.setdefault(video, []).append((column, samples))
     rows = {}
     for video, video_tracks in tracks.items():
         row = np.zeros(len(repo), dtype=np.float64)
-        for column, track in video_tracks:
-            row[column] = pool(track, mode)
+        for column, samples in video_tracks:
+            row[column] = pool_oracle(samples, mode)
         rows[video] = row
     return rows
 

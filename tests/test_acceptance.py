@@ -26,7 +26,7 @@ from semvid.retrieval import (
     rank_events,
 )
 from semvid.synth import random_space, synth_world, write_world_files
-from semvid.videos import VideoRecord
+from semvid.videos import Corpus
 
 from oracles import (
     ap_oracle,
@@ -76,18 +76,18 @@ def test_appendix_a_equivalence():
     for e in range(20):
         qtokens = [str(t) for t in rng.choice(tokens, size=int(rng.integers(1, 4)), replace=False)]
         qvecs = [space.vector(t) for t in qtokens]
-        selected = [cid for cid, _ in concept_rank_oracle(qvecs, sets)[:5]]
-        videos = [
-            VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=100))
-            for v in range(50)
-        ]
-        ranked = dict(rank_event(EventQuery(f"e{e}", tuple(qtokens)), space, repo, videos).entries)
-        for video in videos:
-            naive = marginalization_oracle(qvecs, sets, order, video.concept_scores, 5)
-            fast = psi_fastpath_oracle(qvecs, sets, order, video.concept_scores, selected)
+        concept_ranking = concept_rank_oracle(qvecs, sets)
+        selected = [cid for cid, _ in concept_ranking[:5]]
+        ids = [f"v{v}" for v in range(50)]
+        S = rng.uniform(0, 1, size=(50, 100))
+        corpus = Corpus(repo, ids, S)
+        ranked = dict(rank_event(EventQuery(f"e{e}", tuple(qtokens)), space, repo, corpus).entries)
+        for video, vc in zip(ids, S):
+            naive = marginalization_oracle(concept_ranking, order, vc, 5)
+            fast = psi_fastpath_oracle(qvecs, sets, order, vc, selected)
             worst = max(worst, abs(fast - naive) / max(abs(naive), 1e-30))
             fused = fuse(ChannelScores(map_concept_raw(fast, 5), None, None))
-            worst_fused = max(worst_fused, abs(fused - ranked[video.video_id]))
+            worst_fused = max(worst_fused, abs(fused - ranked[video]))
             pairs += 1
     elapsed = time.perf_counter() - started
     assert pairs == 1000
@@ -220,12 +220,9 @@ def test_synthetic_end_to_end(synth):
         (c.id, tokenize(c.name) + [t for kw in c.keywords for t in tokenize(kw)])
         for c in synth.repo.concepts
     ]
-    video_tracks = {
-        vid: {tr.concept_id: list(tr.samples) for tr in trs} for vid, trs in synth.tracks.items()
-    }
     queries = [(q.event_id, list(q.title_terms)) for q in synth.queries]
     oracle_map, oracle_auc, _ = pipeline_oracle(
-        vocab, concept_defs, video_tracks, synth.transcripts, queries, synth.truth.labels
+        vocab, concept_defs, synth.tracks, synth.transcripts, queries, synth.truth.labels
     )
     assert oracle_map == pytest.approx(ORACLE_MAP, abs=1e-12)
     assert oracle_auc == pytest.approx(ORACLE_MEAN_AUC, abs=1e-12)
@@ -244,16 +241,17 @@ def test_matching_baseline_inferiority(synth, text_channel):
     def map_for(scorer):
         aps = []
         for query in synth.queries:
+            transcripts = zip(synth.corpus.ids, synth.corpus.asr)
             scored = sorted(
-                ((rec.video_id, scorer(query, rec)) for rec in synth.corpus),
+                ((video, scorer(query, asr)) for video, asr in transcripts),
                 key=lambda e: (-e[1], e[0]),
             )
             relevance = [synth.truth.labels[(query.event_id, vid)] for vid, _ in scored]
             aps.append(ap_oracle(relevance))
         return float(np.mean(aps))
 
-    semantic = map_for(lambda q, rec: text_channel(q.title_terms, rec.asr_text, synth.space, 5))
-    matching = map_for(lambda q, rec: score_matching_baseline(q.title_terms, rec.asr_text))
+    semantic = map_for(lambda q, asr: text_channel(q.title_terms, asr, synth.space, 5))
+    matching = map_for(lambda q, asr: score_matching_baseline(q.title_terms, asr))
     assert semantic > matching, f"semantic {semantic:.4f} vs matching {matching:.4f}"
     _ok(f"matching baseline inferiority (semantic {semantic:.4f} > matching {matching:.4f})")
 
@@ -292,8 +290,12 @@ def test_determinism_and_score_independence(tmp_path, synth):
 
     query = synth.queries[0]
     ranked = rank_event(query, synth.space, synth.repo, synth.corpus)
-    shuffled = list(synth.corpus)
-    np.random.default_rng(99).shuffle(shuffled)
+    corpus = synth.corpus
+    order = np.random.default_rng(99).permutation(len(corpus))
+    shuffled = Corpus(
+        synth.repo, [corpus.ids[i] for i in order], corpus.S[order],
+        [corpus.ocr[i] for i in order], [corpus.asr[i] for i in order],
+    )
     again = rank_event(query, synth.space, synth.repo, shuffled)
     assert ranked.entries == again.entries
     _ok("determinism and per-video score independence")

@@ -25,21 +25,23 @@ def world_dir(tmp_path_factory):
     return world, paths
 
 
-def test_pool_writes_csv_and_roundtrips(world_dir, tmp_path, capsys):
+def test_pool_writes_csv_and_roundtrips(world_dir, tmp_path):
     world, paths = world_dir
-    out = tmp_path / "pooled.csv"
-    code = main(["pool", paths["scores"], paths["concepts"], "--mode", "max", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 1 + len(world.tracks)
-
-    # round trip: loading the CSV must reproduce the in-memory pooled records
     repo = load_concepts(paths["concepts"])
-    records = {r.video_id: r for r in load_corpus(str(out), repo)}
-    for record in world.corpus:
-        np.testing.assert_array_equal(
-            records[record.video_id].concept_scores, record.concept_scores
-        )
+    for mode in ("max", "avg"):
+        out = tmp_path / f"pooled-{mode}.csv"
+        code = main(["pool", paths["scores"], paths["concepts"], "--mode", mode, "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == sorted(world.tracks)
+
+        # round trip: the CSV loads to the scores the JSONL pools to, bit for bit
+        pooled = load_corpus(paths["scores"], repo, mode=mode)
+        loaded = load_corpus(str(out), repo)
+        assert loaded.ids == pooled.ids
+        assert loaded.S.tobytes() == pooled.S.tobytes(), mode
+        if mode == "max":  # the synthetic world pools its tracks as the loader does
+            assert pooled.S.tobytes() == world.corpus.S.tobytes()
 
 
 def test_pool_rejects_out_of_range_score(world_dir, tmp_path, capsys):
@@ -76,6 +78,14 @@ def test_relevance_top_zero_empty_table(world_dir, capsys):
     code = main(["relevance", paths["embeddings"], paths["concepts"], "--query", "ev0title0", "--top", "0"])
     assert code == 0
     assert len(capsys.readouterr().out.strip().splitlines()) == 1  # header only
+
+
+def test_relevance_negative_top_is_an_input_error(world_dir, capsys):
+    _, paths = world_dir
+    code = main(["relevance", paths["embeddings"], paths["concepts"], "--query", "ev0title0", "--top", "-1"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--top must be >= 0, got -1" in captured.err
 
 
 def test_relevance_oov_query_fails_with_report(world_dir, capsys):

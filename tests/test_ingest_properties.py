@@ -25,11 +25,12 @@ from semvid import embedding, videos  # noqa: E402
 from semvid.concepts import ConceptDefinition, ConceptRepository  # noqa: E402
 from semvid.embedding import EmbeddingSpace, load_embeddings  # noqa: E402
 from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError  # noqa: E402
-from semvid.videos import POOL_MODES, ScoreTrack, load_corpus, pool  # noqa: E402
+from semvid.videos import POOL_MODES, load_corpus  # noqa: E402
 
 from oracles import (  # noqa: E402
     binary_table_oracle,
     normalized_table_oracle,
+    pool_oracle,
     score_jsonl_oracle,
     text_table_oracle,
 )
@@ -200,7 +201,7 @@ def test_pooled_tracks_match_pool(workdir, tracks, chunk):
         with mock.patch.object(videos, "_CHUNK", chunk):
             corpus = load_corpus(path, repo, mode=mode)
         got = corpus.S.reshape(-1)[: len(tracks)]
-        expected = np.array([pool(ScoreTrack("v", "c", tuple(t)), mode) for t in tracks])
+        expected = np.array([pool_oracle(t, mode) for t in tracks])
         assert np.array_equal(bits(got), bits(expected)), mode
 
 

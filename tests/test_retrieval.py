@@ -21,7 +21,7 @@ from semvid.retrieval import (
 )
 from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space, synth_world
-from semvid.videos import Corpus, VideoRecord, load_corpus
+from semvid.videos import Corpus, load_corpus
 
 from oracles import (
     concept_rank_oracle,
@@ -60,27 +60,35 @@ def make_repo(space, names):
     return repo
 
 
+def rows_of(corpus, repo, rows):
+    """The corpus of the given rows of ``corpus``, in that order."""
+    return Corpus(
+        repo, [corpus.ids[i] for i in rows], corpus.S[rows],
+        [corpus.ocr[i] for i in rows], [corpus.asr[i] for i in rows],
+    )
+
+
 # ------------------------------------------------------- concept channel
 
-def concept_only_scores(space, repo, title, videos, r=5):
-    """rank_event's score per video id on videos without transcripts, where
-    both text channels are the neutral 0.5 and the concept channel alone
-    moves the fused score."""
-    ranked = rank_event(EventQuery("e", tuple(title)), space, repo, videos, RetrievalConfig(top_r=r))
+def concept_only_scores(space, repo, title, S, r=5):
+    """rank_event's score per video id on videos v0, v1, ... with concept
+    scores ``S`` and no transcripts, where both text channels are the
+    neutral 0.5 and the concept channel alone moves the fused score."""
+    corpus = Corpus(repo, [f"v{v}" for v in range(len(S))], S)
+    query = EventQuery("e", tuple(title))
+    ranked = rank_event(query, space, repo, corpus, RetrievalConfig(top_r=r))
     return dict(ranked.entries)
 
 
 def test_concept_raw_degenerate_sum(axis_space):
     repo = make_repo(axis_space, ["q"])
-    video = VideoRecord(video_id="v", concept_scores=np.array([1.0]))
-    got = concept_only_scores(axis_space, repo, ["q"], [video], r=1)["v"]
+    got = concept_only_scores(axis_space, repo, ["q"], [[1.0]], r=1)["v0"]
     assert got == pytest.approx(fuse_oracle(1.0, 0.5, 0.5, 6), abs=1e-9)
 
 
 def test_concept_raw_annihilated_by_zero_scores(axis_space):
     repo = make_repo(axis_space, ["t1", "t2", "t3"])
-    video = VideoRecord(video_id="v", concept_scores=np.zeros(3))
-    got = concept_only_scores(axis_space, repo, ["q"], [video], r=2)["v"]
+    got = concept_only_scores(axis_space, repo, ["q"], np.zeros((1, 3)), r=2)["v0"]
     assert got == pytest.approx(fuse_oracle(0.5, 0.5, 0.5, 6), abs=1e-12)  # 0.5
 
 
@@ -97,15 +105,13 @@ def test_concept_raw_matches_naive_marginalization_oracle(space50):
     order = repo.ids()
     qtokens = [str(t) for t in rng.choice(tokens, size=2, replace=False)]
     qvecs = [space50.vector(t) for t in qtokens]
-    videos = [
-        VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=30))
-        for v in range(40)
-    ]
-    got = concept_only_scores(space50, repo, qtokens, videos)
-    for video in videos:
-        raw = marginalization_oracle(qvecs, sets, order, video.concept_scores, 5)
+    S = rng.uniform(0, 1, size=(40, 30))
+    got = concept_only_scores(space50, repo, qtokens, S)
+    ranked = concept_rank_oracle(qvecs, sets)
+    for v, vc in enumerate(S):
+        raw = marginalization_oracle(ranked, order, vc, 5)
         expected = fuse_oracle((raw / 5 + 1.0) / 2.0, 0.5, 0.5, 6)
-        assert got[video.video_id] == pytest.approx(expected, abs=1e-10)
+        assert got[f"v{v}"] == pytest.approx(expected, abs=1e-10)
 
 
 # ------------------------------------------------------------- fast path
@@ -117,17 +123,16 @@ def test_fastpath_equals_naive_raw(space50):
     repo = make_repo(space50, [f"w{i}" for i in range(20)])
     sets = {f"c_w{i}": [space50.vector(f"w{i}")] for i in range(20)}
     qvecs = [space50.vector("w30"), space50.vector("w31")]
-    selected = [cid for cid, _ in concept_rank_oracle(qvecs, sets)[:5]]
-    videos = [
-        VideoRecord(video_id=f"v{v}", concept_scores=rng.uniform(0, 1, size=20)) for v in range(25)
-    ]
-    got = concept_only_scores(space50, repo, ["w30", "w31"], videos)
-    for video in videos:
-        naive = marginalization_oracle(qvecs, sets, repo.ids(), video.concept_scores, 5)
-        fast = psi_fastpath_oracle(qvecs, sets, repo.ids(), video.concept_scores, selected)
+    ranked = concept_rank_oracle(qvecs, sets)
+    selected = [cid for cid, _ in ranked[:5]]
+    S = rng.uniform(0, 1, size=(25, 20))
+    got = concept_only_scores(space50, repo, ["w30", "w31"], S)
+    for v, vc in enumerate(S):
+        naive = marginalization_oracle(ranked, repo.ids(), vc, 5)
+        fast = psi_fastpath_oracle(qvecs, sets, repo.ids(), vc, selected)
         assert fast == pytest.approx(naive, rel=1e-9, abs=1e-12)
         expected = fuse_oracle((fast / 5 + 1.0) / 2.0, 0.5, 0.5, 6)
-        assert got[video.video_id] == pytest.approx(expected, abs=1e-12)
+        assert got[f"v{v}"] == pytest.approx(expected, abs=1e-12)
 
 
 # ------------------------------------------------------------ text channel
@@ -233,21 +238,17 @@ def small_world():
 
 def test_rank_event_singleton_corpus(axis_space):
     repo = make_repo(axis_space, ["t1", "t2"])
-    video = VideoRecord(video_id="only", concept_scores=np.array([0.4, 0.2]))
+    corpus = Corpus(repo, ["only"], [[0.4, 0.2]])
     query = EventQuery(event_id="e", title_terms=("q",))
-    ranked = rank_event(query, axis_space, repo, [video], RetrievalConfig(augment_k=0))
+    ranked = rank_event(query, axis_space, repo, corpus, RetrievalConfig(augment_k=0))
     assert len(ranked.entries) == 1 and ranked.entries[0][0] == "only"
 
 
 def test_rank_event_tie_rule_id_ascending(axis_space):
     repo = make_repo(axis_space, ["t1", "t2"])
-    scores = np.array([0.4, 0.2])
-    videos = [
-        VideoRecord(video_id="zeta", concept_scores=scores.copy()),
-        VideoRecord(video_id="alpha", concept_scores=scores.copy()),
-    ]
+    corpus = Corpus(repo, ["zeta", "alpha"], [[0.4, 0.2], [0.4, 0.2]])
     query = EventQuery(event_id="e", title_terms=("q",))
-    ranked = rank_event(query, axis_space, repo, videos, RetrievalConfig(augment_k=0))
+    ranked = rank_event(query, axis_space, repo, corpus, RetrievalConfig(augment_k=0))
     assert [vid for vid, _ in ranked.entries] == ["alpha", "zeta"]
     assert ranked.entries[0][1] == ranked.entries[1][1]
 
@@ -258,8 +259,7 @@ def test_rank_event_matches_shuffled_recompute_oracle():
     ranked = rank_event(query, world.space, world.repo, world.corpus)
 
     rng = np.random.default_rng(17)
-    shuffled = list(world.corpus)
-    rng.shuffle(shuffled)
+    shuffled = rows_of(world.corpus, world.repo, rng.permutation(len(world.corpus)))
     again = rank_event(query, world.space, world.repo, shuffled)
     assert ranked.entries == again.entries  # exact, including score bits
 
@@ -268,31 +268,31 @@ def test_rank_event_scores_are_per_video_pure():
     world = small_world()
     query = world.queries[1]
     full = dict(rank_event(query, world.space, world.repo, world.corpus).entries)
-    for record in world.corpus[::37]:
-        alone = rank_event(query, world.space, world.repo, [record])
-        assert alone.entries[0][1] == pytest.approx(full[record.video_id], abs=1e-12)
+    for row in range(0, len(world.corpus), 37):
+        alone = rank_event(query, world.space, world.repo, rows_of(world.corpus, world.repo, [row]))
+        assert alone.entries[0][1] == pytest.approx(full[world.corpus.ids[row]], abs=1e-12)
 
 
 def test_rank_event_output_is_permutation_of_corpus():
     world = small_world()
     ranked = rank_event(world.queries[0], world.space, world.repo, world.corpus)
-    assert sorted(v for v, _ in ranked.entries) == sorted(r.video_id for r in world.corpus)
+    assert sorted(v for v, _ in ranked.entries) == sorted(world.corpus.ids)
     scores = [s for _, s in ranked.entries]
     assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def test_rank_event_rejects_invalid_records(axis_space):
-    # a hand-built record is validated when the corpus is built, instead of
-    # being scored and ranked last
+    # a hand-built row is validated when the corpus is built, instead of
+    # being scored and ranked last; rank_event takes nothing but a Corpus
     repo = make_repo(axis_space, ["t1"])
-    query = EventQuery(event_id="e", title_terms=("q",))
-    for bad in (np.array([np.nan]), np.array([1.5]), np.array([-0.5]), np.array([0.1, 0.2])):
-        videos = [
-            VideoRecord(video_id="good", concept_scores=np.array([0.9]), asr_text="t1"),
-            VideoRecord(video_id="poison", concept_scores=bad, asr_text="t1"),
-        ]
+    for bad in ([np.nan], [1.5], [-0.5]):
         with pytest.raises(IngestError, match="video 'poison'"):
-            rank_event(query, axis_space, repo, videos, RetrievalConfig(augment_k=0))
+            Corpus(repo, ["good", "poison"], [[0.9], bad], asr=["t1", "t1"])
+    with pytest.raises(IngestError, match="not a matrix of numbers"):
+        Corpus(repo, ["good", "poison"], [[0.9], [0.1, 0.2]])
+    query = EventQuery(event_id="e", title_terms=("q",))
+    with pytest.raises(SemvidError, match="needs a Corpus"):
+        rank_event(query, axis_space, repo, [("good", [0.9])], RetrievalConfig(augment_k=0))
 
 
 def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
@@ -302,15 +302,11 @@ def test_zero_scored_extra_concept_leaves_fused_scores_unchanged(axis_space):
     rng = np.random.default_rng(40)
     base_scores = [rng.uniform(0, 1, size=5) for _ in range(8)]
 
+    ids = [f"v{i}" for i in range(len(base_scores))]
     repo_a = make_repo(axis_space, names)
-    corpus_a = [
-        VideoRecord(video_id=f"v{i}", concept_scores=s.copy()) for i, s in enumerate(base_scores)
-    ]
+    corpus_a = Corpus(repo_a, ids, base_scores)
     repo_b = make_repo(axis_space, names + ["far"])
-    corpus_b = [
-        VideoRecord(video_id=f"v{i}", concept_scores=np.append(s, 0.0))
-        for i, s in enumerate(base_scores)
-    ]
+    corpus_b = Corpus(repo_b, ids, [np.append(s, 0.0) for s in base_scores])
     config = RetrievalConfig(augment_k=0)
     ranked_a = rank_event(query, axis_space, repo_a, corpus_a, config)
     ranked_b = rank_event(query, axis_space, repo_b, corpus_b, config)
@@ -393,16 +389,14 @@ def test_rank_event_matches_pairwise_oracle_at_odd_size(odd_world):
 def test_rank_event_bit_exact_under_shuffle_and_reversal(odd_world):
     # at dim 300 a BLAS gemv changes the last bit of some rows when they move
     space, repo, corpus, queries = odd_world[:4]
-    records = list(corpus)
     rng = np.random.default_rng(3)
-    reorderings = [Corpus(records[::-1], repo)] + [
-        Corpus([records[i] for i in rng.permutation(len(records))], repo) for _ in range(20)
+    reorderings = [rows_of(corpus, repo, np.arange(len(corpus))[::-1])] + [
+        rows_of(corpus, repo, rng.permutation(len(corpus))) for _ in range(20)
     ]
     for query in queries:
         ranked = rank_event(query, space, repo, corpus)
         for reordered in reorderings:
             assert rank_event(query, space, repo, reordered).entries == ranked.entries
-        assert rank_event(query, space, repo, records[::-1]).entries == ranked.entries
 
 
 def test_concept_weights_bit_exact_under_concept_order(odd_world):
@@ -440,25 +434,40 @@ def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch)
     assert prepared[0][:2] == ("w30", "w31") and prepared[1][:2] == ("w30", "w90")
 
 
-def test_corpus_built_with_other_stops_is_rebuilt_for_the_ranking(odd_world, monkeypatch):
+def test_rank_events_takes_only_a_corpus_built_for_its_space(odd_world, monkeypatch):
     space, repo, corpus, queries = odd_world[:4]
-    no_stops = Corpus(list(corpus), repo, stops=frozenset())
-    for query in queries:
-        as_records = rank_event(query, space, repo, list(corpus))
-        assert rank_event(query, space, repo, no_stops).entries == as_records.entries
-        assert rank_event(query, space, repo, corpus).entries == as_records.entries
-    # "the" counts as a transcript word only without the stop list
-    assert rank_event(queries[0], space, repo, no_stops, stops=frozenset()).entries != (
+    # the transcripts are embedded with the repository's stop list: "the"
+    # counts as a transcript word only without one
+    no_stops_repo = ConceptRepository(repo.concepts)
+    no_stops_repo.attach_space(space, stops=frozenset())
+    no_stops = Corpus(no_stops_repo, corpus.ids, corpus.S, corpus.ocr, corpus.asr)
+    assert (no_stops.n_ocr >= corpus.n_ocr).all() and (no_stops.n_ocr > corpus.n_ocr).any()
+    assert rank_event(queries[0], space, no_stops_repo, no_stops).entries != (
         rank_event(queries[0], space, repo, corpus).entries
     )
 
-    # a corpus built for the ranking's space and stop list is used as is
+    other_space = EmbeddingSpace(space.tokens(), space._matrix)
+    other_repo = ConceptRepository(repo.concepts)
+    other_repo.attach_space(other_space)
+    fewer = ConceptRepository(repo.concepts[:-1])
+    fewer.attach_space(space)
+    no_space = ConceptRepository(repo.concepts)
+    for wrong in (
+        list(zip(corpus.ids, corpus.S)),
+        [],
+        Corpus(other_repo, corpus.ids, corpus.S),
+        Corpus(fewer, corpus.ids, corpus.S[:, :-1]),
+        Corpus(no_space, corpus.ids, corpus.S),
+    ):
+        with pytest.raises(SemvidError, match="needs a Corpus built for this space and 61"):
+            rank_events(queries, space, repo, wrong)
+
+    # a corpus is used as it was built
     def no_rebuild(*args, **kwargs):
         raise AssertionError("transcripts pooled again")
 
     monkeypatch.setattr("semvid.videos.pool_texts", no_rebuild)
     rank_event(queries[0], space, repo, corpus)
-    rank_event(queries[0], space, repo, no_stops, stops=frozenset())
 
 
 def test_rank_events_equal_ranking_each_event_alone(odd_world):
@@ -474,7 +483,6 @@ def test_rank_events_equal_ranking_each_event_alone(odd_world):
         alone = [rank_event(query, space, repo, corpus, config) for query in queries]
         assert rank_events(queries, space, repo, corpus, config) == alone
         assert rank_events(queries[::-1], space, repo, corpus, config) == alone[::-1]
-        assert rank_events(queries, space, repo, list(corpus), config) == alone
     assert rank_events([], space, repo, corpus) == []
 
 
@@ -511,8 +519,7 @@ def test_a_failing_batch_raises_what_the_first_failing_event_raises():
     tokens = ["north", "south"] + [f"t{i}" for i in range(10)]
     space = EmbeddingSpace(tokens, matrix.astype(np.float32))
     repo = make_repo(space, ["t1", "t2", "t3"])
-    corpus = [VideoRecord(video_id=f"v{i}", concept_scores=rng.uniform(0, 1, 3), asr_text="t4 t5")
-              for i in range(5)]
+    corpus = Corpus(repo, [f"v{i}" for i in range(5)], rng.uniform(0, 1, (5, 3)), asr=["t4 t5"] * 5)
     good = EventQuery(event_id="good", title_terms=("t1", "t6"))
     oov = EventQuery(event_id="oov", title_terms=("zzz", "qqq"))
     flat = EventQuery(event_id="flat", title_terms=("north", "south"))
@@ -525,8 +532,9 @@ def test_a_failing_batch_raises_what_the_first_failing_event_raises():
         assert loop[0] is error
         assert outcome(lambda: rank_events(queries, space, repo, corpus)) == loop
     empty = (SemvidError, "corpus is empty")
-    assert outcome(lambda: rank_events([good], space, repo, [])) == empty
-    assert outcome(lambda: rank_event(good, space, repo, [])) == empty
+    no_videos = Corpus(repo, [], np.zeros((0, 3)))
+    assert outcome(lambda: rank_events([good], space, repo, no_videos)) == empty
+    assert outcome(lambda: rank_event(good, space, repo, no_videos)) == empty
     # the Hausdorff kernel ranks the flat title; its text query is not expanded
     config = RetrievalConfig(kernel="hausdorff")
     queries = [good, flat]

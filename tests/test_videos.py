@@ -8,7 +8,7 @@ from semvid.config import RetrievalConfig
 from semvid.embedding import load_embeddings
 from semvid.errors import ConceptFormatError, IngestError
 from semvid.retrieval import EventQuery, rank_event
-from semvid.videos import Corpus, ScoreTrack, VideoRecord, build_video_record, load_corpus, pool
+from semvid.videos import Corpus, load_corpus
 from semvid.videos import _decode_json, _json_int
 
 
@@ -21,86 +21,106 @@ def repo3():
     ])
 
 
-def track(video, concept, samples):
-    return ScoreTrack(video_id=video, concept_id=concept, samples=tuple(samples))
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_pool_max():
-    assert pool(track("v", "c", [0.2, 0.9, 0.1]), "max") == pytest.approx(0.9)
+def pooled(tmp_path, repo, tracks, mode="max"):
+    """The corpus ``load_corpus`` reads from score JSONL of the given
+    (video, concept, samples) tracks, one line each."""
+    path = tmp_path / "tracks.jsonl"
+    write_lines(path, [
+        json.dumps({"video": video, "concept": concept, "scores": [float(s) for s in samples]})
+        for video, concept, samples in tracks
+    ])
+    return load_corpus(path, repo, mode=mode)
 
 
-def test_pool_avg():
-    assert pool(track("v", "c", [0.2, 0.9, 0.1]), "avg") == pytest.approx(0.4)
+def test_pool_max(tmp_path, repo3):
+    S = pooled(tmp_path, repo3, [("v", "c1", [0.2, 0.9, 0.1])], "max").S
+    assert S[0, 0] == pytest.approx(0.9)
 
 
-def test_pool_max_dominates_avg():
+def test_pool_avg(tmp_path, repo3):
+    S = pooled(tmp_path, repo3, [("v", "c1", [0.2, 0.9, 0.1])], "avg").S
+    assert S[0, 0] == pytest.approx(0.4)
+
+
+def test_pool_max_dominates_avg(tmp_path, repo3):
     rng = np.random.default_rng(1)
-    for _ in range(25):
-        t = track("v", "c", rng.uniform(0, 1, size=int(rng.integers(1, 9))))
-        assert pool(t, "max") >= pool(t, "avg")
+    tracks = [
+        (f"v{i}", "c1", rng.uniform(0, 1, size=int(rng.integers(1, 9)))) for i in range(25)
+    ]
+    top = pooled(tmp_path, repo3, tracks, "max").S
+    mean = pooled(tmp_path, repo3, tracks, "avg").S
+    assert (top >= mean).all()
 
 
-def test_pool_singleton_idempotent():
+def test_pool_singleton_idempotent(tmp_path, repo3):
     for mode in ("max", "avg"):
-        assert pool(track("v", "c", [0.37]), mode) == pytest.approx(0.37)
+        assert pooled(tmp_path, repo3, [("v", "c1", [0.37])], mode).S[0, 0] == pytest.approx(0.37)
 
 
-def test_pool_max_monotone_in_appends():
+def test_pool_max_monotone_in_appends(tmp_path, repo3):
     samples = [0.1, 0.5]
-    base = pool(track("v", "c", samples), "max")
-    assert pool(track("v", "c", samples + [0.3]), "max") >= base
+    S = pooled(tmp_path, repo3, [("v1", "c1", samples), ("v2", "c1", samples + [0.3])]).S
+    assert S[1, 0] >= S[0, 0]
 
 
-def test_track_rejects_out_of_range_and_empty():
-    with pytest.raises(IngestError):
-        track("v", "c", [1.3])
-    with pytest.raises(IngestError):
-        track("v", "c", [])
+def test_track_rejects_out_of_range_and_empty(tmp_path, repo3, caplog):
+    with pytest.raises(IngestError, match="line 1: score 1.3 outside"):
+        pooled(tmp_path, repo3, [("v", "c1", [1.3])])
+    with caplog.at_level("WARNING"):
+        corpus = pooled(tmp_path, repo3, [("v", "c1", []), ("w", "c1", [0.5])])
+    assert corpus.ids == ("w",)
+    assert any("line 1: empty score list, skipped" in message for message in caplog.messages)
 
 
-def test_build_record_fills_missing_with_zero(repo3):
-    record = build_video_record(
-        [track("v1", "c1", [0.5]), track("v1", "c3", [0.2, 0.4])], repo3
-    )
-    np.testing.assert_allclose(record.concept_scores, [0.5, 0.0, 0.4])
-    assert record.covered == 2
+def test_build_record_fills_missing_with_zero(tmp_path, repo3):
+    corpus = pooled(tmp_path, repo3, [("v1", "c1", [0.5]), ("v1", "c3", [0.2, 0.4])])
+    np.testing.assert_allclose(corpus.S, [[0.5, 0.0, 0.4]])
 
 
-def test_build_record_unknown_concept(repo3):
-    with pytest.raises(Exception, match="xyz"):
-        build_video_record([track("v1", "xyz", [0.5])], repo3)
+def test_build_record_unknown_concept(tmp_path, repo3):
+    with pytest.raises(ConceptFormatError, match="xyz"):
+        pooled(tmp_path, repo3, [("v1", "xyz", [0.5])])
 
 
-def test_build_record_mixed_videos(repo3):
-    with pytest.raises(IngestError, match="mix"):
-        build_video_record([track("v1", "c1", [0.1]), track("v2", "c2", [0.1])], repo3)
+def test_build_record_mixed_videos(tmp_path, repo3):
+    # the tracks of two videos in one file give each video its own row
+    corpus = pooled(tmp_path, repo3, [("v1", "c1", [0.1]), ("v2", "c2", [0.1])])
+    assert corpus.ids == ("v1", "v2")
+    np.testing.assert_array_equal(corpus.S, [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]])
 
 
-def test_build_record_permutation_invariant(repo3):
-    tracks = [track("v1", "c1", [0.3]), track("v1", "c2", [0.8]), track("v1", "c3", [0.1])]
-    a = build_video_record(tracks, repo3)
-    b = build_video_record(list(reversed(tracks)), repo3)
-    np.testing.assert_array_equal(a.concept_scores, b.concept_scores)
+def test_build_record_permutation_invariant(tmp_path, repo3):
+    tracks = [("v1", "c1", [0.3]), ("v1", "c2", [0.8]), ("v1", "c3", [0.1])]
+    a = pooled(tmp_path, repo3, tracks).S
+    b = pooled(tmp_path, repo3, tracks[::-1]).S
+    np.testing.assert_array_equal(a, b)
 
 
-def test_pooling_matrix_matches_cell_oracle():
+def test_pooling_matrix_matches_cell_oracle(tmp_path):
     # 50 synthetic videos x 20 concepts, max mode, against per-cell max()
     rng = np.random.default_rng(2)
     repo = ConceptRepository([ConceptDefinition(id=f"c{i}", name=str(i)) for i in range(20)])
     expected = np.zeros((50, 20))
-    got = np.zeros((50, 20))
+    tracks = []
     for v in range(50):
-        tracks = []
         for c in rng.choice(20, size=int(rng.integers(1, 20)), replace=False):
             samples = rng.uniform(0, 1, size=int(rng.integers(1, 6)))
-            tracks.append(track(f"v{v}", f"c{c}", samples))
+            tracks.append((f"v{v}", f"c{c}", samples))
             expected[v, c] = max(float(s) for s in samples)
-        got[v] = build_video_record(tracks, repo, mode="max").concept_scores
-    np.testing.assert_allclose(got, expected, atol=0)
+    corpus = pooled(tmp_path, repo, tracks, mode="max")
+    assert corpus.ids == tuple(f"v{v}" for v in range(50))
+    np.testing.assert_array_equal(corpus.S, expected)
 
 
-def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+@pytest.mark.parametrize("suffix", [".csv", ".jsonl"])
+def test_load_corpus_rejects_an_unknown_mode_before_reading(tmp_path, repo3, suffix):
+    missing = tmp_path / f"absent{suffix}"  # opening it would raise OSError
+    with pytest.raises(ValueError, match="pool mode must be max or avg, got 'bogus'"):
+        load_corpus(missing, repo3, mode="bogus")
 
 
 def test_load_corpus_union_semantics(tmp_path, repo3):
@@ -115,10 +135,10 @@ def test_load_corpus_union_semantics(tmp_path, repo3):
         json.dumps({"video": "v1", "ocr": "hello", "asr": "world"}),
         json.dumps({"video": "v2", "ocr": "", "asr": "speech"}),
     ])
-    records = {r.video_id: r for r in load_corpus(scores, repo3, transcripts)}
-    assert set(records) == {"v1", "v2", "v3"}
-    assert records["v1"].ocr_text == "hello"
-    assert records["v3"].ocr_text == "" and records["v3"].asr_text == ""
+    corpus = load_corpus(scores, repo3, transcripts)
+    texts = dict(zip(corpus.ids, zip(corpus.ocr, corpus.asr)))
+    assert set(texts) == {"v1", "v2", "v3"}
+    assert texts["v1"] == ("hello", "world") and texts["v3"] == ("", "")
 
 
 def test_load_corpus_score_out_of_range_cites_line(tmp_path, repo3):
@@ -138,8 +158,8 @@ def test_load_corpus_malformed_line_skipped_with_report(tmp_path, repo3, caplog)
         "{not json at all",
     ])
     with caplog.at_level("WARNING"):
-        records = load_corpus(scores, repo3)
-    assert len(records) == 1
+        corpus = load_corpus(scores, repo3)
+    assert len(corpus) == 1
     assert any("line 2" in message for message in caplog.messages)
 
 
@@ -154,10 +174,9 @@ def test_load_corpus_prepooled_csv_passthrough(tmp_path):
         expected[f"v{v}"] = values
         rows.append(f"v{v}," + ",".join(repr(float(x)) for x in values))
     write_lines(csv_path, rows)
-    records = {r.video_id: r for r in load_corpus(csv_path, repo)}
-    assert len(records) == 5
-    for vid, values in expected.items():
-        np.testing.assert_array_equal(records[vid].concept_scores, values)
+    corpus = load_corpus(csv_path, repo)
+    assert corpus.ids == tuple(expected)
+    np.testing.assert_array_equal(corpus.S, list(expected.values()))
 
 
 def test_load_corpus_lookup_total_over_union(tmp_path, repo3):
@@ -165,8 +184,7 @@ def test_load_corpus_lookup_total_over_union(tmp_path, repo3):
     write_lines(scores, [json.dumps({"video": "a", "concept": "c1", "scores": [0.2]})])
     transcripts = tmp_path / "tr.jsonl"
     write_lines(transcripts, [json.dumps({"video": "b", "asr": "x"})])
-    records = {r.video_id for r in load_corpus(scores, repo3, transcripts)}
-    assert records == {"a", "b"}
+    assert load_corpus(scores, repo3, transcripts).ids == ("a", "b")
 
 
 def test_load_corpus_duplicate_track_rejected_with_line(tmp_path, repo3):
@@ -206,8 +224,7 @@ def test_null_transcript_is_a_missing_channel(tmp_path):
         json.dumps({"video": "empty_ocr", "ocr": "", "asr": ""}),
     ])
     corpus = load_corpus(scores, repo, transcripts)
-    records = {r.video_id: r for r in corpus}
-    assert records["null_ocr"].ocr_text == "" and records["null_ocr"].asr_text == ""
+    assert corpus.ocr == ("", "") and corpus.asr == ("", "")
     assert corpus.n_ocr.tolist() == [0, 0] and corpus.n_asr.tolist() == [0, 0]
 
     query = EventQuery(event_id="e", title_terms=("q",))
@@ -229,7 +246,7 @@ def test_load_transcripts_bad_field_skipped_with_line(tmp_path, repo3, caplog, e
     write_lines(transcripts, [json.dumps({"video": "v1", "asr": "y"}), json.dumps(entry)])
     with caplog.at_level("WARNING"):
         corpus = load_corpus(scores, repo3, transcripts)
-    assert [r.video_id for r in corpus] == ["v1"]
+    assert corpus.ids == ("v1",)
     assert any(
         f"{transcripts} line 2: malformed, skipped ({reason})" in message
         for message in caplog.messages
@@ -245,26 +262,23 @@ def test_load_scores_non_string_ids_skipped_with_line(tmp_path, repo3, caplog):
     ])
     with caplog.at_level("WARNING"):
         corpus = load_corpus(scores, repo3)
-    assert [r.video_id for r in corpus] == ["v1"]
+    assert corpus.ids == ("v1",)
     for lineno in (2, 3):
         assert any(f"line {lineno}: malformed" in message for message in caplog.messages)
 
 
 # ------------------------------------------------------------------ Corpus
 
-def test_corpus_is_a_read_only_sequence_over_its_columns(repo3):
-    records = [
-        VideoRecord(video_id="b", concept_scores=np.array([0.1, 0.2, 0.3]), ocr_text="x"),
-        VideoRecord(video_id="a", concept_scores=np.array([0.4, 0.5, 0.6])),
-    ]
-    corpus = Corpus(records, repo3)
-    assert len(corpus) == 2
-    assert [r.video_id for r in corpus] == ["b", "a"] == list(corpus.ids)
-    assert corpus[1].video_id == "a" and list(corpus)[0].ocr_text == "x"
-    np.testing.assert_array_equal(corpus.S, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
-    assert np.shares_memory(corpus[0].concept_scores, corpus.S)
+def test_corpus_holds_read_only_columns(repo3):
+    scores = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    corpus = Corpus(repo3, ["b", "a"], scores, ocr=["x", ""])
+    assert len(corpus) == 2 and corpus.ids == ("b", "a")
+    assert corpus.ocr == ("x", "") and corpus.asr == ("", "")
+    assert corpus.id_rank.tolist() == [1, 0]
+    np.testing.assert_array_equal(corpus.S, scores)
+    assert corpus.S is scores  # kept without a copy, and read-only
     with pytest.raises(ValueError):
-        corpus[0].concept_scores[0] = 0.9
+        scores[0, 0] = 0.9
     assert corpus.P_ocr is None  # no space attached, no text columns
 
 
@@ -291,18 +305,11 @@ def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
     loaded = load_corpus(scores, repo, transcripts)
     # scored videos first, then transcript-only ones with zero scores
     assert loaded.ids == ("v2", "v1", "v9", "v5")
-    assert [r.covered for r in loaded] == ([2, 2, 0, 0] if suffix == ".csv" else [2, 1, 0, 0])
+    assert loaded.ocr == ("", "", "two one", "one") and loaded.asr == ("", "three", "", "")
     assert not loaded.S.flags.writeable and not loaded.S[2:].any()
-    rebuilt = Corpus(list(loaded), repo)
-    for name in ("ids", "S", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_rank"):
+    rebuilt = Corpus(repo, loaded.ids, loaded.S, loaded.ocr, loaded.asr)
+    for name in ("ids", "S", "ocr", "asr", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_rank"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(rebuilt, name))
-    for a, b in zip(loaded, rebuilt):
-        assert (a.video_id, a.ocr_text, a.asr_text, a.covered) == (
-            b.video_id, b.ocr_text, b.asr_text, b.covered)
-        assert np.shares_memory(a.concept_scores, loaded.S)
-    assert loaded[-1].video_id == "v5" and [r.video_id for r in loaded[1::2]] == ["v1", "v5"]
-    with pytest.raises(IndexError):
-        loaded[4]
 
 
 def load_embeddings_text(tmp_path):
@@ -335,18 +342,25 @@ def test_score_line_decoder_matches_the_json_decoder(line):
     (np.array([-0.1, 0.2, 0.3]), "-0.1"),
 ])
 def test_corpus_rejects_invalid_concept_vector_naming_video(repo3, scores, problem):
-    records = [
-        VideoRecord(video_id="fine", concept_scores=np.zeros(3)),
-        VideoRecord(video_id="broken", concept_scores=scores),
-    ]
-    with pytest.raises(IngestError, match=f"'broken'.*{problem}"):
-        Corpus(records, repo3)
+    # a row of the wrong length makes the whole matrix the wrong shape
+    shape = r"shape \(2, \d\), expected \(2, 3\)"
+    with pytest.raises(IngestError, match=shape if problem == "shape" else f"'broken'.*{problem}"):
+        Corpus(repo3, ["fine", "broken"], [np.zeros(len(scores)), scores])
 
 
 def test_corpus_rejects_duplicate_video_id(repo3):
-    records = [VideoRecord(video_id="twice", concept_scores=np.zeros(3))] * 2
     with pytest.raises(IngestError, match="duplicate video id 'twice'"):
-        Corpus(records, repo3)
+        Corpus(repo3, ["once", "twice", "twice"], np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("ocr, asr, message", [
+    (["a", 7], None, "video 'v2': OCR transcript is not a string"),
+    (None, [None, "b"], "video 'v1': ASR transcript is not a string"),
+    (["a"], None, "1 OCR transcripts for 2 videos"),
+])
+def test_corpus_rejects_transcripts_that_are_not_a_string_per_video(repo3, ocr, asr, message):
+    with pytest.raises(IngestError, match=message):
+        Corpus(repo3, ["v1", "v2"], np.zeros((2, 3)), ocr, asr)
 
 
 @pytest.mark.parametrize("scores", ["01", ["0.5", True], [True], {"0.5": 1}, 0.5, [[0.5]]])
@@ -421,6 +435,5 @@ def test_prepooled_csv_across_blocks(tmp_path, repo3, monkeypatch):
     corpus = load_corpus(write_csv(tmp_path, rows), repo3)
     assert list(corpus.ids) == [f"v{i}" for i in range(5)]
     np.testing.assert_array_equal(corpus.S, [[i / 10, 0.5, 1 - i / 10] for i in range(5)])
-    assert {r.covered for r in corpus} == {3}
     with pytest.raises(IngestError, match="line 5: non-numeric score ''"):
         load_corpus(write_csv(tmp_path, rows[:3] + ["x,0.1,,0.3"] + rows[3:]), repo3)
