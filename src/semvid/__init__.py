@@ -19,7 +19,7 @@ _EXPORTS = {
     for module, names in {
         "concepts": (
             "ConceptDefinition", "ConceptRepository", "WeightedConcept", "load_concepts",
-            "rank_concepts", "top_r",
+            "rank_concepts",
         ),
         "config": ("DEFAULT_CONFIG", "RetrievalConfig"),
         "embedding": (

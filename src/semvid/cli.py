@@ -102,10 +102,12 @@ def _cmd_pool(args) -> int:
 
 def _cmd_relevance(args) -> int:
     from .concepts import load_concepts, rank_concepts
+    from .config import build_config
     from .embedding import embed_tokens, load_embeddings, tokenize
 
     if args.top < 0:
         raise SemvidError(f"--top must be >= 0, got {args.top}")
+    config = build_config(kernel=args.kernel, percentile=args.percentile)
     stops = _stops(args)
     space = load_embeddings(args.embeddings, _fmt(args))
     repo = load_concepts(args.concepts, space, stops)
@@ -113,7 +115,7 @@ def _cmd_relevance(args) -> int:
     query_set = embed_tokens(space, tokens)
     if query_set.oov:
         print(f"note: query tokens out of vocabulary: {list(query_set.oov)}", file=sys.stderr)
-    ranked = rank_concepts(repo, query_set, args.kernel, args.percentile)[: args.top]
+    ranked = rank_concepts(repo, query_set, config.kernel, config.percentile)[: args.top]
     width = max([len("concept")] + [len(w.concept_id) for w in ranked])
     print(f"{'concept':<{width}}  {'weight':>9}")
     for wc in ranked:

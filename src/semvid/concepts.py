@@ -15,6 +15,7 @@ import numpy as np
 
 from .embedding import EmbeddedSet, EmbeddingSpace, _dot_norms, embed_tokens, sum_pool, tokenize
 from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, open_utf8
+from .kernels import row_dots
 from .similarity import lower_percentile_index
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -220,12 +221,7 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     q_norms = np.linalg.norm(Q, axis=1)
     if not q_norms.all():
         raise NoScoreableConcepts("query has a zero-norm word vector")
-    T = repo._set_vectors
-    cos = np.empty((T.shape[0], Q.shape[0]), dtype=np.float64)
-    for j in range(Q.shape[0]):
-        # a fixed-order reduction per row, never a BLAS gemm or gemv, so
-        # that a weight does not depend on the concept's row
-        cos[:, j] = (T * Q[j]).sum(axis=1) / (q_norms[j] * repo._set_norms)
+    cos = row_dots(repo._set_vectors, Q) / np.outer(repo._set_norms, q_norms)
 
     per_query = np.maximum.reduceat(cos, repo._set_starts, axis=0)
     per_query.sort(axis=1)
@@ -250,9 +246,7 @@ def _ranked(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile
             raise NoScoreableConcepts("query has a zero-norm pooled vector")
         ids, columns, ranks = repo._pooled_index
         if ids:
-            # a fixed-order reduction per row, never a BLAS gemv, so that a
-            # weight does not depend on the concept's row or the row count
-            weights = (repo._pooled * pooled).sum(axis=1) / (norm * repo._pooled_norms)
+            weights = row_dots(repo._pooled, pooled) / (norm * repo._pooled_norms)
     elif kernel == "hausdorff":
         ids, columns, ranks = repo._set_index
         if ids:
@@ -277,22 +271,15 @@ def rank_concepts(
     ``attach_space``. The pooled kernel is one row reduction against the
     pooled concept matrix, and leaves out concepts whose pooled vector has
     zero norm. The Hausdorff kernel scores every concept at once (see
-    :func:`_hausdorff_weights`), equal to
-    :func:`semvid.similarity.sim_hausdorff` per concept up to the rounding
-    of the dot products, and leaves out concepts with a zero-norm word
-    vector. Every dot product is a fixed-order reduction over one concept
-    row, so a weight depends only on the query and that concept.
+    :func:`_hausdorff_weights`), bit for bit equal to
+    :func:`semvid.similarity.sim_hausdorff` per concept when the concept
+    and the query each have two or more words, and leaves out concepts
+    with a zero-norm word vector. Every dot product is a
+    :func:`~semvid.kernels.row_dots` reduction over one concept row, so a
+    weight depends only on the query and that concept.
     """
     ids, _, weights, order = _ranked(repo, query, kernel, percentile)
     return [WeightedConcept(ids[i], w) for i, w in zip(order.tolist(), weights[order].tolist())]
-
-
-def top_r(ranked: list[WeightedConcept], r: int) -> list[WeightedConcept]:
-    """Prefix of the ranked list; concepts outside it count as zero weight
-    downstream."""
-    if r < 1:
-        raise ValueError("R must be >= 1")
-    return ranked[: min(r, len(ranked))]
 
 
 def top_r_columns(
@@ -302,8 +289,10 @@ def top_r_columns(
     r: int,
     percentile: float = 50.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score columns and weights of ``top_r(rank_concepts(...), r)``, taken
-    from the ranking's order as arrays, with no per-concept objects."""
+    """Score columns and weights of the first ``r`` concepts of
+    ``rank_concepts(...)``, taken from the ranking's order as arrays, with
+    no per-concept objects; concepts outside them count as zero weight
+    downstream."""
     if r < 1:
         raise ValueError("R must be >= 1")
     _, columns, weights, order = _ranked(repo, query, kernel, percentile)

@@ -6,6 +6,7 @@ command-line flags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .errors import SemvidError, open_utf8
@@ -77,8 +78,10 @@ def build_config(file_values: dict | None = None, **flag_values) -> RetrievalCon
         raise SemvidError(f"mode must be max or avg, got {config.mode!r}")
     if config.top_r < 1:
         raise SemvidError("R must be >= 1")
-    if config.fusion_weight <= 0:
-        raise SemvidError("w must be positive")
+    if not (math.isfinite(config.fusion_weight) and config.fusion_weight > 0):
+        raise SemvidError(f"w must be finite and positive, got {config.fusion_weight}")
+    if not 0.0 < config.percentile <= 100.0:  # NaN fails too
+        raise SemvidError(f"percentile must be in (0, 100], got {config.percentile}")
     if config.augment_k < 0:
         raise SemvidError("k must be >= 0")
     return config

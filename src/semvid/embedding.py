@@ -22,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError, open_utf8
+from .kernels import row_dots
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
@@ -623,9 +624,9 @@ def nearest_words_many(
     K >= F, so a dropped row has c32 < K - 2 delta too, and the k largest
     c32 of the table are kept: K is the k-th largest of the kept rows. Only the kept rows with
     c32 >= K - 2 delta are therefore re-scored in float64 and sorted.
-    Each float64 cosine is a fixed-order reduction over its own row, so it
-    does not depend on the row's position in the table, and equal rows
-    score equal.
+    Each float64 cosine is a :func:`~semvid.kernels.row_dots` reduction
+    over its own row, so it does not depend on the row's position in the
+    table, and equal rows score equal.
     """
     points = [np.asarray(point, dtype=np.float64) for point in points]
     norms = []
@@ -665,7 +666,7 @@ def nearest_words_many(
         else:
             rows = np.arange(len(space))
         rows = rows[~np.isin(rows, excluded[i])]
-        sims = (space._matrix[rows].astype(np.float64) * point).sum(axis=1)
+        sims = row_dots(space._matrix[rows].astype(np.float64), point)
         sims /= space._norms[rows] * norm
         tokens = space._tokens[rows]
         order = np.lexsort((tokens, -sims))[:k]

@@ -11,10 +11,10 @@ Scoring takes the corpus only as the columns of a
 built: the concept channel is one product of the selected score columns
 with the concept weights, and a text channel is one product of the pooled
 transcript vectors with the pooled query, by the identity
-mean pairwise cosine = dot(sum Q, sum T) / (|Q| |T|). Each per-row dot
-product is a fixed-order reduction, so every video's fused score depends
-only on the query, the repository and that video's own row, never on the
-rest of the corpus or on the video's position in it.
+mean pairwise cosine = dot(sum Q, sum T) / (|Q| |T|). Both products are
+:func:`~semvid.kernels.row_dots` reductions, so every video's fused score
+depends only on the query, the repository and that video's own row, never
+on the rest of the corpus or on the video's position in it.
 """
 
 from __future__ import annotations
@@ -175,27 +175,12 @@ def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]
     return bases
 
 
-# Bytes of float64 product per block of a text-channel reduction, small
-# enough to stay in a core's L2 cache: at 8000 x 300 (one BLAS thread) one
-# call took 3.0 ms and blocks of 256-320 rows 2.4 ms.
-_TEXT_BLOCK_BYTES = 768 * 1024
-
-
 def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray):
     """Text-channel score in [0, 1] of every pooled transcript row, the
     affine map of its mean pairwise cosine with the query set; rows with a
     count of 0 (channel missing) get the neutral 0.5."""
     present = counts > 0
-    q_sum = sum_pool(query_set)
-    # a fixed-order reduction per row, never a BLAS gemv, so that a score
-    # does not depend on the video's row or on the corpus size; the rows are
-    # reduced a block at a time, which keeps the product in cache and gives
-    # each row the same sum (a corpus of one block makes one call)
-    rows = max(1, _TEXT_BLOCK_BYTES // (8 * pooled.shape[1]))
-    cross = np.empty(len(pooled))
-    for start in range(0, len(pooled), rows):
-        block = pooled[start : start + rows]
-        np.sum(block * q_sum, axis=1, out=cross[start : start + len(block)])
+    cross = kernels.row_dots(pooled, sum_pool(query_set))
     cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
     return np.where(present, np.clip(map_cosine(cross), 0.0, 1.0), 0.5)
 

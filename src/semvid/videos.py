@@ -288,10 +288,10 @@ class Corpus:
     The transcripts are embedded with the space and stop words the
     repository's concept embeddings were built with; without a space the
     text columns are None. A float64 ``S`` is kept without a copy and made
-    read-only. A repeated video id, a matrix or transcript column of the
-    wrong shape, a score that is NaN or lies outside [0, 1], or a transcript
-    that is not a string raises :class:`IngestError`, naming the video where
-    there is one.
+    read-only. A video id that is not a string or is repeated, a matrix or
+    transcript column of the wrong shape, a score that is NaN or lies
+    outside [0, 1], or a transcript that is not a string raises
+    :class:`IngestError`, naming the video where there is one.
     """
 
     def __init__(self, repo: ConceptRepository, ids, S, ocr=None, asr=None):
@@ -299,6 +299,8 @@ class Corpus:
         n = len(ids)
         seen = set()
         for video in ids:
+            if not isinstance(video, str):
+                raise IngestError(f"video id {video!r} is not a string")
             if video in seen:
                 raise IngestError(f"duplicate video id {video!r}")
             seen.add(video)

@@ -63,12 +63,12 @@ def test_relevance_matches_library_ranking(world_dir, capsys):
     table = capsys.readouterr().out.strip().splitlines()
     assert len(table) == 6  # header + 5 rows
 
-    from semvid.concepts import rank_concepts, top_r
+    from semvid.concepts import rank_concepts
     from semvid.embedding import embed_tokens
 
     space = load_embeddings(paths["embeddings"])
     repo = load_concepts(paths["concepts"], space)
-    expected = top_r(rank_concepts(repo, embed_tokens(space, ["ev0title0", "ev0title1"])), 5)
+    expected = rank_concepts(repo, embed_tokens(space, ["ev0title0", "ev0title1"]))[:5]
     listed = [line.split()[0] for line in table[1:]]
     assert listed == [w.concept_id for w in expected]
 
@@ -167,6 +167,60 @@ def test_rank_config_file_and_flag_precedence(world_dir, tmp_path):
     assert main(base + ["-R", "2", "-k", "0", "--out", str(out_default)]) == 0
     assert out_file.read_bytes() == out_default.read_bytes()  # file == same flags
     assert out_file.read_bytes() != out_flag.read_bytes()      # flag overrides file
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kernel", "hausdorff", "--percentile", "0"], "percentile must be in (0, 100], got 0.0"),
+    (["--kernel", "hausdorff", "--percentile", "nan"], "percentile must be in (0, 100], got nan"),
+    (["--percentile", "150"], "percentile must be in (0, 100], got 150.0"),
+    (["-w", "nan"], "w must be finite and positive, got nan"),
+    (["-w", "inf"], "w must be finite and positive, got inf"),
+    (["-w", "0"], "w must be finite and positive, got 0.0"),
+])
+def test_rank_out_of_range_flag_is_an_input_error(world_dir, tmp_path, capsys, flags, message):
+    # a NaN or infinite w would score every video nan or 1.000000, and a
+    # percentile of 0 has no order statistic
+    _, paths = world_dir
+    out = tmp_path / "ranked.tsv"
+    code = main([
+        "rank", paths["embeddings"], paths["concepts"], paths["queries"],
+        "--scores", paths["scores"], "--out", str(out),
+    ] + flags)
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("percentile = 0", "percentile must be in (0, 100], got 0.0"),
+    ("percentile = 100.5", "percentile must be in (0, 100], got 100.5"),
+    ("w = nan", "w must be finite and positive, got nan"),
+    ("w = -inf", "w must be finite and positive, got -inf"),
+])
+def test_rank_out_of_range_config_value_is_an_input_error(world_dir, tmp_path, capsys, line, message):
+    _, paths = world_dir
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n", encoding="utf-8")
+    code = main([
+        "rank", paths["embeddings"], paths["concepts"], paths["queries"],
+        "--scores", paths["scores"], "--config", str(config), "--out", str(tmp_path / "r.tsv"),
+    ])
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+@pytest.mark.parametrize("percentile", ["0", "nan", "150", "-5"])
+def test_relevance_out_of_range_percentile_is_an_input_error(world_dir, capsys, kernel, percentile):
+    _, paths = world_dir
+    code = main([
+        "relevance", paths["embeddings"], paths["concepts"], "--query", "ev0title0",
+        "--kernel", kernel, "--percentile", percentile,
+    ])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: percentile must be in (0, 100]" in captured.err
 
 
 def test_eval_reports_metrics(world_dir, tmp_path, capsys):

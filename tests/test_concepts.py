@@ -8,9 +8,7 @@ from semvid.concepts import (
     ConceptRepository,
     load_concepts,
     rank_concepts,
-    top_r,
     top_r_columns,
-    WeightedConcept,
 )
 from semvid.embedding import EmbeddingSpace, embed_tokens
 from semvid.errors import ConceptFormatError, NoScoreableConcepts
@@ -178,6 +176,32 @@ def test_hausdorff_rank_concepts_matches_oracle():
                 )
 
 
+def test_hausdorff_rank_concepts_equals_sim_hausdorff_bit_for_bit():
+    # concepts and queries of two to six words, some repeating a word: the
+    # batch table and the per-pair kernel reduce the same dot products with
+    # kernels.row_dots, so each weight is the per-pair similarity exactly
+    from semvid.similarity import sim_hausdorff
+
+    space = random_space(np.random.default_rng(41), 80, 300)
+    rng = np.random.default_rng(42)
+    defs, sets = [], {}
+    for i in range(50):
+        picked = [f"w{j}" for j in rng.choice(np.arange(30, 80), size=int(rng.integers(2, 7)))]
+        defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
+        sets[f"c{i:02d}"] = np.array([space.vector(t) for t in picked], dtype=np.float64)
+    repo = ConceptRepository(defs)
+    repo.attach_space(space, stops=frozenset())
+    for trial in range(12):
+        title = [f"w{j}" for j in rng.choice(30, size=int(rng.integers(2, 6)))]
+        query = embed_tokens(space, title)
+        for percentile in (1.0, 37.0, 50.0, 100.0):
+            ranked = rank_concepts(repo, query, "hausdorff", percentile)
+            assert len(ranked) == len(sets)
+            for w in ranked:
+                assert w.weight == sim_hausdorff(sets[w.concept_id], query.vectors, percentile)
+                assert w.weight == sim_hausdorff(query.vectors, sets[w.concept_id], percentile)
+
+
 def test_hausdorff_zero_norm_word_skipped_and_logged_once(caplog):
     space = EmbeddingSpace(
         ["north", "void", "q"], np.array([[1, 0, 0], [0, 0, 0], [0.6, 0.8, 0]], dtype=np.float32)
@@ -212,15 +236,6 @@ def test_rerank_is_bit_identical(space50):
     assert first == second
 
 
-def test_top_r_prefix_and_saturation():
-    ranked = [WeightedConcept(f"c{i}", 1.0 - i / 10) for i in range(10)]
-    assert top_r(ranked, 5) == ranked[:5]
-    assert top_r(ranked[:3], 5) == ranked[:3]
-    kept = top_r(ranked, 5)
-    floor = min(w.weight for w in kept)
-    assert all(w.weight <= floor for w in ranked[5:])
-
-
 def tie_world(tmp_path):
     """Concepts with equal weights (repeated names), orthogonal concepts of
     weight 0, and an out-of-vocabulary concept owning the first score
@@ -248,7 +263,7 @@ def test_top_r_columns_is_the_ranked_prefix_with_ties_straddling_r(tmp_path, ker
     assert [w.concept_id for w in ranked][:4] == ["e_a", "k_a", "z_a", "b_b"]
     for r in range(1, len(ranked) + 2):
         columns, weights = top_r_columns(repo, query, kernel, r)
-        prefix = top_r(ranked, r)
+        prefix = ranked[:r]
         assert [repo.ids()[c] for c in columns] == [w.concept_id for w in prefix]
         assert weights.tolist() == [w.weight for w in prefix]
     with pytest.raises(ValueError, match="R must be"):

@@ -353,6 +353,16 @@ def test_corpus_rejects_duplicate_video_id(repo3):
         Corpus(repo3, ["once", "twice", "twice"], np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("ids, message", [
+    ([1, "a"], "video id 1 is not a string"),
+    ([3, 1], "video id 3 is not a string"),
+    (["a", ["b"]], r"video id \['b'\] is not a string"),
+])
+def test_corpus_rejects_video_ids_that_are_not_strings(repo3, ids, message):
+    with pytest.raises(IngestError, match=message):
+        Corpus(repo3, ids, np.zeros((len(ids), 3)))
+
+
 @pytest.mark.parametrize("ocr, asr, message", [
     (["a", 7], None, "video 'v2': OCR transcript is not a string"),
     (None, [None, "b"], "video 'v1': ASR transcript is not a string"),
