@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import EmbeddedSet, EmbeddingSpace, _dot_norms, embed_tokens, sum_pool, tokenize
+from .embedding import (
+    EmbeddedSet,
+    EmbeddingSpace,
+    _dot_norms,
+    _norm,
+    embed_tokens,
+    sum_pool,
+    tokenize,
+)
 from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, open_utf8
 from .kernels import row_dots
 from .similarity import lower_percentile_index
@@ -111,7 +119,7 @@ class ConceptRepository:
 
         # pooled kernel: each concept's vectors summed row after row, as
         # sum_pool does, and the norms of those sums
-        pooled = np.add.reduceat(vectors, np.cumsum(sizes) - sizes, axis=0) if sets else vectors
+        pooled = _sum_sets(vectors, sizes)
         norms = _dot_norms(pooled)
         keep = norms != 0.0
         _warn_skipped(ids, keep, "a zero-norm pooled vector", "pooled")
@@ -134,6 +142,20 @@ class ConceptRepository:
     def scoreable_ids(self) -> list[str]:
         unscoreable = set(self.unscoreable)
         return [c.id for c in self.concepts if c.id not in unscoreable]
+
+
+def _sum_sets(vectors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sum of each set of rows stored back to back in ``vectors``, with
+    ``sizes`` rows each (>= 1), bit for bit as :func:`sum_pool` gives it:
+    from zero, adding the set's rows in order. The sets that have a j-th
+    row add it in one call, so the work is one add per row of ``vectors``."""
+    starts = np.cumsum(sizes) - sizes
+    sums = vectors[starts]
+    sums += 0.0  # from zero, as sum_pool adds: 0.0 + -0.0 is 0.0
+    for j in range(1, int(sizes.max(initial=1))):
+        longer = np.flatnonzero(sizes > j)  # the sets that have a j-th row
+        sums[longer] += vectors[starts[longer] + j]
+    return sums
 
 
 def _id_columns(repo: ConceptRepository, ids):
@@ -235,13 +257,12 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     return np.minimum(from_query, from_concept)
 
 
-def _ranked(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
-    """The kernel's scoreable ids with their score columns, each id's
-    weight, and the order of the ids by weight descending, ties by id
-    ascending (see :func:`rank_concepts`)."""
+def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
+    """The kernel's scoreable ids with their score columns and their
+    positions in sorted id order, and each id's weight."""
     if kernel == "pooled":
         pooled = sum_pool(query)
-        norm = float(np.linalg.norm(pooled))
+        norm = _norm(pooled)
         if norm == 0.0:
             raise NoScoreableConcepts("query has a zero-norm pooled vector")
         ids, columns, ranks = repo._pooled_index
@@ -255,7 +276,7 @@ def _ranked(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile
         raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
     if not ids:
         raise NoScoreableConcepts("repository has no scoreable concepts")
-    return ids, columns, weights, np.lexsort((ranks, -weights))
+    return ids, columns, ranks, weights
 
 
 def rank_concepts(
@@ -278,7 +299,8 @@ def rank_concepts(
     :func:`~semvid.kernels.row_dots` reduction over one concept row, so a
     weight depends only on the query and that concept.
     """
-    ids, _, weights, order = _ranked(repo, query, kernel, percentile)
+    ids, _, ranks, weights = _weights(repo, query, kernel, percentile)
+    order = np.lexsort((ranks, -weights))
     return [WeightedConcept(ids[i], w) for i, w in zip(order.tolist(), weights[order].tolist())]
 
 
@@ -290,10 +312,16 @@ def top_r_columns(
     percentile: float = 50.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score columns and weights of the first ``r`` concepts of
-    ``rank_concepts(...)``, taken from the ranking's order as arrays, with
-    no per-concept objects; concepts outside them count as zero weight
-    downstream."""
+    ``rank_concepts(...)``, as arrays, with no per-concept objects;
+    concepts outside them count as zero weight downstream. Only the
+    concepts that tie with the r-th weight or beat it are sorted."""
     if r < 1:
         raise ValueError("R must be >= 1")
-    _, columns, weights, order = _ranked(repo, query, kernel, percentile)
-    return columns[order[:r]], weights[order[:r]]
+    _, columns, ranks, weights = _weights(repo, query, kernel, percentile)
+    negated = -weights
+    last = min(r, len(weights)) - 1
+    kth = np.partition(negated, last)[last]
+    # NaN weights sort last; a NaN r-th weight keeps every concept
+    near = np.flatnonzero(~(negated > kth))
+    top = near[np.lexsort((ranks[near], negated[near]))[:r]]
+    return columns[top], weights[top]

@@ -13,6 +13,7 @@ read-only and safe to call from multiple threads.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -79,6 +80,12 @@ def _dot_norms(block: np.ndarray) -> np.ndarray:
     warning."""
     with np.errstate(over="ignore"):
         return np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+
+
+def _norm(vector: np.ndarray) -> float:
+    """``np.linalg.norm`` of a float64 vector, bit for bit, without its
+    Python wrapper: the square root of the vector's dot with itself."""
+    return math.sqrt(vector.dot(vector))
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -533,6 +540,17 @@ def _resolve(space: EmbeddingSpace, tokens: list[str]):
     return rows, resolved, oov, merges
 
 
+def _resolve_some(space: EmbeddingSpace, tokens: list[str]):
+    """:func:`_resolve`, raising :class:`AllTokensOOV` when nothing
+    resolves."""
+    rows, resolved, oov, merges = _resolve(space, tokens)
+    if not rows:
+        raise AllTokensOOV(tokens)
+    if oov:
+        log.debug("embed_tokens: %d tokens out of vocabulary: %s", len(oov), oov)
+    return rows, resolved, oov, merges
+
+
 def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
     """Resolve tokens against the table, folding adjacent bigrams first.
 
@@ -541,11 +559,7 @@ def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
     single token. Unresolvable tokens are skipped and reported on the
     returned set; when nothing resolves, raises :class:`AllTokensOOV`.
     """
-    rows, resolved, oov, merges = _resolve(space, tokens)
-    if not rows:
-        raise AllTokensOOV(tokens)
-    if oov:
-        log.debug("embed_tokens: %d tokens out of vocabulary: %s", len(oov), oov)
+    rows, resolved, oov, merges = _resolve_some(space, tokens)
     return EmbeddedSet(
         vectors=space._matrix[rows].astype(np.float64),
         source_tokens=tuple(resolved),
@@ -620,29 +634,41 @@ def nearest_words_many(
     k whatever its token. The scan runs in row blocks of
     ``_SCAN_BYTES`` of scores, and drops a block's rows with
     c32 < F - 2 delta, F being the largest k-th largest c32 of this block
-    and the blocks before it (-inf while every block has at most k rows).
-    K >= F, so a dropped row has c32 < K - 2 delta too, and the k largest
-    c32 of the table are kept: K is the k-th largest of the kept rows. Only the kept rows with
-    c32 >= K - 2 delta are therefore re-scored in float64 and sorted.
-    Each float64 cosine is a :func:`~semvid.kernels.row_dots` reduction
-    over its own row, so it does not depend on the row's position in the
-    table, and equal rows score equal.
+    and the blocks before it, or -2 while that is lower (every cosine is
+    at least -1 - delta). F never exceeds K, so a dropped row has
+    c32 < K - 2 delta too (with fewer than k kept rows, F stays -2 and
+    every kept row stays). After the last block, the rows of earlier blocks
+    are cut at its F as well, and only the rows left are re-scored in
+    float64 and sorted. Each float64 cosine is a
+    :func:`~semvid.kernels.row_dots` reduction over its own row, so it does
+    not depend on the row's position in the table, and equal rows score
+    equal. The work runs on table rows (:func:`_nearest_rows`); tokens are
+    looked up once, for the results.
     """
-    points = [np.asarray(point, dtype=np.float64) for point in points]
+    points = [np.ascontiguousarray(point, dtype=np.float64) for point in points]
     norms = []
     for point, k in zip(points, ks):
         if point.shape != (space.dimension,):
             raise ZeroNormError(f"point dimension {point.shape} != ({space.dimension},)")
         if k < 1:
             raise ValueError("k must be >= 1")
-        norm = float(np.linalg.norm(point))
+        norm = _norm(point)
         if norm == 0.0 or not np.isfinite(norm):
             raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
         norms.append(norm)
-    excluded = [
-        np.array(sorted({space._index[t] for t in exclude if t in space._index}), dtype=np.intp)
-        for exclude in excludes
+    index = space._index
+    excluded = [{index[t] for t in exclude if t in index} for exclude in excludes]
+    return [
+        list(zip(space._tokens[rows].tolist(), sims.tolist()))
+        for rows, sims in _nearest_rows(space, points, norms, ks, excluded)
     ]
+
+
+def _nearest_rows(space: EmbeddingSpace, points, norms, ks, excluded):
+    """The work of :func:`nearest_words_many` on table rows: for each
+    float64 point of norm ``norms[i]`` (nonzero and finite), the rows of
+    its top ``ks[i]`` >= 1 table rows by cosine, best first, leaving out
+    the set of rows ``excluded[i]``, and their float64 cosines."""
     n = space.dimension + 2
     delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
     # a point whose k reaches its kept rows takes them all, without a scan
@@ -654,23 +680,20 @@ def nearest_words_many(
         [excluded[i] for i in scan],
         delta,
     )))
+    outliers = space._outliers
     results = []
     for i, (point, norm, k) in enumerate(zip(points, norms, ks)):
         if i in found:
-            rows, cos32 = found[i]
-            last = len(cos32) - k
-            kth = np.partition(cos32, last)[last] if last >= 0 else -np.inf
-            # excluded rows and outliers scanned as -inf; every outlier is re-scored
-            near = (cos32 >= kth - 2.0 * delta) & (cos32 > -np.inf)
-            rows = np.concatenate((rows[near], space._outliers))
+            rows = found[i][0]
+            if len(outliers):  # scanned as -inf, and always re-scored
+                rows = np.concatenate((rows, outliers[~np.isin(outliers, list(excluded[i]))]))
         else:
             rows = np.arange(len(space))
-        rows = rows[~np.isin(rows, excluded[i])]
+            rows = rows[~np.isin(rows, list(excluded[i]))]
         sims = row_dots(space._matrix[rows].astype(np.float64), point)
         sims /= space._norms[rows] * norm
-        tokens = space._tokens[rows]
-        order = np.lexsort((tokens, -sims))[:k]
-        results.append([(str(tokens[j]), float(sims[j])) for j in order])
+        order = np.lexsort((space._tokens[rows], -sims))[:k]
+        results.append((rows[order], sims[order]))
     return results
 
 
@@ -683,42 +706,55 @@ def _products(rows: np.ndarray, units: np.ndarray, tile: int) -> np.ndarray:
 
 
 def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: float):
-    """Per float32 unit point, the rows of the table within ``2 delta`` of
-    the largest block k-th score up to their block, and those rows' float32
-    cosines (see :func:`nearest_words_many`). Each block is a
-    (rows x dim) @ (dim x points) float32 product, in row tiles of
-    ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the tiles
-    change only the order of the float32 sums, which the bound allows.
-    Excluded rows and outliers score -inf."""
+    """Per float32 unit point, the rows of the table with a float32 cosine
+    within ``2 delta`` of F, the largest k-th score of a block (or -2), in
+    row order, and those cosines (see :func:`nearest_words_many`);
+    ``excluded`` holds each point's collection of rows to leave out. Each
+    block is a (rows x dim) @ (dim x points) float32 product, in row tiles
+    of ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the
+    tiles change only the order of the float32 sums, which the bound
+    allows. Excluded rows and outliers score -inf and are never returned."""
     m = len(units)
     if not m:
         return []
     units = np.ascontiguousarray(np.array(units).T)  # gemv speed for one point
-    ex_point = np.repeat(np.arange(m), [len(rows) for rows in excluded])
-    ex_row = np.concatenate(excluded)
+    outliers = space._outliers
     block = max(1, _SCAN_BYTES // (12 * m))  # float32 products and float64 cosines
     tile = max(1, _TILE_MADDS // (space.dimension * m)) if m in _TILED_POINTS else block
-    floor = np.full(m, -np.inf)  # per point, the largest block k-th score so far
-    rows, points, scores = [], [], []
+    cells: dict[int, list[int]] = {}  # per block, the flat cells of its excluded scores
+    for i, rows in enumerate(excluded):
+        for row in rows:
+            cells.setdefault(row // block, []).append(row % block * m + i)
+    # per point, the largest block k-th score so far, or -2: below every
+    # cosine (at least -1 - delta) and above the rows scanned as -inf
+    floor = np.full(m, -2.0)
+    blocks = []  # per block: where each point's candidates start, their rows and cosines
     for start in range(0, len(space), block):
         stop = min(start + block, len(space))
         width = stop - start
         # float32 products times float64 inverse norms: float64 cosines
-        cos32 = _products(space._matrix[start:stop], units, tile)
-        cos32 = cos32 * space._inv_norms[start:stop, None]
-        inside = (ex_row >= start) & (ex_row < stop)
-        cos32[ex_row[inside] - start, ex_point[inside]] = -np.inf
-        outliers = space._outliers
-        cos32[outliers[(outliers >= start) & (outliers < stop)] - start] = -np.inf
+        cos32 = _products(space._matrix[start:stop], units, tile).astype(np.float64)
+        cos32 *= space._inv_norms[start:stop, None]
+        if start // block in cells:
+            cos32.flat[cells[start // block]] = -np.inf
+        if len(outliers):
+            cos32[outliers[(outliers >= start) & (outliers < stop)] - start] = -np.inf
         if width > k:
             floor = np.maximum(floor, np.partition(cos32, width - k, axis=0)[width - k])
-        # the flat indices of a C-contiguous mask, in np.nonzero's order
-        row, point = np.divmod(np.flatnonzero(cos32 >= floor - 2.0 * delta), m)
-        rows.append(row + start)
-        points.append(point)
-        scores.append(cos32[row, point])
-    points = np.concatenate(points)
-    order = np.argsort(points, kind="stable")  # by point, each point's rows ascending
-    ends = np.cumsum(np.bincount(points, minlength=m))[:-1]
-    return list(zip(np.split(np.concatenate(rows)[order], ends),
-                    np.split(np.concatenate(scores)[order], ends)))
+        # the flat indices of the transposed mask list each point's
+        # candidates together, in row order (np.nonzero of the 2-D mask
+        # gives the same, several times slower)
+        point, row = np.divmod(np.flatnonzero((cos32 >= floor - 2.0 * delta).T), width)
+        firsts = point.searchsorted(np.arange(m + 1)).tolist()
+        blocks.append((firsts, row + start, cos32[row, point]))
+    if len(blocks) == 1:
+        firsts, rows, scores = blocks[0]
+        return [(rows[a:b], scores[a:b]) for a, b in zip(firsts, firsts[1:])]
+    cuts = (floor - 2.0 * delta).tolist()  # the last F cuts earlier blocks too
+    found = []
+    for i, cut in enumerate(cuts):
+        rows = np.concatenate([part[at[i] : at[i + 1]] for at, part, _ in blocks])
+        scores = np.concatenate([part[at[i] : at[i + 1]] for at, _, part in blocks])
+        keep = scores >= cut
+        found.append((rows[keep], scores[keep]))
+    return found

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,9 +32,10 @@ from .config import DEFAULT_CONFIG, RetrievalConfig
 from .embedding import (
     EmbeddedSet,
     EmbeddingSpace,
+    _nearest_rows,
+    _norm,
+    _resolve_some,
     embed_tokens,
-    nearest_words_many,
-    sum_pool,
     tokenize,
 )
 from .errors import SemvidError, open_utf8
@@ -144,45 +146,63 @@ def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]
     """Embed the channel query terms of each (terms, k) pair,
     expanded with the k nearest vocabulary words to their pooled point (the
     query's own tokens are excluded). The expansions of all pairs are found
-    in one table scan (:func:`~semvid.embedding.nearest_words_many`)."""
-    bases = [embed_tokens(space, list(terms)) for terms, _ in term_lists]
-    expand, points = [], []
-    for i, ((terms, k), base) in enumerate(zip(term_lists, bases)):
+    in one table scan (see :func:`_expansions`)."""
+    tokens, matrix = space._tokens, space._matrix
+    return [
+        EmbeddedSet(
+            vectors=matrix[rows].astype(np.float64),
+            source_tokens=tuple(resolved) + tuple(tokens[rows[len(resolved) :]].tolist()),
+            oov=tuple(oov),
+            merges=merges,
+        )
+        for (resolved, oov, merges), rows in _expansions(term_lists, space)
+    ]
+
+
+def _expansions(term_lists, space: EmbeddingSpace):
+    """What the query set of each (terms, k) pair is made of, as table
+    rows: the resolved tokens, OOV tokens and merges of its terms (see
+    :func:`~semvid.embedding.embed_tokens`), and the rows of the set, those
+    of the resolved tokens and then those of the k nearest other words to
+    their pooled point, nearest first. The terms and the resolved tokens
+    are not neighbours. All pairs share one table scan
+    (:func:`~semvid.embedding.nearest_words_many` on rows)."""
+    matrix, index = space._matrix, space._index
+    found, expand, points, norms = [], [], [], []
+    for i, (terms, k) in enumerate(term_lists):
+        rows, resolved, oov, merges = _resolve_some(space, list(terms))
+        found.append(((resolved, oov, merges), rows))
         if k > 0:
-            point = sum_pool(base)
-            norm = float(np.linalg.norm(point))
-            if norm == 0.0 or not np.isfinite(norm):
+            point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
+            norm = _norm(point)
+            if norm == 0.0 or not math.isfinite(norm):
                 log.warning("text query %s pools to zero norm, skipping augmentation", list(terms))
                 continue
             expand.append(i)
             points.append(point)
-    found = nearest_words_many(
-        space,
-        points,
-        [term_lists[i][1] for i in expand],
-        [set(term_lists[i][0]) | set(bases[i].source_tokens) for i in expand],
-    )
-    for i, neighbors in zip(expand, found):
-        if neighbors:
-            base = bases[i]
-            extra = np.vstack([space.vector(token) for token, _ in neighbors])
-            bases[i] = EmbeddedSet(
-                vectors=np.vstack([base.vectors, extra]),
-                source_tokens=base.source_tokens + tuple(t for t, _ in neighbors),
-                oov=base.oov,
-                merges=base.merges,
-            )
-    return bases
+            norms.append(norm)
+    excluded = [
+        {index[t] for t in term_lists[i][0] if t in index}.union(found[i][1]) for i in expand
+    ]
+    near = _nearest_rows(space, points, norms, [term_lists[i][1] for i in expand], excluded)
+    for i, (rows, _) in zip(expand, near):
+        found[i] = (found[i][0], found[i][1] + rows.tolist())
+    return found
 
 
-def _text_scores(query_set: EmbeddedSet, pooled: np.ndarray, counts: np.ndarray):
+def _text_scores(query, pooled: np.ndarray, counts: np.ndarray, complete: bool):
     """Text-channel score in [0, 1] of every pooled transcript row, the
-    affine map of its mean pairwise cosine with the query set; rows with a
-    count of 0 (channel missing) get the neutral 0.5."""
+    affine map of its mean pairwise cosine with the query set, given as
+    the (sum, size) pair of its vectors. Rows with a count of 0 (channel
+    missing) get the neutral 0.5; ``complete`` says that no count is 0."""
+    total, size = query
+    cross = kernels.row_dots(pooled, total)
+    if complete:
+        cross /= size * counts
+        return map_cosine(cross).clip(0.0, 1.0)
     present = counts > 0
-    cross = kernels.row_dots(pooled, sum_pool(query_set))
-    cross = np.divide(cross, len(query_set) * counts, out=np.zeros_like(cross), where=present)
-    return np.where(present, np.clip(map_cosine(cross), 0.0, 1.0), 0.5)
+    cross = np.divide(cross, size * counts, out=np.zeros_like(cross), where=present)
+    return np.where(present, map_cosine(cross).clip(0.0, 1.0), 0.5)
 
 
 def fuse(channels: ChannelScores, w: float = 6.0):
@@ -208,7 +228,8 @@ def fuse(channels: ChannelScores, w: float = 6.0):
 
 def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config):
     """The query side of every event, in event order: the score columns and
-    weights of its top-R concepts, and its OCR and ASR query sets.
+    weights of its top-R concepts, and its OCR and ASR query sets, each as
+    the (sum, size) pair of its vectors.
 
     Titles are embedded and concepts selected event by event, so the first
     event that cannot be ranked raises what it raises alone. The OCR and
@@ -222,9 +243,11 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
         concepts.append(top_r_columns(repo, title, config.kernel, config.top_r, config.percentile))
         for extra in (query.ocr_terms, query.asr_terms):
             terms.setdefault(query.title_terms + extra)
-    prepared = dict(
-        zip(terms, prepare_text_queries([(t, config.augment_k) for t in terms], space))
-    )
+    matrix = space._matrix
+    prepared = {  # each query set as its (sum, size) pair, summed as sum_pool does
+        t: (matrix[rows].astype(np.float64).sum(axis=0), len(rows))
+        for t, (_, rows) in zip(terms, _expansions([(t, config.augment_k) for t in terms], space))
+    }
     return [
         (columns, weights,
          prepared[query.title_terms + query.ocr_terms],
@@ -274,6 +297,7 @@ def rank_events(
         return []
     if not len(corpus):
         raise SemvidError("corpus is empty")
+    ids = corpus.id_column
     ranked = []
     for query, (columns, weights, ocr, asr) in zip(
         queries, _query_sides(queries, space, repo, config)
@@ -281,13 +305,12 @@ def rank_events(
         raws = kernels.marginal_scores(corpus.S[:, columns], weights)
         channels = ChannelScores(  # a missing text channel scores the neutral 0.5
             concept=map_concept_raw(raws, config.top_r),
-            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr),
-            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr),
+            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, corpus.ocr_complete),
+            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr, corpus.asr_complete),
         )
         fused = fuse(channels, config.fusion_weight)
-        order = np.lexsort((corpus.id_rank, -fused))
-        ids = corpus.ids
-        entries = tuple(zip([ids[i] for i in order], fused[order].tolist()))
+        # by score descending, ties (NaN included) by id: a stable sort in id order
+        order = corpus.id_order[(-fused[corpus.id_order]).argsort(kind="stable")]
+        entries = tuple(zip(ids[order].tolist(), fused[order].tolist()))
         ranked.append(RankedList(event_id=query.event_id, entries=entries))
     return ranked
-

@@ -282,8 +282,12 @@ class Corpus:
     * ``P_ocr``, ``P_asr``: (n, dim) sums of each transcript's word vectors;
     * ``n_ocr``, ``n_asr``: the number of vectors in each sum, where 0 marks
       a missing channel (empty or fully out-of-vocabulary transcript);
-    * ``id_rank``: each id's position in sorted order, the tie-break key of
-      a ranking.
+    * ``ocr_complete``, ``asr_complete``: whether no video misses the
+      channel, so that its scoring can skip the neutral fill;
+    * ``id_column``: the ids as a 1-D object array, to take a ranking's ids
+      in one fancy index;
+    * ``id_order``: the video positions in sorted id order, the tie-break
+      order of a ranking.
 
     The transcripts are embedded with the space and stop words the
     repository's concept embeddings were built with; without a space the
@@ -328,14 +332,17 @@ class Corpus:
             for video, text in zip(ids, texts):
                 if not isinstance(text, str):
                     raise IngestError(f"video {video!r}: {name} transcript is not a string")
-        self.id_rank = np.empty(n, dtype=np.intp)
-        self.id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+        self.id_column = np.array(ids, dtype=object)
+        self.id_order = np.array(sorted(range(n), key=ids.__getitem__), dtype=np.intp)
 
         self.space = repo.space
         self.P_ocr = self.P_asr = self.n_ocr = self.n_asr = None
+        self.ocr_complete = self.asr_complete = False
         if self.space is not None:
             self.P_ocr, self.n_ocr = pool_texts(self.space, self.ocr, repo.stops)
             self.P_asr, self.n_asr = pool_texts(self.space, self.asr, repo.stops)
+            self.ocr_complete = bool(self.n_ocr.all())
+            self.asr_complete = bool(self.n_asr.all())
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import semvid.retrieval as retrieval
-from semvid.embedding import load_embeddings, pool_texts
+from semvid.embedding import load_embeddings, pool_texts, sum_pool
 from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space
 
@@ -24,12 +24,13 @@ def space50():
 def text_channel():
     """The OCR/ASR channel score of one transcript for a term list, made of
     the pieces ``rank_events`` scores a channel with: the expanded query
-    set, the pooled transcript and the channel reduction. A transcript with
-    no in-vocabulary word scores the neutral 0.5; a query with none raises
-    AllTokensOOV."""
+    set as its (sum, size) pair, the pooled transcript and the channel
+    reduction. A transcript with no in-vocabulary word scores the neutral
+    0.5; a query with none raises AllTokensOOV."""
     def score(terms, transcript, space, k=5, stops=DEFAULT_STOPWORDS):
         query = retrieval.prepare_text_query(terms, space, k)
         pooled, counts = pool_texts(space, [transcript], stops)
-        return float(retrieval._text_scores(query, pooled, counts)[0])
+        pair = (sum_pool(query), len(query))
+        return float(retrieval._text_scores(pair, pooled, counts, bool(counts.all()))[0])
 
     return score

@@ -10,7 +10,7 @@ from semvid.concepts import (
     rank_concepts,
     top_r_columns,
 )
-from semvid.embedding import EmbeddingSpace, embed_tokens
+from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool
 from semvid.errors import ConceptFormatError, NoScoreableConcepts
 import semvid.concepts as concepts
 from semvid.synth import random_space
@@ -334,3 +334,52 @@ def test_load_rejects_non_string_fields_with_file_and_entry(tmp_path, entry, fie
         load_concepts(path)
     message = str(info.value)
     assert str(path) in message and "entry 1" in message and field in message
+
+
+def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
+    # attach_space adds one word position at a time to the concepts that
+    # have it; every pooled row must have the bits sum_pool gives that
+    # concept's own word vectors, for any word count (signed zeros too),
+    # also next to one concept far longer than the rest
+    rng = np.random.default_rng(21)
+    space = random_space(rng, 120, 16)
+    matrix = space._matrix.copy()
+    matrix[3, 0] = matrix[4, 0] = -0.0  # a one-word concept of w3 keeps no -0.0
+    space = EmbeddingSpace(space.tokens(), matrix)
+    tokens = space.tokens()
+    definitions = []
+    for i in range(90):
+        words = [tokens[j] for j in rng.choice(len(tokens), size=1 + i % 9, replace=False)]
+        definitions.append(
+            ConceptDefinition(id=f"c{i:02d}", name=words[0], keywords=tuple(words[1:]))
+        )
+    definitions.append(ConceptDefinition(id="neg", name="w3"))
+    words = [tokens[j] for j in rng.choice(len(tokens), size=40, replace=False)]
+    definitions.append(ConceptDefinition(id="long", name=words[0], keywords=tuple(words[1:])))
+    repo = ConceptRepository(definitions)
+    repo.attach_space(space, stops=frozenset())
+    ids = repo._pooled_index[0]
+    assert len(ids) == len(definitions)
+    by_id = {d.id: d for d in definitions}
+    for row, concept_id in enumerate(ids):
+        words = [by_id[concept_id].name, *by_id[concept_id].keywords]
+        expected = sum_pool(embed_tokens(space, words))
+        assert repo._pooled[row].tobytes() == expected.tobytes(), concept_id
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_r_columns_selects_the_ranked_prefix_of_any_weights(tmp_path, monkeypatch, seed):
+    # top_r_columns sorts only the concepts that can reach the first r; on
+    # weights with many ties, signed zeros and NaN it must still give the
+    # prefix of rank_concepts' full sort
+    space, repo, _ = tie_world(tmp_path)
+    ids = repo._set_index[0]
+    rng = np.random.default_rng(seed)
+    weights = rng.choice([0.5, 0.25, 0.0, -0.0, -0.5, np.nan], size=len(ids))
+    monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
+    query = embed_tokens(space, ["q"])
+    ranked = rank_concepts(repo, query, "hausdorff")
+    for r in range(1, len(ids) + 2):
+        columns, selected = top_r_columns(repo, query, "hausdorff", r)
+        assert [repo.ids()[c] for c in columns] == [w.concept_id for w in ranked[:r]]
+        assert selected.tobytes() == np.array([w.weight for w in ranked[:r]]).tobytes()

@@ -7,7 +7,7 @@ import pytest
 import semvid.embedding as embedding
 import semvid.retrieval as retrieval
 from semvid.concepts import ConceptDefinition, ConceptRepository, rank_concepts
-from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings
+from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings, sum_pool
 from semvid.config import DEFAULT_CONFIG, RetrievalConfig
 from semvid.errors import AllTokensOOV, IngestError, NoScoreableConcepts, SemvidError
 from semvid.retrieval import (
@@ -418,14 +418,14 @@ def test_concept_weights_bit_exact_under_concept_order(odd_world):
 def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch):
     space, repo, corpus, queries = odd_world[:4]
     prepared = []
-    real = retrieval.prepare_text_queries
+    real = retrieval._expansions
 
     def recording(term_lists, space):
         results = real(term_lists, space)
-        prepared.extend(result.source_tokens for result in results)
+        prepared.extend(tuple(space._tokens[rows].tolist()) for _, rows in results)
         return results
 
-    monkeypatch.setattr(retrieval, "prepare_text_queries", recording)
+    monkeypatch.setattr(retrieval, "_expansions", recording)
     rank_event(queries[0], space, repo, corpus)
     assert len(prepared) == 1  # equal term lists share one expansion
     prepared.clear()
@@ -602,17 +602,31 @@ def test_text_scores_do_not_depend_on_corpus_size():
     # the first rows of a corpus score the same bits on their own as inside
     # the whole corpus (kernels.row_dots pins the reduction itself), and
     # every score is the affine map of its mean pairwise cosine
-    from semvid.embedding import EmbeddedSet
-
     rng = np.random.default_rng(11)
     dim = 300
     pooled = rng.standard_normal((2000, dim))
     counts = rng.integers(0, 4, size=len(pooled))
-    query = EmbeddedSet(vectors=rng.standard_normal((3, dim)), source_tokens=("a", "b", "c"))
-    got = retrieval._text_scores(query, pooled, counts)
+    vectors = rng.standard_normal((3, dim))
+    query = (sum_pool(vectors), 3)
+    got = retrieval._text_scores(query, pooled, counts, False)
     for rows in (1, 7, 500, 1999):
-        head = retrieval._text_scores(query, pooled[:rows], counts[:rows])
+        head = retrieval._text_scores(query, pooled[:rows], counts[:rows], False)
         np.testing.assert_array_equal(head, got[:rows])
-    mean = pooled @ query.vectors.sum(axis=0) / np.maximum(3 * counts, 1)
+    mean = pooled @ vectors.sum(axis=0) / np.maximum(3 * counts, 1)
     expected = np.where(counts > 0, np.clip((mean + 1.0) / 2.0, 0.0, 1.0), 0.5)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+
+
+def test_text_scores_of_a_complete_channel_skip_only_the_fill():
+    # a channel that no video misses (Corpus.ocr_complete / asr_complete)
+    # is scored without the masked divide and the neutral fill, to the same
+    # bits as the masked path gives each present row
+    rng = np.random.default_rng(12)
+    pooled = rng.standard_normal((500, 300))
+    counts = rng.integers(0, 4, size=len(pooled))
+    query = (sum_pool(rng.standard_normal((4, 300))), 4)
+    present = counts > 0
+    masked = retrieval._text_scores(query, pooled, counts, False)
+    complete = retrieval._text_scores(query, pooled[present], counts[present], True)
+    np.testing.assert_array_equal(complete, masked[present])
+    assert (masked[~present] == 0.5).all() and (~present).any()

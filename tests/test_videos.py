@@ -274,7 +274,7 @@ def test_corpus_holds_read_only_columns(repo3):
     corpus = Corpus(repo3, ["b", "a"], scores, ocr=["x", ""])
     assert len(corpus) == 2 and corpus.ids == ("b", "a")
     assert corpus.ocr == ("x", "") and corpus.asr == ("", "")
-    assert corpus.id_rank.tolist() == [1, 0]
+    assert corpus.id_order.tolist() == [1, 0] and corpus.id_column.tolist() == ["b", "a"]
     np.testing.assert_array_equal(corpus.S, scores)
     assert corpus.S is scores  # kept without a copy, and read-only
     with pytest.raises(ValueError):
@@ -308,7 +308,8 @@ def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
     assert loaded.ocr == ("", "", "two one", "one") and loaded.asr == ("", "three", "", "")
     assert not loaded.S.flags.writeable and not loaded.S[2:].any()
     rebuilt = Corpus(repo, loaded.ids, loaded.S, loaded.ocr, loaded.asr)
-    for name in ("ids", "S", "ocr", "asr", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_rank"):
+    for name in ("ids", "S", "ocr", "asr", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_order",
+                 "id_column", "ocr_complete", "asr_complete"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(rebuilt, name))
 
 
