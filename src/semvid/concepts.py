@@ -122,21 +122,21 @@ class ConceptRepository:
         pooled = _sum_sets(vectors, sizes)
         norms = _dot_norms(pooled)
         keep = norms != 0.0
-        _warn_skipped(ids, keep, "a zero-norm pooled vector", "pooled")
+        skipped = [c for c, kept in zip(ids, keep) if not kept]
+        if skipped:
+            log.warning(
+                "%d concepts have a zero-norm pooled vector, skipped by the pooled kernel: %s",
+                len(skipped), skipped,
+            )
         self._pooled_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
         self._pooled, self._pooled_norms = pooled[keep], norms[keep]
 
-        # Hausdorff kernel: the word vectors of every concept without a
-        # zero-norm word, stacked in concept order
-        word_norms = np.linalg.norm(vectors, axis=1)
-        owner = np.repeat(np.arange(len(ids)), sizes)  # the concept of each row
-        keep = np.bincount(owner, weights=word_norms == 0.0, minlength=len(ids)) == 0
-        _warn_skipped(ids, keep, "a zero-norm word vector", "Hausdorff")
-        rows, sizes = keep[owner], sizes[keep]
-        self._set_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
-        self._set_vectors, self._set_norms = vectors[rows], word_norms[rows]
+        # Hausdorff kernel: every concept's word vectors, stacked in concept
+        # order (each a unit row of the space)
+        self._set_index = _id_columns(self, ids)
+        self._set_vectors, self._set_norms = vectors, np.linalg.norm(vectors, axis=1)
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
-        owner = np.repeat(np.arange(len(sizes)), sizes)
+        owner = np.repeat(np.arange(len(sizes)), sizes)  # the concept of each row
         self._set_cells = (owner, np.arange(len(owner)) - self._set_starts[owner])
 
     def scoreable_ids(self) -> list[str]:
@@ -164,15 +164,6 @@ def _id_columns(repo: ConceptRepository, ids):
     ranks = np.empty(len(ids), dtype=np.intp)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
     return tuple(ids), np.array([repo._order[c] for c in ids], dtype=np.intp), ranks
-
-
-def _warn_skipped(ids, keep, reason: str, kernel: str) -> None:
-    skipped = [c for c, kept in zip(ids, keep) if not kept]
-    if skipped:
-        log.warning(
-            "%d concepts have %s, skipped by the %s kernel: %s",
-            len(skipped), reason, kernel, skipped,
-        )
 
 
 def _string(value, what: str) -> str:
@@ -241,8 +232,6 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     Q = query.vectors
     from_query_index = lower_percentile_index(percentile, len(Q))
     q_norms = np.linalg.norm(Q, axis=1)
-    if not q_norms.all():
-        raise NoScoreableConcepts("query has a zero-norm word vector")
     cos = row_dots(repo._set_vectors, Q) / np.outer(repo._set_norms, q_norms)
 
     per_query = np.maximum.reduceat(cos, repo._set_starts, axis=0)
@@ -294,8 +283,8 @@ def rank_concepts(
     zero norm. The Hausdorff kernel scores every concept at once (see
     :func:`_hausdorff_weights`), bit for bit equal to
     :func:`semvid.similarity.sim_hausdorff` per concept when the concept
-    and the query each have two or more words, and leaves out concepts
-    with a zero-norm word vector. Every dot product is a
+    and the query each have two or more words; every word vector of a
+    space has unit norm, so it leaves no concept out. Every dot product is a
     :func:`~semvid.kernels.row_dots` reduction over one concept row, so a
     weight depends only on the query and that concept.
     """

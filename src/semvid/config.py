@@ -12,8 +12,18 @@ from dataclasses import dataclass, replace
 
 from .errors import SemvidError, open_utf8
 
+# file/flag key -> (RetrievalConfig field, conversion of the file or flag value)
+_FIELDS = {
+    "kernel": ("kernel", str),
+    "mode": ("mode", str),
+    "R": ("top_r", int),
+    "w": ("fusion_weight", float),
+    "k": ("augment_k", int),
+    "percentile": ("percentile", float),
+}
+
 # File/flag keys understood by the config layer.
-CONFIG_KEYS = ("kernel", "mode", "R", "w", "k", "percentile")
+CONFIG_KEYS = tuple(_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -88,14 +98,3 @@ def build_config(file_values: dict | None = None, **flag_values) -> RetrievalCon
     except ValueError as exc:
         raise SemvidError(f"bad config value: {exc}")
     return replace(DEFAULT_CONFIG, **fields)  # RetrievalConfig checks every field
-
-
-# file/flag key -> (RetrievalConfig field, conversion of the file or flag value)
-_FIELDS = {
-    "kernel": ("kernel", str),
-    "mode": ("mode", str),
-    "R": ("top_r", int),
-    "w": ("fusion_weight", float),
-    "k": ("augment_k", int),
-    "percentile": ("percentile", float),
-}

@@ -1,8 +1,9 @@
 """Word-vector table: loading, token embedding, pooling, nearest-word search.
 
 The table maps each vocabulary token to a dense vector of fixed dimension.
-Vectors are brought to unit L2 norm at load time (entries already within
-1e-6 of unit length are kept bit-for-bit, which makes save/load a fixpoint).
+Vectors are brought to unit L2 norm at load time and when a space is built
+in code (entries already within 1e-6 of unit length are kept bit-for-bit,
+which makes save/load a fixpoint); a zero-norm vector is rejected.
 Rows are stored as float32, the word2vec convention; all similarity math
 downstream runs in float64.
 
@@ -34,14 +35,8 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # band is treated as already normalized.
 _UNIT_TOL = 1e-6
 
-# Unit roundoff of float32, and the row-norm range inside which a float32
-# dot product neither overflows nor loses more than a float64 rounding to
-# underflow (see nearest_words).
+# Unit roundoff of float32 (see nearest_words).
 _U32 = 2.0**-24
-_F32_SAFE = (2.0**-100, 2.0**100)
-
-# Rows per block when a float64 copy of table rows is needed.
-_BLOCK = 1024
 
 # Bytes of candidate scores per block of the nearest-word scan: a block has
 # fewer rows the more points share the scan, so its temporaries keep this
@@ -88,15 +83,6 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(vector.dot(vector))
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """Float64 norm of every row, in blocks: no float64 copy of the table."""
-    norms = np.empty(matrix.shape[0], dtype=np.float64)
-    for start in range(0, matrix.shape[0], _BLOCK):
-        block = matrix[start : start + _BLOCK].astype(np.float64)
-        norms[start : start + len(block)] = _dot_norms(block)
-    return norms
-
-
 @dataclass(frozen=True)
 class EmbeddedSet:
     """An ordered bag of word vectors plus the tokens that produced them.
@@ -119,11 +105,17 @@ class EmbeddingSpace:
     """Immutable token -> unit-vector table with exhaustive k-NN search."""
 
     def __init__(self, tokens: list[str], matrix: np.ndarray, duplicates: int = 0):
-        """A space over ``matrix`` with one row per token; a token given
-        twice is an :class:`EmbeddingFormatError` (the loaders keep a
-        token's first row and count the rest in ``duplicates``)."""
+        """A space over a float32 copy of ``matrix``, one row per token, with
+        its rows unit-normalized as the loaders normalize a table's rows: a
+        row within 1e-6 of unit length is kept bit for bit, another is
+        divided by its norm. A matrix without columns, a token given twice
+        (the loaders keep a token's first row and count the rest in
+        ``duplicates``) and a row of zero or non-finite norm are each an
+        :class:`EmbeddingFormatError`."""
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise EmbeddingFormatError("token list and matrix row count disagree")
+        if matrix.shape[1] == 0:
+            raise EmbeddingFormatError("vector dimension must be positive, got 0")
         index = dict(zip(tokens, range(len(tokens))))
         if len(index) < len(tokens):
             first: dict[str, int] = {}
@@ -132,30 +124,29 @@ class EmbeddingSpace:
                     raise EmbeddingFormatError(
                         f"token {token!r} repeated at rows {first[token]} and {row}"
                     )
-        matrix = np.ascontiguousarray(matrix, dtype=np.float32)
-        self._setup(tokens, matrix, _row_norms(matrix), index, duplicates)
+        matrix = np.array(matrix, dtype=np.float32, order="C")
+        self._setup(tokens, matrix, _normalize_rows(matrix), index, duplicates)
 
     @classmethod
     def _loaded(cls, tokens, matrix, norms, index, duplicates):
-        """A space from a loader: a C-contiguous float32 matrix, the float64
-        norm of each of its rows and the token -> row dict, taken as they
-        are instead of computed again."""
+        """A space from a loader: a C-contiguous float32 matrix of unit
+        rows, the float64 norm of each of its rows and the token -> row
+        dict, taken as they are instead of computed again."""
         space = cls.__new__(cls)
         space._setup(tokens, matrix, norms, index, duplicates)
         return space
 
     def _setup(self, tokens, matrix, norms, index, duplicates):
+        """Take the parts of a space; reject its first row whose norm is
+        zero or not finite."""
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
+        if len(bad):
+            raise EmbeddingFormatError(f"zero-norm vector for token {tokens[bad[0]]!r}")
         self.dimension = int(matrix.shape[1])
         self._tokens = np.asarray(tokens, dtype=object)
         self._matrix = matrix
         self._norms = norms
-        # rows whose norm is outside the range where the float32 prefilter of
-        # nearest_words is proven exact (zero, subnormal-scale or huge rows of
-        # a hand-built table); nearest_words always re-scores them in float64
-        low, high = _F32_SAFE
-        self._outliers = np.flatnonzero(~((norms >= low) & (norms <= high)))
-        self._inv_norms = np.zeros_like(norms)
-        np.divide(1.0, norms, out=self._inv_norms, where=norms > 0.0)
+        self._inv_norms = 1.0 / norms
         self._index = index
         self.duplicates = duplicates
 
@@ -191,39 +182,45 @@ def _normalize_block(block: np.ndarray, out: np.ndarray, norms: np.ndarray, exac
     once, a near-unit row is kept bit-for-bit. When the block is ``exact``,
     the float64 copy of ``out`` itself, a kept row and its norm are already
     those of the stored row, so a block without rescaled rows is not
-    written back. Returns the index of the first row whose norm is zero or
-    not finite, or None; such rows are written as zeros.
+    written back. A row whose norm is zero or not finite keeps such a norm,
+    for :class:`EmbeddingSpace` to reject; if written, it is written as
+    zeros.
     """
     norms[...] = _dot_norms(block)
     bad = ~np.isfinite(norms) | (norms == 0.0)
-    first_bad = int(np.argmax(bad)) if bad.any() else None
     off = ~bad & (np.abs(norms - 1.0) > _UNIT_TOL)
     if off.any():
         block /= np.where(off, norms, 1.0)[:, None]  # a division by 1.0 changes nothing
     elif exact:
-        return first_bad
+        return
     block[bad] = 0.0  # no float32 overflow in the cast below
     out[...] = block  # in an exact block, a kept row rounds back to itself
     np.copyto(block, out)
     norms[...] = _dot_norms(block)
-    return first_bad
 
 
-def _normalize_rows(tokens, matrix):
-    """Unit-normalize a float32 matrix in place, in float64 blocks of about
-    ``_READ_BYTES``, and return the float64 norms of its stored rows; reject
-    zero norms."""
+def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
+    """Unit-normalize a float32 matrix in place, as an exact block (see
+    :func:`_normalize_block`) of about ``_READ_BYTES`` of float64 at a
+    time, and return the float64 norms of its stored rows."""
     norms = np.empty(len(matrix), dtype=np.float64)
     step = max(1, _READ_BYTES // (8 * matrix.shape[1]))
-    buffer = np.empty((step, matrix.shape[1]), dtype=np.float64)
     for start in range(0, len(matrix), step):
         part = matrix[start : start + step]
-        block = buffer[: len(part)]
-        np.copyto(block, part)
-        bad = _normalize_block(block, part, norms[start : start + step], True)
-        if bad is not None:
-            raise EmbeddingFormatError(f"zero-norm vector for token {tokens[start + bad]!r}")
+        _normalize_block(part.astype(np.float64), part, norms[start : start + step], True)
     return norms
+
+
+def _grown(matrix: np.ndarray, rows: int, end: int, count: int) -> np.ndarray:
+    """``matrix`` when it has room for ``end`` rows; else a matrix with room
+    for twice as many rows as it had, at least 256 and at least ``end``
+    (but never more than the header's ``count``), holding its first
+    ``rows`` rows."""
+    if end <= len(matrix):
+        return matrix
+    grown = np.empty((min(count, max(2 * len(matrix), end, 256)), matrix.shape[1]), matrix.dtype)
+    grown[:rows] = matrix[:rows]
+    return grown
 
 
 def _parse_header(line: str):
@@ -239,21 +236,16 @@ def _parse_header(line: str):
     return count, dim
 
 
-def _warn_duplicates(dups: int) -> None:
-    if dups:
-        log.warning("embedding file: %d duplicate tokens dropped (first kept)", dups)
-
-
-def _dedupe(tokens, matrix):
+def _dedupe(tokens, matrix, norms):
     """Keep the first row of every token: the kept rows move up in place,
     in increasing order, a block of about ``_READ_BYTES`` at a time.
-    Returns the kept tokens and rows, the token -> row dict and the number
-    of rows dropped."""
+    Returns the kept tokens, rows and row norms, the token -> row dict and
+    the number of rows dropped."""
     # built back to front, so that a token's first row is the one that stays
     index = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
     dups = len(tokens) - len(index)
-    _warn_duplicates(dups)
     if dups:
+        log.warning("embedding file: %d duplicate tokens dropped (first kept)", dups)
         keep = np.fromiter(index.values(), dtype=np.intp, count=len(index))
         keep.sort()
         # keep[i] >= i: a block reads only rows at or after the rows it writes
@@ -261,10 +253,10 @@ def _dedupe(tokens, matrix):
         for start in range(0, len(keep), step):
             rows = keep[start : start + step]
             matrix[start : start + len(rows)] = matrix[rows]
-        matrix = matrix[: len(keep)]
+        matrix, norms = matrix[: len(keep)], norms[keep]
         tokens = list(map(tokens.__getitem__, keep.tolist()))
         index.update(zip(tokens, range(len(tokens))))
-    return tokens, matrix, index, dups
+    return tokens, matrix, norms, index, dups
 
 
 def load_embeddings(path, fmt: str = "text") -> EmbeddingSpace:
@@ -273,15 +265,19 @@ def load_embeddings(path, fmt: str = "text") -> EmbeddingSpace:
     Text: header line ``V M`` then V lines ``token f_1 .. f_M``.
     Binary: ASCII header line, then per entry the token, a space, M packed
     little-endian float32 values and an optional newline.
+
+    Both readers normalize each chunk of rows into the matrix as they read
+    it; then the first row of each token is kept (:func:`_dedupe`), and the
+    first kept row of zero or non-finite norm fails the load. A zero norm
+    in a dropped duplicate does not fail.
     """
     if fmt == "text":
-        tokens, matrix, norms, index, dups = _read_text(path)
+        read = _read_text
     elif fmt == "binary":
-        tokens, matrix, index, dups = _dedupe(*_read_binary(path))
-        norms = _normalize_rows(tokens, matrix)
+        read = _read_binary
     else:
         raise EmbeddingFormatError(f"unknown embedding format {fmt!r}")
-    return EmbeddingSpace._loaded(tokens, matrix, norms, index, dups)
+    return EmbeddingSpace._loaded(*_dedupe(*read(path)))
 
 
 def _parse_values(lines, dim: int):
@@ -319,17 +315,15 @@ def _text_row(line: int) -> str:
 
 
 def _read_text(path):
-    """Tokens, unit float32 matrix, float64 row norms, token -> row dict and
-    duplicate count of a text table.
+    """Tokens, unit float32 matrix and float64 row norms of every row of a
+    text table, duplicates included (see :func:`load_embeddings`).
 
     Each line is split once into its token and its values, and each block
     of ``_TEXT_LINES`` lines is parsed by one ``np.loadtxt`` in float64 and
     normalized straight into the float32 matrix, so the table never exists
-    in float64. Only the first row of a token is kept. A bad file fails at,
-    in this order: the first row with a value count other than the header's
-    ``M`` or a value that does not parse (named by row, blank lines counted),
-    a row count other than ``V``, the first kept row of zero norm. A zero
-    norm in a dropped duplicate does not fail.
+    in float64. A bad file fails at, in this order: the first row with a
+    value count other than the header's ``M`` or a value that does not
+    parse (named by row, blank lines counted), a row count other than ``V``.
     """
     with open_utf8(path, EmbeddingFormatError, label=_text_row) as fh:
         count, dim = _parse_header(fh.readline())
@@ -338,48 +332,30 @@ def _read_text(path):
         # a pipe reports no size and grows the matrix as its rows arrive
         capacity = min(count, os.fstat(fh.fileno()).st_size // (2 * dim + 1))
         matrix = np.empty((capacity, dim), dtype=np.float32)
-        norms = []  # per block, the norms of its kept rows
-        first: dict[str, int] = {}  # token -> its row in the matrix
-        rows = 0  # rows read, duplicates included
+        tokens: list[str] = []  # those of the first count rows
+        norms = []  # per block, the norms of its stored rows
+        rows = 0  # rows read, those after the first count included
         lineno = 0
-        zero = None  # token of the first kept row of zero norm
         for lines in iter(lambda: list(islice(fh, _TEXT_LINES)), []):
-            tokens, texts = [], []
+            names, texts = [], []
             for line in lines:
                 parts = line.split(None, 1)
                 if parts:
-                    tokens.append(parts[0])
+                    names.append(parts[0])
                     texts.append(parts[1] if len(parts) == 2 else "")
             values = _parse_values(texts, dim)
             if values is None:
                 raise _row_error(lines, lineno, dim)
             lineno += len(lines)
-            rows += len(tokens)
-            start = len(first)
-            keep = []  # the block's first occurrences
-            for i, token in enumerate(tokens):
-                if token not in first:
-                    first[token] = len(first)
-                    keep.append(i)
-            if capacity < min(len(first), count):
-                capacity = min(count, max(2 * capacity, len(first)))
-                grown = np.empty((capacity, dim), dtype=np.float32)
-                grown[:start] = matrix[:start]
-                matrix = grown
-            end = min(len(first), capacity)
-            if end > start:
-                block = values if len(keep) == len(tokens) else values[keep]
-                norms.append(np.empty(end - start))
-                bad = _normalize_block(block[: end - start], matrix[start:end], norms[-1], False)
-                if bad is not None and zero is None:
-                    zero = tokens[keep[bad]]
+            rows += len(names)
+            start, end = len(tokens), min(rows, count)
+            matrix = _grown(matrix, start, end, count)
+            tokens += names[: end - start]
+            norms.append(np.empty(end - start))
+            _normalize_block(values[: end - start], matrix[start:end], norms[-1], False)
     if rows != count:
         raise EmbeddingFormatError(f"header declared {count} entries, file has {rows}")
-    _warn_duplicates(rows - len(first))
-    if zero is not None:
-        raise EmbeddingFormatError(f"zero-norm vector for token {zero!r}")
-    norms = np.concatenate(norms) if norms else np.empty(0)
-    return list(first), matrix[: len(first)], norms, first, rows - len(first)
+    return tokens, matrix, np.concatenate(norms)
 
 
 # Between the tokens of a chunk's joined entry heads (see _read_binary).
@@ -401,18 +377,19 @@ def _entry_pattern(width: int):
 
 
 def _read_binary(path):
-    """Tokens and the (count, dim) float32 matrix of a binary table, read
+    """Tokens, unit float32 matrix and float64 row norms of every row of a
+    binary table, duplicates included (see :func:`load_embeddings`), read
     ``_READ_BYTES`` at a time after the header.
 
     Each chunk, after the truncated tail of the one before, is split into
     the heads of its complete entries by one regex ``findall``
     (:func:`_entry_pattern`), and their lengths place the vectors. The
     heads are decoded together, and the vectors are copied into a
-    preallocated matrix by one fancy index into the chunk, so that the load
-    holds the table once. Rows after the header's count are not read. A bad
-    file fails at its first entry whose token is not UTF-8, or that ends
-    before its token's space ("unexpected end of file") or its vector
-    ("dimension mismatch")."""
+    preallocated matrix by one fancy index into the chunk and normalized
+    there, so that the load holds the table once. Rows after the header's
+    count are not read. A bad file fails at its first entry whose token is
+    not UTF-8, or that ends before its token's space ("unexpected end of
+    file") or its vector ("dimension mismatch")."""
     with open(path, "rb") as fh:
         header = fh.readline()
         if not header.endswith(b"\n"):
@@ -429,9 +406,9 @@ def _read_binary(path):
         # hold fails at its first missing row without allocating for it; a
         # pipe reports no size and grows the matrix as its rows arrive
         size = os.fstat(fh.fileno()).st_size - len(header)
-        capacity = min(count, max(size, 0) // (width + 1))
-        matrix = np.empty((capacity, dim), dtype="<f4")
+        matrix = np.empty((min(count, max(size, 0) // (width + 1)), dim), dtype="<f4")
         tokens: list[str] = []
+        norms = []  # per chunk, the norms of its rows
         buf, tail = bytearray(_READ_BYTES), b""  # buf: the tail, then a chunk
         while len(tokens) < count:
             if len(buf) < len(tail) + _READ_BYTES:
@@ -462,14 +439,11 @@ def _read_binary(path):
             except UnicodeDecodeError as exc:
                 row = rows + joined.count(b" ", 0, exc.start) + 1
                 raise EmbeddingFormatError(f"{path} row {row}: not valid UTF-8") from None
-            if end > capacity:
-                capacity = min(count, max(2 * capacity, end, 256))
-                grown = np.empty((capacity, dim), dtype="<f4")
-                grown[:rows] = matrix[:rows]
-                matrix = grown
+            matrix = _grown(matrix, rows, end, count)
             windows = sliding_window_view(np.frombuffer(buf, np.uint8, filled), width)
             matrix[rows:end].view(np.uint8)[...] = windows[ends[: len(heads)] - width]
-    return tokens, matrix.astype(np.float32, copy=False)
+            norms.append(_normalize_rows(matrix[rows:end]))
+    return tokens, matrix.astype(np.float32, copy=False), np.concatenate(norms)
 
 
 def save_embeddings(space: EmbeddingSpace, path, fmt: str = "text") -> None:
@@ -624,9 +598,10 @@ def nearest_words_many(
     gamma_d |m_i| |q| in any summation order (a GEMM over all points is
     one), rounding q costs one u, and the float64 steps (the norms, the
     division, c64 itself) stay far below one more u. Dividing by |m_i|
-    puts this on the cosine scale by Cauchy-Schwarz, so it holds for rows
-    of any norm in [2**-100, 2**100]; rows outside that range (hand-built
-    tables only) are always re-scored.
+    puts this on the cosine scale by Cauchy-Schwarz. Every row of a space
+    has unit norm up to float32 rounding (see :class:`EmbeddingSpace`), so
+    no product overflows, and products that underflow lose far less than
+    one more u.
 
     Let K be the k-th largest c32 among kept rows. At least k rows have
     c32 >= K, so c64 >= K - delta; a row with c32 < K - 2 delta has
@@ -680,13 +655,10 @@ def _nearest_rows(space: EmbeddingSpace, points, norms, ks, excluded):
         [excluded[i] for i in scan],
         delta,
     )))
-    outliers = space._outliers
     results = []
     for i, (point, norm, k) in enumerate(zip(points, norms, ks)):
         if i in found:
             rows = found[i][0]
-            if len(outliers):  # scanned as -inf, and always re-scored
-                rows = np.concatenate((rows, outliers[~np.isin(outliers, list(excluded[i]))]))
         else:
             rows = np.arange(len(space))
             rows = rows[~np.isin(rows, list(excluded[i]))]
@@ -713,12 +685,11 @@ def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: floa
     block is a (rows x dim) @ (dim x points) float32 product, in row tiles
     of ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the
     tiles change only the order of the float32 sums, which the bound
-    allows. Excluded rows and outliers score -inf and are never returned."""
+    allows. Excluded rows score -inf and are never returned."""
     m = len(units)
     if not m:
         return []
     units = np.ascontiguousarray(np.array(units).T)  # gemv speed for one point
-    outliers = space._outliers
     block = max(1, _SCAN_BYTES // (12 * m))  # float32 products and float64 cosines
     tile = max(1, _TILE_MADDS // (space.dimension * m)) if m in _TILED_POINTS else block
     cells: dict[int, list[int]] = {}  # per block, the flat cells of its excluded scores
@@ -737,8 +708,6 @@ def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: floa
         cos32 *= space._inv_norms[start:stop, None]
         if start // block in cells:
             cos32.flat[cells[start // block]] = -np.inf
-        if len(outliers):
-            cos32[outliers[(outliers >= start) & (outliers < stop)] - start] = -np.inf
         if width > k:
             floor = np.maximum(floor, np.partition(cos32, width - k, axis=0)[width - k])
         # the flat indices of the transposed mask list each point's

@@ -137,26 +137,16 @@ def map_concept_raw(raw, r: int):
 
 
 def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
-    """One term list's query set: the one-list case of
-    :func:`prepare_text_queries`."""
-    return prepare_text_queries([(tuple(terms), k)], space)[0]
-
-
-def prepare_text_queries(term_lists, space: EmbeddingSpace) -> list[EmbeddedSet]:
-    """Embed the channel query terms of each (terms, k) pair,
-    expanded with the k nearest vocabulary words to their pooled point (the
-    query's own tokens are excluded). The expansions of all pairs are found
-    in one table scan (see :func:`_expansions`)."""
-    tokens, matrix = space._tokens, space._matrix
-    return [
-        EmbeddedSet(
-            vectors=matrix[rows].astype(np.float64),
-            source_tokens=tuple(resolved) + tuple(tokens[rows[len(resolved) :]].tolist()),
-            oov=tuple(oov),
-            merges=merges,
-        )
-        for (resolved, oov, merges), rows in _expansions(term_lists, space)
-    ]
+    """Embed the channel query terms, expanded with the k nearest
+    vocabulary words to their pooled point (the query's own tokens are
+    excluded); see :func:`_expansions`."""
+    [((resolved, oov, merges), rows)] = _expansions([(tuple(terms), k)], space)
+    return EmbeddedSet(
+        vectors=space._matrix[rows].astype(np.float64),
+        source_tokens=tuple(resolved) + tuple(space._tokens[rows[len(resolved) :]].tolist()),
+        oov=tuple(oov),
+        merges=merges,
+    )
 
 
 def _expansions(term_lists, space: EmbeddingSpace):

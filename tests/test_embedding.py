@@ -98,21 +98,22 @@ def test_binary_roundtrip_exact(tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 @pytest.mark.parametrize("block_rows", [1, 3, None])
 def test_save_writes_the_bytes_of_a_row_at_a_time_writer(tmp_path, monkeypatch, fmt, block_rows):
-    # a hand-built table keeps its rows as given: -0.0, subnormals, the
-    # float32 extremes and values 9 digits do not round
+    # unit rows are kept as given: -0.0, subnormals, the smallest normal
+    # float32 and values 9 digits do not round
     dim = 5
     rng = np.random.default_rng(41)
     matrix = rng.standard_normal((11, dim)).astype(np.float32)
-    matrix[1] = [-0.0, 0.0, 1.0, -1.0, 0.5]
-    matrix[2] = [1e-45, -1e-45, 1e-40, np.finfo(np.float32).tiny, np.finfo(np.float32).max]
+    matrix[1] = [-0.0, 0.0, 0.6, -0.8, -0.0]
+    matrix[2] = [1e-45, -1e-45, 1e-40, np.finfo(np.float32).tiny, 1.0]
     matrix[3] = np.float32(1) / np.float32(3) * np.arange(1, dim + 1, dtype=np.float32)
     tokens = [f"w{i}" for i in range(11)]
     tokens[4], tokens[5], tokens[6] = "naïve", "日本語_語", "emoji\U0001f600"
     space = EmbeddingSpace(tokens, matrix)
+    assert space._matrix[1:3].tobytes() == matrix[1:3].tobytes()
     if block_rows is not None:  # blocks of block_rows rows: 11 rows end mid-block
         monkeypatch.setattr(embedding, "_READ_BYTES", 4 * dim * block_rows)
     save_embeddings(space, tmp_path / "bulk", fmt)
-    save_embeddings_oracle(tokens, matrix, tmp_path / "rows", fmt)
+    save_embeddings_oracle(tokens, space._matrix, tmp_path / "rows", fmt)
     assert (tmp_path / "bulk").read_bytes() == (tmp_path / "rows").read_bytes()
 
 
@@ -136,6 +137,43 @@ def test_space_rejects_a_repeated_token():
         EmbeddingSpace(["a", "b", "b", "b"], matrix)
     space = EmbeddingSpace(["a", "b", "c", "d"], matrix)
     assert [t for t, _ in nearest_words(space, [1, 0], 4)] == ["a", "d", "b", "c"]
+
+
+@pytest.mark.parametrize("read_bytes", [64, None])
+def test_space_built_in_code_equals_the_same_rows_loaded(tmp_path, monkeypatch, read_bytes):
+    # near-unit rows, off-unit rows and rows of norm 1e-30 and 1e30: a space
+    # normalizes a copy of its matrix as the binary loader normalizes the
+    # rows it reads, in blocks of any size
+    rng = np.random.default_rng(43)
+    dim = 6
+    matrix = rng.standard_normal((40, dim)) * 10.0 ** rng.uniform(-3, 3, size=(40, 1))
+    matrix[::3] /= np.linalg.norm(matrix[::3], axis=1, keepdims=True)
+    matrix[1] *= 1e-30 / np.linalg.norm(matrix[1])
+    matrix[2] *= 1e30 / np.linalg.norm(matrix[2])
+    matrix = matrix.astype(np.float32)
+    given = matrix.copy()
+    tokens = [f"w{i}" for i in range(40)]
+    path = tmp_path / "vecs.bin"
+    write_binary(path, dim, list(zip(tokens, matrix)))
+    if read_bytes is not None:
+        monkeypatch.setattr(embedding, "_READ_BYTES", read_bytes)
+    built, loaded = EmbeddingSpace(tokens, matrix), load_embeddings(path, fmt="binary")
+    assert built.tokens() == loaded.tokens() == tokens
+    for name in ("_matrix", "_norms", "_inv_norms"):
+        assert getattr(built, name).tobytes() == getattr(loaded, name).tobytes(), name
+    assert matrix.tobytes() == given.tobytes()  # the space normalized a copy
+    assert built._matrix[::3].tobytes() == matrix[::3].tobytes()
+    np.testing.assert_allclose(built._norms, 1.0, rtol=0, atol=1e-6)
+    for value in (0.0, np.nan, np.inf):
+        rows = matrix.copy()
+        rows[5] = value
+        with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'w5'"):
+            EmbeddingSpace(tokens, rows)
+
+
+def test_space_without_columns_is_rejected():
+    with pytest.raises(EmbeddingFormatError, match="dimension must be positive, got 0"):
+        EmbeddingSpace(["a", "b"], np.zeros((2, 0)))
 
 
 def write_binary(path, dim, entries, count=None, newline=b"\n"):
@@ -205,18 +243,24 @@ def _binary_bytes(dim, entries, count=None, newline=b"\n") -> bytes:
     )
 
 
+def _whole_buffer_read(path):
+    """The whole-buffer oracle's rows, normalized as one block."""
+    tokens, matrix = binary_table_oracle(path.read_bytes(), path)
+    return tokens, matrix, embedding._normalize_rows(matrix)
+
+
 def _read_both(path):
-    """(tokens, matrix bytes) or the error message, from the reader and from
-    the whole-buffer oracle."""
+    """(tokens, matrix shape, matrix bytes, norm bytes) or the error
+    message, from the reader and from the whole-buffer oracle."""
     results = []
-    for read in (embedding._read_binary, lambda p: binary_table_oracle(p.read_bytes(), p)):
+    for read in (embedding._read_binary, _whole_buffer_read):
         try:
-            tokens, matrix = read(path)
+            tokens, matrix, norms = read(path)
         except EmbeddingFormatError as exc:
             results.append(str(exc))
         else:
             assert matrix.dtype == np.float32 and matrix.flags.c_contiguous
-            results.append((tokens, matrix.shape, matrix.tobytes()))
+            results.append((tokens, matrix.shape, matrix.tobytes(), norms.tobytes()))
     return results
 
 
@@ -493,14 +537,16 @@ def test_nearest_words_last_bit_neighbors_around_kth():
     # error bound, so only the float64 re-score can order them
     rng = np.random.default_rng(22)
     dim = 300
-    base = rng.standard_normal(dim).astype(np.float32)
-    point = base + 0.9 * rng.standard_normal(dim)
+    base = rng.standard_normal(dim)
+    base = (base / np.linalg.norm(base)).astype(np.float32)
+    point = base + 0.9 * rng.standard_normal(dim) / np.sqrt(dim)
     cluster = np.repeat(base[None, :], 11, axis=0)
     cluster[:, 5] = base[5] + np.arange(-5, 6) * np.spacing(base[5])
     others = rng.standard_normal((200, dim)).astype(np.float32)
     order = rng.permutation(211)
     tokens = [f"t{i:03d}" for i in order]
     space = EmbeddingSpace(tokens, np.vstack([cluster, others]))
+    assert space._matrix[:11].tobytes() == cluster.tobytes()  # near-unit rows are kept
     cosines = [cosine_oracle(row, point) for row in cluster]
     gamma = (dim + 2) * 2.0**-24 / (1 - (dim + 2) * 2.0**-24)
     assert 0 < max(cosines) - min(cosines) < gamma
@@ -527,28 +573,6 @@ def test_nearest_words_k_at_least_the_kept_rows(space50):
         got = nearest_words(space50, point, k, exclude)
         assert len(got) == 50 - len(exclude)
         assert_same_neighbors(got, oracle_neighbors(space50, point, k, exclude))
-
-
-def test_nearest_words_non_unit_rows():
-    # a hand-built table: row norms from 1e-35 to 1e35, beyond the range
-    # where the float32 bound is proven for the extreme rows
-    rng = np.random.default_rng(25)
-    dim = 64
-    matrix = rng.standard_normal((120, dim))
-    matrix *= 10.0 ** rng.uniform(-3, 3, size=(120, 1))
-    matrix[7] *= 1e-33
-    matrix[8] *= 1e33
-    matrix[9] = matrix[10] / np.linalg.norm(matrix[10]) * 1e-33  # parallel to n10
-    space = EmbeddingSpace([f"n{i}" for i in range(120)], matrix.astype(np.float32))
-    assert set(space._outliers) >= {7, 8, 9}
-    for trial in range(10):
-        point = rng.standard_normal(dim) * 10.0 ** rng.uniform(-5, 5)
-        if trial == 0:
-            point = space._matrix[9].astype(np.float64)
-        for k in (1, 4, 10, 119):
-            exclude = {"n10"} if trial % 2 else set()
-            got = nearest_words(space, point, k, exclude)
-            assert_same_neighbors(got, oracle_neighbors(space, point, k, exclude))
 
 
 # --------------------------------------------- multi-point nearest_words
@@ -621,26 +645,6 @@ def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
     assert nearest_words_many(space50, [], [], []) == []
 
 
-def test_nearest_words_many_outlier_norm_rows(monkeypatch):
-    rng = np.random.default_rng(34)
-    dim = 64
-    matrix = rng.standard_normal((60, dim))
-    matrix *= 10.0 ** rng.uniform(-3, 3, size=(60, 1))
-    matrix[7] *= 1e-33
-    matrix[30] *= 1e33
-    matrix[45] = matrix[10] / np.linalg.norm(matrix[10]) * 1e-33  # parallel to n10
-    space = EmbeddingSpace([f"n{i}" for i in range(60)], matrix.astype(np.float32))
-    assert set(space._outliers) >= {7, 30, 45}
-    points = [space._matrix[45].astype(np.float64)] + [
-        rng.standard_normal(dim) * 10.0 ** rng.uniform(-5, 5) for _ in range(4)
-    ]
-    for rows in (1, 4, 13):
-        blocked(monkeypatch, rows, len(points))
-        for k in (1, 4, 10):
-            excludes = [{"n10"}, set(), {"n45"}, {"n30"}, set()]
-            assert_many_matches_oracle(space, points, [k] * 5, excludes)
-
-
 def test_nearest_words_many_rejects_a_bad_point(space50):
     good = space50.vector("w1")
     with pytest.raises(ZeroNormError):
@@ -665,14 +669,8 @@ def test_scan_tiles_only_a_few_points():
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 40])
 def test_nearest_words_many_in_row_tiles_matches_oracle(monkeypatch, m, tile):
     # tie_table's copies of row 9 (rows 3, 9, 17, 31, 39) fall in different
-    # tiles and blocks of 13 rows; rows 12 and 25 are outliers in tiles of
-    # their own, and the excluded rows 5 and 22 in others
+    # tiles and blocks of 13 rows, and the excluded rows 5 and 22 in others
     space, matrix = tie_table()
-    matrix = matrix.copy()
-    matrix[12] *= 1e-33
-    matrix[25] *= 1e33
-    space = EmbeddingSpace(space.tokens(), matrix)
-    assert set(space._outliers) == {12, 25}
     rng = np.random.default_rng(100 * m + tile)
     points = [matrix[9].astype(np.float64), matrix[25].astype(np.float64)]
     points += [rng.standard_normal(300) for _ in range(m)]
@@ -703,7 +701,7 @@ def test_scan_cosines_keep_the_float64_norm_scaling(monkeypatch, tile):
     for (rows, cos), unit in zip(found, units):
         np.testing.assert_array_equal(rows, np.arange(40))
         assert cos.dtype == np.float64 and np.any(cos != cos.astype(np.float32))
-        products = np.array([np.dot(row, unit) for row in matrix], dtype=np.float32)
+        products = np.array([np.dot(row, unit) for row in space._matrix], dtype=np.float32)
         np.testing.assert_allclose(cos, products * space._inv_norms, rtol=0, atol=1e-5)
 
 

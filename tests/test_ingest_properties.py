@@ -350,6 +350,6 @@ def test_binary_table_matches_whole_buffer_oracle(workdir, table):
     )
     # the norms the load kept are those a new space computes for itself
     fresh = EmbeddingSpace(tokens, matrix)
-    for name in ("_norms", "_inv_norms", "_outliers"):
+    for name in ("_norms", "_inv_norms"):
         assert np.array_equal(bits(getattr(space, name)), bits(getattr(fresh, name))), name
     assert space._index == fresh._index
