@@ -8,6 +8,7 @@ the repeats, with the ratio taken on the min.
 
 from __future__ import annotations
 
+import statistics
 import time
 from dataclasses import dataclass
 
@@ -23,14 +24,6 @@ class BenchRow:
     min_seconds: float
     median_seconds: float
     ratio_vs_previous: float | None
-
-
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def run_bench(
@@ -70,7 +63,7 @@ def run_bench(
         lo = min(times)
         ratio = None if prev_min is None else lo / prev_min
         rows.append(
-            BenchRow(n_videos=n, min_seconds=lo, median_seconds=_median(times),
+            BenchRow(n_videos=n, min_seconds=lo, median_seconds=statistics.median(times),
                      ratio_vs_previous=ratio)
         )
         prev_min = lo

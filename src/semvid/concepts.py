@@ -22,9 +22,8 @@ from .embedding import (
     sum_pool,
     tokenize,
 )
-from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, open_utf8
+from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, checked_string, open_utf8
 from .kernels import row_dots
-from .similarity import lower_percentile_index
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
@@ -64,20 +63,9 @@ class ConceptRepository:
         self.unscoreable: tuple[str, ...] = ()
         self.space: EmbeddingSpace | None = None
         self.stops: frozenset[str] = DEFAULT_STOPWORDS
-        # each kernel's scoreable ids as (ids, score columns, sorted-id ranks)
+        # each kernel's scoreable ids as (ids, score columns, sorted-id
+        # ranks); none until attach_space builds the kernels' matrices
         self._pooled_index = self._set_index = _id_columns(self, ())
-        # pooled-kernel columns: summed vectors and their norms
-        self._pooled = np.zeros((0, 0))
-        self._pooled_norms = np.zeros(0)
-        # Hausdorff-kernel columns: every concept's word vectors stacked in
-        # concept order with their norms, each concept's first row and word
-        # count, and each row's (concept, position) cell in a concept-by-word
-        # table
-        self._set_vectors = np.zeros((0, 0))
-        self._set_norms = np.zeros(0)
-        self._set_starts = np.zeros(0, dtype=np.intp)
-        self._set_sizes = np.zeros(0, dtype=np.intp)
-        self._set_cells = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
 
     def __len__(self) -> int:
         return len(self.concepts)
@@ -131,8 +119,10 @@ class ConceptRepository:
         self._pooled_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
         self._pooled, self._pooled_norms = pooled[keep], norms[keep]
 
-        # Hausdorff kernel: every concept's word vectors, stacked in concept
-        # order (each a unit row of the space)
+        # Hausdorff kernel: every concept's word vectors (each a unit row of
+        # the space) stacked in concept order with their norms, each
+        # concept's first row and word count, and each row's (concept,
+        # position) cell in a concept-by-word table
         self._set_index = _id_columns(self, ids)
         self._set_vectors, self._set_norms = vectors, np.linalg.norm(vectors, axis=1)
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
@@ -166,10 +156,13 @@ def _id_columns(repo: ConceptRepository, ids):
     return tuple(ids), np.array([repo._order[c] for c in ids], dtype=np.intp), ranks
 
 
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise ConceptFormatError(f"{what} must be a string, got {value!r}")
-    return value
+def lower_percentile_index(percentile: float, sizes):
+    """Index ceil(l/100 * n) - 1 (at least 0) of the lower percentile l in
+    an ascending sort of n values, for each n in ``sizes``: the value with l
+    percent of the entries at or below it, with no interpolation."""
+    if not 0.0 < percentile <= 100.0:
+        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
+    return np.maximum(np.ceil(percentile / 100.0 * np.asarray(sizes)).astype(np.intp) - 1, 0)
 
 
 def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPWORDS) -> ConceptRepository:
@@ -194,11 +187,11 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "id" not in entry or "name" not in entry:
             raise ConceptFormatError(f"{where}: concept entry missing id/name: {entry!r}")
-        cid = _string(entry["id"], f"{where}: concept id")
+        cid = checked_string(entry["id"], f"{where}: concept id", ConceptFormatError)
         if cid in seen:
             raise ConceptFormatError(f"{where}: duplicate concept id {cid!r}")
         seen.add(cid)
-        name = _string(entry["name"], f"{where}: concept {cid!r} name")
+        name = checked_string(entry["name"], f"{where}: concept {cid!r} name", ConceptFormatError)
         if not name.strip():
             raise ConceptFormatError(f"{where}: concept {cid!r} has an empty name")
         kind = entry.get("kind", "object")
@@ -209,7 +202,8 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
             raise ConceptFormatError(
                 f"{where}: concept {cid!r} keywords must be a list, got {keywords!r}"
             )
-        keywords = tuple(_string(k, f"{where}: concept {cid!r} keyword") for k in keywords)
+        what = f"{where}: concept {cid!r} keyword"
+        keywords = tuple(checked_string(k, what, ConceptFormatError) for k in keywords)
         concepts.append(ConceptDefinition(id=cid, name=name, keywords=keywords, kind=kind))
 
     repo = ConceptRepository(concepts)

@@ -90,12 +90,22 @@ class EmbeddedSet:
     ``oov`` lists input tokens that resolved to nothing and ``merges`` counts
     adjacent bigrams folded into a single phrase entry, so that
     ``len(set) + len(oov) + merges == len(input tokens)``.
+
+    ``vectors`` must be a non-empty 2-D array whose every row has a finite,
+    nonzero norm, as every set of table rows has; anything else raises
+    :class:`ZeroNormError`, so that no kernel divides by a zero norm.
     """
 
     vectors: np.ndarray  # (n, dim) float64
     source_tokens: tuple[str, ...]
     oov: tuple[str, ...] = ()
     merges: int = 0
+
+    def __post_init__(self):
+        vectors = self.vectors
+        if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2 and len(vectors)
+                and 0.0 < _dot_norms(vectors.astype(np.float64, copy=False)).min() < np.inf):
+            raise ZeroNormError("an embedded set needs rows of finite, nonzero norm")
 
     def __len__(self) -> int:
         return self.vectors.shape[0]
@@ -104,18 +114,20 @@ class EmbeddedSet:
 class EmbeddingSpace:
     """Immutable token -> unit-vector table with exhaustive k-NN search."""
 
-    def __init__(self, tokens: list[str], matrix: np.ndarray, duplicates: int = 0):
+    def __init__(self, tokens: list[str], matrix: np.ndarray):
         """A space over a float32 copy of ``matrix``, one row per token, with
         its rows unit-normalized as the loaders normalize a table's rows: a
         row within 1e-6 of unit length is kept bit for bit, another is
-        divided by its norm. A matrix without columns, a token given twice
-        (the loaders keep a token's first row and count the rest in
+        divided by its norm. A matrix without rows or columns, a token given
+        twice (the loaders keep a token's first row and count the rest in
         ``duplicates``) and a row of zero or non-finite norm are each an
         :class:`EmbeddingFormatError`."""
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise EmbeddingFormatError("token list and matrix row count disagree")
         if matrix.shape[1] == 0:
             raise EmbeddingFormatError("vector dimension must be positive, got 0")
+        if matrix.shape[0] == 0:  # as a loader's header count must be
+            raise EmbeddingFormatError("a table needs at least one token")
         index = dict(zip(tokens, range(len(tokens))))
         if len(index) < len(tokens):
             first: dict[str, int] = {}
@@ -125,7 +137,7 @@ class EmbeddingSpace:
                         f"token {token!r} repeated at rows {first[token]} and {row}"
                     )
         matrix = np.array(matrix, dtype=np.float32, order="C")
-        self._setup(tokens, matrix, _normalize_rows(matrix), index, duplicates)
+        self._setup(tokens, matrix, _normalize_rows(matrix), index, 0)
 
     @classmethod
     def _loaded(cls, tokens, matrix, norms, index, duplicates):
@@ -643,25 +655,17 @@ def _nearest_rows(space: EmbeddingSpace, points, norms, ks, excluded):
     """The work of :func:`nearest_words_many` on table rows: for each
     float64 point of norm ``norms[i]`` (nonzero and finite), the rows of
     its top ``ks[i]`` >= 1 table rows by cosine, best first, leaving out
-    the set of rows ``excluded[i]``, and their float64 cosines."""
+    the set of rows ``excluded[i]``, and their float64 cosines. Every point
+    is scanned with the largest k: a point with fewer kept rows keeps F at
+    -2, so the scan returns all its kept rows, and none when every row is
+    excluded."""
     n = space.dimension + 2
     delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
-    # a point whose k reaches its kept rows takes them all, without a scan
-    scan = [i for i, k in enumerate(ks) if k < len(space) - len(excluded[i])]
-    found = dict(zip(scan, _scan_candidates(
-        space,
-        [(points[i] / norms[i]).astype(np.float32) for i in scan],
-        max([ks[i] for i in scan], default=1),
-        [excluded[i] for i in scan],
-        delta,
-    )))
+    units = [(point / norm).astype(np.float32) for point, norm in zip(points, norms)]
     results = []
-    for i, (point, norm, k) in enumerate(zip(points, norms, ks)):
-        if i in found:
-            rows = found[i][0]
-        else:
-            rows = np.arange(len(space))
-            rows = rows[~np.isin(rows, list(excluded[i]))]
+    for (rows, _), point, norm, k in zip(
+        _scan_candidates(space, units, max(ks, default=1), excluded, delta), points, norms, ks
+    ):
         sims = row_dots(space._matrix[rows].astype(np.float64), point)
         sims /= space._norms[rows] * norm
         order = np.lexsort((space._tokens[rows], -sims))[:k]
@@ -716,9 +720,6 @@ def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: floa
         point, row = np.divmod(np.flatnonzero((cos32 >= floor - 2.0 * delta).T), width)
         firsts = point.searchsorted(np.arange(m + 1)).tolist()
         blocks.append((firsts, row + start, cos32[row, point]))
-    if len(blocks) == 1:
-        firsts, rows, scores = blocks[0]
-        return [(rows[a:b], scores[a:b]) for a, b in zip(firsts, firsts[1:])]
     cuts = (floor - 2.0 * delta).tolist()  # the last F cuts earlier blocks too
     found = []
     for i, cut in enumerate(cuts):

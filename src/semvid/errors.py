@@ -41,6 +41,14 @@ class EvaluationError(SemvidError):
     """Ground truth does not support the requested metric."""
 
 
+def checked_string(value, what: str, error=SemvidError) -> str:
+    """``value`` if it is a string, else ``error`` saying that ``what``
+    must be one: an input file's null or number is never read as text."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _line_label(line: int) -> str:
     return f"line {line}"
 

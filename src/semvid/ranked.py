@@ -7,6 +7,15 @@ from dataclasses import dataclass
 from .errors import SemvidError, open_utf8
 
 
+def tsv_id(value, what: str, error=SemvidError):
+    """``value``, an event or video id; ``error`` naming it as ``what`` if
+    its text holds a tab, CR or LF, which would break its TSV line."""
+    text = str(value)
+    if "\t" in text or "\r" in text or "\n" in text:
+        raise error(f"{what} {value!r} holds a tab, CR or LF, which a ranked TSV cannot hold")
+    return value
+
+
 @dataclass(frozen=True)
 class RankedList:
     event_id: str

@@ -38,8 +38,8 @@ from .embedding import (
     embed_tokens,
     tokenize,
 )
-from .errors import SemvidError, open_utf8
-from .ranked import RankedList, read_ranked_tsv, write_ranked_tsv  # the TSV helpers are re-exported
+from .errors import SemvidError, checked_string, open_utf8
+from .ranked import RankedList, read_ranked_tsv, tsv_id, write_ranked_tsv  # TSV helpers re-exported
 from .stopwords import DEFAULT_STOPWORDS
 from .videos import Corpus
 
@@ -56,6 +56,7 @@ class EventQuery:
     asr_terms: tuple[str, ...] = ()
 
     def __post_init__(self):
+        tsv_id(self.event_id, "event id")
         if not self.title_terms:
             raise SemvidError(f"event {self.event_id!r}: no title terms after stop-word removal")
 
@@ -93,7 +94,8 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "event" not in entry or "title" not in entry:
             raise SemvidError(f"{where}: query entry missing event/title: {entry!r}")
-        event_id = _string(entry["event"], f"{where}: event id")
+        what = f"{where}: event id"
+        event_id = tsv_id(checked_string(entry["event"], what), what)
         if event_id in seen:
             raise SemvidError(f"{where}: duplicate event id {event_id!r}")
         seen.add(event_id)
@@ -104,24 +106,18 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
                 raise SemvidError(f"{where}: {key} must be a list of strings, got {terms!r}")
             out = []
             for term in terms:
-                out.extend(tokenize(_string(term, f"{where}: {key} item"), stops))
+                out.extend(tokenize(checked_string(term, f"{where}: {key} item"), stops))
             return tuple(out)
 
         queries.append(
             EventQuery(
                 event_id=event_id,
-                title_terms=tuple(tokenize(_string(entry["title"], f"{where}: title"), stops)),
+                title_terms=tuple(tokenize(checked_string(entry["title"], f"{where}: title"), stops)),
                 ocr_terms=_terms("ocr_terms"),
                 asr_terms=_terms("asr_terms"),
             )
         )
     return queries
-
-
-def _string(value, what: str) -> str:
-    if not isinstance(value, str):
-        raise SemvidError(f"{what} must be a string, got {value!r}")
-    return value
 
 
 def map_cosine(value: float) -> float:
@@ -267,20 +263,20 @@ def rank_events(
 ) -> list[RankedList]:
     """Score every corpus video against each event and sort, in event order.
 
-    ``corpus`` is a :class:`~semvid.videos.Corpus` built with a repository
-    of ``len(repo)`` concepts attached to ``space``; anything else raises
+    ``repo`` is attached to ``space``, and ``corpus`` is a
+    :class:`~semvid.videos.Corpus` built with a repository of ``len(repo)``
+    concepts attached to ``space``; anything else raises
     :class:`SemvidError`. The query side of every event is computed first
     (see :func:`_query_sides`): all text-query expansions, OCR and ASR of
     every event, share one float32 scan of the table. Each event's channels
     are then scored for all videos at once, fused, and sorted by
     (-score, video id). The result equals ranking each event on its own.
     """
-    if not (
-        isinstance(corpus, Corpus) and corpus.space is space and corpus.S.shape[1] == len(repo)
-    ):
+    if not (isinstance(corpus, Corpus) and corpus.space is space and repo.space is space
+            and corpus.S.shape[1] == len(repo)):
         raise SemvidError(
             f"rank_events needs a Corpus built for this space and {len(repo)} concepts, "
-            f"got {type(corpus).__name__}"
+            f"and a repository attached to this space; got a {type(corpus).__name__}"
         )
     queries = list(queries)
     if not queries:

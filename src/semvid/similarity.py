@@ -8,6 +8,11 @@ Three kernels, all symmetric:
                        the median)
 * cross sum            sum of all pairwise dot products, which equals the
                        dot product of the pooled sums
+
+These are the single-pair forms, for library callers and tests: no
+``semvid`` command imports this module. Ranking scores every concept at
+once in :mod:`semvid.concepts` and every video at once in
+:mod:`semvid.retrieval`.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .concepts import lower_percentile_index
 from .embedding import EmbeddedSet
 from .errors import ZeroNormError
 
@@ -32,24 +38,6 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroNormError("cosine undefined for a zero-norm vector")
     return float(np.dot(a, b)) / (na * nb)
-
-
-def lower_percentile_index(percentile: float, sizes):
-    """Index ceil(l/100 * n) - 1 (at least 0) of the lower percentile l in
-    an ascending sort of n values, for each n in ``sizes``."""
-    if not 0.0 < percentile <= 100.0:
-        raise ValueError(f"percentile must be in (0, 100], got {percentile}")
-    return np.maximum(np.ceil(percentile / 100.0 * np.asarray(sizes)).astype(np.intp) - 1, 0)
-
-
-def lower_percentile(values: np.ndarray, percentile: float) -> float:
-    """Order statistic at index ceil(l/100 * n) - 1 of the ascending sort.
-
-    This is the value with l percent of the entries at or below it; no
-    interpolation.
-    """
-    ordered = np.sort(np.asarray(values, dtype=np.float64))
-    return float(ordered[lower_percentile_index(percentile, ordered.shape[0])])
 
 
 def sim_pooled(x, y) -> float:
@@ -70,7 +58,8 @@ def sim_hausdorff(x, y, percentile: float = 50.0) -> float:
     if xs.shape[0] == 1 and ys.shape[0] == 1:
         return _cosine(xs[0], ys[0])
     best_x, best_y = kernels.directed_max_cosines(xs, ys)
-    return min(lower_percentile(best_x, percentile), lower_percentile(best_y, percentile))
+    at_x, at_y = lower_percentile_index(percentile, [len(best_x), len(best_y)])
+    return float(min(np.sort(best_x)[at_x], np.sort(best_y)[at_y]))
 
 
 def sim_crosssum(x, y) -> float:

@@ -26,16 +26,12 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def toy_space(tokens: list[str], vectors: np.ndarray) -> EmbeddingSpace:
-    return EmbeddingSpace(tokens, np.asarray(vectors, dtype=np.float32))
-
-
 def random_space(rng: np.random.Generator, n_tokens: int, dim: int, prefix: str = "w") -> EmbeddingSpace:
     """Vocabulary of random unit vectors, tokens ``<prefix>0 .. <prefix>N-1``."""
     tokens = [f"{prefix}{i}" for i in range(n_tokens)]
     matrix = rng.standard_normal((n_tokens, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    return toy_space(tokens, matrix)
+    return EmbeddingSpace(tokens, matrix)
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ def synth_world(
     for token in background_tokens:
         add_token(token, _unit(rng.standard_normal(dim)))
 
-    space = toy_space(tokens, np.vstack(vectors))
+    space = EmbeddingSpace(tokens, np.vstack(vectors))
 
     concepts: list[ConceptDefinition] = []
     per_event_concept_ids: list[list[str]] = []

@@ -20,6 +20,7 @@ import numpy as np
 from .concepts import ConceptRepository
 from .embedding import pool_texts
 from .errors import ConceptFormatError, IngestError, open_utf8
+from .ranked import tsv_id
 
 log = logging.getLogger(__name__)
 
@@ -106,9 +107,10 @@ def _load_score_jsonl(path, repo, mode):
     that is not a JSON object with the three keys, a video or concept id that
     is not a string, and a ``scores`` that is not a list of JSON numbers
     (booleans and strings are not numbers). An empty score list is reported
-    and skipped. A score outside [0, 1], an unknown concept id and a second
-    track for the same (video, concept) abort the load at the first such
-    line.
+    and skipped. A score outside [0, 1], an unknown concept id, a second
+    track for the same (video, concept) and a video id that holds a tab, CR
+    or LF (see :func:`~semvid.ranked.tsv_id`) abort the load at the first
+    such line.
 
     Accepted tracks are kept as flat columns: row, column and sample count
     per line, the samples back to back. Every ``_CHUNK`` lines the samples
@@ -148,17 +150,15 @@ def _load_score_jsonl(path, repo, mode):
                 lines.append(lineno)
                 try:
                     column = repo.index_of(concept)
-                except ConceptFormatError as exc:
+                    row = video_rows.setdefault(video, len(video_rows))
+                    if row == len(seen):  # the first line of a video
+                        seen.append(bytearray(len(repo)))
+                        tsv_id(video, "video id", IngestError)
+                    if seen[row][column]:
+                        raise IngestError(f"duplicate track for ({video}, {concept})")
+                except (ConceptFormatError, IngestError) as exc:
                     _pool_chunk(path, samples, counts, lines, mode)  # earlier lines abort first
-                    raise ConceptFormatError(f"{path} line {lineno}: {exc}") from None
-                row = video_rows.setdefault(video, len(video_rows))
-                if row == len(seen):
-                    seen.append(bytearray(len(repo)))
-                if seen[row][column]:
-                    _pool_chunk(path, samples, counts, lines, mode)
-                    raise IngestError(
-                        f"{path} line {lineno}: duplicate track for ({video}, {concept})"
-                    )
+                    raise type(exc)(f"{path} line {lineno}: {exc}") from None
                 seen[row][column] = 1
                 rows.append(row)
                 cols.append(column)
@@ -202,9 +202,9 @@ def _load_score_csv(path, repo):
 
     Rows are converted to numbers a block of about ``_CSV_VALUES`` values
     at a time (:func:`_csv_scores`). A row with the wrong field count, a
-    repeated video id, a non-numeric value or a score outside [0, 1] aborts
-    the load at the first such line. Returns the video ids in file order
-    and the (videos x concepts) matrix.
+    repeated video id or one that holds a tab, CR or LF, a non-numeric
+    value or a score outside [0, 1] aborts the load at the first such line.
+    Returns the video ids in file order and the (videos x concepts) matrix.
     """
     with open_utf8(path, IngestError, csv=True) as fh:
         reader = csv.reader(fh)
@@ -220,15 +220,15 @@ def _load_score_csv(path, repo):
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(columns) + 1:
+            try:
+                if len(row) != len(columns) + 1:
+                    raise IngestError(f"expected {len(columns) + 1} fields, got {len(row)}")
+                video = tsv_id(row[0], "video id", IngestError)
+                if video in ids:
+                    raise IngestError(f"duplicate video id {video!r}")
+            except IngestError as exc:
                 _csv_scores(path, block, len(columns))  # earlier rows abort first
-                raise IngestError(
-                    f"{path} line {lineno}: expected {len(columns) + 1} fields, got {len(row)}"
-                )
-            video = row[0]
-            if video in ids:
-                _csv_scores(path, block, len(columns))
-                raise IngestError(f"{path} line {lineno}: duplicate video id {video!r}")
+                raise IngestError(f"{path} line {lineno}: {exc}") from None
             ids[video] = None
             block.append((lineno, row))
             if len(block) == block_rows:
@@ -245,7 +245,9 @@ def _load_transcripts(path):
 
     A missing or null ``ocr``/``asr`` is a missing channel. A video id that
     is not a string, or an ``ocr``/``asr`` that is neither a string nor
-    null, makes the line malformed: it is reported and skipped.
+    null, makes the line malformed: it is reported and skipped. A second
+    transcript for a video, and a video id that holds a tab, CR or LF, abort
+    the load.
     """
     transcripts = {}
     with open_utf8(path, IngestError) as fh:
@@ -267,6 +269,7 @@ def _load_transcripts(path):
                 continue
             if video in transcripts:
                 raise IngestError(f"{path} line {lineno}: duplicate transcript for {video!r}")
+            tsv_id(video, f"{path} line {lineno}: video id", IngestError)
             transcripts[video] = tuple("" if text is None else text for text in texts)
     return transcripts
 
@@ -292,7 +295,8 @@ class Corpus:
     The transcripts are embedded with the space and stop words the
     repository's concept embeddings were built with; without a space the
     text columns are None. A float64 ``S`` is kept without a copy and made
-    read-only. A video id that is not a string or is repeated, a matrix or
+    read-only. A video id that is not a string, holds a tab, CR or LF (see
+    :func:`~semvid.ranked.tsv_id`) or is repeated, a matrix or
     transcript column of the wrong shape, a score that is NaN or lies
     outside [0, 1], or a transcript that is not a string raises
     :class:`IngestError`, naming the video where there is one.
@@ -305,6 +309,7 @@ class Corpus:
         for video in ids:
             if not isinstance(video, str):
                 raise IngestError(f"video id {video!r} is not a string")
+            tsv_id(video, "video id", IngestError)
             if video in seen:
                 raise IngestError(f"duplicate video id {video!r}")
             seen.add(video)

@@ -1,5 +1,6 @@
 """End-to-end command tests through cli.main with real files."""
 
+import csv
 import json
 import os
 import subprocess
@@ -336,6 +337,90 @@ def test_outputs_end_with_newline(world_dir, tmp_path):
         "--scores", paths["scores"], "--out", str(out),
     ])
     assert out.read_bytes().endswith(b"\n")
+
+
+def _renamed(paths, directory, event, video, which=("queries", "scores", "transcripts", "truth")):
+    """The world's input files, with every event id renamed by ``event`` and
+    every video id by ``video`` in the files named in ``which``; the rest
+    are the originals."""
+    directory = Path(directory)
+    directory.mkdir(exist_ok=True)
+    files = dict(paths)
+    for name in which:
+        files[name] = str(directory / Path(paths[name]).name)
+        source = Path(paths[name]).read_text(encoding="utf-8")
+        if name == "queries":
+            queries = [dict(q, event=event(q["event"])) for q in json.loads(source)]
+            text = json.dumps(queries)
+        elif name == "truth":
+            rows = [row.split(",") for row in source.splitlines()]
+            rows[1:] = [[event(e), video(v), label] for e, v, label in rows[1:]]
+            with open(files[name], "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            continue
+        else:
+            lines = [json.loads(line) for line in source.splitlines()]
+            text = "".join(json.dumps(dict(line, video=video(line["video"]))) + "\n" for line in lines)
+        Path(files[name]).write_text(text, encoding="utf-8")
+    return files
+
+
+@pytest.mark.parametrize("char", ["\t", "\r", "\n"])
+@pytest.mark.parametrize("which", ["queries", "scores", "pooled", "transcripts"])
+def test_id_that_breaks_a_ranked_tsv_is_an_input_error(world_dir, tmp_path, capsys, which, char):
+    # rank used to write such an id into a ranked.tsv that eval then rejected
+    _, paths = world_dir
+    bad_event = {"E01": f"E0{char}1"}
+    bad_video = {"v001": f"v0{char}01"}
+    files = _renamed(paths, tmp_path / "in", lambda e: bad_event.get(e, e),
+                     lambda v: bad_video.get(v, v),
+                     which=[{"pooled": "scores"}.get(which, which)])
+    if which == "pooled":
+        files["scores"] = str(tmp_path / "pooled.csv")
+        assert main(["pool", paths["scores"], paths["concepts"], "--out", files["scores"]]) == 0
+        with open(files["scores"], encoding="utf-8", newline="") as fh:
+            rows = [[bad_video.get(row[0], row[0])] + row[1:] for row in csv.reader(fh)]
+        with open(files["scores"], "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    out = tmp_path / "ranked.tsv"
+    code = main(["rank", files["embeddings"], files["concepts"], files["queries"],
+                 "--scores", files["scores"], "--transcripts", files["transcripts"],
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    if which == "queries":
+        where = f"{files['queries']} entry 1: event id {bad_event['E01']!r}"
+    else:
+        path = files["transcripts" if which == "transcripts" else "scores"]
+        # the first line of v001: the pooled CSV is in id order, after its header
+        line = {"pooled": 3, "transcripts": 2}.get(which) or next(
+            i for i, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1)
+            if json.loads(text)["video"] == bad_video["v001"]
+        )
+        where = f"{path} line {line}: video id {bad_video['v001']!r}"
+    assert f"error: {where} holds a tab, CR or LF" in err, err
+
+
+def test_rank_then_eval_round_trips_ids_with_spaces_and_other_separators(world_dir, tmp_path, capsys):
+    # only a tab, CR or LF breaks a ranked TSV line; other whitespace and
+    # separators that str.splitlines knows (VT, FF, NEL, U+2028) do not
+    _, paths = world_dir
+    event = lambda e: f"{e} \x0b\u2028é"  # noqa: E731
+    video = lambda v: f"{v} \x0c\x85ü"  # noqa: E731
+    reports = []
+    for files in (paths, _renamed(paths, tmp_path / "renamed", event, video)):
+        ranked, report = tmp_path / "ranked.tsv", tmp_path / "report.tsv"
+        assert main(["rank", files["embeddings"], files["concepts"], files["queries"],
+                     "--scores", files["scores"], "--transcripts", files["transcripts"],
+                     "--out", str(ranked)]) == 0
+        assert main(["eval", str(ranked), files["truth"], "--out", str(report)]) == 0
+        reports.append(report.read_text(encoding="utf-8").split("\n"))
+    capsys.readouterr()
+    plain, renamed = reports
+    assert len(renamed) == len(plain) == 4  # header, two events, the final newline
+    assert renamed[1:3] == [
+        line.replace(line.split("\t")[0], event(line.split("\t")[0]), 1) for line in plain[1:3]
+    ]
 
 
 def _with_bad_byte(src, dst, line: int) -> str:

@@ -174,6 +174,8 @@ def test_space_built_in_code_equals_the_same_rows_loaded(tmp_path, monkeypatch, 
 def test_space_without_columns_is_rejected():
     with pytest.raises(EmbeddingFormatError, match="dimension must be positive, got 0"):
         EmbeddingSpace(["a", "b"], np.zeros((2, 0)))
+    with pytest.raises(EmbeddingFormatError, match="at least one token"):
+        EmbeddingSpace([], np.zeros((0, 3)))  # nor rows, as a loaded header count
 
 
 def write_binary(path, dim, entries, count=None, newline=b"\n"):
@@ -445,6 +447,21 @@ def test_embed_tokens_conservation(space50):
     assert len(embedded) + len(embedded.oov) + embedded.merges == len(tokens)
 
 
+@pytest.mark.parametrize("vectors", [
+    np.zeros((0, 3)),
+    np.ones(3),
+    [[1.0, 0.0, 0.0]],
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+    np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+    np.array([[np.inf, 0.0, 0.0]]),
+])
+def test_embedded_set_takes_only_rows_of_finite_nonzero_norm(vectors):
+    # a hand-built set with a zero row made the Hausdorff kernel divide 0 by
+    # 0 and weigh concepts NaN
+    with pytest.raises(ZeroNormError):
+        EmbeddedSet(vectors, ())
+
+
 # --------------------------------------------------------------- sum_pool
 
 def test_sum_pool_definition():
@@ -643,6 +660,10 @@ def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
     found = nearest_words_many(space50, points, [41, 42, 43, 5], [exclude] * 4)
     assert [len(result) for result in found] == [41, 42, 42, 5]
     assert nearest_words_many(space50, [], [], []) == []
+    # every row excluded: nothing is left, next to a point that keeps rows
+    everything = set(space50.tokens())
+    assert nearest_words_many(space50, points[:2], [3, 60], [everything, exclude])[0] == []
+    assert nearest_words_many(space50, points[:2], [60, 3], [everything] * 2) == [[], []]
 
 
 def test_nearest_words_many_rejects_a_bad_point(space50):

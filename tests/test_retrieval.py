@@ -461,6 +461,10 @@ def test_rank_events_takes_only_a_corpus_built_for_its_space(odd_world, monkeypa
     ):
         with pytest.raises(SemvidError, match="needs a Corpus built for this space and 61"):
             rank_events(queries, space, repo, wrong)
+    # nor with a repository attached to another space, whose concept
+    # weights would come from that space
+    with pytest.raises(SemvidError, match="and a repository attached to this space"):
+        rank_events(queries, space, other_repo, corpus)
 
     # a corpus is used as it was built
     def no_rebuild(*args, **kwargs):
@@ -591,6 +595,20 @@ def test_load_queries_rejects_non_string_fields_with_file_and_entry(tmp_path, en
         load_queries(path)
     message = str(info.value)
     assert str(path) in message and "entry 1" in message and field in message
+
+
+@pytest.mark.parametrize("event_id", ["E\t1", "E1\n", "\rE1"])
+def test_event_id_that_breaks_a_ranked_tsv_is_rejected(tmp_path, event_id):
+    # written into ranked.tsv, such an id would split its line or add a
+    # column, and eval could not read the file back
+    with pytest.raises(SemvidError, match="event id .* holds a tab, CR or LF"):
+        EventQuery(event_id=event_id, title_terms=("a",))
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps([{"event": "E0", "title": "a b"}, {"event": event_id, "title": "a b"}]),
+                    encoding="utf-8")
+    with pytest.raises(SemvidError) as info:
+        load_queries(path)
+    assert f"{path} entry 1: event id {event_id!r} holds a tab, CR or LF" in str(info.value)
 
 
 def test_query_requires_nonstop_title():

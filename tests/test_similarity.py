@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from semvid.concepts import lower_percentile_index
 from semvid.errors import ZeroNormError
-from semvid.similarity import lower_percentile, sim_crosssum, sim_hausdorff, sim_pooled
+from semvid.similarity import sim_crosssum, sim_hausdorff, sim_pooled
 
 from oracles import crosssum_oracle, hausdorff_oracle, random_set
 
@@ -90,9 +91,11 @@ def test_pooled_self_is_one_whenever_defined():
 
 
 def test_lower_percentile_is_an_order_statistic():
-    values = [0.4, 0.1, 0.3, 0.2]
-    assert lower_percentile(values, 50.0) == 0.2  # ceil(0.5*4)-1 = index 1
-    assert lower_percentile(values, 100.0) == 0.4
-    assert lower_percentile([0.9], 50.0) == 0.9
+    values = np.sort([0.4, 0.1, 0.3, 0.2])
+    assert values[lower_percentile_index(50.0, len(values))] == 0.2  # ceil(0.5*4)-1 = index 1
+    assert values[lower_percentile_index(100.0, len(values))] == 0.4
+    assert np.array([0.9])[lower_percentile_index(50.0, 1)] == 0.9
+    # one index per size, as the Hausdorff kernel takes them for all concepts
+    assert lower_percentile_index(50.0, [4, 4, 1]).tolist() == [1, 1, 0]
     with pytest.raises(ValueError):
-        lower_percentile(values, 0.0)
+        lower_percentile_index(0.0, len(values))

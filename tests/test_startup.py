@@ -65,7 +65,9 @@ def test_eval_command_runs_without_numpy(tmp_path):
 
 
 def test_avg_pooling_does_not_import_numpy_ma(tmp_path):
-    # the first np.unique of a process imports numpy.ma (8-18 ms, 1.7 MB)
+    # the first np.unique of a process imports numpy.ma (8-18 ms, 1.7 MB);
+    # ranking with either kernel then leaves the single-pair similarity
+    # module unloaded
     lines = [
         {"video": v, "concept": c, "scores": [0.1 * (k + 1)] * (k % 4 + 1)}
         for k, (v, c) in enumerate((v, c) for v in ("v0", "v1", "v2") for c in ("c0", "c1"))
@@ -81,10 +83,22 @@ def test_avg_pooling_does_not_import_numpy_ma(tmp_path):
         repo = ConceptRepository([ConceptDefinition(id=c, name=c) for c in ("c0", "c1")])
         corpus = load_corpus("scores.jsonl", repo, mode="avg")
         print("numpy.ma" in sys.modules, len(corpus), "numpy" in sys.modules)
+
+        import numpy as np
+        from semvid.config import RetrievalConfig
+        from semvid.embedding import EmbeddingSpace
+        from semvid.retrieval import EventQuery, rank_events
+        space = EmbeddingSpace(["c0", "c1", "x"], np.eye(3))
+        repo.attach_space(space)
+        corpus = load_corpus("scores.jsonl", repo, mode="avg")
+        for kernel in ("pooled", "hausdorff"):
+            config = RetrievalConfig(kernel=kernel, augment_k=1)
+            rank_events([EventQuery("e", ("c0", "x"))], space, repo, corpus, config)
+        print("semvid.similarity" in sys.modules)
         """,
         tmp_path,
     )
-    assert out.split() == ["False", "3", "True"]
+    assert out.split() == ["False", "3", "True", "False"]
 
 
 def test_every_export_is_its_module_object_and_listed():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -362,6 +363,31 @@ def test_corpus_rejects_duplicate_video_id(repo3):
 def test_corpus_rejects_video_ids_that_are_not_strings(repo3, ids, message):
     with pytest.raises(IngestError, match=message):
         Corpus(repo3, ids, np.zeros((len(ids), 3)))
+
+
+@pytest.mark.parametrize("video", ["v\t1", "v1\n", "\rv1"])
+def test_video_id_that_breaks_a_ranked_tsv_is_an_input_error(tmp_path, repo3, video):
+    # written into ranked.tsv, such an id would split its line or add a
+    # column, and eval could not read the file back
+    with pytest.raises(IngestError, match="video id .* holds a tab, CR or LF"):
+        Corpus(repo3, ["v0", video], np.zeros((2, 3)))
+    track = {"video": "v0", "concept": "c1", "scores": [0.2]}
+    good = tmp_path / "good.jsonl"
+    write_lines(good, [json.dumps(track)])
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [json.dumps(track), json.dumps(dict(track, video=video))])
+    table = tmp_path / "scores.csv"
+    with open(table, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([["video", "c1"], ["v0", "0.2"], [video, "0.3"]])
+    transcripts = tmp_path / "transcripts.jsonl"
+    write_lines(transcripts, [json.dumps({"video": "v0", "ocr": "x"}),
+                              json.dumps({"video": video, "ocr": "y"})])
+    for bad, line, files in (
+        (scores, 2, (scores,)), (table, 3, (table,)), (transcripts, 2, (good, transcripts))
+    ):
+        with pytest.raises(IngestError) as info:
+            load_corpus(files[0], repo3, *files[1:])
+        assert f"{bad} line {line}: video id {video!r} holds a tab, CR or LF" in str(info.value)
 
 
 @pytest.mark.parametrize("ocr, asr, message", [
