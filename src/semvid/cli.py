@@ -94,8 +94,8 @@ def _cmd_pool(args) -> int:
     corpus = load_corpus(args.scores, repo, mode=args.mode)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("video," + ",".join(repo.ids()) + "\n")
-        for video, row in sorted(zip(corpus.ids, corpus.S.tolist())):  # ids are unique
-            fh.write(video + "," + ",".join(map(repr, row)) + "\n")
+        for i in corpus.id_order.tolist():  # in sorted id order
+            fh.write(corpus.ids[i] + "," + ",".join(map(repr, corpus.S[i].tolist())) + "\n")
     print(f"pooled {len(corpus)} videos x {len(repo)} concepts -> {args.out}")
     return 0
 

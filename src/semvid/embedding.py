@@ -615,18 +615,23 @@ def nearest_words_many(
     no product overflows, and products that underflow lose far less than
     one more u.
 
-    Let K be the k-th largest c32 among kept rows. At least k rows have
-    c32 >= K, so c64 >= K - delta; a row with c32 < K - 2 delta has
-    c64 < K - delta, strictly below k other rows, and cannot be in the top
-    k whatever its token. The scan runs in row blocks of
-    ``_SCAN_BYTES`` of scores, and drops a block's rows with
-    c32 < F - 2 delta, F being the largest k-th largest c32 of this block
-    and the blocks before it, or -2 while that is lower (every cosine is
-    at least -1 - delta). F never exceeds K, so a dropped row has
-    c32 < K - 2 delta too (with fewer than k kept rows, F stays -2 and
-    every kept row stays). After the last block, the rows of earlier blocks
-    are cut at its F as well, and only the rows left are re-scored in
-    float64 and sorted. Each float64 cosine is a
+    The scan does not know the excluded rows. With e of them, a row in the
+    top k of the rows left has at most k - 1 + e rows ahead of it (the
+    k - 1 kept ones and the e excluded ones), so it is in the top k' =
+    k + e of the whole table, and the scan looks for that top k'. Let K be
+    the k'-th largest c32 of the table. At least k' rows have c32 >= K, so
+    c64 >= K - delta; a row with c32 < K - 2 delta has c64 < K - delta,
+    strictly below k' other rows, and cannot be in the top k' whatever its
+    token. The scan runs in row blocks of ``_SCAN_BYTES`` of scores, and
+    drops a block's rows with c32 < F - 2 delta, F being the largest
+    k'-th largest c32 of this block and the blocks before it, or -2 while
+    that is lower (every cosine is at least -1 - delta). F never exceeds
+    K, so a dropped row has c32 < K - 2 delta too (with fewer than k' rows
+    in the table, F stays -2 and every row stays). Points scanned together
+    share the largest k', which only keeps more rows. After the last
+    block, the rows of earlier blocks are cut at its F as well. The
+    excluded rows are then dropped from the candidates, and only the rows
+    left are re-scored in float64 and sorted. Each float64 cosine is a
     :func:`~semvid.kernels.row_dots` reduction over its own row, so it does
     not depend on the row's position in the table, and equal rows score
     equal. The work runs on table rows (:func:`_nearest_rows`); tokens are
@@ -656,16 +661,22 @@ def _nearest_rows(space: EmbeddingSpace, points, norms, ks, excluded):
     float64 point of norm ``norms[i]`` (nonzero and finite), the rows of
     its top ``ks[i]`` >= 1 table rows by cosine, best first, leaving out
     the set of rows ``excluded[i]``, and their float64 cosines. Every point
-    is scanned with the largest k: a point with fewer kept rows keeps F at
-    -2, so the scan returns all its kept rows, and none when every row is
-    excluded."""
+    is scanned for the largest k + e, e the number of a point's excluded
+    rows, and its excluded rows are dropped from its candidates before the
+    float64 re-score. A point with fewer than k rows left gets all of them,
+    none when every row is excluded."""
     n = space.dimension + 2
     delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
     units = [(point / norm).astype(np.float32) for point, norm in zip(points, norms)]
+    drops = [np.fromiter(rows, dtype=np.intp, count=len(rows)) for rows in excluded]
+    scan = max((k + len(drop) for k, drop in zip(ks, drops)), default=1)
     results = []
-    for (rows, _), point, norm, k in zip(
-        _scan_candidates(space, units, max(ks, default=1), excluded, delta), points, norms, ks
+    for (rows, _), point, norm, k, drop in zip(
+        _scan_candidates(space, units, scan, delta), points, norms, ks, drops
     ):
+        # a cell per candidate and excluded row, few for a query's own words;
+        # np.isin took five times as long on 12 candidates
+        rows = rows[(rows[:, None] != drop).all(axis=1)]
         sims = row_dots(space._matrix[rows].astype(np.float64), point)
         sims /= space._norms[rows] * norm
         order = np.lexsort((space._tokens[rows], -sims))[:k]
@@ -681,27 +692,22 @@ def _products(rows: np.ndarray, units: np.ndarray, tile: int) -> np.ndarray:
     return out
 
 
-def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: float):
+def _scan_candidates(space: EmbeddingSpace, units, k: int, delta: float):
     """Per float32 unit point, the rows of the table with a float32 cosine
     within ``2 delta`` of F, the largest k-th score of a block (or -2), in
-    row order, and those cosines (see :func:`nearest_words_many`);
-    ``excluded`` holds each point's collection of rows to leave out. Each
+    row order, and those cosines (see :func:`nearest_words_many`). Each
     block is a (rows x dim) @ (dim x points) float32 product, in row tiles
     of ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the
     tiles change only the order of the float32 sums, which the bound
-    allows. Excluded rows score -inf and are never returned."""
+    allows."""
     m = len(units)
     if not m:
         return []
     units = np.ascontiguousarray(np.array(units).T)  # gemv speed for one point
     block = max(1, _SCAN_BYTES // (12 * m))  # float32 products and float64 cosines
     tile = max(1, _TILE_MADDS // (space.dimension * m)) if m in _TILED_POINTS else block
-    cells: dict[int, list[int]] = {}  # per block, the flat cells of its excluded scores
-    for i, rows in enumerate(excluded):
-        for row in rows:
-            cells.setdefault(row // block, []).append(row % block * m + i)
     # per point, the largest block k-th score so far, or -2: below every
-    # cosine (at least -1 - delta) and above the rows scanned as -inf
+    # cosine (at least -1 - delta), so that while it holds every row is kept
     floor = np.full(m, -2.0)
     blocks = []  # per block: where each point's candidates start, their rows and cosines
     for start in range(0, len(space), block):
@@ -710,8 +716,6 @@ def _scan_candidates(space: EmbeddingSpace, units, k: int, excluded, delta: floa
         # float32 products times float64 inverse norms: float64 cosines
         cos32 = _products(space._matrix[start:stop], units, tile).astype(np.float64)
         cos32 *= space._inv_norms[start:stop, None]
-        if start // block in cells:
-            cos32.flat[cells[start // block]] = -np.inf
         if width > k:
             floor = np.maximum(floor, np.partition(cos32, width - k, axis=0)[width - k])
         # the flat indices of the transposed mask list each point's

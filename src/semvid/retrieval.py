@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,8 +76,9 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     """Read a JSON array of {"event", "title", "ocr_terms"?, "asr_terms"?}.
 
     The event id and title are strings and the term fields lists of
-    strings; anything else (a null, a number) is rejected with the file and
-    the entry's index in the array rather than read as text.
+    strings; anything else (a null, a number), and a title of stop words
+    only, is rejected with the file and the entry's index in the array
+    rather than read as text.
     """
     try:
         with open_utf8(path) as fh:
@@ -109,14 +109,11 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
                 out.extend(tokenize(checked_string(term, f"{where}: {key} item"), stops))
             return tuple(out)
 
-        queries.append(
-            EventQuery(
-                event_id=event_id,
-                title_terms=tuple(tokenize(checked_string(entry["title"], f"{where}: title"), stops)),
-                ocr_terms=_terms("ocr_terms"),
-                asr_terms=_terms("asr_terms"),
-            )
-        )
+        title = tuple(tokenize(checked_string(entry["title"], f"{where}: title"), stops))
+        ocr_terms, asr_terms = _terms("ocr_terms"), _terms("asr_terms")
+        if not title:
+            raise SemvidError(f"{where}: event {event_id!r}: no title terms after stop-word removal")
+        queries.append(EventQuery(event_id, title, ocr_terms, asr_terms))
     return queries
 
 
@@ -161,7 +158,7 @@ def _expansions(term_lists, space: EmbeddingSpace):
         if k > 0:
             point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
             norm = _norm(point)
-            if norm == 0.0 or not math.isfinite(norm):
+            if norm == 0.0:
                 log.warning("text query %s pools to zero norm, skipping augmentation", list(terms))
                 continue
             expand.append(i)
@@ -176,19 +173,15 @@ def _expansions(term_lists, space: EmbeddingSpace):
     return found
 
 
-def _text_scores(query, pooled: np.ndarray, counts: np.ndarray, complete: bool):
+def _text_scores(query, pooled: np.ndarray, counts: np.ndarray):
     """Text-channel score in [0, 1] of every pooled transcript row, the
     affine map of its mean pairwise cosine with the query set, given as
-    the (sum, size) pair of its vectors. Rows with a count of 0 (channel
-    missing) get the neutral 0.5; ``complete`` says that no count is 0."""
+    the (sum, size) pair of its vectors. A row with a count of 0 (channel
+    missing) is zero, as every :class:`~semvid.videos.Corpus` holds it, so
+    its cosine is 0 and it scores the neutral 0.5."""
     total, size = query
-    cross = kernels.row_dots(pooled, total)
-    if complete:
-        cross /= size * counts
-        return map_cosine(cross).clip(0.0, 1.0)
-    present = counts > 0
-    cross = np.divide(cross, size * counts, out=np.zeros_like(cross), where=present)
-    return np.where(present, map_cosine(cross).clip(0.0, 1.0), 0.5)
+    cross = kernels.row_dots(pooled, total) / (size * np.maximum(counts, 1))
+    return map_cosine(cross).clip(0.0, 1.0)
 
 
 def fuse(channels: ChannelScores, w: float = 6.0):
@@ -196,8 +189,9 @@ def fuse(channels: ChannelScores, w: float = 6.0):
     (pc^w * sqrt(po * pa)) ** (1 / (w + 1)).
 
     An unavailable channel (None) contributes the neutral factor 0.5 (zero
-    cosine evidence under the affine map). Channels may be arrays, fused
-    elementwise; scalar channels give a float.
+    cosine evidence under the affine map), and a channel of 0 makes the
+    product, and so the fused score, 0 for any w > 0. Channels may be
+    arrays, fused elementwise; scalar channels give a float.
     """
     pc, po, pa = (
         np.asarray(0.5 if value is None else value, dtype=np.float64)
@@ -207,8 +201,9 @@ def fuse(channels: ChannelScores, w: float = 6.0):
         outside = ~((value >= 0.0) & (value <= 1.0))
         if outside.any():
             raise SemvidError(f"channel score {value[outside].flat[0]} outside [0, 1]")
-    fused = np.clip((pc**w * np.sqrt(po * pa)) ** (1.0 / (w + 1.0)), 0.0, 1.0)
-    fused = np.where((pc == 0.0) | (po == 0.0) | (pa == 0.0), 0.0, fused)
+    # + 0.0 gives 0.0 for the -0.0 that a -0.0 channel leaves where the
+    # exponent is 0.5 (w = 1) or 1 (w below 2**-53); it changes no other value
+    fused = np.clip((pc**w * np.sqrt(po * pa)) ** (1.0 / (w + 1.0)), 0.0, 1.0) + 0.0
     return float(fused) if fused.ndim == 0 else fused
 
 
@@ -291,8 +286,8 @@ def rank_events(
         raws = kernels.marginal_scores(corpus.S[:, columns], weights)
         channels = ChannelScores(  # a missing text channel scores the neutral 0.5
             concept=map_concept_raw(raws, config.top_r),
-            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr, corpus.ocr_complete),
-            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr, corpus.asr_complete),
+            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr),
+            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr),
         )
         fused = fuse(channels, config.fusion_weight)
         # by score descending, ties (NaN included) by id: a stable sort in id order

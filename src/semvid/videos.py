@@ -284,9 +284,8 @@ class Corpus:
     * ``ocr``, ``asr``: the transcripts, "" where a video has none;
     * ``P_ocr``, ``P_asr``: (n, dim) sums of each transcript's word vectors;
     * ``n_ocr``, ``n_asr``: the number of vectors in each sum, where 0 marks
-      a missing channel (empty or fully out-of-vocabulary transcript);
-    * ``ocr_complete``, ``asr_complete``: whether no video misses the
-      channel, so that its scoring can skip the neutral fill;
+      a missing channel (empty or fully out-of-vocabulary transcript), whose
+      row is zero, so that it scores the neutral 0.5 with no special case;
     * ``id_column``: the ids as a 1-D object array, to take a ranking's ids
       in one fancy index;
     * ``id_order``: the video positions in sorted id order, the tie-break
@@ -294,12 +293,12 @@ class Corpus:
 
     The transcripts are embedded with the space and stop words the
     repository's concept embeddings were built with; without a space the
-    text columns are None. A float64 ``S`` is kept without a copy and made
-    read-only. A video id that is not a string, holds a tab, CR or LF (see
-    :func:`~semvid.ranked.tsv_id`) or is repeated, a matrix or
-    transcript column of the wrong shape, a score that is NaN or lies
-    outside [0, 1], or a transcript that is not a string raises
-    :class:`IngestError`, naming the video where there is one.
+    text columns are None. A float64 ``S`` is kept without a copy, and it
+    and the four text columns are read-only. A video id that is not a
+    string, holds a tab, CR or LF (see :func:`~semvid.ranked.tsv_id`) or
+    is repeated, a matrix or transcript column of the wrong shape, a score
+    that is NaN or lies outside [0, 1], or a transcript that is not a
+    string raises :class:`IngestError`, naming the video where there is one.
     """
 
     def __init__(self, repo: ConceptRepository, ids, S, ocr=None, asr=None):
@@ -342,12 +341,11 @@ class Corpus:
 
         self.space = repo.space
         self.P_ocr = self.P_asr = self.n_ocr = self.n_asr = None
-        self.ocr_complete = self.asr_complete = False
         if self.space is not None:
             self.P_ocr, self.n_ocr = pool_texts(self.space, self.ocr, repo.stops)
             self.P_asr, self.n_asr = pool_texts(self.space, self.asr, repo.stops)
-            self.ocr_complete = bool(self.n_ocr.all())
-            self.asr_complete = bool(self.n_asr.all())
+            for column in (self.P_ocr, self.n_ocr, self.P_asr, self.n_asr):
+                column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.ids)

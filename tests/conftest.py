@@ -31,6 +31,6 @@ def text_channel():
         query = retrieval.prepare_text_query(terms, space, k)
         pooled, counts = pool_texts(space, [transcript], stops)
         pair = (sum_pool(query), len(query))
-        return float(retrieval._text_scores(pair, pooled, counts, bool(counts.all()))[0])
+        return float(retrieval._text_scores(pair, pooled, counts)[0])
 
     return score

@@ -649,6 +649,25 @@ def test_nearest_words_many_exclusions_inside_the_true_top_k(monkeypatch, space5
     assert_many_matches_oracle(space50, points, [1, 2, 3, 5, 8, 13], excludes)
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_nearest_words_many_with_the_table_top_rows_excluded(monkeypatch, space50, rows):
+    # the scan looks for the top k + e rows of the whole table and drops the
+    # e excluded ones afterwards; here the excluded rows are exactly the
+    # table's top e, the case where every one of them is a candidate
+    rng = np.random.default_rng(34)
+    points = [rng.standard_normal(8) for _ in range(3)]
+    excludes = [
+        {t for t, _ in oracle_neighbors(space50, point, e)} for point, e in zip(points, (1, 4, 9))
+    ]
+    blocked(monkeypatch, rows, len(points))
+    for ks in ([1, 1, 1], [50 - len(exclude) for exclude in excludes]):
+        assert_many_matches_oracle(space50, points, ks, excludes)
+    for point, exclude in zip(points, excludes):  # alone, each with its own k + e
+        blocked(monkeypatch, rows, 1)
+        assert_many_matches_oracle(space50, [point], [50 - len(exclude)], [exclude])
+        assert_many_matches_oracle(space50, [point], [1], [exclude])
+
+
 def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
     rng = np.random.default_rng(33)
     points = [rng.standard_normal(8) for _ in range(4)]
@@ -717,8 +736,7 @@ def test_scan_cosines_keep_the_float64_norm_scaling(monkeypatch, tile):
     units = [(matrix[i] / np.linalg.norm(matrix[i])).astype(np.float32) for i in (2, 9)]
     if tile is not None:
         tiled(monkeypatch, tile, 2)
-    none = np.empty(0, dtype=np.intp)
-    found = embedding._scan_candidates(space, units, 3, [none, none], 1.0)  # every row
+    found = embedding._scan_candidates(space, units, 3, 1.0)  # every row
     for (rows, cos), unit in zip(found, units):
         np.testing.assert_array_equal(rows, np.arange(40))
         assert cos.dtype == np.float64 and np.any(cos != cos.astype(np.float32))

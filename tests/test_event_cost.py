@@ -106,7 +106,7 @@ def test_the_event_cost_worlds_rank_every_video(space):
     repo, corpus = world(space, 200, 100, missing_asr=True)
     ranked = rank_event(QUERIES[1], space, repo, corpus)
     assert sorted(video for video, _ in ranked.entries) == list(corpus.ids)
-    assert corpus.ocr_complete and not corpus.asr_complete
+    assert corpus.n_ocr.all() and not corpus.n_asr.all()  # OCR complete, ASR not
 
 
 BAD_FIELDS = [

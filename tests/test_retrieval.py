@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -197,6 +198,21 @@ def test_fuse_fixed_point_at_one():
 
 def test_fuse_zero_concept_annihilates():
     assert fuse(ChannelScores(0.0, 0.9, 0.9), 6.0) == 0.0
+
+
+@pytest.mark.parametrize("w", [1e-300, 0.5, 1.0, 6.0, 1e300])
+def test_fuse_any_zero_channel_gives_positive_zero(w):
+    # no mask: the products carry a zero channel to 0, and a -0.0 channel
+    # gives +0.0 too, where x ** 0.5 and x ** 1 would keep its sign
+    for channel in range(3):
+        for zero in (0.0, -0.0):
+            values = [0.7, 1.0, 0.3]
+            values[channel] = zero
+            got = fuse(ChannelScores(*values), w)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+            values[channel] = np.array([zero, 0.5])
+            column = fuse(ChannelScores(*values), w)
+            assert column[0] == 0.0 and math.copysign(1.0, column[0]) == 1.0
 
 
 def test_fuse_worked_value():
@@ -616,6 +632,17 @@ def test_query_requires_nonstop_title():
         EventQuery(event_id="E1", title_terms=())
 
 
+def test_load_queries_names_file_and_entry_of_a_stop_word_title(tmp_path):
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps([{"event": "E0", "title": "a b"}, {"event": "E1", "title": "the of a"}]),
+                    encoding="utf-8")
+    with pytest.raises(SemvidError) as info:
+        load_queries(path)
+    assert str(info.value) == (
+        f"{path} entry 1: event 'E1': no title terms after stop-word removal"
+    )
+
+
 def test_text_scores_do_not_depend_on_corpus_size():
     # the first rows of a corpus score the same bits on their own as inside
     # the whole corpus (kernels.row_dots pins the reduction itself), and
@@ -624,27 +651,29 @@ def test_text_scores_do_not_depend_on_corpus_size():
     dim = 300
     pooled = rng.standard_normal((2000, dim))
     counts = rng.integers(0, 4, size=len(pooled))
+    pooled[counts == 0] = 0.0  # a missing transcript's row, as every Corpus holds it
     vectors = rng.standard_normal((3, dim))
     query = (sum_pool(vectors), 3)
-    got = retrieval._text_scores(query, pooled, counts, False)
+    got = retrieval._text_scores(query, pooled, counts)
     for rows in (1, 7, 500, 1999):
-        head = retrieval._text_scores(query, pooled[:rows], counts[:rows], False)
+        head = retrieval._text_scores(query, pooled[:rows], counts[:rows])
         np.testing.assert_array_equal(head, got[:rows])
     mean = pooled @ vectors.sum(axis=0) / np.maximum(3 * counts, 1)
     expected = np.where(counts > 0, np.clip((mean + 1.0) / 2.0, 0.0, 1.0), 0.5)
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
 
 
-def test_text_scores_of_a_complete_channel_skip_only_the_fill():
-    # a channel that no video misses (Corpus.ocr_complete / asr_complete)
-    # is scored without the masked divide and the neutral fill, to the same
-    # bits as the masked path gives each present row
+def test_text_scores_of_a_missing_transcript_are_exactly_neutral():
+    # a missing transcript is a zero row with a count of 0: its cosine is
+    # 0 and it scores exactly 0.5, with no fill, next to present rows that
+    # score as they would alone
     rng = np.random.default_rng(12)
     pooled = rng.standard_normal((500, 300))
     counts = rng.integers(0, 4, size=len(pooled))
+    pooled[counts == 0] = 0.0
     query = (sum_pool(rng.standard_normal((4, 300))), 4)
-    present = counts > 0
-    masked = retrieval._text_scores(query, pooled, counts, False)
-    complete = retrieval._text_scores(query, pooled[present], counts[present], True)
-    np.testing.assert_array_equal(complete, masked[present])
-    assert (masked[~present] == 0.5).all() and (~present).any()
+    missing = counts == 0
+    got = retrieval._text_scores(query, pooled, counts)
+    assert missing.any() and (got[missing] == 0.5).all()
+    present = retrieval._text_scores(query, pooled[~missing], counts[~missing])
+    np.testing.assert_array_equal(got[~missing], present)

@@ -234,6 +234,36 @@ def test_null_transcript_is_a_missing_channel(tmp_path):
     assert scores_by_video["null_ocr"] == scores_by_video["empty_ocr"]
 
 
+def test_missing_transcripts_are_zero_rows_in_read_only_text_columns(tmp_path):
+    # text scoring has no special case for a missing channel: it relies on
+    # each row of count 0 being zero, which the read-only columns keep
+    space_path = tmp_path / "space.txt"
+    space_path.write_text("3 3\nnone 1 0 0\nq 0.6 0.8 0\nc 0 0 1\n", encoding="utf-8")
+    space = load_embeddings(space_path)
+    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")])
+    repo.attach_space(space)
+    scores = tmp_path / "pooled.csv"
+    write_lines(scores, ["video,c1", "missing,0.5", "null,0.5", "empty,0.5", "oov,0.5",
+                         "present,0.5"])
+    transcripts = tmp_path / "tr.jsonl"
+    write_lines(transcripts, [
+        json.dumps({"video": "null", "ocr": None, "asr": None}),
+        json.dumps({"video": "empty", "ocr": "", "asr": ""}),
+        json.dumps({"video": "oov", "ocr": "zzz yyy", "asr": "the xxx"}),
+        json.dumps({"video": "present", "ocr": "q c", "asr": "q"}),
+        json.dumps({"video": "only", "ocr": "c"}),  # transcript-only, no ASR
+    ])
+    corpus = load_corpus(scores, repo, transcripts)
+    assert corpus.ids == ("missing", "null", "empty", "oov", "present", "only")
+    assert corpus.n_ocr.tolist() == [0, 0, 0, 0, 2, 1]
+    assert corpus.n_asr.tolist() == [0, 0, 0, 0, 1, 0]
+    for pooled_rows, counts in ((corpus.P_ocr, corpus.n_ocr), (corpus.P_asr, corpus.n_asr)):
+        assert (pooled_rows[counts == 0] == 0.0).all() and pooled_rows[counts > 0].any()
+    for column in (corpus.P_ocr, corpus.P_asr, corpus.n_ocr, corpus.n_asr):
+        with pytest.raises(ValueError):
+            column[0] = 1
+
+
 @pytest.mark.parametrize("entry, reason", [
     ({"video": "v2", "ocr": 7, "asr": "x"}, "ocr and asr must be strings or null"),
     ({"video": "v2", "ocr": "x", "asr": ["x"]}, "ocr and asr must be strings or null"),
@@ -310,7 +340,7 @@ def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
     assert not loaded.S.flags.writeable and not loaded.S[2:].any()
     rebuilt = Corpus(repo, loaded.ids, loaded.S, loaded.ocr, loaded.asr)
     for name in ("ids", "S", "ocr", "asr", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_order",
-                 "id_column", "ocr_complete", "asr_complete"):
+                 "id_column"):
         np.testing.assert_array_equal(getattr(loaded, name), getattr(rebuilt, name))
 
 
