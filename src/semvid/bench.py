@@ -12,7 +12,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .config import RetrievalConfig
 from .errors import SemvidError
 from .retrieval import rank_event
 from .synth import bench_setup
@@ -32,9 +31,8 @@ def run_bench(
     dim: int = 300,
     repeat: int = 3,
     seed: int = 7,
-    config: RetrievalConfig = RetrievalConfig(),
 ) -> list[BenchRow]:
-    """Time rank_event at each corpus size.
+    """Time rank_event at each corpus size, with the default configuration.
 
     Each corpus is built into its columns once, before any timing, so the
     figures measure ranking rather than ingest; the first corpus is ranked
@@ -50,7 +48,7 @@ def run_bench(
 
     setups = [(n, bench_setup(seed, n, n_concepts, dim)) for n in sizes]
     space, repo, corpus, query = setups[0][1]
-    rank_event(query, space, repo, corpus, config)  # untimed warm-up
+    rank_event(query, space, repo, corpus)  # untimed warm-up
 
     rows: list[BenchRow] = []
     prev_min: float | None = None
@@ -58,7 +56,7 @@ def run_bench(
         times = []
         for _ in range(repeat):
             start = time.perf_counter()
-            rank_event(query, space, repo, corpus, config)
+            rank_event(query, space, repo, corpus)
             times.append(time.perf_counter() - start)
         lo = min(times)
         ratio = None if prev_min is None else lo / prev_min

@@ -87,15 +87,18 @@ def _fmt(args):
 
 
 def _cmd_pool(args) -> int:
+    import csv
+
     from .concepts import load_concepts
     from .videos import load_corpus
 
     repo = load_concepts(args.concepts)
     corpus = load_corpus(args.scores, repo, mode=args.mode)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("video," + ",".join(repo.ids()) + "\n")
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding , or "
+        writer.writerow(["video", *repo.ids()])
         for i in corpus.id_order.tolist():  # in sorted id order
-            fh.write(corpus.ids[i] + "," + ",".join(map(repr, corpus.S[i].tolist())) + "\n")
+            writer.writerow([corpus.ids[i], *corpus.S[i].tolist()])
     print(f"pooled {len(corpus)} videos x {len(repo)} concepts -> {args.out}")
     return 0
 

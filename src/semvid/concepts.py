@@ -63,7 +63,7 @@ class ConceptRepository:
         self.unscoreable: tuple[str, ...] = ()
         self.space: EmbeddingSpace | None = None
         self.stops: frozenset[str] = DEFAULT_STOPWORDS
-        # each kernel's scoreable ids as (ids, score columns, sorted-id
+        # each kernel's scoreable concepts as (score columns, sorted-id
         # ranks); none until attach_space builds the kernels' matrices
         self._pooled_index = self._set_index = _id_columns(self, ())
 
@@ -149,11 +149,11 @@ def _sum_sets(vectors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _id_columns(repo: ConceptRepository, ids):
-    """``ids`` as a tuple, with each id's score column and its position in
-    sorted id order (the integer tie-break key of a concept ranking)."""
+    """The score column of each of ``ids`` and its position in sorted id
+    order (the integer tie-break key of a concept ranking)."""
     ranks = np.empty(len(ids), dtype=np.intp)
     ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return tuple(ids), np.array([repo._order[c] for c in ids], dtype=np.intp), ranks
+    return np.array([repo._order[c] for c in ids], dtype=np.intp), ranks
 
 
 def lower_percentile_index(percentile: float, sizes):
@@ -241,25 +241,25 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
 
 
 def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
-    """The kernel's scoreable ids with their score columns and their
-    positions in sorted id order, and each id's weight."""
+    """The score columns of the kernel's scoreable concepts, their
+    positions in sorted id order, and their weights."""
     if kernel == "pooled":
         pooled = sum_pool(query)
         norm = _norm(pooled)
         if norm == 0.0:
             raise NoScoreableConcepts("query has a zero-norm pooled vector")
-        ids, columns, ranks = repo._pooled_index
-        if ids:
+        columns, ranks = repo._pooled_index
+        if len(columns):
             weights = row_dots(repo._pooled, pooled) / (norm * repo._pooled_norms)
     elif kernel == "hausdorff":
-        ids, columns, ranks = repo._set_index
-        if ids:
+        columns, ranks = repo._set_index
+        if len(columns):
             weights = _hausdorff_weights(repo, query, percentile)
     else:
         raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
-    if not ids:
+    if not len(columns):
         raise NoScoreableConcepts("repository has no scoreable concepts")
-    return ids, columns, ranks, weights
+    return columns, ranks, weights
 
 
 def rank_concepts(
@@ -270,8 +270,9 @@ def rank_concepts(
 ) -> list[WeightedConcept]:
     """Weight every scoreable concept by its similarity to the query.
 
-    Sorted by weight descending, ties by id ascending; deterministic for
-    identical inputs. Both kernels rank against matrices built by
+    Sorted by weight descending, ties by id ascending, NaN weights last:
+    :func:`top_r_columns` with R the number of concepts, each score column
+    named by its concept id. Both kernels rank against matrices built by
     ``attach_space``. The pooled kernel is one row reduction against the
     pooled concept matrix, and leaves out concepts whose pooled vector has
     zero norm. The Hausdorff kernel scores every concept at once (see
@@ -282,9 +283,11 @@ def rank_concepts(
     :func:`~semvid.kernels.row_dots` reduction over one concept row, so a
     weight depends only on the query and that concept.
     """
-    ids, _, ranks, weights = _weights(repo, query, kernel, percentile)
-    order = np.lexsort((ranks, -weights))
-    return [WeightedConcept(ids[i], w) for i, w in zip(order.tolist(), weights[order].tolist())]
+    # R >= 1 even for an empty repository, which raises NoScoreableConcepts
+    columns, weights = top_r_columns(repo, query, kernel, max(len(repo), 1), percentile)
+    return [
+        WeightedConcept(repo.concepts[c].id, w) for c, w in zip(columns.tolist(), weights.tolist())
+    ]
 
 
 def top_r_columns(
@@ -294,13 +297,14 @@ def top_r_columns(
     r: int,
     percentile: float = 50.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score columns and weights of the first ``r`` concepts of
-    ``rank_concepts(...)``, as arrays, with no per-concept objects;
-    concepts outside them count as zero weight downstream. Only the
-    concepts that tie with the r-th weight or beat it are sorted."""
+    """Score columns and weights of the ``r`` most relevant concepts, as
+    arrays, with no per-concept objects; concepts outside them count as zero
+    weight downstream. Sorted by weight descending, ties by id ascending,
+    NaN weights last. Only the concepts that tie with the r-th weight or
+    beat it are sorted."""
     if r < 1:
         raise ValueError("R must be >= 1")
-    _, columns, ranks, weights = _weights(repo, query, kernel, percentile)
+    columns, ranks, weights = _weights(repo, query, kernel, percentile)
     negated = -weights
     last = min(r, len(weights)) - 1
     kth = np.partition(negated, last)[last]

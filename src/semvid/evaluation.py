@@ -9,6 +9,7 @@ list's order, whose ties are already resolved deterministically.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .errors import EvaluationError, open_utf8
@@ -122,29 +123,9 @@ def _roc_auc(event_id: str, relevance: list[int], scores: list[float]) -> float:
 
 
 def _mean(values: list[float]) -> float:
-    """``float(np.mean(values))`` bit for bit: the sum is taken in numpy's
-    pairwise order, added to the reduction's start value 0.0 (so a sum of
-    negative zeros is +0.0), then divided by the count."""
-    return (0.0 + _pairwise_sum(values, 0, len(values))) / len(values)
-
-
-def _pairwise_sum(values: list[float], lo: int, hi: int) -> float:
-    """numpy's float64 pairwise sum of values[lo:hi]: eight accumulators up
-    to 128 values, above that the two halves split at a multiple of 8."""
-    n = hi - lo
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values, lo, lo + half) + _pairwise_sum(values, lo + half, hi)
-    total, end = 0.0, lo
-    if n >= 8:
-        acc, end = values[lo : lo + 8], hi - n % 8
-        for start in range(lo + 8, end, 8):
-            for j in range(8):
-                acc[j] += values[start + j]
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for value in values[end:hi]:
-        total += value
-    return total
+    """The arithmetic mean: the exactly rounded sum (``math.fsum``) divided
+    by the count, so it does not depend on the order of the values."""
+    return math.fsum(values) / len(values)
 
 
 @dataclass(frozen=True)

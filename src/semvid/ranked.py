@@ -31,9 +31,10 @@ def write_ranked_tsv(ranked_lists, fh) -> None:
 
 
 def read_ranked_tsv(path) -> list[RankedList]:
-    """Read the TSV back into RankedLists (entry order is authoritative)."""
-    per_event: dict[str, list[tuple[str, float]]] = {}
-    order: list[str] = []
+    """Read the TSV back into RankedLists (entry order is authoritative). A
+    score that is not a number, or a video listed twice under one event, is
+    an error naming the file and line."""
+    per_event: dict[str, dict[str, float]] = {}  # in first-seen order
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -45,8 +46,13 @@ def read_ranked_tsv(path) -> list[RankedList]:
             if len(parts) != 4:
                 raise SemvidError(f"{path} line {lineno}: expected 4 TSV columns")
             event_id, _, video_id, score = parts
-            if event_id not in per_event:
-                per_event[event_id] = []
-                order.append(event_id)
-            per_event[event_id].append((video_id, float(score)))
-    return [RankedList(event_id=e, entries=tuple(per_event[e])) for e in order]
+            entries = per_event.setdefault(event_id, {})
+            if video_id in entries:
+                raise SemvidError(
+                    f"{path} line {lineno}: video {video_id!r} ranked twice for event {event_id!r}"
+                )
+            try:
+                entries[video_id] = float(score)
+            except ValueError:
+                raise SemvidError(f"{path} line {lineno}: non-numeric score {score!r}") from None
+    return [RankedList(event_id=e, entries=tuple(v.items())) for e, v in per_event.items()]

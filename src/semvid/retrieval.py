@@ -133,7 +133,9 @@ def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
     """Embed the channel query terms, expanded with the k nearest
     vocabulary words to their pooled point (the query's own tokens are
     excluded); see :func:`_expansions`."""
-    [((resolved, oov, merges), rows)] = _expansions([(tuple(terms), k)], space)
+    terms = list(terms)
+    _, resolved, oov, merges = _resolve_some(space, terms)
+    [rows] = _expansions([terms], space, k)
     return EmbeddedSet(
         vectors=space._matrix[rows].astype(np.float64),
         source_tokens=tuple(resolved) + tuple(space._tokens[rows[len(resolved) :]].tolist()),
@@ -142,34 +144,29 @@ def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
     )
 
 
-def _expansions(term_lists, space: EmbeddingSpace):
-    """What the query set of each (terms, k) pair is made of, as table
-    rows: the resolved tokens, OOV tokens and merges of its terms (see
-    :func:`~semvid.embedding.embed_tokens`), and the rows of the set, those
-    of the resolved tokens and then those of the k nearest other words to
-    their pooled point, nearest first. The terms and the resolved tokens
-    are not neighbours. All pairs share one table scan
-    (:func:`~semvid.embedding.nearest_words_many` on rows)."""
+def _expansions(term_lists, space: EmbeddingSpace, k: int):
+    """The table rows of each term list's query set: those of its resolved
+    tokens (see :func:`~semvid.embedding.embed_tokens`), then those of the
+    k nearest other words to their pooled point, nearest first. The terms
+    and the resolved tokens are not neighbours. All lists share one table
+    scan (:func:`~semvid.embedding.nearest_words_many` on rows)."""
     matrix, index = space._matrix, space._index
-    found, expand, points, norms = [], [], [], []
-    for i, (terms, k) in enumerate(term_lists):
-        rows, resolved, oov, merges = _resolve_some(space, list(terms))
-        found.append(((resolved, oov, merges), rows))
-        if k > 0:
-            point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
-            norm = _norm(point)
-            if norm == 0.0:
-                log.warning("text query %s pools to zero norm, skipping augmentation", list(terms))
-                continue
-            expand.append(i)
-            points.append(point)
-            norms.append(norm)
-    excluded = [
-        {index[t] for t in term_lists[i][0] if t in index}.union(found[i][1]) for i in expand
-    ]
-    near = _nearest_rows(space, points, norms, [term_lists[i][1] for i in expand], excluded)
+    found = [_resolve_some(space, list(terms))[0] for terms in term_lists]
+    expand, points, norms = [], [], []
+    for i, rows in enumerate(found if k > 0 else ()):
+        point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
+        norm = _norm(point)
+        if norm == 0.0:
+            log.warning("text query %s pools to zero norm, skipping augmentation",
+                        list(term_lists[i]))
+            continue
+        expand.append(i)
+        points.append(point)
+        norms.append(norm)
+    excluded = [{index[t] for t in term_lists[i] if t in index}.union(found[i]) for i in expand]
+    near = _nearest_rows(space, points, norms, [k] * len(expand), excluded)
     for i, (rows, _) in zip(expand, near):
-        found[i] = (found[i][0], found[i][1] + rows.tolist())
+        found[i] += rows.tolist()
     return found
 
 
@@ -227,7 +224,7 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
     matrix = space._matrix
     prepared = {  # each query set as its (sum, size) pair, summed as sum_pool does
         t: (matrix[rows].astype(np.float64).sum(axis=0), len(rows))
-        for t, (_, rows) in zip(terms, _expansions([(t, config.augment_k) for t in terms], space))
+        for t, rows in zip(terms, _expansions(list(terms), space, config.augment_k))
     }
     return [
         (columns, weights,

@@ -54,6 +54,36 @@ def test_pool_rejects_out_of_range_score(world_dir, tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_pool_round_trips_ids_with_commas_and_quotes(world_dir, tmp_path, capsys):
+    # pool quotes an id holding "," or '"', so ranking its CSV gives the
+    # ranked.tsv of the JSONL it pooled
+    _, paths = world_dir
+    video = lambda v: f'{v},"x'  # noqa: E731
+    concept = lambda c: f'"{c}",y'  # noqa: E731
+    files = _renamed(paths, tmp_path / "in", lambda e: e, video, which=["scores", "transcripts"])
+    definitions = json.loads(Path(paths["concepts"]).read_text(encoding="utf-8"))
+    files["concepts"] = str(tmp_path / "in" / "concepts.json")
+    Path(files["concepts"]).write_text(
+        json.dumps([dict(d, id=concept(d["id"])) for d in definitions]), encoding="utf-8"
+    )
+    lines = [json.loads(line) for line in Path(files["scores"]).read_text(encoding="utf-8").splitlines()]
+    Path(files["scores"]).write_text(
+        "".join(json.dumps(dict(line, concept=concept(line["concept"]))) + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    pooled = tmp_path / "pooled.csv"
+    assert main(["pool", files["scores"], files["concepts"], "--out", str(pooled)]) == 0
+    ranked = []
+    for scores in (files["scores"], str(pooled)):
+        out = tmp_path / f"ranked-{len(ranked)}.tsv"
+        assert main(["rank", files["embeddings"], files["concepts"], files["queries"],
+                     "--scores", scores, "--transcripts", files["transcripts"],
+                     "--out", str(out)]) == 0
+        ranked.append(out.read_text(encoding="utf-8"))
+    assert ranked[0] == ranked[1]
+    assert f"\t{video('v001')}\t" in ranked[0]
+
+
 def test_relevance_matches_library_ranking(world_dir, capsys):
     world, paths = world_dir
     code = main([
@@ -254,6 +284,23 @@ def test_eval_perfect_fixture_map_one(tmp_path, capsys):
     assert main(["eval", str(ranked), str(truth), "--out", str(tmp_path / "rep.tsv")]) == 0
     report = (tmp_path / "rep.tsv").read_text().splitlines()[1]
     assert report.split("\t")[1] == "1.000000"
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["E1\t1\tv1\tabc"], "line 2: non-numeric score 'abc'"),
+    (["E1\t1\tv1\t0.9", "E2\t1\tv1\t0.9", "E1\t2\tv2\t0.5", "E1\t3\tv1\t0.1"],
+     "line 5: video 'v1' ranked twice for event 'E1'"),
+], ids=["non-numeric score", "video ranked twice"])
+def test_eval_rejects_a_bad_ranked_tsv_line(tmp_path, capsys, lines, message):
+    ranked = tmp_path / "ranked.tsv"
+    ranked.write_text(
+        "event_id\trank\tvideo_id\tscore\n" + "".join(line + "\n" for line in lines),
+        encoding="utf-8",
+    )
+    truth = tmp_path / "truth.csv"
+    truth.write_text("E1,v1,1\nE1,v2,0\nE2,v1,1\nE2,v2,0\n", encoding="utf-8")
+    assert main(["eval", str(ranked), str(truth)]) == 1
+    assert capsys.readouterr().err == f"error: {ranked} {message}\n"
 
 
 def _report(path):

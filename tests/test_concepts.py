@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_top_r_columns_is_the_ranked_prefix_with_ties_straddling_r(tmp_path, ker
 
 def test_top_r_columns_orders_signed_zero_weights_by_id(tmp_path, monkeypatch):
     space, repo, _ = tie_world(tmp_path)
-    ids = repo._set_index[0]
+    ids = [repo.ids()[c] for c in repo._set_index[0]]  # the kernel's concepts
     weights = np.array([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, -0.25, -0.0])
     assert len(weights) == len(ids)
     monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
@@ -335,7 +336,7 @@ def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
     definitions.append(ConceptDefinition(id="long", name=words[0], keywords=tuple(words[1:])))
     repo = ConceptRepository(definitions)
     repo.attach_space(space, stops=frozenset())
-    ids = repo._pooled_index[0]
+    ids = [repo.ids()[c] for c in repo._pooled_index[0]]  # the pooled rows' concepts
     assert len(ids) == len(definitions)
     by_id = {d.id: d for d in definitions}
     for row, concept_id in enumerate(ids):
@@ -350,7 +351,7 @@ def test_top_r_columns_selects_the_ranked_prefix_of_any_weights(tmp_path, monkey
     # weights with many ties, signed zeros and NaN it must still give the
     # prefix of rank_concepts' full sort
     space, repo, _ = tie_world(tmp_path)
-    ids = repo._set_index[0]
+    ids = repo._set_index[0]  # the kernel's score columns
     rng = np.random.default_rng(seed)
     weights = rng.choice([0.5, 0.25, 0.0, -0.0, -0.5, np.nan], size=len(ids))
     monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
@@ -360,3 +361,41 @@ def test_top_r_columns_selects_the_ranked_prefix_of_any_weights(tmp_path, monkey
         columns, selected = top_r_columns(repo, query, "hausdorff", r)
         assert [repo.ids()[c] for c in columns] == [w.concept_id for w in ranked[:r]]
         assert selected.tobytes() == np.array([w.weight for w in ranked[:r]]).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+@pytest.mark.parametrize("nan_ids", [(), ("m_b", "x_o")])
+def test_rank_concepts_is_top_r_columns_over_every_r(tmp_path, kernel, nan_ids):
+    # rank_concepts is top_r_columns with R = every concept: weight
+    # descending, ties by id, NaN weights last, and each top_r_columns(r)
+    # its prefix; tie_world's equal weights straddle several r
+    space, repo, _ = tie_world(tmp_path)
+    index = repo._pooled_index if kernel == "pooled" else repo._set_index
+    for concept_id in nan_ids:  # a NaN in the concept's vectors makes its weight NaN
+        row = index[0].tolist().index(repo.index_of(concept_id))
+        if kernel == "pooled":
+            repo._pooled[row] = np.nan
+        else:
+            repo._set_vectors[repo._set_starts[row]] = np.nan
+    query = embed_tokens(space, ["q"])
+    ranked = [(w.concept_id, w.weight) for w in rank_concepts(repo, query, kernel)]
+    expected = sorted(ranked, key=lambda pair: (
+        math.isnan(pair[1]), 0.0 if math.isnan(pair[1]) else -pair[1], pair[0]
+    ))
+    assert [c for c, _ in ranked] == [c for c, _ in expected]
+    assert sorted(c for c, _ in ranked) == sorted(repo.scoreable_ids())
+    assert [c for c, w in ranked if math.isnan(w)] == sorted(nan_ids)
+    for r in range(1, len(ranked) + 2):
+        columns, weights = top_r_columns(repo, query, kernel, r)
+        assert [repo.ids()[c] for c in columns] == [c for c, _ in ranked[:r]]
+        assert weights.tobytes() == np.array([w for _, w in ranked[:r]]).tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+def test_rank_concepts_without_scoreable_concepts_raises(tiny_space, kernel):
+    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])
+    for definitions in ([], [ConceptDefinition(id="ghost", name="zzzqqq")]):
+        repo = ConceptRepository(definitions)
+        repo.attach_space(tiny_space)
+        with pytest.raises(NoScoreableConcepts, match="no scoreable concepts"):
+            rank_concepts(repo, query, kernel)

@@ -1,11 +1,13 @@
-"""Property tests: the pure-Python metrics against numpy routes.
+"""Property tests: the pure-Python metrics against numpy and exact routes.
 
-``evaluate`` and its means run without numpy; these check that they give
-the values numpy gave, bit for bit.
+``evaluate`` and its means run without numpy; these check AP and AUC
+against numpy oracles bit for bit, and the means against exact rational
+means.
 """
 
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from oracles import ap_oracle, rank_sum_auc_oracle  # noqa: E402
 
 _VALUES = st.one_of(
     st.floats(-1.0, 1.0),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e300, 1e300),  # 2000 of them sum to a finite value
     st.floats(-1e-300, 1e-300),  # tiny and subnormal
     st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 1.0, 0.1]),
 )
@@ -37,21 +39,31 @@ def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
 
 
+def _assert_fsum_mean(values):
+    """``_mean(values)`` is the exact mean up to the rounding of one fsum
+    and one division: a relative error of at most 2u + u**2 (u = 2**-53),
+    plus half the smallest subnormal for each rounding below the normal
+    range."""
+    got = _mean(values)
+    exact = sum(map(Fraction, values), Fraction(0)) / len(values)
+    u = Fraction(1, 2**53)
+    assert abs(Fraction(got) - exact) <= (2 * u + u * u) * abs(exact) + Fraction(1, 2**1074)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2000), st.lists(_VALUES, min_size=1, max_size=64), st.randoms())
-def test_mean_is_numpy_mean_bit_for_bit(n, pool, rng):
-    values = rng.choices(pool, k=n)  # drawn value by value, 2000 are slow to generate
-    with np.errstate(all="ignore"):  # sums past the float64 range
-        expected = float(np.mean(values))
-    got = _mean(values)
-    assert _bits(got) == _bits(expected) or (math.isnan(got) and math.isnan(expected))
+def test_mean_is_the_exact_mean_within_one_fsum_and_one_division(n, pool, rng):
+    _assert_fsum_mean(rng.choices(pool, k=n))  # drawn value by value, 2000 are slow to generate
 
 
+# lengths at the edges of numpy's 8- and 128-value pairwise blocks, where a
+# blocked summation order changes
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1000, 2000])
 def test_mean_at_block_edges(n):
     rng = np.random.default_rng(n)
     values = (rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)).tolist()
-    assert _bits(_mean(values)) == _bits(float(np.mean(values)))
+    _assert_fsum_mean(values)
+    _assert_fsum_mean(rng.random(n).tolist())  # the [0, 1] values of AP and AUC
 
 
 # few distinct scores, so that most lists hold runs of ties
@@ -81,7 +93,7 @@ def test_ap_and_auc_match_numpy_oracle_on_tie_heavy_lists(rows):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.lists(st.sampled_from([0, 1]), min_size=2, max_size=30), min_size=1, max_size=40))
-def test_evaluate_means_are_numpy_means(label_lists):
+def test_evaluate_means_are_fsum_means(label_lists):
     label_lists = [labels + [0, 1] for labels in label_lists]  # both classes
     runs, labels = [], {}
     for k, event_labels in enumerate(label_lists):
@@ -89,8 +101,9 @@ def test_evaluate_means_are_numpy_means(label_lists):
         runs.append(RankedList(event, tuple((f"v{i}", 1.0 - i / 64) for i in range(len(event_labels)))))
         labels.update({(event, f"v{i}"): label for i, label in enumerate(event_labels)})
     report = evaluate(runs, GroundTruth(labels=labels))
-    assert _bits(report.mean_ap) == _bits(float(np.mean([r.ap for r in report.per_event])))
-    assert _bits(report.mean_auc) == _bits(float(np.mean([r.auc for r in report.per_event])))
+    n = len(report.per_event)
+    assert _bits(report.mean_ap) == _bits(math.fsum(r.ap for r in report.per_event) / n)
+    assert _bits(report.mean_auc) == _bits(math.fsum(r.auc for r in report.per_event) / n)
 
 
 def test_auc_ranks_nan_scores_last_as_numpy_does():

@@ -436,9 +436,9 @@ def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch)
     prepared = []
     real = retrieval._expansions
 
-    def recording(term_lists, space):
-        results = real(term_lists, space)
-        prepared.extend(tuple(space._tokens[rows].tolist()) for _, rows in results)
+    def recording(term_lists, space, k):
+        results = real(term_lists, space, k)
+        prepared.extend(tuple(space._tokens[rows].tolist()) for rows in results)
         return results
 
     monkeypatch.setattr(retrieval, "_expansions", recording)

@@ -10,7 +10,8 @@ world (seeds 1, 5 and 11):
 
 * ``rank`` outputs (``ranked.tsv``) with both kernels, of the batch and the
   single queries for a workload, in both pool modes for a world;
-* the ``eval`` report of every ranking whose events have judgements;
+* the ``eval`` report of every ranking whose events have judgements, and
+  the table ``eval`` prints, the only place its MAP and mean AUC appear;
 * ``relevance`` with both kernels, for the first query's title;
 * the ``pool`` CSV in both modes.
 
@@ -68,7 +69,8 @@ def outputs(files, binary: bool, out: Path, rankings) -> None:
                    "--transcripts", files["transcripts"], "--kernel", kernel,
                    "--out", ranked, *extra, *flags)
             if evaluated:
-                semvid("eval", ranked, files["truth"], "--out", out / f"{name}-{kernel}.eval.tsv")
+                semvid("eval", ranked, files["truth"], "--out", out / f"{name}-{kernel}.eval.tsv",
+                       stdout=out / f"{name}-{kernel}.eval.txt")
     with open(files["queries"], encoding="utf-8") as fh:
         title = json.load(fh)[0]["title"]
     for kernel in KERNELS:
