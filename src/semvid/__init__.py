@@ -36,7 +36,7 @@ _EXPORTS = {
         ),
         "ranked": ("RankedList",),
         "retrieval": (
-            "ChannelScores", "EventQuery", "fuse", "load_queries", "rank_event", "rank_events",
+            "EventQuery", "fuse", "load_queries", "rank_event", "rank_events",
         ),
         "similarity": ("sim_crosssum", "sim_hausdorff", "sim_pooled"),
         "stopwords": ("DEFAULT_STOPWORDS", "load_stopwords"),

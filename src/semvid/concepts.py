@@ -121,13 +121,11 @@ class ConceptRepository:
 
         # Hausdorff kernel: every concept's word vectors (each a unit row of
         # the space) stacked in concept order with their norms, each
-        # concept's first row and word count, and each row's (concept,
-        # position) cell in a concept-by-word table
+        # concept's first row and word count, and the concept of each row
         self._set_index = _id_columns(self, ids)
         self._set_vectors, self._set_norms = vectors, np.linalg.norm(vectors, axis=1)
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
-        owner = np.repeat(np.arange(len(sizes)), sizes)  # the concept of each row
-        self._set_cells = (owner, np.arange(len(owner)) - self._set_starts[owner])
+        self._set_owner = np.repeat(np.arange(len(sizes)), sizes)
 
     def scoreable_ids(self) -> list[str]:
         unscoreable = set(self.unscoreable)
@@ -220,8 +218,10 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     all concepts) with every query word. A row's maximum is that concept
     word's best match; a segment maximum over a concept's rows is each
     query word's best match in that concept. Each direction takes its lower
-    percentile from a sort (the concept direction padded with +inf to the
-    longest concept), and the weight is the smaller of the two.
+    percentile from a sort; the concept direction sorts all concept words'
+    best matches at once, by value and then stably by concept, so that each
+    concept's values lie sorted in its own segment. The weight is the
+    smaller of the two.
     """
     Q = query.vectors
     from_query_index = lower_percentile_index(percentile, len(Q))
@@ -232,11 +232,10 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     per_query.sort(axis=1)
     from_query = per_query[:, from_query_index]
 
-    sizes = repo._set_sizes
-    per_word = np.full((len(sizes), int(sizes.max())), np.inf)
-    per_word[repo._set_cells] = cos.max(axis=1)
-    per_word.sort(axis=1)
-    from_concept = per_word[np.arange(len(sizes)), lower_percentile_index(percentile, sizes)]
+    best = cos.max(axis=1)
+    order = best.argsort()  # two sorts: np.lexsort((best, owner)) took twice as long
+    best = best[order[repo._set_owner[order].argsort(kind="stable")]]
+    from_concept = best[repo._set_starts + lower_percentile_index(percentile, repo._set_sizes)]
     return np.minimum(from_query, from_concept)
 
 

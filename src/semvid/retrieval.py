@@ -60,18 +60,6 @@ class EventQuery:
             raise SemvidError(f"event {self.event_id!r}: no title terms after stop-word removal")
 
 
-@dataclass(frozen=True)
-class ChannelScores:
-    """Per-channel scores in [0, 1]; None marks an unavailable channel.
-
-    A field may also be an array holding one score per video.
-    """
-
-    concept: float | None
-    ocr: float | None
-    asr: float | None
-
-
 def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     """Read a JSON array of {"event", "title", "ocr_terms"?, "asr_terms"?}.
 
@@ -181,27 +169,27 @@ def _text_scores(query, pooled: np.ndarray, counts: np.ndarray):
     return map_cosine(cross).clip(0.0, 1.0)
 
 
-def fuse(channels: ChannelScores, w: float = 6.0):
-    """Weighted geometric mean with emphasis on the concept channel:
-    (pc^w * sqrt(po * pa)) ** (1 / (w + 1)).
+def fuse(concept, ocr, asr, w: float = 6.0):
+    """Weighted geometric mean with emphasis on the concept channel,
+    (pc^w * sqrt(po * pa)) ** (1 / (w + 1)), computed in logs:
+    exp((w log pc + (log po + log pa) / 2) / (w + 1)).
 
-    An unavailable channel (None) contributes the neutral factor 0.5 (zero
-    cosine evidence under the affine map), and a channel of 0 makes the
-    product, and so the fused score, 0 for any w > 0. Channels may be
-    arrays, fused elementwise; scalar channels give a float.
+    No product is formed, so nothing underflows; a channel of 0 has log
+    -inf and fuses to 0, and no log is positive, so the result lies in
+    [0, 1]. Channels may be arrays, fused elementwise; scalar channels give
+    a float. ``w`` is finite and positive, as :class:`RetrievalConfig`
+    requires: at w = 0 a zero channel's 0 * -inf would fuse to NaN.
     """
-    pc, po, pa = (
-        np.asarray(0.5 if value is None else value, dtype=np.float64)
-        for value in (channels.concept, channels.ocr, channels.asr)
-    )
-    for value in (pc, po, pa):
+    if not (np.isfinite(w) and w > 0):
+        raise SemvidError(f"w must be finite and positive, got {w}")
+    channels = [np.asarray(value, dtype=np.float64) for value in (concept, ocr, asr)]
+    for value in channels:
         outside = ~((value >= 0.0) & (value <= 1.0))
         if outside.any():
             raise SemvidError(f"channel score {value[outside].flat[0]} outside [0, 1]")
-    # + 0.0 gives 0.0 for the -0.0 that a -0.0 channel leaves where the
-    # exponent is 0.5 (w = 1) or 1 (w below 2**-53); it changes no other value
-    fused = np.clip((pc**w * np.sqrt(po * pa)) ** (1.0 / (w + 1.0)), 0.0, 1.0) + 0.0
-    return float(fused) if fused.ndim == 0 else fused
+    with np.errstate(divide="ignore"):
+        pc, po, pa = (np.log(value) for value in channels)
+    return np.exp((w * pc + 0.5 * (po + pa)) / (w + 1.0))
 
 
 def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config):
@@ -281,12 +269,12 @@ def rank_events(
         queries, _query_sides(queries, space, repo, config)
     ):
         raws = kernels.marginal_scores(corpus.S[:, columns], weights)
-        channels = ChannelScores(  # a missing text channel scores the neutral 0.5
-            concept=map_concept_raw(raws, config.top_r),
-            ocr=_text_scores(ocr, corpus.P_ocr, corpus.n_ocr),
-            asr=_text_scores(asr, corpus.P_asr, corpus.n_asr),
+        fused = fuse(
+            map_concept_raw(raws, config.top_r),
+            _text_scores(ocr, corpus.P_ocr, corpus.n_ocr),  # a missing transcript scores 0.5
+            _text_scores(asr, corpus.P_asr, corpus.n_asr),
+            config.fusion_weight,
         )
-        fused = fuse(channels, config.fusion_weight)
         # by score descending, ties (NaN included) by id: a stable sort in id order
         order = corpus.id_order[(-fused[corpus.id_order]).argsort(kind="stable")]
         entries = tuple(zip(ids[order].tolist(), fused[order].tolist()))

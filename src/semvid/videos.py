@@ -201,9 +201,10 @@ def _load_score_csv(path, repo):
     """Pre-pooled CSV: header of concept ids, one row per video.
 
     Rows are converted to numbers a block of about ``_CSV_VALUES`` values
-    at a time (:func:`_csv_scores`). A row with the wrong field count, a
+    at a time (:func:`_csv_scores`). A header that names a concept twice
+    aborts the load at line 1; a row with the wrong field count, a
     repeated video id or one that holds a tab, CR or LF, a non-numeric
-    value or a score outside [0, 1] aborts the load at the first such line.
+    value or a score outside [0, 1] aborts it at the first such line.
     Returns the video ids in file order and the (videos x concepts) matrix.
     """
     with open_utf8(path, IngestError, csv=True) as fh:
@@ -214,6 +215,9 @@ def _load_score_csv(path, repo):
             raise IngestError(f"{path}: empty pre-pooled CSV")
         columns = header[1:] if header and header[0] == "video" else header
         col_idx = [repo.index_of(c) for c in columns]
+        if len(set(columns)) != len(columns):
+            repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
+            raise IngestError(f"{path} line 1: concept {repeated!r} named twice in the header")
         block_rows = max(1, _CSV_VALUES // max(1, len(columns)))
         ids: dict[str, None] = {}
         blocks, block = [], []
@@ -296,12 +300,16 @@ class Corpus:
     text columns are None. A float64 ``S`` is kept without a copy, and it
     and the four text columns are read-only. A video id that is not a
     string, holds a tab, CR or LF (see :func:`~semvid.ranked.tsv_id`) or
-    is repeated, a matrix or transcript column of the wrong shape, a score
-    that is NaN or lies outside [0, 1], or a transcript that is not a
-    string raises :class:`IngestError`, naming the video where there is one.
+    is repeated, a column given as one string, a matrix or transcript
+    column of the wrong shape, a score that is NaN or lies outside [0, 1],
+    or a transcript that is not a string raises :class:`IngestError`,
+    naming the video where there is one.
     """
 
     def __init__(self, repo: ConceptRepository, ids, S, ocr=None, asr=None):
+        for name, column in (("video ids", ids), ("OCR", ocr), ("ASR", asr)):
+            if isinstance(column, str):  # tuple() would split it into characters
+                raise IngestError(f"{name} must be one entry per video, got the string {column!r}")
         self.ids = ids = tuple(ids)
         n = len(ids)
         seen = set()

@@ -17,7 +17,6 @@ from semvid.config import DEFAULT_CONFIG
 from semvid.embedding import load_embeddings, nearest_words, tokenize
 from semvid.evaluation import GroundTruth, average_precision, evaluate, roc_auc
 from semvid.retrieval import (
-    ChannelScores,
     EventQuery,
     RankedList,
     fuse,
@@ -86,7 +85,7 @@ def test_appendix_a_equivalence():
             naive = marginalization_oracle(concept_ranking, order, vc, 5)
             fast = psi_fastpath_oracle(qvecs, sets, order, vc, selected)
             worst = max(worst, abs(fast - naive) / max(abs(naive), 1e-30))
-            fused = fuse(ChannelScores(map_concept_raw(fast, 5), None, None))
+            fused = fuse(map_concept_raw(fast, 5), 0.5, 0.5)  # no transcripts: both score 0.5
             worst_fused = max(worst_fused, abs(fused - ranked[video]))
             pairs += 1
     elapsed = time.perf_counter() - started
@@ -178,20 +177,20 @@ def test_fusion_contract():
     for _ in range(100):
         x = float(rng.uniform(0, 1))
         w = float(rng.uniform(0.5, 12))
-        assert fuse(ChannelScores(x, x, x), w) == pytest.approx(x, rel=1e-12, abs=1e-12)
+        assert fuse(x, x, x, w) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
     for _ in range(500):
         pc, po, pa = (float(v) for v in rng.uniform(0, 1, size=3))
         w = float(rng.uniform(0.5, 12))
-        base = fuse(ChannelScores(pc, po, pa), w)
+        base = fuse(pc, po, pa, w)
         for bumped in (
-            ChannelScores(min(pc + 0.1, 1.0), po, pa),
-            ChannelScores(pc, min(po + 0.1, 1.0), pa),
-            ChannelScores(pc, po, min(pa + 0.1, 1.0)),
+            (min(pc + 0.1, 1.0), po, pa),
+            (pc, min(po + 0.1, 1.0), pa),
+            (pc, po, min(pa + 0.1, 1.0)),
         ):
-            assert fuse(bumped, w) >= base - 1e-15
+            assert fuse(*bumped, w) >= base - 1e-15
 
-    got = fuse(ChannelScores(0.8, 0.6, 0.4), 6.0)
+    got = fuse(0.8, 0.6, 0.4, 6.0)
     assert got == pytest.approx(FUSE_WORKED_VALUE, abs=1e-6)
     assert got == pytest.approx(fuse_oracle(0.8, 0.6, 0.4, 6.0), abs=1e-12)
     _ok("fusion contract (identity, monotonicity, worked value)")

@@ -129,7 +129,7 @@ def test_adding_a_concept_never_changes_existing_weights(space50):
     ]
     repo_small = ConceptRepository(base)
     repo_small.attach_space(space50)
-    # the Hausdorff kernel pads every concept to the longest: add a longer one
+    # a weight depends on its concept alone: add a concept, also a longer one
     for extra in ("w30", "w30 w31 w32 w33 w34"):
         repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name=extra)])
         repo_big.attach_space(space50)
@@ -144,9 +144,10 @@ def test_adding_a_concept_never_changes_existing_weights(space50):
 
 def test_hausdorff_rank_concepts_matches_oracle():
     # percentiles 1, 50 and 100; concepts of 1 to 5 words, some repeating a
-    # word; queries of 1 to 4 words, some repeating a word. Query words are
-    # not concept words: a self-match cosine of 1 rounds either way in its
-    # last bit, which would make the id order of such concepts arbitrary.
+    # word, and one of 25 words right after a one-word concept; queries of 1
+    # to 4 words, some repeating a word. Query words are not concept words:
+    # a self-match cosine of 1 rounds either way in its last bit, which
+    # would make the id order of such concepts arbitrary.
     space = random_space(np.random.default_rng(31), 60, 300)
     rng = np.random.default_rng(32)
     defs, sets = [], {}
@@ -156,8 +157,13 @@ def test_hausdorff_rank_concepts_matches_oracle():
             picked = picked[:4] + [picked[0]]
         defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
         sets[f"c{i:02d}"] = [space.vector(t) for t in picked]
+    # its own rng, so that the draws above and below stay as they were
+    long_words = [f"w{j}" for j in np.random.default_rng(33).choice(np.arange(30, 60), size=25)]
+    after = next(i for i, d in enumerate(defs) if len(d.name.split()) == 1)
+    defs.insert(after + 1, ConceptDefinition(id="long", name=" ".join(long_words)))
+    sets["long"] = [space.vector(t) for t in long_words]
     assert any(len(set(v.tobytes() for v in vecs)) < len(vecs) for vecs in sets.values())
-    assert {len(v) for v in sets.values()} == {1, 2, 3, 4, 5}
+    assert {len(v) for v in sets.values()} == {1, 2, 3, 4, 5, 25}
     repo = ConceptRepository(defs)
     repo.attach_space(space, stops=frozenset())
     for size in (1, 2, 3, 4):

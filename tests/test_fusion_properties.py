@@ -6,7 +6,6 @@ fused column's bits.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st  # noqa: E402
 import semvid.retrieval as retrieval  # noqa: E402
 from semvid.config import RetrievalConfig  # noqa: E402
 from semvid.errors import SemvidError  # noqa: E402
-from semvid.retrieval import ChannelScores, fuse, rank_events  # noqa: E402
+from semvid.retrieval import fuse, rank_events  # noqa: E402
 from semvid.synth import synth_world  # noqa: E402
 
 from oracles import fuse_oracle  # noqa: E402
@@ -37,17 +36,15 @@ _WEIGHT = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(_CHANNEL, _CHANNEL, _CHANNEL, _WEIGHT)
 def test_scalar_fuse_in_range_and_equal_to_the_oracle(pc, po, pa, w):
-    got = fuse(ChannelScores(pc, po, pa), w)
+    got = fuse(pc, po, pa, w)
     assert isinstance(got, float) and 0.0 <= got <= 1.0
     assert_like_the_oracle(got, pc, po, pa, w)
 
 
 def assert_like_the_oracle(got, pc, po, pa, w):
-    """fuse equals the oracle, which works in logs, wherever none of its
-    products falls below the normal range; a product that does loses
-    precision (or underflows to 0) that the oracle keeps."""
-    if min(pc**w, po * pa, pc**w * math.sqrt(po * pa)) >= sys.float_info.min:
-        assert got == pytest.approx(fuse_oracle(pc, po, pa, w), rel=1e-9, abs=1e-12)
+    """fuse equals the oracle, which works in logs, over the whole range:
+    tiny, subnormal and zero channels included."""
+    assert got == pytest.approx(fuse_oracle(pc, po, pa, w), rel=1e-9, abs=1e-12)
 
 
 @settings(max_examples=300, deadline=None)
@@ -55,14 +52,14 @@ def assert_like_the_oracle(got, pc, po, pa, w):
        _WEIGHT, st.integers(0, 2), _CHANNEL)
 def test_array_fuse_in_range_monotone_and_equal_to_the_oracle(rows, w, channel, bump):
     pc, po, pa = (np.array(column) for column in zip(*rows))
-    got = fuse(ChannelScores(pc, po, pa), w)
+    got = fuse(pc, po, pa, w)
     assert got.shape == pc.shape and ((got >= 0.0) & (got <= 1.0)).all()
     for value, a, b, c in zip(got.tolist(), pc.tolist(), po.tolist(), pa.tolist()):
         assert_like_the_oracle(value, a, b, c, w)
     # raising one channel (to the larger of it and ``bump``) never lowers the score
     raised = [pc, po, pa]
     raised[channel] = np.maximum(raised[channel], bump)
-    assert (fuse(ChannelScores(*raised), w) >= got - 1e-15).all()
+    assert (fuse(*raised, w) >= got - 1e-15).all()
 
 
 @pytest.fixture(scope="module")
@@ -75,9 +72,9 @@ def world():
 def test_rank_events_fuses_as_the_public_fuse_bit_for_bit(world, w, r):
     calls = []
 
-    def recording(channels, weight):
-        calls.append((channels, weight))
-        return fuse(channels, weight)
+    def recording(concept, ocr, asr, weight):
+        calls.append(((concept, ocr, asr), weight))
+        return fuse(concept, ocr, asr, weight)
 
     config = RetrievalConfig(fusion_weight=w, top_r=r)
     with pytest.MonkeyPatch.context() as patch:
@@ -87,7 +84,7 @@ def test_rank_events_fuses_as_the_public_fuse_bit_for_bit(world, w, r):
     position = {video: i for i, video in enumerate(world.corpus.ids)}
     for (channels, weight), event in zip(calls, ranked):
         assert weight == w
-        public = fuse(channels, w)
+        public = fuse(*channels, w)
         scores = np.array([score for _, score in event.entries])
         rows = [position[video] for video, _ in event.entries]
         assert scores.tobytes() == public[rows].tobytes()
@@ -105,4 +102,4 @@ def test_public_fuse_rejects_nan_and_values_outside_the_unit_range(bad, channel,
     values = [0.5, 0.5, 0.5]
     values[channel] = np.array(good + [bad] + good) if as_array else bad
     with pytest.raises(SemvidError, match="outside"):
-        fuse(ChannelScores(*values), 6.0)
+        fuse(*values, 6.0)

@@ -12,7 +12,6 @@ from semvid.embedding import EmbeddingSpace, embed_tokens, load_embeddings, sum_
 from semvid.config import DEFAULT_CONFIG, RetrievalConfig
 from semvid.errors import AllTokensOOV, IngestError, NoScoreableConcepts, SemvidError
 from semvid.retrieval import (
-    ChannelScores,
     EventQuery,
     fuse,
     load_queries,
@@ -193,32 +192,49 @@ def test_matching_invariant_to_token_order():
 
 def test_fuse_fixed_point_at_one():
     for w in (1.0, 6.0, 20.0):
-        assert fuse(ChannelScores(1.0, 1.0, 1.0), w) == pytest.approx(1.0)
+        assert fuse(1.0, 1.0, 1.0, w) == pytest.approx(1.0)
 
 
 def test_fuse_zero_concept_annihilates():
-    assert fuse(ChannelScores(0.0, 0.9, 0.9), 6.0) == 0.0
+    assert fuse(0.0, 0.9, 0.9, 6.0) == 0.0
 
 
 @pytest.mark.parametrize("w", [1e-300, 0.5, 1.0, 6.0, 1e300])
 def test_fuse_any_zero_channel_gives_positive_zero(w):
-    # no mask: the products carry a zero channel to 0, and a -0.0 channel
-    # gives +0.0 too, where x ** 0.5 and x ** 1 would keep its sign
+    # no mask: a zero channel's log is -inf, whose exp is 0, and a -0.0
+    # channel gives +0.0 too
     for channel in range(3):
         for zero in (0.0, -0.0):
             values = [0.7, 1.0, 0.3]
             values[channel] = zero
-            got = fuse(ChannelScores(*values), w)
+            got = fuse(*values, w)
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
             values[channel] = np.array([zero, 0.5])
-            column = fuse(ChannelScores(*values), w)
+            column = fuse(*values, w)
             assert column[0] == 0.0 and math.copysign(1.0, column[0]) == 1.0
 
 
 def test_fuse_worked_value():
-    got = fuse(ChannelScores(0.8, 0.6, 0.4), 6.0)
+    got = fuse(0.8, 0.6, 0.4, 6.0)
     assert got == pytest.approx(FUSE_WORKED_VALUE, abs=1e-6)
     assert got == pytest.approx(fuse_oracle(0.8, 0.6, 0.4, 6.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("channels, w, expected", [
+    ((1e-4, 0.5, 0.5), 100.0, 1.0880e-4),  # pc**w underflows to 0
+    ((1.0, 0.75, 5e-324), 1.0, 1.3874e-81),  # po * pa is subnormal
+])
+def test_fuse_does_not_underflow(channels, w, expected):
+    got = fuse(*channels, w)
+    assert got == pytest.approx(expected, rel=1e-4)
+    assert got == pytest.approx(fuse_oracle(*channels, w), rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+def test_fuse_rejects_a_weight_that_is_not_finite_and_positive(w):
+    # in logs, w = 0 and a zero channel would give 0 * -inf = NaN
+    with pytest.raises(SemvidError, match="w must be finite and positive"):
+        fuse(0.0, 0.5, 0.5, w)
 
 
 def test_fuse_identity_on_equal_channels():
@@ -226,13 +242,7 @@ def test_fuse_identity_on_equal_channels():
     for _ in range(50):
         x = float(rng.uniform(0, 1))
         w = float(rng.uniform(0.5, 12))
-        assert fuse(ChannelScores(x, x, x), w) == pytest.approx(x, rel=1e-12, abs=1e-12)
-
-
-def test_fuse_missing_channel_neutral():
-    with_neutral = fuse(ChannelScores(0.8, None, 0.4), 6.0)
-    explicit = fuse(ChannelScores(0.8, 0.5, 0.4), 6.0)
-    assert with_neutral == explicit
+        assert fuse(x, x, x, w) == pytest.approx(x, rel=1e-12, abs=1e-12)
 
 
 def test_fuse_monotone_in_each_channel():
@@ -240,10 +250,10 @@ def test_fuse_monotone_in_each_channel():
     for _ in range(200):
         pc, po, pa = rng.uniform(0.01, 0.99, size=3)
         w = float(rng.uniform(0.5, 10))
-        base = fuse(ChannelScores(pc, po, pa), w)
-        assert fuse(ChannelScores(min(pc + 0.05, 1.0), po, pa), w) >= base
-        assert fuse(ChannelScores(pc, min(po + 0.05, 1.0), pa), w) >= base
-        assert fuse(ChannelScores(pc, po, min(pa + 0.05, 1.0)), w) >= base
+        base = fuse(pc, po, pa, w)
+        assert fuse(min(pc + 0.05, 1.0), po, pa, w) >= base
+        assert fuse(pc, min(po + 0.05, 1.0), pa, w) >= base
+        assert fuse(pc, po, min(pa + 0.05, 1.0), w) >= base
 
 
 # -------------------------------------------------------------- rank_event

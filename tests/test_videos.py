@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -395,6 +396,17 @@ def test_corpus_rejects_video_ids_that_are_not_strings(repo3, ids, message):
         Corpus(repo3, ids, np.zeros((len(ids), 3)))
 
 
+@pytest.mark.parametrize("ids, ocr, asr, message", [
+    ("abc", None, None, "video ids must be one entry per video, got the string 'abc'"),
+    (["a", "b", "c"], "xyz", None, "OCR must be one entry per video, got the string 'xyz'"),
+    (["a", "b", "c"], None, "xyz", "ASR must be one entry per video, got the string 'xyz'"),
+])
+def test_corpus_rejects_a_string_as_a_column(repo3, ids, ocr, asr, message):
+    # tuple("abc") would be three one-letter videos, and pass the length check
+    with pytest.raises(IngestError, match=message):
+        Corpus(repo3, ids, np.zeros((3, 3)), ocr=ocr, asr=asr)
+
+
 @pytest.mark.parametrize("video", ["v\t1", "v1\n", "\rv1"])
 def test_video_id_that_breaks_a_ranked_tsv_is_an_input_error(tmp_path, repo3, video):
     # written into ranked.tsv, such an id would split its line or add a
@@ -494,6 +506,14 @@ def write_csv(tmp_path, rows):
 def test_prepooled_csv_errors_cite_line(tmp_path, repo3, rows, message):
     with pytest.raises(IngestError, match=message):
         load_corpus(write_csv(tmp_path, rows), repo3)
+
+
+def test_prepooled_csv_header_naming_a_concept_twice_is_rejected(tmp_path, repo3):
+    # the second column's score would overwrite the first's
+    path = tmp_path / "pooled.csv"
+    write_lines(path, ["video,c1,c1", "v1,0.2,0.9"])
+    with pytest.raises(IngestError, match=re.escape(f"{path} line 1: concept 'c1' named twice")):
+        load_corpus(path, repo3)
 
 
 def test_prepooled_csv_across_blocks(tmp_path, repo3, monkeypatch):

@@ -9,7 +9,9 @@ and compare them with ``diff -r``. It holds, for each perfbench workload
 world (seeds 1, 5 and 11):
 
 * ``rank`` outputs (``ranked.tsv``) with both kernels, of the batch and the
-  single queries for a workload, in both pool modes for a world;
+  single queries for a workload, in both pool modes and at the fusion
+  weights 1 and 100 (``-w``) for a world, so that fusion is compared away
+  from its default weight too;
 * the ``eval`` report of every ranking whose events have judgements, and
   the table ``eval`` prints, the only place its MAP and mean AUC appear;
 * ``relevance`` with both kernels, for the first query's title;
@@ -36,6 +38,7 @@ WORKLOAD_SEEDS = (1, 101)
 WORLD_SEEDS = (1, 5, 11)
 KERNELS = ("pooled", "hausdorff")
 MODES = ("max", "avg")
+WEIGHTS = (1, 100)  # fusion weights a world is also ranked at, besides the default
 
 # one BLAS thread, as perfbench runs; no output may depend on the count
 ENV = dict(os.environ, PYTHONPATH=str(SRC),
@@ -102,6 +105,7 @@ def world(seed: int, tmp: Path, out: Path) -> None:
         ("scores", "scores.jsonl"), ("transcripts", "transcripts.jsonl"),
         ("queries", "queries.json"), ("truth", "truth.csv"))}
     rankings = {mode: (files["queries"], ["--mode", mode], True) for mode in MODES}
+    rankings.update({f"w{w}": (files["queries"], ["-w", w], True) for w in WEIGHTS})
     outputs(files, False, out / f"world-{seed}", rankings)
 
 
