@@ -23,7 +23,7 @@ from itertools import islice
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError, open_utf8
+from .errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError, checked_sequence, open_utf8
 from .kernels import row_dots
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -35,7 +35,7 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 # band is treated as already normalized.
 _UNIT_TOL = 1e-6
 
-# Unit roundoff of float32 (see nearest_words).
+# Unit roundoff of float32 (see _nearest_rows).
 _U32 = 2.0**-24
 
 # Bytes of candidate scores per block of the nearest-word scan: a block has
@@ -121,7 +121,13 @@ class EmbeddingSpace:
         divided by its norm. A matrix without rows or columns, a token given
         twice (the loaders keep a token's first row and count the rest in
         ``duplicates``) and a row of zero or non-finite norm are each an
-        :class:`EmbeddingFormatError`."""
+        :class:`EmbeddingFormatError`, and so are tokens given as one string
+        and a matrix that is ragged or not numeric."""
+        checked_sequence(tokens, "tokens must be a sequence", EmbeddingFormatError)
+        try:
+            matrix = np.array(matrix, dtype=np.float32, order="C")
+        except (TypeError, ValueError) as exc:  # ragged rows, or a value that is no number
+            raise EmbeddingFormatError(f"matrix is not a matrix of numbers: {exc}") from None
         if matrix.ndim != 2 or matrix.shape[0] != len(tokens):
             raise EmbeddingFormatError("token list and matrix row count disagree")
         if matrix.shape[1] == 0:
@@ -136,7 +142,6 @@ class EmbeddingSpace:
                     raise EmbeddingFormatError(
                         f"token {token!r} repeated at rows {first[token]} and {row}"
                     )
-        matrix = np.array(matrix, dtype=np.float32, order="C")
         self._setup(tokens, matrix, _normalize_rows(matrix), index, 0)
 
     @classmethod
@@ -545,6 +550,7 @@ def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
     single token. Unresolvable tokens are skipped and reported on the
     returned set; when nothing resolves, raises :class:`AllTokensOOV`.
     """
+    checked_sequence(tokens, "tokens must be a sequence")
     rows, resolved, oov, merges = _resolve_some(space, tokens)
     return EmbeddedSet(
         vectors=space._matrix[rows].astype(np.float64),
@@ -563,6 +569,7 @@ def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STO
     vocabulary; its row is zero. Each row is summed in token order, so it
     depends on its own text only.
     """
+    checked_sequence(texts, "texts must be a sequence")
     pooled = np.zeros((len(texts), space.dimension), dtype=np.float64)
     counts = np.zeros(len(texts), dtype=np.int64)
     for i, text in enumerate(texts):
@@ -587,16 +594,30 @@ def nearest_words(
     k: int,
     exclude: frozenset[str] | set[str] = frozenset(),
 ) -> list[tuple[str, float]]:
-    """Top-k vocabulary tokens by cosine to ``point``, descending: the
-    one-point case of :func:`nearest_words_many`."""
-    return nearest_words_many(space, [point], [k], [exclude])[0]
+    """Top-k vocabulary tokens by cosine to ``point``, descending, leaving
+    out the tokens of ``exclude`` (a collection, not one string): the
+    one-point search of :func:`_nearest_rows`. ``k`` is an integer >= 1."""
+    point = np.ascontiguousarray(point, dtype=np.float64)
+    if point.shape != (space.dimension,):
+        raise ZeroNormError(f"point dimension {point.shape} != ({space.dimension},)")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    checked_sequence(exclude, "exclude must be a collection of tokens", ValueError)
+    norm = _norm(point)
+    if norm == 0.0 or not np.isfinite(norm):
+        raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
+    index = space._index
+    excluded = {index[t] for t in exclude if t in index}
+    [(rows, sims)] = _nearest_rows(space, [point], [norm], k, [excluded])
+    return list(zip(space._tokens[rows].tolist(), sims.tolist()))
 
 
-def nearest_words_many(
-    space: EmbeddingSpace, points, ks, excludes
-) -> list[list[tuple[str, float]]]:
-    """For each point, its top-``ks[i]`` vocabulary tokens by cosine,
-    descending, with the tokens of ``excludes[i]`` removed before selection.
+def _nearest_rows(space: EmbeddingSpace, points, norms, k: int, excluded):
+    """For each float64 point of norm ``norms[i]`` (nonzero and finite), the
+    rows of its top ``k`` >= 1 table rows by cosine, best first, leaving out
+    the set of rows ``excluded[i]``, and their float64 cosines. A point with
+    fewer than k rows left gets all of them, none when every row is
+    excluded.
 
     Exhaustive and exact: each result is that of scoring every row in
     float64 and sorting by (-cosine, token), so ties break
@@ -634,45 +655,16 @@ def nearest_words_many(
     left are re-scored in float64 and sorted. Each float64 cosine is a
     :func:`~semvid.kernels.row_dots` reduction over its own row, so it does
     not depend on the row's position in the table, and equal rows score
-    equal. The work runs on table rows (:func:`_nearest_rows`); tokens are
-    looked up once, for the results.
+    equal.
     """
-    points = [np.ascontiguousarray(point, dtype=np.float64) for point in points]
-    norms = []
-    for point, k in zip(points, ks):
-        if point.shape != (space.dimension,):
-            raise ZeroNormError(f"point dimension {point.shape} != ({space.dimension},)")
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        norm = _norm(point)
-        if norm == 0.0 or not np.isfinite(norm):
-            raise ZeroNormError("cannot search neighbors of a zero-norm or non-finite point")
-        norms.append(norm)
-    index = space._index
-    excluded = [{index[t] for t in exclude if t in index} for exclude in excludes]
-    return [
-        list(zip(space._tokens[rows].tolist(), sims.tolist()))
-        for rows, sims in _nearest_rows(space, points, norms, ks, excluded)
-    ]
-
-
-def _nearest_rows(space: EmbeddingSpace, points, norms, ks, excluded):
-    """The work of :func:`nearest_words_many` on table rows: for each
-    float64 point of norm ``norms[i]`` (nonzero and finite), the rows of
-    its top ``ks[i]`` >= 1 table rows by cosine, best first, leaving out
-    the set of rows ``excluded[i]``, and their float64 cosines. Every point
-    is scanned for the largest k + e, e the number of a point's excluded
-    rows, and its excluded rows are dropped from its candidates before the
-    float64 re-score. A point with fewer than k rows left gets all of them,
-    none when every row is excluded."""
     n = space.dimension + 2
     delta = n * _U32 / (1.0 - n * _U32)  # gamma_{d+2}
     units = [(point / norm).astype(np.float32) for point, norm in zip(points, norms)]
     drops = [np.fromiter(rows, dtype=np.intp, count=len(rows)) for rows in excluded]
-    scan = max((k + len(drop) for k, drop in zip(ks, drops)), default=1)
+    scan = k + max(map(len, drops), default=0)
     results = []
-    for (rows, _), point, norm, k, drop in zip(
-        _scan_candidates(space, units, scan, delta), points, norms, ks, drops
+    for (rows, _), point, norm, drop in zip(
+        _scan_candidates(space, units, scan, delta), points, norms, drops
     ):
         # a cell per candidate and excluded row, few for a query's own words;
         # np.isin took five times as long on 12 candidates
@@ -695,7 +687,7 @@ def _products(rows: np.ndarray, units: np.ndarray, tile: int) -> np.ndarray:
 def _scan_candidates(space: EmbeddingSpace, units, k: int, delta: float):
     """Per float32 unit point, the rows of the table with a float32 cosine
     within ``2 delta`` of F, the largest k-th score of a block (or -2), in
-    row order, and those cosines (see :func:`nearest_words_many`). Each
+    row order, and those cosines (see :func:`_nearest_rows`). Each
     block is a (rows x dim) @ (dim x points) float32 product, in row tiles
     of ``_TILE_MADDS`` multiply-adds for ``_TILED_POINTS`` points; the
     tiles change only the order of the float32 sums, which the bound

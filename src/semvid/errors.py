@@ -49,6 +49,14 @@ def checked_string(value, what: str, error=SemvidError) -> str:
     return value
 
 
+def checked_sequence(value, what: str, error=SemvidError):
+    """``value`` unless it is one string, which a loop would read as its
+    characters: then ``error`` saying ``what`` it must be instead."""
+    if isinstance(value, str):
+        raise error(f"{what}, got the string {value!r}")
+    return value
+
+
 def _line_label(line: int) -> str:
     return f"line {line}"
 

@@ -37,7 +37,7 @@ from .embedding import (
     embed_tokens,
     tokenize,
 )
-from .errors import SemvidError, checked_string, open_utf8
+from .errors import SemvidError, checked_sequence, checked_string, open_utf8
 from .ranked import RankedList, read_ranked_tsv, tsv_id, write_ranked_tsv  # TSV helpers re-exported
 from .stopwords import DEFAULT_STOPWORDS
 from .videos import Corpus
@@ -47,7 +47,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class EventQuery:
-    """Free-text event query: title terms plus optional per-channel extras."""
+    """Free-text event query: title terms plus optional per-channel extras,
+    each a tuple of strings (a list given as one string is an error)."""
 
     event_id: str
     title_terms: tuple[str, ...]
@@ -56,6 +57,10 @@ class EventQuery:
 
     def __post_init__(self):
         tsv_id(self.event_id, "event id")
+        for name in ("title_terms", "ocr_terms", "asr_terms"):
+            what = f"event {self.event_id!r}: {name}"
+            terms = checked_sequence(getattr(self, name), f"{what} must be a sequence")
+            object.__setattr__(self, name, tuple(checked_string(t, f"{what} item") for t in terms))
         if not self.title_terms:
             raise SemvidError(f"event {self.event_id!r}: no title terms after stop-word removal")
 
@@ -105,11 +110,6 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     return queries
 
 
-def map_cosine(value: float) -> float:
-    """Affine map from [-1, 1] to [0, 1]."""
-    return (value + 1.0) / 2.0
-
-
 def map_concept_raw(raw, r: int):
     """Affine map of the concept channel's raw sum (bounded by R) to [0, 1],
     clipped so that rounding in the cosine weights cannot leave the range.
@@ -121,7 +121,7 @@ def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
     """Embed the channel query terms, expanded with the k nearest
     vocabulary words to their pooled point (the query's own tokens are
     excluded); see :func:`_expansions`."""
-    terms = list(terms)
+    terms = list(checked_sequence(terms, "text query terms must be a sequence"))
     _, resolved, oov, merges = _resolve_some(space, terms)
     [rows] = _expansions([terms], space, k)
     return EmbeddedSet(
@@ -137,7 +137,7 @@ def _expansions(term_lists, space: EmbeddingSpace, k: int):
     tokens (see :func:`~semvid.embedding.embed_tokens`), then those of the
     k nearest other words to their pooled point, nearest first. The terms
     and the resolved tokens are not neighbours. All lists share one table
-    scan (:func:`~semvid.embedding.nearest_words_many` on rows)."""
+    scan (:func:`~semvid.embedding._nearest_rows`)."""
     matrix, index = space._matrix, space._index
     found = [_resolve_some(space, list(terms))[0] for terms in term_lists]
     expand, points, norms = [], [], []
@@ -152,7 +152,7 @@ def _expansions(term_lists, space: EmbeddingSpace, k: int):
         points.append(point)
         norms.append(norm)
     excluded = [{index[t] for t in term_lists[i] if t in index}.union(found[i]) for i in expand]
-    near = _nearest_rows(space, points, norms, [k] * len(expand), excluded)
+    near = _nearest_rows(space, points, norms, k, excluded)
     for i, (rows, _) in zip(expand, near):
         found[i] += rows.tolist()
     return found
@@ -160,13 +160,13 @@ def _expansions(term_lists, space: EmbeddingSpace, k: int):
 
 def _text_scores(query, pooled: np.ndarray, counts: np.ndarray):
     """Text-channel score in [0, 1] of every pooled transcript row, the
-    affine map of its mean pairwise cosine with the query set, given as
-    the (sum, size) pair of its vectors. A row with a count of 0 (channel
-    missing) is zero, as every :class:`~semvid.videos.Corpus` holds it, so
-    its cosine is 0 and it scores the neutral 0.5."""
+    affine map (c + 1) / 2 of its mean pairwise cosine c with the query
+    set, given as the (sum, size) pair of its vectors. A row with a count
+    of 0 (channel missing) is zero, as every :class:`~semvid.videos.Corpus`
+    holds it, so its cosine is 0 and it scores the neutral 0.5."""
     total, size = query
     cross = kernels.row_dots(pooled, total) / (size * np.maximum(counts, 1))
-    return map_cosine(cross).clip(0.0, 1.0)
+    return ((cross + 1.0) / 2.0).clip(0.0, 1.0)
 
 
 def fuse(concept, ocr, asr, w: float = 6.0):

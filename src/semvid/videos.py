@@ -19,7 +19,7 @@ import numpy as np
 
 from .concepts import ConceptRepository
 from .embedding import pool_texts
-from .errors import ConceptFormatError, IngestError, open_utf8
+from .errors import ConceptFormatError, IngestError, checked_sequence, open_utf8
 from .ranked import tsv_id
 
 log = logging.getLogger(__name__)
@@ -308,8 +308,7 @@ class Corpus:
 
     def __init__(self, repo: ConceptRepository, ids, S, ocr=None, asr=None):
         for name, column in (("video ids", ids), ("OCR", ocr), ("ASR", asr)):
-            if isinstance(column, str):  # tuple() would split it into characters
-                raise IngestError(f"{name} must be one entry per video, got the string {column!r}")
+            checked_sequence(column, f"{name} must be one entry per video", IngestError)
         self.ids = ids = tuple(ids)
         n = len(ids)
         seen = set()

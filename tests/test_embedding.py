@@ -13,12 +13,12 @@ from semvid.embedding import (
     embed_tokens,
     load_embeddings,
     nearest_words,
-    nearest_words_many,
+    pool_texts,
     save_embeddings,
     sum_pool,
     tokenize,
 )
-from semvid.errors import AllTokensOOV, EmbeddingFormatError, ZeroNormError
+from semvid.errors import AllTokensOOV, EmbeddingFormatError, SemvidError, ZeroNormError
 from semvid.synth import random_space
 
 from oracles import (
@@ -169,6 +169,26 @@ def test_space_built_in_code_equals_the_same_rows_loaded(tmp_path, monkeypatch, 
         rows[5] = value
         with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'w5'"):
             EmbeddingSpace(tokens, rows)
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1.0, 0.0], [0.0]], [["a", "b"], ["c", "d"]], [[1.0, {}], [0, 1]],
+], ids=["ragged", "strings", "object"])
+def test_space_rejects_a_matrix_that_is_ragged_or_not_numeric(matrix):
+    with pytest.raises(EmbeddingFormatError, match="not a matrix of numbers"):
+        EmbeddingSpace(["a", "b"], matrix)
+
+
+def test_space_takes_a_nested_list_matrix_as_its_array():
+    rows = [[3.0, 4.0], [0.0, 2.0]]
+    space = EmbeddingSpace(["a", "b"], rows)
+    assert space._matrix.tobytes() == EmbeddingSpace(["a", "b"], np.array(rows))._matrix.tobytes()
+    assert space.tokens() == ["a", "b"]
+
+
+def test_space_rejects_tokens_given_as_one_string():
+    with pytest.raises(EmbeddingFormatError, match="tokens must be a sequence"):
+        EmbeddingSpace("ab", np.eye(2))
 
 
 def test_space_without_columns_is_rejected():
@@ -429,6 +449,15 @@ def test_embed_tokens_all_oov_raises(tiny_space):
         embed_tokens(tiny_space, ["zzz"])
 
 
+def test_embed_tokens_and_pool_texts_reject_one_string(tiny_space):
+    # a loop over the string would resolve its characters
+    with pytest.raises(SemvidError, match="tokens must be a sequence"):
+        embed_tokens(tiny_space, "ab")
+    with pytest.raises(SemvidError, match="texts must be a sequence"):
+        pool_texts(tiny_space, "ab")
+    assert pool_texts(tiny_space, ["b", ""])[1].tolist() == [1, 0]
+
+
 def test_embed_tokens_phrase_pass(tmp_path):
     path = tmp_path / "phrases.txt"
     path.write_text("3 2\nnew 1 0\nnew_york 0 1\ncity 1 1\n", encoding="utf-8")
@@ -592,17 +621,32 @@ def test_nearest_words_k_at_least_the_kept_rows(space50):
         assert_same_neighbors(got, oracle_neighbors(space50, point, k, exclude))
 
 
-# --------------------------------------------- multi-point nearest_words
+# ------------------------------------- many points in one scan: _nearest_rows
+# (the tests named nearest_words_many check this many-point search)
 
 def blocked(monkeypatch, rows, points):
     """Scan blocks of ``rows`` table rows for a call with ``points`` points."""
     monkeypatch.setattr(embedding, "_SCAN_BYTES", 12 * points * rows)
 
 
-def assert_many_matches_oracle(space, points, ks, excludes):
-    got = nearest_words_many(space, points, ks, excludes)
+def nearest_rows(space, points, k, excludes):
+    """:func:`_nearest_rows` for float64 points, each excluding the rows of
+    a set of tokens, with each result's rows read back as (token, cosine)
+    pairs."""
+    points = [np.asarray(point, dtype=np.float64) for point in points]
+    norms = [embedding._norm(point) for point in points]
+    index = space._index
+    excluded = [{index[t] for t in exclude if t in index} for exclude in excludes]
+    return [
+        list(zip(space._tokens[rows].tolist(), sims.tolist()))
+        for rows, sims in embedding._nearest_rows(space, points, norms, k, excluded)
+    ]
+
+
+def assert_rows_match_oracle(space, points, k, excludes):
+    got = nearest_rows(space, points, k, excludes)
     assert len(got) == len(points)
-    for result, point, k, exclude in zip(got, points, ks, excludes):
+    for result, point, exclude in zip(got, points, excludes):
         assert_same_neighbors(result, oracle_neighbors(space, point, k, exclude))
         assert result == nearest_words(space, point, k, exclude)
 
@@ -625,10 +669,10 @@ def test_nearest_words_many_matches_scan_oracle_at_every_block_size(monkeypatch,
     points = [matrix[9].astype(np.float64), rng.standard_normal(300), matrix[[2, 9]].sum(axis=0)]
     points.append(points[0] * 1e-3)  # a repeated direction at another scale
     blocked(monkeypatch, rows, len(points))
-    for k in (1, 2, 4, 5, 6, 9):
-        assert_many_matches_oracle(space, points, [k, k + 1, k, 3], [set()] * 4)
+    for k in (1, 2, 3, 4, 5, 6, 7, 9, 10):
+        assert_rows_match_oracle(space, points, k, [set()] * 4)
     # the five copies tie exactly and break lexicographically across blocks
-    top = nearest_words_many(space, points[:1], [5], [set()])[0]
+    top = nearest_rows(space, points[:1], 5, [set()])[0]
     assert [t for t, _ in top] == ["alpha", "mid", "omega", "w09", "zeta"]
     assert len({s for _, s in top}) == 1
 
@@ -643,29 +687,28 @@ def test_nearest_words_many_exclusions_inside_the_true_top_k(monkeypatch, space5
         excludes.append({top[0], top[2], top[7], "not-a-token"})
     excludes[5] = set()  # points with and without exclusions share the scan
     blocked(monkeypatch, rows, len(points))
-    for k in (1, 3, 6):
-        assert_many_matches_oracle(space50, points, [k] * 6, excludes)
-    # one k per point: each point is cut at its own k
-    assert_many_matches_oracle(space50, points, [1, 2, 3, 5, 8, 13], excludes)
+    for k in (1, 2, 3, 5, 6, 8, 13):
+        assert_rows_match_oracle(space50, points, k, excludes)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_nearest_words_many_with_the_table_top_rows_excluded(monkeypatch, space50, rows):
-    # the scan looks for the top k + e rows of the whole table and drops the
-    # e excluded ones afterwards; here the excluded rows are exactly the
-    # table's top e, the case where every one of them is a candidate
+    # the scan looks for the top k + e rows of the whole table, e the most
+    # rows a point excludes, and drops each point's excluded rows
+    # afterwards; here the excluded rows are exactly the table's top e, the
+    # case where every one of them is a candidate
     rng = np.random.default_rng(34)
     points = [rng.standard_normal(8) for _ in range(3)]
     excludes = [
         {t for t, _ in oracle_neighbors(space50, point, e)} for point, e in zip(points, (1, 4, 9))
     ]
     blocked(monkeypatch, rows, len(points))
-    for ks in ([1, 1, 1], [50 - len(exclude) for exclude in excludes]):
-        assert_many_matches_oracle(space50, points, ks, excludes)
+    for k in (1, 41, 46, 49):  # 50 - e: every row a point keeps
+        assert_rows_match_oracle(space50, points, k, excludes)
     for point, exclude in zip(points, excludes):  # alone, each with its own k + e
         blocked(monkeypatch, rows, 1)
-        assert_many_matches_oracle(space50, [point], [50 - len(exclude)], [exclude])
-        assert_many_matches_oracle(space50, [point], [1], [exclude])
+        assert_rows_match_oracle(space50, [point], 50 - len(exclude), [exclude])
+        assert_rows_match_oracle(space50, [point], 1, [exclude])
 
 
 def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
@@ -673,24 +716,43 @@ def test_nearest_words_many_k_at_least_the_kept_rows(monkeypatch, space50):
     points = [rng.standard_normal(8) for _ in range(4)]
     exclude = {f"w{i}" for i in range(0, 50, 7)}
     blocked(monkeypatch, 3, 4)
-    # 42 rows are kept: k larger than a block, one short of, equal to and
-    # beyond the kept rows, the last two next to points that are scanned
-    assert_many_matches_oracle(space50, points, [4, 41, 42, 500], [exclude] * 4)
-    found = nearest_words_many(space50, points, [41, 42, 43, 5], [exclude] * 4)
-    assert [len(result) for result in found] == [41, 42, 42, 5]
-    assert nearest_words_many(space50, [], [], []) == []
+    # 42 rows are kept: k smaller and larger than a block, one short of,
+    # equal to and beyond the kept rows
+    for k, kept in ((4, 4), (5, 5), (41, 41), (42, 42), (43, 42), (500, 42)):
+        assert_rows_match_oracle(space50, points, k, [exclude] * 4)
+        found = nearest_rows(space50, points, k, [exclude] * 4)
+        assert [len(result) for result in found] == [kept] * 4
+    assert nearest_rows(space50, [], 5, []) == []
     # every row excluded: nothing is left, next to a point that keeps rows
     everything = set(space50.tokens())
-    assert nearest_words_many(space50, points[:2], [3, 60], [everything, exclude])[0] == []
-    assert nearest_words_many(space50, points[:2], [60, 3], [everything] * 2) == [[], []]
+    for k in (3, 60):
+        found = nearest_rows(space50, points[:2], k, [everything, exclude])
+        assert found == [[], nearest_words(space50, points[1], k, exclude)]
+        assert nearest_rows(space50, points[:2], k, [everything] * 2) == [[], []]
 
 
-def test_nearest_words_many_rejects_a_bad_point(space50):
+def test_nearest_words_rejects_a_bad_point_or_k(space50):
     good = space50.vector("w1")
-    with pytest.raises(ZeroNormError):
-        nearest_words_many(space50, [good, np.zeros(8)], [3, 3], [set(), set()])
-    with pytest.raises(ValueError, match="k must be"):
-        nearest_words_many(space50, [good, good], [3, 0], [set(), set()])
+    for point in (np.zeros(8), np.full(8, np.inf), np.full(8, np.nan)):
+        with pytest.raises(ZeroNormError):
+            nearest_words(space50, point, 3)
+    with pytest.raises(ZeroNormError, match="dimension"):
+        nearest_words(space50, np.ones(7), 3)
+    for k in (0, -1, 2.0, "3", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            nearest_words(space50, good, k)
+    assert len(nearest_words(space50, good, np.int64(2))) == 2
+
+
+def test_nearest_words_takes_exclude_as_tokens_not_characters():
+    # a string is a collection of its characters: excluding "king" that way
+    # would drop "k", "i", "n" and "g" and leave "king" itself on top
+    tokens = ["king", "k", "i", "n", "g"]
+    space = EmbeddingSpace(tokens, np.eye(5) + 0.1)
+    with pytest.raises(ValueError, match="exclude must be a collection of tokens"):
+        nearest_words(space, space.vector("king"), 2, exclude="king")
+    found = nearest_words(space, space.vector("king"), 4, exclude={"king"})
+    assert sorted(t for t, _ in found) == ["g", "i", "k", "n"]
 
 
 def tiled(monkeypatch, rows, points, dim=300):
@@ -715,15 +777,19 @@ def test_nearest_words_many_in_row_tiles_matches_oracle(monkeypatch, m, tile):
     points = [matrix[9].astype(np.float64), matrix[25].astype(np.float64)]
     points += [rng.standard_normal(300) for _ in range(m)]
     points = points[:m]
-    ks = [(1, 2, 4, 5, 6, 9)[i % 6] for i in range(m)]
+    ks = (1, 2, 4, 5, 6, 9)
     excludes = [(set(), {"w05", "w22"}, {"zeta", "w25", "w12"})[i % 3] for i in range(m)]
-    alone = [nearest_words(space, *args) for args in zip(points, ks, excludes)]
+    alone = {
+        k: [nearest_words(space, point, k, exclude) for point, exclude in zip(points, excludes)]
+        for k in ks
+    }
     blocked(monkeypatch, 13, m)
     tiled(monkeypatch, tile, m)
-    got = nearest_words_many(space, points, ks, excludes)
-    assert got == alone
-    for result, point, k, exclude in zip(got, points, ks, excludes):
-        assert_same_neighbors(result, oracle_neighbors(space, point, k, exclude))
+    for k in ks:
+        got = nearest_rows(space, points, k, excludes)
+        assert got == alone[k]
+        for result, point, exclude in zip(got, points, excludes):
+            assert_same_neighbors(result, oracle_neighbors(space, point, k, exclude))
     top = nearest_words(space, points[0], 5)
     assert [t for t, _ in top] == ["alpha", "mid", "omega", "w09", "zeta"]
 

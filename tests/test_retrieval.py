@@ -642,6 +642,33 @@ def test_query_requires_nonstop_title():
         EventQuery(event_id="E1", title_terms=())
 
 
+def test_query_term_lists_are_stored_as_tuples_of_strings():
+    world = synth_world(seed=1)
+    space, repo, corpus = world.space, world.repo, world.corpus
+    listed = EventQuery("E1", ["ev0title0", "ev0title1"], ocr_terms=["ev0title0"])
+    assert listed.title_terms == ("ev0title0", "ev0title1") and listed.ocr_terms == ("ev0title0",)
+    as_tuples = EventQuery("E1", ("ev0title0", "ev0title1"), ocr_terms=("ev0title0",))
+    assert rank_event(listed, space, repo, corpus) == rank_event(as_tuples, space, repo, corpus)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"title_terms": "ev0title0 ev0title1"}, "event 'E1': title_terms must be a sequence"),
+    ({"title_terms": ("ev0title0",), "asr_terms": "ev0title1"}, "event 'E1': asr_terms must be"),
+    ({"title_terms": ("ev0title0", None)}, "event 'E1': title_terms item must be a string"),
+    ({"title_terms": ("ev0title0",), "ocr_terms": (3,)}, "event 'E1': ocr_terms item must be"),
+], ids=["title-string", "asr-string", "title-none-item", "ocr-number-item"])
+def test_query_rejects_a_term_list_given_as_one_string_or_a_term_that_is_not_one(fields, message):
+    # a string would be embedded one character at a time
+    with pytest.raises(SemvidError, match=message):
+        EventQuery("E1", **fields)
+
+
+def test_prepare_text_query_rejects_terms_given_as_one_string(space50):
+    with pytest.raises(SemvidError, match="text query terms must be a sequence"):
+        retrieval.prepare_text_query("w1", space50)
+    assert retrieval.prepare_text_query(("w1",), space50).source_tokens[0] == "w1"
+
+
 def test_load_queries_names_file_and_entry_of_a_stop_word_title(tmp_path):
     path = tmp_path / "q.json"
     path.write_text(json.dumps([{"event": "E0", "title": "a b"}, {"event": "E1", "title": "the of a"}]),

@@ -8,10 +8,12 @@ and compare them with ``diff -r``. It holds, for each perfbench workload
 (corpus_scan, vocab_scan, cold_ingest) at seeds 1 and 101 and each synth
 world (seeds 1, 5 and 11):
 
-* ``rank`` outputs (``ranked.tsv``) with both kernels, of the batch and the
-  single queries for a workload, in both pool modes and at the fusion
-  weights 1 and 100 (``-w``) for a world, so that fusion is compared away
-  from its default weight too;
+* ``rank`` outputs (``ranked.tsv``) with both kernels: for a workload, of
+  the batch and the single queries, and of the single queries expanded by
+  25 words (``-k``); for a world, in both pool modes, at the fusion
+  weights 1 and 100 (``-w``) and at the expansions 0 and 25 (``-k``), so
+  that fusion and query expansion are compared away from their defaults
+  too;
 * the ``eval`` report of every ranking whose events have judgements, and
   the table ``eval`` prints, the only place its MAP and mean AUC appear;
 * ``relevance`` with both kernels, for the first query's title;
@@ -39,6 +41,7 @@ WORLD_SEEDS = (1, 5, 11)
 KERNELS = ("pooled", "hausdorff")
 MODES = ("max", "avg")
 WEIGHTS = (1, 100)  # fusion weights a world is also ranked at, besides the default
+EXPANSIONS = (0, 25)  # query expansions (-k) a world is also ranked at, besides 5
 
 # one BLAS thread, as perfbench runs; no output may depend on the count
 ENV = dict(os.environ, PYTHONPATH=str(SRC),
@@ -90,7 +93,8 @@ def workload(name: str, seed: int, tmp: Path, out: Path) -> None:
          "--workload", name, "--seed", str(seed), "--out", str(data)])
     manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
     files = {key: str(data / path) for key, path in manifest["files"].items()}
-    rankings = {"batch": (files["queries"], [], True), "single": (files["single"], [], False)}
+    rankings = {"batch": (files["queries"], [], True), "single": (files["single"], [], False),
+                "single-k25": (files["single"], ["-k", 25], False)}
     outputs(files, manifest["spec"]["binary"], out / f"{name}-{seed}", rankings)
 
 
@@ -106,6 +110,7 @@ def world(seed: int, tmp: Path, out: Path) -> None:
         ("queries", "queries.json"), ("truth", "truth.csv"))}
     rankings = {mode: (files["queries"], ["--mode", mode], True) for mode in MODES}
     rankings.update({f"w{w}": (files["queries"], ["-w", w], True) for w in WEIGHTS})
+    rankings.update({f"k{k}": (files["queries"], ["-k", k], True) for k in EXPANSIONS})
     outputs(files, False, out / f"world-{seed}", rankings)
 
 
