@@ -39,8 +39,8 @@ def _build_parser() -> _Parser:
     rel.add_argument("embeddings", help="word2vec embedding table (text, or --binary)")
     rel.add_argument("concepts", help="concept repository JSON")
     rel.add_argument("--query", required=True, help="free-text event query")
-    rel.add_argument("--kernel", choices=["pooled", "hausdorff"], default="pooled")
-    rel.add_argument("--percentile", type=float, default=50.0)
+    rel.add_argument("--kernel", choices=["pooled", "hausdorff"])
+    rel.add_argument("--percentile", type=float)
     rel.add_argument("--top", type=int, default=20)
     rel.add_argument("--stopwords", help="stop-word override file")
     rel.add_argument("--binary", action="store_true", help="embeddings are packed binary")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULT_CONFIG
 from .embedding import (
     EmbeddedSet,
     EmbeddingSpace,
@@ -46,43 +47,32 @@ class WeightedConcept:
 
 
 class ConceptRepository:
-    """Ordered concept list with cached embeddings.
+    """Ordered concept list, embedded in ``space`` when one is given.
 
     Concepts whose tokens all fall outside the vocabulary are kept in the
     list (they still own a score column) but flagged unscoreable and skipped
-    by ranking. Immutable once embeddings are attached; ``space`` and
-    ``stops`` keep what the embeddings were built with, so that a corpus can
-    embed its transcripts the same way.
+    by ranking. A repository without a space only maps concept ids to score
+    columns, which is all ingest and ``semvid pool`` need; it cannot rank.
+    ``space`` and ``stops`` keep what the embeddings were built with, so
+    that a corpus can embed its transcripts the same way.
     """
 
-    def __init__(self, concepts: list[ConceptDefinition]):
+    def __init__(self, concepts: list[ConceptDefinition], space: EmbeddingSpace | None = None,
+                 stops=DEFAULT_STOPWORDS):
+        """Given a ``space``, embed every concept's tokens and precompute the
+        matrices the two kernels rank against: the pooled concept vectors
+        with their norms, and all concepts' word vectors stacked with their
+        norms."""
         self.concepts = list(concepts)
         self._order = {c.id: i for i, c in enumerate(self.concepts)}
         if len(self._order) != len(self.concepts):
             raise ConceptFormatError("duplicate concept ids")
-        self.unscoreable: tuple[str, ...] = ()
-        self.space: EmbeddingSpace | None = None
-        self.stops: frozenset[str] = DEFAULT_STOPWORDS
-        # each kernel's scoreable concepts as (score columns, sorted-id
-        # ranks); none until attach_space builds the kernels' matrices
+        self.space, self.stops = space, stops
+        # each kernel's scoreable concepts as (score columns, sorted-id ranks)
         self._pooled_index = self._set_index = _id_columns(self, ())
-
-    def __len__(self) -> int:
-        return len(self.concepts)
-
-    def index_of(self, concept_id: str) -> int:
-        try:
-            return self._order[concept_id]
-        except KeyError:
-            raise ConceptFormatError(f"unknown concept id {concept_id!r}")
-
-    def ids(self) -> list[str]:
-        return [c.id for c in self.concepts]
-
-    def attach_space(self, space: EmbeddingSpace, stops=DEFAULT_STOPWORDS) -> None:
-        """Embed every concept's tokens and precompute the matrices the two
-        kernels rank against: the pooled concept vectors with their norms,
-        and all concepts' word vectors stacked with their norms."""
+        self.unscoreable: tuple[str, ...] = ()
+        if space is None:
+            return
         embedded, excluded = {}, []
         for concept in self.concepts:
             tokens = tokenize(concept.name, stops)
@@ -93,7 +83,6 @@ class ConceptRepository:
             except AllTokensOOV:
                 excluded.append(concept.id)
         self.unscoreable = tuple(excluded)
-        self.space, self.stops = space, stops
         if excluded:
             log.warning(
                 "%d of %d concepts fully out of vocabulary, excluded from scoring: %s",
@@ -126,6 +115,18 @@ class ConceptRepository:
         self._set_vectors, self._set_norms = vectors, np.linalg.norm(vectors, axis=1)
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
         self._set_owner = np.repeat(np.arange(len(sizes)), sizes)
+
+    def __len__(self) -> int:
+        return len(self.concepts)
+
+    def index_of(self, concept_id: str) -> int:
+        try:
+            return self._order[concept_id]
+        except KeyError:
+            raise ConceptFormatError(f"unknown concept id {concept_id!r}")
+
+    def ids(self) -> list[str]:
+        return [c.id for c in self.concepts]
 
     def scoreable_ids(self) -> list[str]:
         unscoreable = set(self.unscoreable)
@@ -204,10 +205,7 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
         keywords = tuple(checked_string(k, what, ConceptFormatError) for k in keywords)
         concepts.append(ConceptDefinition(id=cid, name=name, keywords=keywords, kind=kind))
 
-    repo = ConceptRepository(concepts)
-    if space is not None:
-        repo.attach_space(space, stops)
-    return repo
+    return ConceptRepository(concepts, space, stops)
 
 
 def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: float):
@@ -264,18 +262,18 @@ def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentil
 def rank_concepts(
     repo: ConceptRepository,
     query: EmbeddedSet,
-    kernel: str = "pooled",
-    percentile: float = 50.0,
+    kernel: str = DEFAULT_CONFIG.kernel,
+    percentile: float = DEFAULT_CONFIG.percentile,
 ) -> list[WeightedConcept]:
     """Weight every scoreable concept by its similarity to the query.
 
     Sorted by weight descending, ties by id ascending, NaN weights last:
     :func:`top_r_columns` with R the number of concepts, each score column
     named by its concept id. Both kernels rank against matrices built by
-    ``attach_space``. The pooled kernel is one row reduction against the
-    pooled concept matrix, and leaves out concepts whose pooled vector has
-    zero norm. The Hausdorff kernel scores every concept at once (see
-    :func:`_hausdorff_weights`), bit for bit equal to
+    the :class:`ConceptRepository` constructor. The pooled kernel is one row
+    reduction against the pooled concept matrix, and leaves out concepts
+    whose pooled vector has zero norm. The Hausdorff kernel scores every
+    concept at once (see :func:`_hausdorff_weights`), bit for bit equal to
     :func:`semvid.similarity.sim_hausdorff` per concept when the concept
     and the query each have two or more words; every word vector of a
     space has unit norm, so it leaves no concept out. Every dot product is a
@@ -294,7 +292,7 @@ def top_r_columns(
     query: EmbeddedSet,
     kernel: str,
     r: int,
-    percentile: float = 50.0,
+    percentile: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score columns and weights of the ``r`` most relevant concepts, as
     arrays, with no per-concept objects; concepts outside them count as zero

@@ -155,10 +155,12 @@ class EmbeddingSpace:
 
     def _setup(self, tokens, matrix, norms, index, duplicates):
         """Take the parts of a space; reject its first row whose norm is
-        zero or not finite."""
+        zero, or not finite (a NaN or infinite value, or a norm that
+        overflows)."""
         bad = np.flatnonzero(~np.isfinite(norms) | (norms == 0.0))
         if len(bad):
-            raise EmbeddingFormatError(f"zero-norm vector for token {tokens[bad[0]]!r}")
+            what = "zero-norm" if norms[bad[0]] == 0.0 else "non-finite"
+            raise EmbeddingFormatError(f"{what} vector for token {tokens[bad[0]]!r}")
         self.dimension = int(matrix.shape[1])
         self._tokens = np.asarray(tokens, dtype=object)
         self._matrix = matrix
@@ -210,10 +212,12 @@ def _normalize_block(block: np.ndarray, out: np.ndarray, norms: np.ndarray, exac
         block /= np.where(off, norms, 1.0)[:, None]  # a division by 1.0 changes nothing
     elif exact:
         return
+    bad_norms = norms[bad]
     block[bad] = 0.0  # no float32 overflow in the cast below
     out[...] = block  # in an exact block, a kept row rounds back to itself
     np.copyto(block, out)
     norms[...] = _dot_norms(block)
+    norms[bad] = bad_norms
 
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -495,8 +499,10 @@ def tokenize(text: str, stops: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Lowercase, split on non-alphanumeric runs, drop stop words.
 
     Pure string processing; phrase lookup against the vocabulary happens in
-    :func:`embed_tokens`, which needs the table.
+    :func:`embed_tokens`, which needs the table. ``stops`` is a collection
+    of words: one string would match its substrings.
     """
+    checked_sequence(stops, "stops must be a collection of words")
     return [t for t in _TOKEN_RE.findall(text.lower()) if t not in stops]
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ class EventQuery:
     asr_terms: tuple[str, ...] = ()
 
     def __post_init__(self):
-        tsv_id(self.event_id, "event id")
+        tsv_id(checked_string(self.event_id, "event id"), "event id")
         for name in ("title_terms", "ocr_terms", "asr_terms"):
             what = f"event {self.event_id!r}: {name}"
             terms = checked_sequence(getattr(self, name), f"{what} must be a sequence")
@@ -117,13 +118,16 @@ def map_concept_raw(raw, r: int):
     return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
 
 
-def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
+def prepare_text_query(
+    terms, space: EmbeddingSpace, k: int = DEFAULT_CONFIG.augment_k
+) -> EmbeddedSet:
     """Embed the channel query terms, expanded with the k nearest
     vocabulary words to their pooled point (the query's own tokens are
-    excluded); see :func:`_expansions`."""
+    excluded); see :func:`_expansions`. ``k`` is an integer >= 0."""
     terms = list(checked_sequence(terms, "text query terms must be a sequence"))
-    _, resolved, oov, merges = _resolve_some(space, terms)
-    [rows] = _expansions([terms], space, k)
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise SemvidError(f"k must be an integer >= 0, got {k!r}")
+    [(rows, resolved, oov, merges)] = _expansions([terms], space, k)
     return EmbeddedSet(
         vectors=space._matrix[rows].astype(np.float64),
         source_tokens=tuple(resolved) + tuple(space._tokens[rows[len(resolved) :]].tolist()),
@@ -133,13 +137,16 @@ def prepare_text_query(terms, space: EmbeddingSpace, k: int = 5) -> EmbeddedSet:
 
 
 def _expansions(term_lists, space: EmbeddingSpace, k: int):
-    """The table rows of each term list's query set: those of its resolved
-    tokens (see :func:`~semvid.embedding.embed_tokens`), then those of the
-    k nearest other words to their pooled point, nearest first. The terms
-    and the resolved tokens are not neighbours. All lists share one table
-    scan (:func:`~semvid.embedding._nearest_rows`)."""
+    """The resolution of each term list as
+    :func:`~semvid.embedding.embed_tokens` makes it, (rows, resolved
+    tokens, OOV words, merges), whose rows are those of the query set: the
+    resolved tokens' rows, then those of the k nearest other words to their
+    pooled point, nearest first. The terms and the resolved tokens are not
+    neighbours. All lists share one table scan
+    (:func:`~semvid.embedding._nearest_rows`)."""
     matrix, index = space._matrix, space._index
-    found = [_resolve_some(space, list(terms))[0] for terms in term_lists]
+    resolutions = [_resolve_some(space, list(terms)) for terms in term_lists]
+    found = [rows for rows, *_ in resolutions]
     expand, points, norms = [], [], []
     for i, rows in enumerate(found if k > 0 else ()):
         point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
@@ -154,8 +161,8 @@ def _expansions(term_lists, space: EmbeddingSpace, k: int):
     excluded = [{index[t] for t in term_lists[i] if t in index}.union(found[i]) for i in expand]
     near = _nearest_rows(space, points, norms, k, excluded)
     for i, (rows, _) in zip(expand, near):
-        found[i] += rows.tolist()
-    return found
+        found[i] += rows.tolist()  # the resolution's own list
+    return resolutions
 
 
 def _text_scores(query, pooled: np.ndarray, counts: np.ndarray):
@@ -169,7 +176,7 @@ def _text_scores(query, pooled: np.ndarray, counts: np.ndarray):
     return ((cross + 1.0) / 2.0).clip(0.0, 1.0)
 
 
-def fuse(concept, ocr, asr, w: float = 6.0):
+def fuse(concept, ocr, asr, w: float = DEFAULT_CONFIG.fusion_weight):
     """Weighted geometric mean with emphasis on the concept channel,
     (pc^w * sqrt(po * pa)) ** (1 / (w + 1)), computed in logs:
     exp((w log pc + (log po + log pa) / 2) / (w + 1)).
@@ -212,7 +219,7 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
     matrix = space._matrix
     prepared = {  # each query set as its (sum, size) pair, summed as sum_pool does
         t: (matrix[rows].astype(np.float64).sum(axis=0), len(rows))
-        for t, rows in zip(terms, _expansions(list(terms), space, config.augment_k))
+        for t, (rows, *_) in zip(terms, _expansions(list(terms), space, config.augment_k))
     }
     return [
         (columns, weights,
@@ -243,24 +250,31 @@ def rank_events(
 ) -> list[RankedList]:
     """Score every corpus video against each event and sort, in event order.
 
-    ``repo`` is attached to ``space``, and ``corpus`` is a
+    ``repo`` is embedded in ``space``, and ``corpus`` is a
     :class:`~semvid.videos.Corpus` built with a repository of ``len(repo)``
-    concepts attached to ``space``; anything else raises
+    concepts embedded in ``space``; anything else raises
     :class:`SemvidError`. The query side of every event is computed first
     (see :func:`_query_sides`): all text-query expansions, OCR and ASR of
     every event, share one float32 scan of the table. Each event's channels
     are then scored for all videos at once, fused, and sorted by
     (-score, video id). The result equals ranking each event on its own.
+    An event id given twice raises :class:`SemvidError`, as
+    :func:`load_queries` does: a ranked TSV holds each event once.
     """
     if not (isinstance(corpus, Corpus) and corpus.space is space and repo.space is space
             and corpus.S.shape[1] == len(repo)):
         raise SemvidError(
             f"rank_events needs a Corpus built for this space and {len(repo)} concepts, "
-            f"and a repository attached to this space; got a {type(corpus).__name__}"
+            f"and a repository embedded in this space; got a {type(corpus).__name__}"
         )
     queries = list(queries)
     if not queries:
         return []
+    seen = set()
+    for query in queries:
+        if query.event_id in seen:
+            raise SemvidError(f"duplicate event id {query.event_id!r}")
+        seen.add(query.event_id)
     if not len(corpus):
         raise SemvidError("corpus is empty")
     ids = corpus.id_column

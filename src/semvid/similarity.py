@@ -21,6 +21,7 @@ import numpy as np
 
 from . import kernels
 from .concepts import lower_percentile_index
+from .config import DEFAULT_CONFIG
 from .embedding import EmbeddedSet
 from .errors import ZeroNormError
 
@@ -46,7 +47,7 @@ def sim_pooled(x, y) -> float:
     return _cosine(xs.sum(axis=0), ys.sum(axis=0))
 
 
-def sim_hausdorff(x, y, percentile: float = 50.0) -> float:
+def sim_hausdorff(x, y, percentile: float = DEFAULT_CONFIG.percentile) -> float:
     """Percentile Hausdorff similarity under cosine point similarity.
 
     For each point the best cosine match in the other set is taken; the

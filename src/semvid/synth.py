@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concepts import ConceptDefinition, ConceptRepository
+from .concepts import KINDS, ConceptDefinition, ConceptRepository
 from .embedding import EmbeddingSpace
 from .evaluation import GroundTruth
 from .retrieval import EventQuery
@@ -52,7 +52,6 @@ def synth_world(
     positives_per_event: int = 30,
     n_videos: int = 300,
     dim: int = 16,
-    kinds_cycle: tuple[str, ...] = ("object", "scene", "action"),
 ) -> SynthWorld:
     """Build the clustered retrieval world described in the module docstring."""
     rng = np.random.default_rng(seed)
@@ -98,11 +97,8 @@ def synth_world(
         for j, token in enumerate(per_event_concept_tokens[k]):
             cid = f"e{k}c{j}"
             keywords = (per_event_synonyms[k][j],) if j % 2 == 0 else ()
-            concepts.append(
-                ConceptDefinition(
-                    id=cid, name=token, keywords=keywords, kind=kinds_cycle[j % len(kinds_cycle)]
-                )
-            )
+            kind = KINDS[j % len(KINDS)]
+            concepts.append(ConceptDefinition(id=cid, name=token, keywords=keywords, kind=kind))
             ids.append(cid)
         per_event_concept_ids.append(ids)
     for j in range(20):
@@ -110,11 +106,10 @@ def synth_world(
             ConceptDefinition(
                 id=f"bgc{j}",
                 name=f"{background_tokens[2 * j]} {background_tokens[2 * j + 1]}",
-                kind=kinds_cycle[j % len(kinds_cycle)],
+                kind=KINDS[j % len(KINDS)],
             )
         )
-    repo = ConceptRepository(concepts)
-    repo.attach_space(space)
+    repo = ConceptRepository(concepts, space)
     all_ids = repo.ids()
 
     def low_track(cap: float) -> tuple[float, ...]:
@@ -214,8 +209,7 @@ def bench_setup(seed: int, n_videos: int, n_concepts: int, dim: int):
         ConceptDefinition(id=f"c{i}", name=all_tokens[i], kind="object")
         for i in range(n_concepts)
     ]
-    repo = ConceptRepository(concepts)
-    repo.attach_space(space)
+    repo = ConceptRepository(concepts, space)
 
     scores = rng.uniform(0.0, 1.0, size=(n_videos, n_concepts))
     filler = all_tokens[n_concepts:]

@@ -420,7 +420,8 @@ def normalized_table_oracle(tokens, rows, dim: int):
         row = np.asarray(rows[i], dtype=np.float64)
         norm = float(np.linalg.norm(row))
         if not math.isfinite(norm) or norm == 0.0:
-            raise EmbeddingFormatError(f"zero-norm vector for token {token!r}")
+            what = "zero-norm" if norm == 0.0 else "non-finite"
+            raise EmbeddingFormatError(f"{what} vector for token {token!r}")
         matrix[j] = row if abs(norm - 1.0) <= 1e-6 else row / norm
     return list(first), matrix, len(tokens) - len(first)
 

@@ -66,8 +66,7 @@ def test_appendix_a_equivalence():
         picked = [str(t) for t in rng.choice(tokens, size=size, replace=False)]
         concepts.append(ConceptDefinition(id=f"c{i:03d}", name=" ".join(picked)))
         sets[f"c{i:03d}"] = [space.vector(t) for t in picked]
-    repo = ConceptRepository(concepts)
-    repo.attach_space(space)
+    repo = ConceptRepository(concepts, space)
     order = repo.ids()
 
     pairs = 0

@@ -11,6 +11,7 @@ from semvid.concepts import (
     rank_concepts,
     top_r_columns,
 )
+from semvid.config import DEFAULT_CONFIG
 from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool
 from semvid.errors import ConceptFormatError, NoScoreableConcepts
 import semvid.concepts as concepts
@@ -65,8 +66,7 @@ def test_rank_concepts_self_match_first(tiny_space):
     repo = ConceptRepository([
         ConceptDefinition(id="same", name="a"),
         ConceptDefinition(id="other", name="b"),
-    ])
-    repo.attach_space(tiny_space, stops=frozenset())
+    ], tiny_space, stops=frozenset())
     query = embed_tokens(tiny_space, ["a"])
     ranked = rank_concepts(repo, query)
     assert ranked[0].concept_id == "same"
@@ -83,8 +83,7 @@ def test_rank_concepts_tie_rule_id_ascending(tmp_path):
     repo = ConceptRepository([
         ConceptDefinition(id="zeta", name="foo"),
         ConceptDefinition(id="alpha", name="bar"),
-    ])
-    repo.attach_space(space)
+    ], space)
     ranked = rank_concepts(repo, embed_tokens(space, ["q"]))
     assert [w.concept_id for w in ranked] == ["alpha", "zeta"]
     assert all(w.weight == pytest.approx(0.0, abs=1e-12) for w in ranked)
@@ -99,8 +98,7 @@ def test_rank_concepts_matches_scan_oracle(space50):
         picked = [str(t) for t in rng.choice(tokens, size=int(rng.integers(1, 4)), replace=False)]
         defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
         sets[f"c{i:02d}"] = [space50.vector(t) for t in picked]
-    repo = ConceptRepository(defs)
-    repo.attach_space(space50)
+    repo = ConceptRepository(defs, space50)
     query_tokens = [str(t) for t in rng.choice(tokens, size=2, replace=False)]
     query = embed_tokens(space50, query_tokens)
 
@@ -115,8 +113,7 @@ def test_rank_concepts_matches_scan_oracle(space50):
 def test_rank_output_covers_every_scoreable_concept(space50):
     repo = ConceptRepository([
         ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(10)
-    ])
-    repo.attach_space(space50)
+    ], space50)
     ranked = rank_concepts(repo, embed_tokens(space50, ["w20"]))
     assert len(ranked) == 10
 
@@ -127,12 +124,10 @@ def test_adding_a_concept_never_changes_existing_weights(space50):
         ConceptDefinition(id="pair", name="w10 w11"),
         ConceptDefinition(id="triple", name="w12 w13 w12"),
     ]
-    repo_small = ConceptRepository(base)
-    repo_small.attach_space(space50)
+    repo_small = ConceptRepository(base, space50)
     # a weight depends on its concept alone: add a concept, also a longer one
     for extra in ("w30", "w30 w31 w32 w33 w34"):
-        repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name=extra)])
-        repo_big.attach_space(space50)
+        repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name=extra)], space50)
         for kernel in ("pooled", "hausdorff"):
             for title in (["w40", "w41"], ["w12"], ["w40", "w11", "w13", "w2"]):
                 query = embed_tokens(space50, title)
@@ -164,8 +159,7 @@ def test_hausdorff_rank_concepts_matches_oracle():
     sets["long"] = [space.vector(t) for t in long_words]
     assert any(len(set(v.tobytes() for v in vecs)) < len(vecs) for vecs in sets.values())
     assert {len(v) for v in sets.values()} == {1, 2, 3, 4, 5, 25}
-    repo = ConceptRepository(defs)
-    repo.attach_space(space, stops=frozenset())
+    repo = ConceptRepository(defs, space, stops=frozenset())
     for size in (1, 2, 3, 4):
         for trial in range(3):
             title = [f"w{j}" for j in rng.choice(30, size=size)]
@@ -196,8 +190,7 @@ def test_hausdorff_rank_concepts_equals_sim_hausdorff_bit_for_bit():
         picked = [f"w{j}" for j in rng.choice(np.arange(30, 80), size=int(rng.integers(2, 7)))]
         defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
         sets[f"c{i:02d}"] = np.array([space.vector(t) for t in picked], dtype=np.float64)
-    repo = ConceptRepository(defs)
-    repo.attach_space(space, stops=frozenset())
+    repo = ConceptRepository(defs, space, stops=frozenset())
     for trial in range(12):
         title = [f"w{j}" for j in rng.choice(30, size=int(rng.integers(2, 6)))]
         query = embed_tokens(space, title)
@@ -212,8 +205,8 @@ def test_hausdorff_rank_concepts_equals_sim_hausdorff_bit_for_bit():
 
 
 def test_rerank_is_bit_identical(space50):
-    repo = ConceptRepository([ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(12)])
-    repo.attach_space(space50)
+    definitions = [ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(12)]
+    repo = ConceptRepository(definitions, space50)
     query = embed_tokens(space50, ["w25"])
     first = rank_concepts(repo, query)
     second = rank_concepts(repo, query)
@@ -231,8 +224,8 @@ def tie_world(tmp_path):
     space = load_embeddings(path)
     names = {"ghost": "zzz", "m_b": "b", "k_a": "a", "z_a": "a", "c_o": "o", "a_o": "o",
              "b_b": "b", "x_o": "o", "e_a": "a q"}
-    repo = ConceptRepository([ConceptDefinition(id=c, name=n) for c, n in names.items()])
-    repo.attach_space(space, stops=frozenset())
+    definitions = [ConceptDefinition(id=c, name=n) for c, n in names.items()]
+    repo = ConceptRepository(definitions, space, stops=frozenset())
     sets = {c: [space.vector(t) for t in n.split()] for c, n in names.items() if c != "ghost"}
     return space, repo, sets
 
@@ -246,12 +239,12 @@ def test_top_r_columns_is_the_ranked_prefix_with_ties_straddling_r(tmp_path, ker
     assert [w.concept_id for w in ranked] == [c for c, _ in oracle]
     assert [w.concept_id for w in ranked][:4] == ["e_a", "k_a", "z_a", "b_b"]
     for r in range(1, len(ranked) + 2):
-        columns, weights = top_r_columns(repo, query, kernel, r)
+        columns, weights = top_r_columns(repo, query, kernel, r, DEFAULT_CONFIG.percentile)
         prefix = ranked[:r]
         assert [repo.ids()[c] for c in columns] == [w.concept_id for w in prefix]
         assert weights.tolist() == [w.weight for w in prefix]
     with pytest.raises(ValueError, match="R must be"):
-        top_r_columns(repo, query, kernel, 0)
+        top_r_columns(repo, query, kernel, 0, DEFAULT_CONFIG.percentile)
 
 
 def test_top_r_columns_orders_signed_zero_weights_by_id(tmp_path, monkeypatch):
@@ -266,14 +259,12 @@ def test_top_r_columns_orders_signed_zero_weights_by_id(tmp_path, monkeypatch):
     assert [(w.concept_id, w.weight) for w in ranked] == expected
     assert [np.signbit(w.weight) for w in ranked] == [np.signbit(w) for _, w in expected]
     for r in range(1, len(ids) + 1):
-        columns, selected = top_r_columns(repo, query, "hausdorff", r)
+        columns, selected = top_r_columns(repo, query, "hausdorff", r, DEFAULT_CONFIG.percentile)
         assert [repo.ids()[c] for c in columns] == [c for c, _ in expected[:r]]
         assert np.signbit(selected).tolist() == [bool(np.signbit(w)) for _, w in expected[:r]]
 
 
 def test_default_r_matches_reference_configuration():
-    from semvid.config import DEFAULT_CONFIG
-
     assert DEFAULT_CONFIG.top_r == 5
 
 
@@ -283,12 +274,11 @@ def test_zero_norm_pooled_concept_logged_once_and_skipped_by_pooled_kernel(tmp_p
     path = tmp_path / "vecs.txt"
     path.write_text("3 3\nnorth 1 0 0\nsouth -1 0 0\nq 0.6 0.8 0\n", encoding="utf-8")
     space = load_embeddings(path)
-    repo = ConceptRepository([
-        ConceptDefinition(id="flat", name="north south"),
-        ConceptDefinition(id="north", name="north"),
-    ])
     with caplog.at_level("WARNING"):
-        repo.attach_space(space)
+        repo = ConceptRepository([
+            ConceptDefinition(id="flat", name="north south"),
+            ConceptDefinition(id="north", name="north"),
+        ], space)
     assert sum("flat" in message for message in caplog.messages) == 1
     assert repo.scoreable_ids() == ["flat", "north"]
 
@@ -321,7 +311,7 @@ def test_load_rejects_non_string_fields_with_file_and_entry(tmp_path, entry, fie
 
 
 def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
-    # attach_space adds one word position at a time to the concepts that
+    # the constructor adds one word position at a time to the concepts that
     # have it; every pooled row must have the bits sum_pool gives that
     # concept's own word vectors, for any word count (signed zeros too),
     # also next to one concept far longer than the rest
@@ -340,8 +330,7 @@ def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
     definitions.append(ConceptDefinition(id="neg", name="w3"))
     words = [tokens[j] for j in rng.choice(len(tokens), size=40, replace=False)]
     definitions.append(ConceptDefinition(id="long", name=words[0], keywords=tuple(words[1:])))
-    repo = ConceptRepository(definitions)
-    repo.attach_space(space, stops=frozenset())
+    repo = ConceptRepository(definitions, space, stops=frozenset())
     ids = [repo.ids()[c] for c in repo._pooled_index[0]]  # the pooled rows' concepts
     assert len(ids) == len(definitions)
     by_id = {d.id: d for d in definitions}
@@ -364,7 +353,7 @@ def test_top_r_columns_selects_the_ranked_prefix_of_any_weights(tmp_path, monkey
     query = embed_tokens(space, ["q"])
     ranked = rank_concepts(repo, query, "hausdorff")
     for r in range(1, len(ids) + 2):
-        columns, selected = top_r_columns(repo, query, "hausdorff", r)
+        columns, selected = top_r_columns(repo, query, "hausdorff", r, DEFAULT_CONFIG.percentile)
         assert [repo.ids()[c] for c in columns] == [w.concept_id for w in ranked[:r]]
         assert selected.tobytes() == np.array([w.weight for w in ranked[:r]]).tobytes()
 
@@ -392,7 +381,7 @@ def test_rank_concepts_is_top_r_columns_over_every_r(tmp_path, kernel, nan_ids):
     assert sorted(c for c, _ in ranked) == sorted(repo.scoreable_ids())
     assert [c for c, w in ranked if math.isnan(w)] == sorted(nan_ids)
     for r in range(1, len(ranked) + 2):
-        columns, weights = top_r_columns(repo, query, kernel, r)
+        columns, weights = top_r_columns(repo, query, kernel, r, DEFAULT_CONFIG.percentile)
         assert [repo.ids()[c] for c in columns] == [c for c, _ in ranked[:r]]
         assert weights.tobytes() == np.array([w for _, w in ranked[:r]]).tobytes()
 
@@ -401,7 +390,6 @@ def test_rank_concepts_is_top_r_columns_over_every_r(tmp_path, kernel, nan_ids):
 def test_rank_concepts_without_scoreable_concepts_raises(tiny_space, kernel):
     query = embed_tokens(tiny_space, tiny_space.tokens()[:1])
     for definitions in ([], [ConceptDefinition(id="ghost", name="zzzqqq")]):
-        repo = ConceptRepository(definitions)
-        repo.attach_space(tiny_space)
+        repo = ConceptRepository(definitions, tiny_space)
         with pytest.raises(NoScoreableConcepts, match="no scoreable concepts"):
             rank_concepts(repo, query, kernel)

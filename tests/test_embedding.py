@@ -164,10 +164,10 @@ def test_space_built_in_code_equals_the_same_rows_loaded(tmp_path, monkeypatch, 
     assert matrix.tobytes() == given.tobytes()  # the space normalized a copy
     assert built._matrix[::3].tobytes() == matrix[::3].tobytes()
     np.testing.assert_allclose(built._norms, 1.0, rtol=0, atol=1e-6)
-    for value in (0.0, np.nan, np.inf):
+    for value, what in ((0.0, "zero-norm"), (np.nan, "non-finite"), (np.inf, "non-finite")):
         rows = matrix.copy()
         rows[5] = value
-        with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'w5'"):
+        with pytest.raises(EmbeddingFormatError, match=f"{what} vector for token 'w5'"):
             EmbeddingSpace(tokens, rows)
 
 
@@ -184,6 +184,12 @@ def test_space_takes_a_nested_list_matrix_as_its_array():
     space = EmbeddingSpace(["a", "b"], rows)
     assert space._matrix.tobytes() == EmbeddingSpace(["a", "b"], np.array(rows))._matrix.tobytes()
     assert space.tokens() == ["a", "b"]
+
+
+def test_space_names_a_nested_list_none_as_not_finite():
+    # a None becomes NaN in the float32 copy: not a number, not a zero norm
+    with pytest.raises(EmbeddingFormatError, match="non-finite vector for token 'a'"):
+        EmbeddingSpace(["a", "b"], [[1, None], [0, 1]])
 
 
 def test_space_rejects_tokens_given_as_one_string():
@@ -254,6 +260,14 @@ def test_binary_newline_convention_dedupe_and_zero_norm(tmp_path):
         np.testing.assert_array_equal(space._matrix[0], np.float32([0.6, 0.8]))
     write_binary(path, 2, [("a", [1, 0]), ("dead", [0, 0])])
     with pytest.raises(EmbeddingFormatError, match="dead"):
+        load_embeddings(path, fmt="binary")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_binary_row_that_is_not_finite_is_named(tmp_path, value):
+    path = tmp_path / "vecs.bin"
+    write_binary(path, 2, [("a", [1, 0]), ("odd", [value, 1]), ("zero", [0, 0])])
+    with pytest.raises(EmbeddingFormatError, match="non-finite vector for token 'odd'"):
         load_embeddings(path, fmt="binary")
 
 
@@ -420,6 +434,13 @@ def test_absent_token_is_explicit(tiny_space):
 
 def test_tokenize_removes_stop_words():
     assert tokenize("Grooming an Animal", frozenset({"an"})) == ["grooming", "animal"]
+
+
+def test_tokenize_rejects_stop_words_given_as_one_string():
+    # "bird sea" as a stop set would drop the substrings "a", "bird", "sea"
+    with pytest.raises(SemvidError, match="stops must be a collection of words"):
+        tokenize("a bird at sea", stops="bird sea")
+    assert tokenize("a bird at sea", stops={"bird", "sea"}) == ["a", "at"]
 
 
 def test_tokenize_splits_on_delimiters():
@@ -912,8 +933,17 @@ def test_text_row_with_overflowing_norm_is_rejected_without_warnings(tmp_path):
     path.write_text("2 2\na 1 0\nhuge 1e200 1e200\n", encoding="utf-8")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(EmbeddingFormatError, match="zero-norm vector for token 'huge'"):
+        with pytest.raises(EmbeddingFormatError, match="non-finite vector for token 'huge'"):
             load_embeddings(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_text_row_that_is_not_finite_is_named(tmp_path, value):
+    # the row is zeroed before its float32 cast, but its norm is kept
+    path = tmp_path / "vecs.txt"
+    path.write_text(f"3 2\na 1 0\nodd {value} 1\nzero 0 0\n", encoding="utf-8")
+    with pytest.raises(EmbeddingFormatError, match="non-finite vector for token 'odd'"):
+        load_embeddings(path)
 
 
 def test_text_table_that_is_not_utf8_names_its_row(tmp_path):

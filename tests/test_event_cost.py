@@ -31,9 +31,8 @@ def world(space, n_videos: int, n_concepts: int, missing_asr: bool = False):
     rng = np.random.default_rng(n_videos * 1000 + n_concepts)
     tokens = space.tokens()
     repo = ConceptRepository(
-        [ConceptDefinition(id=f"c{i:04d}", name=tokens[i]) for i in range(n_concepts)]
+        [ConceptDefinition(id=f"c{i:04d}", name=tokens[i]) for i in range(n_concepts)], space
     )
-    repo.attach_space(space)
     filler = tokens[600:]
     ocr = [" ".join(rng.choice(filler, size=4)) for _ in range(n_videos)]
     asr = [" ".join(rng.choice(filler, size=3)) for _ in range(n_videos)]

@@ -55,8 +55,7 @@ def axis_space(tmp_path):
 
 
 def make_repo(space, names):
-    repo = ConceptRepository([ConceptDefinition(id=f"c_{n}", name=n) for n in names])
-    repo.attach_space(space)
+    repo = ConceptRepository([ConceptDefinition(id=f"c_{n}", name=n) for n in names], space)
     return repo
 
 
@@ -100,8 +99,7 @@ def test_concept_raw_matches_naive_marginalization_oracle(space50):
         picked = [str(t) for t in rng.choice(tokens, size=int(rng.integers(1, 3)), replace=False)]
         defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(picked)))
         sets[f"c{i:02d}"] = [space50.vector(t) for t in picked]
-    repo = ConceptRepository(defs)
-    repo.attach_space(space50)
+    repo = ConceptRepository(defs, space50)
     order = repo.ids()
     qtokens = [str(t) for t in rng.choice(tokens, size=2, replace=False)]
     qvecs = [space50.vector(t) for t in qtokens]
@@ -357,8 +355,7 @@ def odd_world(tmp_path_factory):
     for i in range(61):
         picked = rng.choice(120, size=int(rng.integers(1, 4)), replace=False)
         defs.append(ConceptDefinition(id=f"c{i:02d}", name=" ".join(f"w{j}" for j in picked)))
-    repo = ConceptRepository(defs)
-    repo.attach_space(space)
+    repo = ConceptRepository(defs, space)
 
     def text(kind):
         words = [f"w{j}" for j in rng.integers(0, 120, size=int(rng.integers(1, 9)))]
@@ -427,12 +424,11 @@ def test_rank_event_bit_exact_under_shuffle_and_reversal(odd_world):
 
 def test_concept_weights_bit_exact_under_concept_order(odd_world):
     space, repo = odd_world[:2]
-    reversed_repo = ConceptRepository(repo.concepts[::-1])
-    reversed_repo.attach_space(space)
+    reversed_repo = ConceptRepository(repo.concepts[::-1], space)
     rng = np.random.default_rng(4)
     for _ in range(5):
-        shuffled_repo = ConceptRepository([repo.concepts[i] for i in rng.permutation(len(repo))])
-        shuffled_repo.attach_space(space)
+        shuffled = [repo.concepts[i] for i in rng.permutation(len(repo))]
+        shuffled_repo = ConceptRepository(shuffled, space)
         for title in (["w1", "w2"], ["w30"], ["w55", "w56", "w57"]):
             query = embed_tokens(space, title)
             for kernel in ("pooled", "hausdorff"):
@@ -448,7 +444,7 @@ def test_rank_event_expands_ocr_and_asr_terms_separately(odd_world, monkeypatch)
 
     def recording(term_lists, space, k):
         results = real(term_lists, space, k)
-        prepared.extend(tuple(space._tokens[rows].tolist()) for rows in results)
+        prepared.extend(tuple(space._tokens[rows].tolist()) for rows, *_ in results)
         return results
 
     monkeypatch.setattr(retrieval, "_expansions", recording)
@@ -464,8 +460,7 @@ def test_rank_events_takes_only_a_corpus_built_for_its_space(odd_world, monkeypa
     space, repo, corpus, queries = odd_world[:4]
     # the transcripts are embedded with the repository's stop list: "the"
     # counts as a transcript word only without one
-    no_stops_repo = ConceptRepository(repo.concepts)
-    no_stops_repo.attach_space(space, stops=frozenset())
+    no_stops_repo = ConceptRepository(repo.concepts, space, stops=frozenset())
     no_stops = Corpus(no_stops_repo, corpus.ids, corpus.S, corpus.ocr, corpus.asr)
     assert (no_stops.n_ocr >= corpus.n_ocr).all() and (no_stops.n_ocr > corpus.n_ocr).any()
     assert rank_event(queries[0], space, no_stops_repo, no_stops).entries != (
@@ -473,10 +468,8 @@ def test_rank_events_takes_only_a_corpus_built_for_its_space(odd_world, monkeypa
     )
 
     other_space = EmbeddingSpace(space.tokens(), space._matrix)
-    other_repo = ConceptRepository(repo.concepts)
-    other_repo.attach_space(other_space)
-    fewer = ConceptRepository(repo.concepts[:-1])
-    fewer.attach_space(space)
+    other_repo = ConceptRepository(repo.concepts, other_space)
+    fewer = ConceptRepository(repo.concepts[:-1], space)
     no_space = ConceptRepository(repo.concepts)
     for wrong in (
         list(zip(corpus.ids, corpus.S)),
@@ -487,9 +480,9 @@ def test_rank_events_takes_only_a_corpus_built_for_its_space(odd_world, monkeypa
     ):
         with pytest.raises(SemvidError, match="needs a Corpus built for this space and 61"):
             rank_events(queries, space, repo, wrong)
-    # nor with a repository attached to another space, whose concept
+    # nor with a repository embedded in another space, whose concept
     # weights would come from that space
-    with pytest.raises(SemvidError, match="and a repository attached to this space"):
+    with pytest.raises(SemvidError, match="and a repository embedded in this space"):
         rank_events(queries, space, other_repo, corpus)
 
     # a corpus is used as it was built
@@ -637,6 +630,24 @@ def test_event_id_that_breaks_a_ranked_tsv_is_rejected(tmp_path, event_id):
     assert f"{path} entry 1: event id {event_id!r} holds a tab, CR or LF" in str(info.value)
 
 
+@pytest.mark.parametrize("event_id", [5, None, ("E1",)])
+def test_event_id_that_is_not_a_string_is_rejected(event_id):
+    # load_queries and Corpus take only string ids; a number would be
+    # written into ranked.tsv and read back as text
+    with pytest.raises(SemvidError, match="event id must be a string"):
+        EventQuery(event_id, ("a",))
+
+
+def test_rank_events_rejects_an_event_id_given_twice():
+    # a ranked TSV with an event twice is one that semvid eval rejects
+    world = synth_world(seed=1)
+    query = world.queries[0]
+    other = EventQuery(query.event_id, ("ev1title0",))
+    for queries in ([query, query], [query, world.queries[1], other]):
+        with pytest.raises(SemvidError, match=f"duplicate event id '{query.event_id}'"):
+            rank_events(queries, world.space, world.repo, world.corpus)
+
+
 def test_query_requires_nonstop_title():
     with pytest.raises(SemvidError):
         EventQuery(event_id="E1", title_terms=())
@@ -667,6 +678,49 @@ def test_prepare_text_query_rejects_terms_given_as_one_string(space50):
     with pytest.raises(SemvidError, match="text query terms must be a sequence"):
         retrieval.prepare_text_query("w1", space50)
     assert retrieval.prepare_text_query(("w1",), space50).source_tokens[0] == "w1"
+
+
+@pytest.mark.parametrize("k", [-1, 2.0, "5", None])
+def test_prepare_text_query_takes_an_integer_k_of_at_least_zero(space50, k):
+    # k = -1 used to mean no expansion, and k = 2.0 failed inside numpy
+    with pytest.raises(SemvidError, match="k must be an integer >= 0"):
+        retrieval.prepare_text_query(("w1",), space50, k)
+    assert len(retrieval.prepare_text_query(("w1",), space50, np.int64(0))) == 1
+
+
+def test_prepare_text_query_resolves_its_terms_once(monkeypatch):
+    world = synth_world(seed=1)
+    terms = ("ev0title0", "zzz", "ev0title1")
+    expected = retrieval.prepare_text_query(terms, world.space)
+    calls = []
+    real = embedding._resolve
+
+    def spy(space, tokens):
+        calls.append(list(tokens))
+        return real(space, tokens)
+
+    monkeypatch.setattr(embedding, "_resolve", spy)
+    got = retrieval.prepare_text_query(terms, world.space)
+    assert calls == [list(terms)]
+    assert got.source_tokens == expected.source_tokens and got.oov == ("zzz",)
+    assert got.vectors.tobytes() == expected.vectors.tobytes()
+    assert got.source_tokens[:2] == ("ev0title0", "ev0title1") and len(got) == 2 + 5
+
+
+def test_ranking_defaults_are_those_of_the_default_config():
+    import inspect
+
+    from semvid import concepts, similarity
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    assert default(fuse, "w") == DEFAULT_CONFIG.fusion_weight
+    assert default(retrieval.prepare_text_query, "k") == DEFAULT_CONFIG.augment_k
+    assert default(concepts.rank_concepts, "kernel") == DEFAULT_CONFIG.kernel
+    assert default(concepts.rank_concepts, "percentile") == DEFAULT_CONFIG.percentile
+    assert default(similarity.sim_hausdorff, "percentile") == DEFAULT_CONFIG.percentile
+    assert default(concepts.top_r_columns, "percentile") is inspect.Parameter.empty
 
 
 def test_load_queries_names_file_and_entry_of_a_stop_word_title(tmp_path):

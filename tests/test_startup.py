@@ -80,8 +80,8 @@ def test_avg_pooling_does_not_import_numpy_ma(tmp_path):
         import sys
         from semvid.concepts import ConceptDefinition, ConceptRepository
         from semvid.videos import load_corpus
-        repo = ConceptRepository([ConceptDefinition(id=c, name=c) for c in ("c0", "c1")])
-        corpus = load_corpus("scores.jsonl", repo, mode="avg")
+        concepts = [ConceptDefinition(id=c, name=c) for c in ("c0", "c1")]
+        corpus = load_corpus("scores.jsonl", ConceptRepository(concepts), mode="avg")
         print("numpy.ma" in sys.modules, len(corpus), "numpy" in sys.modules)
 
         import numpy as np
@@ -89,7 +89,7 @@ def test_avg_pooling_does_not_import_numpy_ma(tmp_path):
         from semvid.embedding import EmbeddingSpace
         from semvid.retrieval import EventQuery, rank_events
         space = EmbeddingSpace(["c0", "c1", "x"], np.eye(3))
-        repo.attach_space(space)
+        repo = ConceptRepository(concepts, space)
         corpus = load_corpus("scores.jsonl", repo, mode="avg")
         for kernel in ("pooled", "hausdorff"):
             config = RetrievalConfig(kernel=kernel, augment_k=1)

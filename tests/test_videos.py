@@ -216,8 +216,7 @@ def test_null_transcript_is_a_missing_channel(tmp_path):
     space_path = tmp_path / "space.txt"
     space_path.write_text("3 3\nnone 1 0 0\nq 0.6 0.8 0\nc 0 0 1\n", encoding="utf-8")
     space = load_embeddings(space_path)
-    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")])
-    repo.attach_space(space)
+    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")], space)
     scores = tmp_path / "pooled.csv"
     write_lines(scores, ["video,c1", "null_ocr,0.5", "empty_ocr,0.5"])
     transcripts = tmp_path / "tr.jsonl"
@@ -241,8 +240,7 @@ def test_missing_transcripts_are_zero_rows_in_read_only_text_columns(tmp_path):
     space_path = tmp_path / "space.txt"
     space_path.write_text("3 3\nnone 1 0 0\nq 0.6 0.8 0\nc 0 0 1\n", encoding="utf-8")
     space = load_embeddings(space_path)
-    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")])
-    repo.attach_space(space)
+    repo = ConceptRepository([ConceptDefinition(id="c1", name="c")], space)
     scores = tmp_path / "pooled.csv"
     write_lines(scores, ["video,c1", "missing,0.5", "null,0.5", "empty,0.5", "oov,0.5",
                          "present,0.5"])
@@ -311,14 +309,14 @@ def test_corpus_holds_read_only_columns(repo3):
     assert corpus.S is scores  # kept without a copy, and read-only
     with pytest.raises(ValueError):
         scores[0, 0] = 0.9
-    assert corpus.P_ocr is None  # no space attached, no text columns
+    assert corpus.P_ocr is None  # a repository without a space: no text columns
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
 def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
     space = load_embeddings_text(tmp_path)
-    repo = ConceptRepository([ConceptDefinition(id=c, name=c) for c in ("one", "two", "three")])
-    repo.attach_space(space)
+    definitions = [ConceptDefinition(id=c, name=c) for c in ("one", "two", "three")]
+    repo = ConceptRepository(definitions, space)
     scores = tmp_path / f"scores{suffix}"
     if suffix == ".csv":
         write_lines(scores, ["video,three,one", "v2,0.5,0.25", "v1,1,0"])

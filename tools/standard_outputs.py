@@ -11,13 +11,20 @@ world (seeds 1, 5 and 11):
 * ``rank`` outputs (``ranked.tsv``) with both kernels: for a workload, of
   the batch and the single queries, and of the single queries expanded by
   25 words (``-k``); for a world, in both pool modes, at the fusion
-  weights 1 and 100 (``-w``) and at the expansions 0 and 25 (``-k``), so
-  that fusion and query expansion are compared away from their defaults
-  too;
+  weights 1 and 100 (``-w``) and at the expansions 0 and 25 (``-k``), and
+  with the Hausdorff kernel alone at the percentile 75 (``--percentile``),
+  so that fusion, query expansion and the Hausdorff percentile are
+  compared away from their defaults too (the percentiles 25 and 50 both
+  take the smaller of two values, and every title and concept of a world
+  has one or two words, so 25 would rank as 50 does);
 * the ``eval`` report of every ranking whose events have judgements, and
   the table ``eval`` prints, the only place its MAP and mean AUC appear;
-* ``relevance`` with both kernels, for the first query's title;
+* ``relevance`` for the first query's title with both kernels, with no
+  kernel or percentile flag (the defaults), and with the Hausdorff kernel
+  at the percentile 75;
 * the ``pool`` CSV in both modes.
+
+That is 231 files.
 
 Inputs are generated into a temporary directory, the workloads by
 ``perfbench/gen.py --out``; nothing under ``perfbench/`` is written. Every
@@ -42,6 +49,7 @@ KERNELS = ("pooled", "hausdorff")
 MODES = ("max", "avg")
 WEIGHTS = (1, 100)  # fusion weights a world is also ranked at, besides the default
 EXPANSIONS = (0, 25)  # query expansions (-k) a world is also ranked at, besides 5
+PERCENTILE = 75  # Hausdorff percentile a world is also ranked at, besides 50
 
 # one BLAS thread, as perfbench runs; no output may depend on the count
 ENV = dict(os.environ, PYTHONPATH=str(SRC),
@@ -64,12 +72,13 @@ def semvid(*args, stdout=None) -> None:
 
 def outputs(files, binary: bool, out: Path, rankings) -> None:
     """Every output of one set of input files into ``out``. ``rankings``
-    maps an output name to (query file, extra rank flags, evaluated)."""
+    maps an output name to (query file, extra rank flags, evaluated,
+    kernels)."""
     out.mkdir(parents=True, exist_ok=True)
     table = [files["embeddings"], files["concepts"]]
     flags = ["--binary"] if binary else []
-    for name, (queries, extra, evaluated) in rankings.items():
-        for kernel in KERNELS:
+    for name, (queries, extra, evaluated, kernels) in rankings.items():
+        for kernel in kernels:
             ranked = out / f"{name}-{kernel}.tsv"
             semvid("rank", *table, queries, "--scores", files["scores"],
                    "--transcripts", files["transcripts"], "--kernel", kernel,
@@ -79,9 +88,12 @@ def outputs(files, binary: bool, out: Path, rankings) -> None:
                        stdout=out / f"{name}-{kernel}.eval.txt")
     with open(files["queries"], encoding="utf-8") as fh:
         title = json.load(fh)[0]["title"]
-    for kernel in KERNELS:
-        semvid("relevance", *table, "--query", title, "--kernel", kernel, *flags,
-               stdout=out / f"relevance-{kernel}.txt")
+    relevance = {kernel: ["--kernel", kernel] for kernel in KERNELS}
+    relevance["default"] = []  # no kernel or percentile flag
+    relevance[f"hausdorff-p{PERCENTILE}"] = ["--kernel", "hausdorff", "--percentile", PERCENTILE]
+    for name, extra in relevance.items():
+        semvid("relevance", *table, "--query", title, *extra, *flags,
+               stdout=out / f"relevance-{name}.txt")
     for mode in MODES:
         semvid("pool", files["scores"], files["concepts"], "--mode", mode,
                "--out", out / f"pool-{mode}.csv")
@@ -93,8 +105,9 @@ def workload(name: str, seed: int, tmp: Path, out: Path) -> None:
          "--workload", name, "--seed", str(seed), "--out", str(data)])
     manifest = json.loads((data / "manifest.json").read_text(encoding="utf-8"))
     files = {key: str(data / path) for key, path in manifest["files"].items()}
-    rankings = {"batch": (files["queries"], [], True), "single": (files["single"], [], False),
-                "single-k25": (files["single"], ["-k", 25], False)}
+    rankings = {"batch": (files["queries"], [], True, KERNELS),
+                "single": (files["single"], [], False, KERNELS),
+                "single-k25": (files["single"], ["-k", 25], False, KERNELS)}
     outputs(files, manifest["spec"]["binary"], out / f"{name}-{seed}", rankings)
 
 
@@ -108,9 +121,11 @@ def world(seed: int, tmp: Path, out: Path) -> None:
         ("embeddings", "embeddings.txt"), ("concepts", "concepts.json"),
         ("scores", "scores.jsonl"), ("transcripts", "transcripts.jsonl"),
         ("queries", "queries.json"), ("truth", "truth.csv"))}
-    rankings = {mode: (files["queries"], ["--mode", mode], True) for mode in MODES}
-    rankings.update({f"w{w}": (files["queries"], ["-w", w], True) for w in WEIGHTS})
-    rankings.update({f"k{k}": (files["queries"], ["-k", k], True) for k in EXPANSIONS})
+    rankings = {mode: (files["queries"], ["--mode", mode], True, KERNELS) for mode in MODES}
+    rankings.update({f"w{w}": (files["queries"], ["-w", w], True, KERNELS) for w in WEIGHTS})
+    rankings.update({f"k{k}": (files["queries"], ["-k", k], True, KERNELS) for k in EXPANSIONS})
+    rankings[f"p{PERCENTILE}"] = (files["queries"], ["--percentile", PERCENTILE], True,
+                                  ("hausdorff",))
     outputs(files, False, out / f"world-{seed}", rankings)
 
 
