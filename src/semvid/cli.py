@@ -8,13 +8,13 @@ figures excepted; its synthesized data is still seeded).
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 
 from .errors import SemvidError
 
 # Each command imports what it runs and pays only its own start-up: ``eval``
-# loads no numpy, and only ``bench`` loads the bench and synth modules.
+# loads no numpy, ``logging`` or ``dataclasses``, and only ``bench`` loads the
+# bench and synth modules.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -32,7 +32,7 @@ def _build_parser() -> _Parser:
     pool = sub.add_parser("pool", help="pool score tracks into a pre-pooled CSV")
     pool.add_argument("scores", help="score JSONL file")
     pool.add_argument("concepts", help="concept repository JSON")
-    pool.add_argument("--mode", choices=["max", "avg"], default="max")
+    pool.add_argument("--mode", choices=["max", "avg"], help="default: the config's mode")
     pool.add_argument("--out", required=True, help="output CSV path")
 
     rel = sub.add_parser("relevance", help="rank concepts by relevance to a query")
@@ -90,10 +90,11 @@ def _cmd_pool(args) -> int:
     import csv
 
     from .concepts import load_concepts
+    from .config import DEFAULT_CONFIG
     from .videos import load_corpus
 
     repo = load_concepts(args.concepts)
-    corpus = load_corpus(args.scores, repo, mode=args.mode)
+    corpus = load_corpus(args.scores, repo, mode=args.mode or DEFAULT_CONFIG.mode)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")  # quotes an id holding , or "
         writer.writerow(["video", *repo.ids()])
@@ -199,10 +200,13 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command != "eval":  # eval logs nothing and never imports logging
+            import logging
+
+            logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
         return _COMMANDS[args.command](args)
     except (SemvidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

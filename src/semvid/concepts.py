@@ -240,6 +240,8 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
 def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
     """The score columns of the kernel's scoreable concepts, their
     positions in sorted id order, and their weights."""
+    if repo.space is None:
+        raise ValueError("the concept repository is not embedded in a space, so it cannot rank")
     if kernel == "pooled":
         pooled = sum_pool(query)
         norm = _norm(pooled)

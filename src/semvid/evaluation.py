@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EvaluationError, open_utf8
 from .ranked import RankedList
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """(event id, video id) -> 1 or 0. Unlisted pairs are unjudged."""
+class GroundTruth(namedtuple("GroundTruth", "labels")):
+    """``labels`` maps (event id, video id) to 1 or 0. Unlisted pairs are
+    unjudged. This and the report types are named tuples, which ``semvid
+    eval`` builds without importing ``dataclasses``."""
 
-    labels: dict[tuple[str, str], int]
+    __slots__ = ()
 
     def __contains__(self, key) -> bool:
         return key in self.labels
@@ -32,26 +33,31 @@ class GroundTruth:
         return sorted({event for event, _ in self.labels})
 
 
+_LABELS = {"0": 0, "1": 1}
+
+
 def load_truth(path) -> GroundTruth:
     """CSV with columns event_id, video_id, label (1 or 0); the header row
-    is optional."""
+    is optional. Lines are counted as ``csv.reader`` records."""
     labels: dict[tuple[str, str], int] = {}
     with open_utf8(path, EvaluationError, csv=True) as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
             if len(row) != 3:
+                if not row:
+                    continue
                 raise EvaluationError(f"{path} line {lineno}: expected 3 CSV columns")
-            event_id, video_id, label = (field.strip() for field in row)
-            if lineno == 1 and label.lower() == "label":
-                continue
-            if label not in ("0", "1"):
+            event_id, video_id, label = row
+            value = _LABELS.get(label.strip())
+            if value is None:
+                label = label.strip()
+                if lineno == 1 and label.lower() == "label":
+                    continue
                 raise EvaluationError(f"{path} line {lineno}: label must be 0 or 1, got {label!r}")
-            key = (event_id, video_id)
+            key = (event_id.strip(), video_id.strip())
             if key in labels:
                 raise EvaluationError(f"{path} line {lineno}: duplicate label for {key}")
-            labels[key] = int(label)
-    return GroundTruth(labels=labels)
+            labels[key] = value
+    return GroundTruth(labels)
 
 
 def _labeled(ranked: RankedList, truth: GroundTruth):
@@ -128,20 +134,14 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-@dataclass(frozen=True)
-class EventResult:
-    event_id: str
-    ap: float
-    auc: float
-    n_videos: int
-    n_positives: int
+class EventResult(namedtuple("EventResult", "event_id ap auc n_videos n_positives")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    per_event: tuple[EventResult, ...]
-    mean_ap: float
-    mean_auc: float
+class EvaluationReport(namedtuple("EvaluationReport", "per_event mean_ap mean_auc")):
+    """``per_event`` holds one EventResult per ranked event, in run order."""
+
+    __slots__ = ()
 
 
 def evaluate(runs: list[RankedList], truth: GroundTruth) -> EvaluationReport:

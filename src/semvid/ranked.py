@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import SemvidError, open_utf8
 
@@ -16,15 +16,20 @@ def tsv_id(value, what: str, error=SemvidError):
     return value
 
 
-@dataclass(frozen=True)
-class RankedList:
-    event_id: str
-    entries: tuple[tuple[str, float], ...]  # (video id, fused score), descending
+class RankedList(namedtuple("RankedList", "event_id entries")):
+    """One event's ranking: ``entries`` holds (video id, fused score)
+    pairs, descending. A named tuple, since ``dataclasses`` would cost
+    ``semvid eval`` its import of ``inspect``."""
+
+    __slots__ = ()
+
+
+_HEADER = "event_id\trank\tvideo_id\tscore"
 
 
 def write_ranked_tsv(ranked_lists, fh) -> None:
     """TSV: event_id, rank, video_id, score (six decimal places)."""
-    fh.write("event_id\trank\tvideo_id\tscore\n")
+    fh.write(_HEADER + "\n")
     for ranked in ranked_lists:
         for position, (video_id, score) in enumerate(ranked.entries, start=1):
             fh.write(f"{ranked.event_id}\t{position}\t{video_id}\t{score:.6f}\n")
@@ -33,20 +38,22 @@ def write_ranked_tsv(ranked_lists, fh) -> None:
 def read_ranked_tsv(path) -> list[RankedList]:
     """Read the TSV back into RankedLists (entry order is authoritative). A
     score that is not a number, or a video listed twice under one event, is
-    an error naming the file and line."""
+    an error naming the file and line. A header row is skipped wherever it
+    stands; an event whose lines are split into runs is one RankedList."""
     per_event: dict[str, dict[str, float]] = {}  # in first-seen order
+    event_id = entries = None  # the event of the last line, and its entries
     with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if parts == ["event_id", "rank", "video_id", "score"]:
-                continue
+            parts = line.split("\t")  # the score keeps the line's "\n"
             if len(parts) != 4:
+                if line == "\n":
+                    continue
                 raise SemvidError(f"{path} line {lineno}: expected 4 TSV columns")
-            event_id, _, video_id, score = parts
-            entries = per_event.setdefault(event_id, {})
+            event, _, video_id, score = parts
+            if event == "event_id" and line.rstrip("\n") == _HEADER:
+                continue
+            if event != event_id:
+                event_id, entries = event, per_event.setdefault(event, {})
             if video_id in entries:
                 raise SemvidError(
                     f"{path} line {lineno}: video {video_id!r} ranked twice for event {event_id!r}"
@@ -54,5 +61,6 @@ def read_ranked_tsv(path) -> list[RankedList]:
             try:
                 entries[video_id] = float(score)
             except ValueError:
+                score = score.rstrip("\n")
                 raise SemvidError(f"{path} line {lineno}: non-numeric score {score!r}") from None
-    return [RankedList(event_id=e, entries=tuple(v.items())) for e, v in per_event.items()]
+    return [RankedList(e, tuple(v.items())) for e, v in per_event.items()]

@@ -18,6 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .concepts import ConceptRepository
+from .config import DEFAULT_CONFIG
 from .embedding import pool_texts
 from .errors import ConceptFormatError, IngestError, checked_sequence, open_utf8
 from .ranked import tsv_id
@@ -362,7 +363,7 @@ def load_corpus(
     score_path,
     repo: ConceptRepository,
     transcript_path=None,
-    mode: str = "max",
+    mode: str = DEFAULT_CONFIG.mode,
 ) -> Corpus:
     """The corpus of every video appearing in either input file.
 

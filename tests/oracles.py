@@ -7,6 +7,7 @@ sums) are checked against a second route.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import re
@@ -15,7 +16,16 @@ import struct
 import numpy as np
 
 from semvid.embedding import tokenize
-from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError
+from semvid.errors import (
+    ConceptFormatError,
+    EmbeddingFormatError,
+    EvaluationError,
+    IngestError,
+    SemvidError,
+    open_utf8,
+)
+from semvid.evaluation import GroundTruth
+from semvid.ranked import RankedList
 
 
 def cosine_oracle(x, y) -> float:
@@ -500,3 +510,52 @@ def rank_sum_auc_oracle(scores, labels) -> float:
     negatives = len(labels) - positives
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - positives * (positives + 1) / 2.0) / (positives * negatives)
+
+
+def ranked_tsv_oracle(path) -> list[RankedList]:
+    """``read_ranked_tsv`` line by line: each line stripped, split and
+    compared with the header, and its event's entries looked up anew."""
+    per_event: dict[str, dict[str, float]] = {}  # in first-seen order
+    with open_utf8(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if parts == ["event_id", "rank", "video_id", "score"]:
+                continue
+            if len(parts) != 4:
+                raise SemvidError(f"{path} line {lineno}: expected 4 TSV columns")
+            event_id, _, video_id, score = parts
+            entries = per_event.setdefault(event_id, {})
+            if video_id in entries:
+                raise SemvidError(
+                    f"{path} line {lineno}: video {video_id!r} ranked twice for event {event_id!r}"
+                )
+            try:
+                entries[video_id] = float(score)
+            except ValueError:
+                raise SemvidError(f"{path} line {lineno}: non-numeric score {score!r}") from None
+    return [RankedList(event_id=e, entries=tuple(v.items())) for e, v in per_event.items()]
+
+
+def truth_csv_oracle(path) -> GroundTruth:
+    """``load_truth`` record by record: every field stripped first, then
+    the header, the label and the repeated pair checked in turn."""
+    labels: dict[tuple[str, str], int] = {}
+    with open_utf8(path, EvaluationError, csv=True) as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise EvaluationError(f"{path} line {lineno}: expected 3 CSV columns")
+            event_id, video_id, label = (field.strip() for field in row)
+            if lineno == 1 and label.lower() == "label":
+                continue
+            if label not in ("0", "1"):
+                raise EvaluationError(f"{path} line {lineno}: label must be 0 or 1, got {label!r}")
+            key = (event_id, video_id)
+            if key in labels:
+                raise EvaluationError(f"{path} line {lineno}: duplicate label for {key}")
+            labels[key] = int(label)
+    return GroundTruth(labels=labels)

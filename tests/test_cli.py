@@ -146,6 +146,26 @@ def test_rank_deterministic_and_matches_library(world_dir, tmp_path):
         assert [v for v, _ in got.entries] == [v for v, _ in expected.entries]
 
 
+def test_rank_warning_reaches_stderr(world_dir, tmp_path):
+    # a fresh process: in this one the test runner's log capture holds the
+    # root logger, so only a child shows what the command sets up
+    _, paths = world_dir
+    definitions = json.loads(Path(paths["concepts"]).read_text(encoding="utf-8"))
+    concepts = tmp_path / "concepts.json"
+    concepts.write_text(json.dumps(definitions + [{"id": "ghost", "name": "zzzqqq"}]),
+                        encoding="utf-8")
+    src = str(Path(semvid.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "semvid.cli", "rank", paths["embeddings"], str(concepts),
+         paths["queries"], "--scores", paths["scores"], "--out", str(tmp_path / "ranked.tsv")],
+        env=dict(os.environ, PYTHONPATH=src), check=True, capture_output=True, text=True,
+    )
+    assert done.stderr == (
+        f"WARNING 1 of {len(definitions) + 1} concepts fully out of vocabulary, "
+        "excluded from scoring: ['ghost']\n"
+    )
+
+
 def shuffled_lines(source, target, rng, header=False):
     """``source``'s lines in a seeded random order (a header line stays first)."""
     lines = Path(source).read_text(encoding="utf-8").splitlines(keepends=True)

@@ -393,3 +393,17 @@ def test_rank_concepts_without_scoreable_concepts_raises(tiny_space, kernel):
         repo = ConceptRepository(definitions, tiny_space)
         with pytest.raises(NoScoreableConcepts, match="no scoreable concepts"):
             rank_concepts(repo, query, kernel)
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+def test_rank_concepts_names_a_missing_space(tiny_space, kernel):
+    # a repository built without a space has every concept scoreable but
+    # no kernel matrices: the error names the space, not the concepts
+    definitions = [ConceptDefinition(id=t, name=t) for t in tiny_space.tokens()[:3]]
+    repo = ConceptRepository(definitions)
+    assert repo.unscoreable == () and repo.scoreable_ids() == repo.ids()
+    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])
+    with pytest.raises(ValueError, match="not embedded in a space"):
+        rank_concepts(repo, query, kernel)
+    with pytest.raises(ValueError, match="not embedded in a space"):
+        top_r_columns(repo, query, kernel, 2, DEFAULT_CONFIG.percentile)

@@ -3,6 +3,8 @@ import pytest
 
 from semvid.errors import EvaluationError
 from semvid.evaluation import (
+    EvaluationReport,
+    EventResult,
     GroundTruth,
     average_precision,
     evaluate,
@@ -188,3 +190,31 @@ def test_load_truth_rejects_bad_label(tmp_path):
     path.write_text("e1,v1,2\n", encoding="utf-8")
     with pytest.raises(EvaluationError, match="label"):
         load_truth(path)
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        (RankedList, {"event_id": "e", "entries": (("v1", 0.5), ("v2", 0.25))}),
+        (GroundTruth, {"labels": {("e", "v1"): 1}}),
+        (EventResult, {"event_id": "e", "ap": 0.5, "auc": 0.75, "n_videos": 4, "n_positives": 2}),
+        (EvaluationReport, {"per_event": (), "mean_ap": 0.5, "mean_auc": 0.75}),
+    ],
+)
+def test_record_types_build_compare_print_and_stay_frozen(kind, fields):
+    record = kind(**fields)
+    assert [getattr(record, name) for name in fields] == list(fields.values())
+    assert record == kind(*fields.values())
+    assert record != kind(**dict(fields, **{next(iter(fields)): "other"}))
+    listed = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(record) == f"{kind.__name__}({listed})"
+    for name in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+def test_ground_truth_methods():
+    truth = GroundTruth(labels={("e2", "v1"): 1, ("e1", "v1"): 0, ("e2", "v3"): 0})
+    assert ("e1", "v1") in truth and ("e1", "v3") not in truth
+    assert truth.label("e2", "v1") == 1
+    assert truth.events() == ["e1", "e2"]
