@@ -3,7 +3,10 @@
 Ranking cost should grow about linearly with the corpus, so the headline
 figure is the ratio of wall times between consecutive (doubled) sizes.
 Synthesized data is seeded; timings are reported as min and median over
-the repeats, with the ratio taken on the min.
+the repeats, with the ratio taken on the min. Each repeat is a round that
+ranks every size once, in turn, so no size is timed right after itself
+with its columns still in cache, and a slow stretch of the run (a
+collector pass) costs one round rather than every repeat of one size.
 """
 
 from __future__ import annotations
@@ -50,21 +53,17 @@ def run_bench(
     space, repo, corpus, query = setups[0][1]
     rank_event(query, space, repo, corpus)  # untimed warm-up
 
-    rows: list[BenchRow] = []
-    prev_min: float | None = None
-    for n, (space, repo, corpus, query) in setups:
-        times = []
-        for _ in range(repeat):
+    times: list[list[float]] = [[] for _ in setups]
+    for _ in range(repeat):  # one round ranks every size once, in turn
+        for (_, (space, repo, corpus, query)), taken in zip(setups, times):
             start = time.perf_counter()
             rank_event(query, space, repo, corpus)
-            times.append(time.perf_counter() - start)
-        lo = min(times)
-        ratio = None if prev_min is None else lo / prev_min
-        rows.append(
-            BenchRow(n_videos=n, min_seconds=lo, median_seconds=statistics.median(times),
-                     ratio_vs_previous=ratio)
-        )
-        prev_min = lo
+            taken.append(time.perf_counter() - start)
+
+    rows: list[BenchRow] = []
+    for (n, _), taken in zip(setups, times):
+        ratio = min(taken) / rows[-1].min_seconds if rows else None
+        rows.append(BenchRow(n, min(taken), statistics.median(taken), ratio))
     return rows
 
 

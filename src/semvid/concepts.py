@@ -34,10 +34,27 @@ KINDS = ("object", "scene", "action")
 
 @dataclass(frozen=True)
 class ConceptDefinition:
+    """A concept. The id and name are strings, the name not blank, ``kind``
+    one of :data:`KINDS` and ``keywords`` a list or tuple of strings, kept
+    as a tuple; anything else raises :class:`ConceptFormatError`."""
+
     id: str
     name: str
     keywords: tuple[str, ...] = ()
     kind: str = "object"
+
+    def __post_init__(self):
+        cid = checked_string(self.id, "concept id", ConceptFormatError)
+        name = checked_string(self.name, f"concept {cid!r} name", ConceptFormatError)
+        if not name.strip():
+            raise ConceptFormatError(f"concept {cid!r} has an empty name")
+        if self.kind not in KINDS:
+            raise ConceptFormatError(f"concept {cid!r} has unknown kind {self.kind!r}")
+        if not isinstance(self.keywords, (list, tuple)):
+            raise ConceptFormatError(f"concept {cid!r} keywords must be a list, got {self.keywords!r}")
+        what = f"concept {cid!r} keyword"
+        keywords = tuple(checked_string(k, what, ConceptFormatError) for k in self.keywords)
+        object.__setattr__(self, "keywords", keywords)
 
 
 @dataclass(frozen=True)
@@ -94,9 +111,10 @@ class ConceptRepository:
         sizes = np.array([len(vectors) for vectors in sets], dtype=np.intp)
         vectors = np.vstack(sets) if sets else np.zeros((0, space.dimension))
 
-        # pooled kernel: each concept's vectors summed row after row, as
-        # sum_pool does, and the norms of those sums
-        pooled = _sum_sets(vectors, sizes)
+        # pooled kernel: each concept's sum_pool, and the norms of those sums
+        pooled = np.empty((len(sets), space.dimension))
+        for i, words in enumerate(sets):
+            pooled[i] = sum_pool(words)
         norms = _dot_norms(pooled)
         keep = norms != 0.0
         skipped = [c for c, kept in zip(ids, keep) if not kept]
@@ -133,20 +151,6 @@ class ConceptRepository:
         return [c.id for c in self.concepts if c.id not in unscoreable]
 
 
-def _sum_sets(vectors: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """The sum of each set of rows stored back to back in ``vectors``, with
-    ``sizes`` rows each (>= 1), bit for bit as :func:`sum_pool` gives it:
-    from zero, adding the set's rows in order. The sets that have a j-th
-    row add it in one call, so the work is one add per row of ``vectors``."""
-    starts = np.cumsum(sizes) - sizes
-    sums = vectors[starts]
-    sums += 0.0  # from zero, as sum_pool adds: 0.0 + -0.0 is 0.0
-    for j in range(1, int(sizes.max(initial=1))):
-        longer = np.flatnonzero(sizes > j)  # the sets that have a j-th row
-        sums[longer] += vectors[starts[longer] + j]
-    return sums
-
-
 def _id_columns(repo: ConceptRepository, ids):
     """The score column of each of ``ids`` and its position in sorted id
     order (the integer tie-break key of a concept ranking)."""
@@ -168,9 +172,8 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
     """Read a concept repository from a JSON array of
     {"id", "name", "keywords"?, "kind"} objects.
 
-    The id and name are strings and the keywords a list of strings; anything
-    else (a null, a number) is rejected with the file and the entry's index
-    in the array rather than read as text.
+    Each entry is checked as a :class:`ConceptDefinition`; a bad field or a
+    repeated id is rejected with the file and the entry's index in the array.
     """
     try:
         with open_utf8(path, ConceptFormatError) as fh:
@@ -186,24 +189,16 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "id" not in entry or "name" not in entry:
             raise ConceptFormatError(f"{where}: concept entry missing id/name: {entry!r}")
-        cid = checked_string(entry["id"], f"{where}: concept id", ConceptFormatError)
-        if cid in seen:
-            raise ConceptFormatError(f"{where}: duplicate concept id {cid!r}")
-        seen.add(cid)
-        name = checked_string(entry["name"], f"{where}: concept {cid!r} name", ConceptFormatError)
-        if not name.strip():
-            raise ConceptFormatError(f"{where}: concept {cid!r} has an empty name")
-        kind = entry.get("kind", "object")
-        if kind not in KINDS:
-            raise ConceptFormatError(f"{where}: concept {cid!r} has unknown kind {kind!r}")
-        keywords = entry.get("keywords", [])
-        if not isinstance(keywords, list):
-            raise ConceptFormatError(
-                f"{where}: concept {cid!r} keywords must be a list, got {keywords!r}"
+        try:
+            concept = ConceptDefinition(
+                **{key: entry[key] for key in ("id", "name", "keywords", "kind") if key in entry}
             )
-        what = f"{where}: concept {cid!r} keyword"
-        keywords = tuple(checked_string(k, what, ConceptFormatError) for k in keywords)
-        concepts.append(ConceptDefinition(id=cid, name=name, keywords=keywords, kind=kind))
+        except ConceptFormatError as exc:
+            raise ConceptFormatError(f"{where}: {exc}") from None
+        if concept.id in seen:
+            raise ConceptFormatError(f"{where}: duplicate concept id {concept.id!r}")
+        seen.add(concept.id)
+        concepts.append(concept)
 
     return ConceptRepository(concepts, space, stops)
 

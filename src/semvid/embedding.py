@@ -582,13 +582,17 @@ def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STO
         rows = _resolve(space, tokenize(text, stops))[0]
         if rows:
             counts[i] = len(rows)
-            np.add.reduce(space._matrix[rows], axis=0, dtype=np.float64, out=pooled[i])
+            pooled[i] = sum_pool(space._matrix[rows])
     return pooled, counts
 
 
 def sum_pool(embedded: EmbeddedSet | np.ndarray) -> np.ndarray:
-    """Component-wise sum of a vector set; the result is not renormalized."""
-    vectors = embedded.vectors if isinstance(embedded, EmbeddedSet) else np.asarray(embedded)
+    """Component-wise float64 sum of a vector set, not renormalized: every
+    word set (concept, transcript, query) is pooled here, its rows added in
+    order from zero, so float32 table rows and their float64 copies give
+    the same bits."""
+    vectors = embedded.vectors if isinstance(embedded, EmbeddedSet) else embedded
+    vectors = np.ascontiguousarray(vectors)  # numpy sums a column-major set's rows pairwise
     if vectors.shape[0] == 0:
         raise ZeroNormError("cannot pool an empty vector set")
     return vectors.sum(axis=0, dtype=np.float64)

@@ -36,6 +36,7 @@ from .embedding import (
     _norm,
     _resolve_some,
     embed_tokens,
+    sum_pool,
     tokenize,
 )
 from .errors import SemvidError, checked_sequence, checked_string, open_utf8
@@ -88,11 +89,6 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "event" not in entry or "title" not in entry:
             raise SemvidError(f"{where}: query entry missing event/title: {entry!r}")
-        what = f"{where}: event id"
-        event_id = tsv_id(checked_string(entry["event"], what), what)
-        if event_id in seen:
-            raise SemvidError(f"{where}: duplicate event id {event_id!r}")
-        seen.add(event_id)
 
         def _terms(key):
             terms = entry.get(key, [])
@@ -105,9 +101,14 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
 
         title = tuple(tokenize(checked_string(entry["title"], f"{where}: title"), stops))
         ocr_terms, asr_terms = _terms("ocr_terms"), _terms("asr_terms")
-        if not title:
-            raise SemvidError(f"{where}: event {event_id!r}: no title terms after stop-word removal")
-        queries.append(EventQuery(event_id, title, ocr_terms, asr_terms))
+        try:
+            query = EventQuery(entry["event"], title, ocr_terms, asr_terms)
+        except SemvidError as exc:
+            raise SemvidError(f"{where}: {exc}") from None
+        if query.event_id in seen:
+            raise SemvidError(f"{where}: duplicate event id {query.event_id!r}")
+        seen.add(query.event_id)
+        queries.append(query)
     return queries
 
 
@@ -149,7 +150,7 @@ def _expansions(term_lists, space: EmbeddingSpace, k: int):
     found = [rows for rows, *_ in resolutions]
     expand, points, norms = [], [], []
     for i, rows in enumerate(found if k > 0 else ()):
-        point = matrix[rows].astype(np.float64).sum(axis=0)  # sum_pool of the set
+        point = sum_pool(matrix[rows])
         norm = _norm(point)
         if norm == 0.0:
             log.warning("text query %s pools to zero norm, skipping augmentation",
@@ -217,8 +218,8 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
         for extra in (query.ocr_terms, query.asr_terms):
             terms.setdefault(query.title_terms + extra)
     matrix = space._matrix
-    prepared = {  # each query set as its (sum, size) pair, summed as sum_pool does
-        t: (matrix[rows].astype(np.float64).sum(axis=0), len(rows))
+    prepared = {  # each query set as its (sum, size) pair
+        t: (sum_pool(matrix[rows]), len(rows))
         for t, (rows, *_) in zip(terms, _expansions(list(terms), space, config.augment_k))
     }
     return [

@@ -22,7 +22,7 @@ import numpy as np
 from . import kernels
 from .concepts import lower_percentile_index
 from .config import DEFAULT_CONFIG
-from .embedding import EmbeddedSet
+from .embedding import EmbeddedSet, sum_pool
 from .errors import ZeroNormError
 
 
@@ -44,7 +44,7 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
 def sim_pooled(x, y) -> float:
     """Cosine of the two sum-pooled vectors."""
     xs, ys = _vectors(x), _vectors(y)
-    return _cosine(xs.sum(axis=0), ys.sum(axis=0))
+    return _cosine(sum_pool(xs), sum_pool(ys))
 
 
 def sim_hausdorff(x, y, percentile: float = DEFAULT_CONFIG.percentile) -> float:

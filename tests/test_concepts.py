@@ -15,7 +15,7 @@ from semvid.config import DEFAULT_CONFIG
 from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool
 from semvid.errors import ConceptFormatError, NoScoreableConcepts
 import semvid.concepts as concepts
-from semvid.synth import random_space
+from semvid.synth import random_space, synth_world
 from oracles import concept_rank_oracle
 
 
@@ -310,11 +310,41 @@ def test_load_rejects_non_string_fields_with_file_and_entry(tmp_path, entry, fie
     assert str(path) in message and "entry 1" in message and field in message
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"id": "c9", "name": "ev0con0", "keywords": "ev0syn0"},
+     "concept 'c9' keywords must be a list, got 'ev0syn0'"),
+    ({"id": 5, "name": "ev0con0"}, "concept id must be a string, got 5"),
+    ({"id": "c9", "name": "ev0con0", "kind": "thing"}, "concept 'c9' has unknown kind 'thing'"),
+    ({"id": "c9", "name": None}, "concept 'c9' name must be a string, got None"),
+], ids=["keywords-string", "id-number", "unknown-kind", "name-none"])
+def test_concept_definition_checks_its_own_fields(tmp_path, fields, message):
+    # keywords given as one string used to be embedded one character per
+    # token, a number id and an unknown kind were kept, and a null name
+    # failed inside tokenize; load_concepts reports the same message with
+    # its file and entry
+    world = synth_world(seed=1)
+    with pytest.raises(ConceptFormatError) as info:
+        ConceptRepository([*world.repo.concepts, ConceptDefinition(**fields)], world.space)
+    assert str(info.value) == message
+    path = write_concepts(tmp_path, [{"id": "c1", "name": "a"}, fields])
+    with pytest.raises(ConceptFormatError) as info:
+        load_concepts(path, world.space)
+    assert str(info.value) == f"{path} entry 1: {message}"
+
+
+def test_concept_definition_keeps_keywords_as_a_tuple_and_rejects_a_blank_name():
+    assert ConceptDefinition("c1", "a", ["b", "c"]).keywords == ("b", "c")
+    with pytest.raises(ConceptFormatError, match="concept 'c1' has an empty name"):
+        ConceptDefinition("c1", " \t")
+    with pytest.raises(ConceptFormatError, match="concept 'c1' keyword must be a string, got None"):
+        ConceptDefinition("c1", "a", ("b", None))
+
+
 def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
-    # the constructor adds one word position at a time to the concepts that
-    # have it; every pooled row must have the bits sum_pool gives that
-    # concept's own word vectors, for any word count (signed zeros too),
-    # also next to one concept far longer than the rest
+    # the constructor pools each concept's float64 word vectors with
+    # sum_pool; every pooled row must have the bits sum_pool gives the set
+    # embed_tokens builds from the concept's words, for any word count
+    # (signed zeros too), also next to one concept far longer than the rest
     rng = np.random.default_rng(21)
     space = random_space(rng, 120, 16)
     matrix = space._matrix.copy()

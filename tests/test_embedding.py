@@ -1,11 +1,14 @@
+import ast
 import os
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semvid
 import semvid.embedding as embedding
 from semvid.embedding import (
     EmbeddedSet,
@@ -536,9 +539,114 @@ def test_sum_pool_permutation_invariant():
     np.testing.assert_allclose(sum_pool(vectors), sum_pool(shuffled), atol=1e-12)
 
 
+def test_sum_pool_adds_the_rows_in_order_from_zero_whatever_their_layout():
+    # numpy sums a column-major array over axis 0 pairwise, which differs
+    # from adding the rows in order in the last bits
+    rng = np.random.default_rng(13)
+    vectors = rng.standard_normal((40, 300))
+    in_order = np.zeros(300)
+    for row in vectors:
+        in_order += row
+    column_major = np.asfortranarray(vectors)
+    strided = np.zeros((80, 300))
+    strided[::2] = vectors
+    for layout in (vectors, column_major, EmbeddedSet(column_major, ()), strided[::2]):
+        assert sum_pool(layout).tobytes() == in_order.tobytes()
+
+
 def test_sum_pool_empty_set_error():
     with pytest.raises(ZeroNormError):
         sum_pool(np.empty((0, 3)))
+
+
+def test_pool_texts_rows_are_sum_pool_of_their_words_bit_for_bit():
+    # a transcript row has the bits sum_pool gives the float64 set of its
+    # words, as a concept or a query of the same words gets them; every
+    # table row holds -0.0 in column 0, which a sum from zero makes +0.0
+    rng = np.random.default_rng(5)
+    matrix = random_space(rng, 60, 12)._matrix.copy()
+    matrix[:, 0] = -0.0
+    space = EmbeddingSpace([f"w{i}" for i in range(60)], matrix)
+    assert np.signbit(space._matrix[:, 0]).all()
+    tokens = space.tokens()
+    texts = [" ".join(tokens[j] for j in rng.choice(60, size=n)) for n in range(1, 30)]
+    texts += ["w7", "", "zzz w3 zzz"]
+    pooled, counts = pool_texts(space, texts, frozenset())
+    for row, text, count in zip(pooled, texts, counts):
+        words = tokenize(text, frozenset())
+        expected = sum_pool(embed_tokens(space, words)) if count else np.zeros(12)
+        assert row.tobytes() == expected.tobytes(), text
+    assert counts[-3:].tolist() == [1, 0, 1]
+    assert not np.signbit(pooled[:, 0]).any()
+
+
+def _pool_sites(tree: ast.AST):
+    """(enclosing function or None, line, text) of every sum over axis 0:
+    ``.sum`` or ``np.sum`` given axis 0, and ``np.add.reduce``, whose axis
+    is 0 unless given."""
+    owner = {}
+    for node in ast.walk(tree):  # outer functions first, so inner ones win
+        if isinstance(node, ast.FunctionDef):
+            owner.update((inner, node.name) for inner in ast.walk(node))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if ast.unparse(func) in ("np.add.reduce", "numpy.add.reduce"):
+            position, default = 1, 0
+        elif func.attr == "sum":
+            # np.sum(x, axis) takes the axis second, x.sum(axis) first
+            module_call = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+            position, default = (1 if module_call else 0), None
+        else:
+            continue
+        given = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        given += node.args[position : position + 1]
+        axes = [] if given else [default]
+        for axis in given:
+            try:
+                axes.append(ast.literal_eval(axis))
+            except ValueError:
+                pass
+        if 0 in axes:
+            yield owner.get(node), node.lineno, ast.unparse(node)
+
+
+def test_word_sets_are_summed_only_by_sum_pool():
+    # a concept, a transcript and a query are each pooled by sum_pool, so
+    # they add the same float64 rows in the same order from zero; a second
+    # sum elsewhere would need that order proved again
+    package = Path(semvid.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(path.name, owner) for owner, _, _ in _pool_sites(tree)]
+    assert found == [("embedding.py", "sum_pool")]
+
+
+def test_pool_site_finder_sees_each_form():
+    source = (
+        "a.sum(axis=0)\n"
+        "a.astype(float).sum(0)\n"
+        "np.sum(a, axis=0)\n"
+        "np.sum(a, 0, dtype=float)\n"
+        "np.add.reduce(a, axis=0, out=b)\n"
+        "np.add.reduce(a)\n"
+        "np.add.reduce(a, out=b)\n"
+        "def f():\n"
+        "    def g():\n"
+        "        return a.sum(axis=0)\n"
+        "    return numpy.add.reduce(a, 0)\n"
+        "a.sum(axis=1)\n"
+        "a.sum()\n"
+        "np.sum(a)\n"
+        "np.sum(a, axis)\n"
+        "np.add.reduce(a, 1)\n"
+        "np.add.reduceat(a, s, axis=0)\n"
+        "sum(a)\n"
+    )
+    found = sorted((line, owner) for owner, line, _ in _pool_sites(ast.parse(source)))
+    assert found == [(line, None) for line in range(1, 8)] + [(10, "g"), (11, "f")]
 
 
 # ------------------------------------------------------------ nearest_words

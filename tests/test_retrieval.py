@@ -616,6 +616,16 @@ def test_load_queries_rejects_non_string_fields_with_file_and_entry(tmp_path, en
     assert str(path) in message and "entry 1" in message and field in message
 
 
+@pytest.mark.parametrize("event", [3, None])
+def test_load_queries_names_file_and_entry_of_an_event_id_that_is_not_a_string(tmp_path, event):
+    path = tmp_path / "queries.json"
+    path.write_text(json.dumps([{"event": "E1", "title": "a b"}, {"event": event, "title": "c"}]),
+                    encoding="utf-8")
+    with pytest.raises(SemvidError) as info:
+        load_queries(path)
+    assert str(info.value) == f"{path} entry 1: event id must be a string, got {event!r}"
+
+
 @pytest.mark.parametrize("event_id", ["E\t1", "E1\n", "\rE1"])
 def test_event_id_that_breaks_a_ranked_tsv_is_rejected(tmp_path, event_id):
     # written into ranked.tsv, such an id would split its line or add a
@@ -705,6 +715,32 @@ def test_prepare_text_query_resolves_its_terms_once(monkeypatch):
     assert got.source_tokens == expected.source_tokens and got.oov == ("zzz",)
     assert got.vectors.tobytes() == expected.vectors.tobytes()
     assert got.source_tokens[:2] == ("ev0title0", "ev0title1") and len(got) == 2 + 5
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_query_side_pairs_are_sum_pool_of_the_query_sets_bit_for_bit(k):
+    # each (sum, size) pair a text channel is scored with has the bits
+    # sum_pool gives the float64 set prepare_text_query builds from the
+    # same terms; every table row holds -0.0 in column 0, which a sum from
+    # zero makes +0.0
+    rng = np.random.default_rng(8)
+    matrix = random_space(rng, 80, 12)._matrix.copy()
+    matrix[:, 0] = -0.0
+    space = EmbeddingSpace([f"w{i}" for i in range(80)], matrix)
+    tokens = space.tokens()
+    repo = ConceptRepository([ConceptDefinition(id=t, name=t) for t in tokens[:10]], space)
+
+    def terms(n):
+        return tuple(tokens[j] for j in rng.choice(80, size=n, replace=False))
+
+    queries = [EventQuery(f"E{i}", terms(1 + i % 3), terms(i % 4), terms(i % 2)) for i in range(8)]
+    sides = retrieval._query_sides(queries, space, repo, RetrievalConfig(augment_k=k))
+    for query, (_, _, ocr, asr) in zip(queries, sides):
+        for extra, (total, size) in ((query.ocr_terms, ocr), (query.asr_terms, asr)):
+            expected = retrieval.prepare_text_query(query.title_terms + extra, space, k)
+            assert size == len(expected)
+            assert total.tobytes() == sum_pool(expected).tobytes()
+            assert not np.signbit(total[0])
 
 
 def test_ranking_defaults_are_those_of_the_default_config():
