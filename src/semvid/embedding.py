@@ -18,7 +18,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -66,6 +66,14 @@ _TEXT_LINES = 256
 # dedupes and normalizes the matrix in place: the load holds one copy of the
 # table and temporaries of a few times this size.
 _READ_BYTES = 1 << 20
+
+# Bytes of float64 sums per block of sets that one sum_pool call pools
+# together (54 sets at dim 300): a step of the block gathers one row per
+# set, so its temporaries stay this size however many sets there are.
+# 32000 sets of 2-22 rows pool in 221 ms with these blocks, 197 ms with
+# 256 KiB and 311 ms with 64 KiB blocks, but 256 KiB blocks raised the peak
+# RSS of a vocab_scan ranking by about 0.2 MB.
+_POOL_BYTES = 1 << 17
 
 
 def _dot_norms(block: np.ndarray) -> np.ndarray:
@@ -573,29 +581,63 @@ def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STO
     i is the sum of text i's resolved vectors, and the number of vectors in
     that sum. A count of 0 marks a text that is empty or fully out of
     vocabulary; its row is zero. Each row is summed in token order, so it
-    depends on its own text only.
+    depends on its own text only; all texts are pooled by one
+    :func:`sum_pool` call over their table rows.
     """
     checked_sequence(texts, "texts must be a sequence")
-    pooled = np.zeros((len(texts), space.dimension), dtype=np.float64)
-    counts = np.zeros(len(texts), dtype=np.int64)
-    for i, text in enumerate(texts):
-        rows = _resolve(space, tokenize(text, stops))[0]
-        if rows:
-            counts[i] = len(rows)
-            pooled[i] = sum_pool(space._matrix[rows])
-    return pooled, counts
+    sets = [_resolve(space, tokenize(text, stops))[0] for text in texts]
+    counts = np.fromiter(map(len, sets), dtype=np.int64, count=len(sets))
+    rows = np.fromiter(chain.from_iterable(sets), dtype=np.intp, count=int(counts.sum()))
+    return sum_pool(space._matrix, counts, rows), counts
 
 
-def sum_pool(embedded: EmbeddedSet | np.ndarray) -> np.ndarray:
-    """Component-wise float64 sum of a vector set, not renormalized: every
-    word set (concept, transcript, query) is pooled here, its rows added in
-    order from zero, so float32 table rows and their float64 copies give
-    the same bits."""
-    vectors = embedded.vectors if isinstance(embedded, EmbeddedSet) else embedded
-    vectors = np.ascontiguousarray(vectors)  # numpy sums a column-major set's rows pairwise
-    if vectors.shape[0] == 0:
-        raise ZeroNormError("cannot pool an empty vector set")
-    return vectors.sum(axis=0, dtype=np.float64)
+def sum_pool(vectors: EmbeddedSet | np.ndarray, sizes=None, rows=None) -> np.ndarray:
+    """Component-wise float64 sum of word sets, not renormalized: every word
+    set (concept, transcript, query) is pooled here.
+
+    Given one set (an :class:`EmbeddedSet` or a 2-D array of its rows),
+    returns its (dim,) sum; an empty set raises :class:`ZeroNormError`.
+    Given ``sizes``, pools many sets in one call and returns a
+    (len(sizes), dim) matrix: set i is the next ``sizes[i]`` rows of
+    ``vectors`` or, when ``rows`` is given, of ``vectors[rows]``, which is
+    never gathered whole; the sum of an empty set is zero.
+
+    Each set is summed in order from +0.0 in float64: its first row plus
+    0.0, then each next row added, so float32 table rows and their float64
+    copies give the same bits, and no set's sum depends on another's. One
+    set is summed so by numpy's ``sum(axis=0)`` of its rows in C order.
+    Many sets are pooled a block of ``_POOL_BYTES`` of sums at a time, one
+    row position of every set of the block per step, so that a step
+    gathers one row per set and each set gets the bits it gets alone.
+    """
+    if sizes is None:
+        vectors = vectors.vectors if isinstance(vectors, EmbeddedSet) else vectors
+        vectors = np.ascontiguousarray(vectors)  # numpy sums a column-major set's rows pairwise
+        if vectors.shape[0] == 0:
+            raise ZeroNormError("cannot pool an empty vector set")
+        return vectors.sum(axis=0, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # the row of an empty set is never written: a 32000-video corpus with
+    # no transcripts kept its two zero matrices (154 MB) out of memory
+    # this way, and writing them made them resident
+    pooled = np.zeros((len(sizes), vectors.shape[1]))
+    step = max(1, _POOL_BYTES // (8 * vectors.shape[1]))
+    for first in range(0, len(sizes), step):
+        # the block's nonempty sets, longest first, so that the sets a
+        # position reaches are the first ones, summed in place
+        order = first + np.argsort(-sizes[first : first + step], kind="stable")
+        order = order[sizes[order] > 0]
+        if not len(order):
+            continue
+        at, left = starts[order], sizes[order]
+        total = np.zeros((len(order), vectors.shape[1]))
+        for position in range(int(left[0])):
+            live = int(np.count_nonzero(left > position))
+            index = at[:live] + position
+            total[:live] += vectors[index if rows is None else rows[index]]
+        pooled[order] = total
+    return pooled
 
 
 def nearest_words(

@@ -62,8 +62,9 @@ def _line_label(line: int) -> str:
 
 
 class open_utf8:
-    """``open(path, encoding="utf-8")`` for reading an input file, with
-    ``newline=""`` for a ``csv`` file. A byte that is not UTF-8 raises
+    """``open(path, encoding="utf-8-sig")`` for reading an input file, with
+    ``newline=""`` for a ``csv`` file: a UTF-8 byte-order mark that starts
+    the file is skipped, as if absent. A byte that is not UTF-8 raises
     ``error`` naming the file, in place of a ``UnicodeDecodeError``. When
     the file is a regular file, which can be read again, the message also
     names its first line with such a byte, counted as the reader counts
@@ -75,7 +76,7 @@ class open_utf8:
         self.newline = "" if csv else None
 
     def __enter__(self):
-        self.fh = open(self.path, encoding="utf-8", newline=self.newline)
+        self.fh = open(self.path, encoding="utf-8-sig", newline=self.newline)
         return self.fh
 
     def __exit__(self, kind, exc, traceback):
@@ -96,7 +97,7 @@ class open_utf8:
         try:
             if not stat.S_ISREG(os.stat(self.path).st_mode):
                 return None
-            with open(self.path, encoding="utf-8", errors="surrogateescape",
+            with open(self.path, encoding="utf-8-sig", errors="surrogateescape",
                       newline=self.newline) as fh:
                 rows = csv.reader(fh) if self.csv else fh
                 for line, row in enumerate(rows, start=1):

@@ -13,7 +13,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from itertools import islice
+import os
+from itertools import chain, islice
 
 import numpy as np
 
@@ -36,10 +37,25 @@ def _skip_malformed(path, lineno, reason) -> None:
 # 4096 lines loaded at the same speed but peaked about 1 MB higher in RSS
 # on a 60k-line file.
 _CHUNK = 1024
-# CSV values held as strings before their rows are converted to numbers:
-# each is a Python str of ~60 bytes, so a block stays near 120 KB, and
-# larger blocks convert no faster per value.
+# Values per block of a pre-pooled CSV. A plain block (see _plain_block)
+# holds its lines as text, about 7 bytes a value, and is parsed by one
+# np.loadtxt: a 32000 x 600 file loaded in 1.77 / 1.68 / 1.57 s (best of 4)
+# with blocks of 4096 / 8192 / 16384 values, but 16384-value blocks raised
+# the peak RSS of a vocab_scan ranking by about 0.15 MB, and 8192 did not.
+# A block of the csv.reader route holds each value as a Python str of ~60
+# bytes, so it stays near 120 KB, and is converted by one np.array (larger
+# blocks convert no faster per value).
+_CSV_PLAIN_VALUES = 1 << 13
 _CSV_VALUES = 1 << 11
+
+# The characters that make a block of CSV lines not plain: a quote and a
+# CR, which csv.reader reads otherwise than a split at the commas; NUL,
+# which csv.reader rejects before Python 3.11; and U+001C-U+001F, which
+# np.loadtxt strips around a number and float() does not (of all code
+# points, the only ones loadtxt reads where float() fails or differs).
+# Each is looked for with `in`: a regex character class took 40 times as
+# long, 0.7 s of a 32000 x 600 file.
+_NOT_PLAIN = '"\r\x00\x1c\x1d\x1e\x1f'
 
 
 def _json_int(text: str) -> float:
@@ -198,20 +214,77 @@ def _csv_scores(path, block, width):
     return values
 
 
+def _plain_block(lines, width, ids):
+    """The ids and (rows, width) float64 scores of a block of pre-pooled CSV
+    lines, parsed by one ``np.loadtxt``, or None.
+
+    A block is plain when it holds no character of ``_NOT_PLAIN`` and each
+    of its lines is blank or holds ``width`` commas: its records are then
+    its lines, and their fields what a split at the commas gives, as
+    ``csv.reader`` reads them. None when the block is not plain, and when
+    an id holds a tab or repeats one of ``ids`` or of the block, or a value
+    is one loadtxt does not read or lies outside [0, 1]: the ``csv.reader``
+    route reads such a block again and reports its first fault."""
+    text = "".join(lines)
+    if any(char in text for char in _NOT_PLAIN):
+        return None
+    records = [line for line in lines if line != "\n"]  # csv.reader skips a blank line
+    if any(line.count(",") != width for line in records):
+        return None
+    names = [line[: line.index(",")] for line in records]
+    if (any("\t" in name for name in names) or len(set(names)) < len(names)
+            or not ids.keys().isdisjoint(names)):
+        return None
+    if not records:
+        return names, np.empty((0, width))
+    try:
+        values = np.loadtxt(records, delimiter=",", usecols=range(1, width + 1),
+                            dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if not ((values >= 0.0) & (values <= 1.0)).all():
+        return None
+    return names, values
+
+
+def _put_rows(S, start, values, columns, expected=None) -> None:
+    """Write ``values`` into the rows of ``S`` from ``start`` on, at
+    ``columns``. ``S`` is first grown in place when it is too short, as
+    :func:`~semvid.embedding._grown` grows a table: to twice its rows, at
+    least 256, but to no more than the ``expected`` number of rows when
+    one is given, and to at least the rows needed. The new rows are zero.
+    No view of ``S`` may exist while it grows."""
+    end = start + len(values)
+    if end > len(S):
+        grown = max(2 * len(S), 256)
+        rows = max(end, grown if expected is None else min(grown, expected))
+        S.resize((rows, S.shape[1]), refcheck=False)
+    S[start:end, columns] = values
+
+
 def _load_score_csv(path, repo):
     """Pre-pooled CSV: header of concept ids, one row per video.
 
-    Rows are converted to numbers a block of about ``_CSV_VALUES`` values
-    at a time (:func:`_csv_scores`). A header that names a concept twice
-    aborts the load at line 1; a row with the wrong field count, a
-    repeated video id or one that holds a tab, CR or LF, a non-numeric
-    value or a score outside [0, 1] aborts it at the first such line.
-    Returns the video ids in file order and the (videos x concepts) matrix.
+    A header that names a concept twice aborts the load at line 1; a row
+    with the wrong field count, a repeated video id or one that holds a
+    tab, CR or LF, a non-numeric value or a score outside [0, 1] aborts it
+    at the first such record, numbered as ``csv.reader`` counts records.
+
+    The rows are read a block of about ``_CSV_PLAIN_VALUES`` values at a
+    time, and a plain block is parsed by one ``np.loadtxt``
+    (:func:`_plain_block`). From the first block that is not plain or
+    does not load, ``csv.reader`` reads the rest of the file, from that
+    block's first record, and converts a block of about ``_CSV_VALUES``
+    values at a time (:func:`_csv_scores`). Both routes parse a number with
+    Python's own ``PyOS_string_to_double``; loadtxt rejects a digit
+    separator (``1_0``) and non-ASCII digits, which only the second route
+    reads. Each block is written into its rows of one matrix, grown in
+    place. Returns the video ids in file order and the (videos x concepts)
+    matrix.
     """
     with open_utf8(path, IngestError, csv=True) as fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise IngestError(f"{path}: empty pre-pooled CSV")
         columns = header[1:] if header and header[0] == "video" else header
@@ -219,29 +292,49 @@ def _load_score_csv(path, repo):
         if len(set(columns)) != len(columns):
             repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise IngestError(f"{path} line 1: concept {repeated!r} named twice in the header")
-        block_rows = max(1, _CSV_VALUES // max(1, len(columns)))
+        width = len(columns)
+        if col_idx == list(range(width)):
+            col_idx = slice(0, width)  # a slice writes a block faster than a list
+        S = np.zeros((0, len(repo)))
         ids: dict[str, None] = {}
-        blocks, block = [], []
-        for lineno, row in enumerate(reader, start=2):
+        first, rest = 2, []  # the number of the next record, and lines to read again
+        # the rows of the plain lines so far, scaled to the file's size,
+        # are the rows S is expected to need (a pipe has no size)
+        size, read = os.fstat(fh.fileno()).st_size, 0
+        block_lines = max(1, _CSV_PLAIN_VALUES // max(1, width))
+        for lines in iter(lambda: list(islice(fh, block_lines)), []) if width else ():
+            block = _plain_block(lines, width, ids)
+            if block is None:
+                rest = lines
+                break
+            names, values = block
+            read += sum(map(len, lines))
+            expected = (len(ids) + len(names)) * size // read + 1 if size else None
+            _put_rows(S, len(ids), values, col_idx, expected)
+            ids.update(dict.fromkeys(names))
+            first += len(lines)
+
+        block_rows = max(1, _CSV_VALUES // max(1, width))
+        block = []
+        for lineno, row in enumerate(csv.reader(chain(rest, fh)), start=first):
             if not row:
                 continue
             try:
-                if len(row) != len(columns) + 1:
-                    raise IngestError(f"expected {len(columns) + 1} fields, got {len(row)}")
+                if len(row) != width + 1:
+                    raise IngestError(f"expected {width + 1} fields, got {len(row)}")
                 video = tsv_id(row[0], "video id", IngestError)
                 if video in ids:
                     raise IngestError(f"duplicate video id {video!r}")
             except IngestError as exc:
-                _csv_scores(path, block, len(columns))  # earlier rows abort first
+                _csv_scores(path, block, width)  # earlier rows abort first
                 raise IngestError(f"{path} line {lineno}: {exc}") from None
             ids[video] = None
             block.append((lineno, row))
             if len(block) == block_rows:
-                blocks.append(_csv_scores(path, block, len(columns)))
+                _put_rows(S, len(ids) - len(block), _csv_scores(path, block, width), col_idx)
                 block = []
-        blocks.append(_csv_scores(path, block, len(columns)))
-    S = np.zeros((len(ids), len(repo)), dtype=np.float64)
-    S[:, col_idx] = np.concatenate(blocks)
+        _put_rows(S, len(ids) - len(block), _csv_scores(path, block, width), col_idx)
+    S.resize((len(ids), len(repo)), refcheck=False)
     return list(ids), S
 
 
@@ -384,7 +477,7 @@ def load_corpus(
     texts = [transcripts.pop(video, ("", "")) for video in ids]
     if transcripts:  # transcript-only videos, after the scored ones
         ids += transcripts
-        S = np.vstack([S, np.zeros((len(transcripts), len(repo)))])
+        S.resize((len(ids), len(repo)), refcheck=False)  # zero rows added in place
         texts += transcripts.values()
     log.info("corpus: %d videos (%d transcript-only)", len(ids), len(transcripts))
     return Corpus(repo, ids, S, [ocr for ocr, _ in texts], [asr for _, asr in texts])

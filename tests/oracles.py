@@ -40,6 +40,23 @@ def sum_pool_oracle(vectors) -> list[float]:
     return [math.fsum(float(v[d]) for v in vectors) for d in range(dim)]
 
 
+def in_order_pool_oracle(vectors, sizes) -> np.ndarray:
+    """Each set's rows (the next ``sizes[i]`` rows of ``vectors``) added one
+    at a time, in order, to a float64 accumulator that starts at +0.0: the
+    order in which a word set must be pooled for its bits to depend on its
+    own rows alone. An empty set pools to zeros."""
+    vectors = np.asarray(vectors)
+    pooled = np.zeros((len(sizes), vectors.shape[1]))
+    at = 0
+    for i, size in enumerate(sizes):
+        total = np.zeros(vectors.shape[1])
+        for row in vectors[at : at + size]:
+            total = total + row.astype(np.float64)
+        pooled[i] = total
+        at += size
+    return pooled
+
+
 def pooled_sim_oracle(xs, ys) -> float:
     return cosine_oracle(sum_pool_oracle(xs), sum_pool_oracle(ys))
 

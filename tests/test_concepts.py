@@ -12,9 +12,10 @@ from semvid.concepts import (
     top_r_columns,
 )
 from semvid.config import DEFAULT_CONFIG
-from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool
-from semvid.errors import ConceptFormatError, NoScoreableConcepts
+from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool, tokenize
+from semvid.errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts
 import semvid.concepts as concepts
+from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space, synth_world
 from oracles import concept_rank_oracle
 
@@ -437,3 +438,58 @@ def test_rank_concepts_names_a_missing_space(tiny_space, kernel):
         rank_concepts(repo, query, kernel)
     with pytest.raises(ValueError, match="not embedded in a space"):
         top_r_columns(repo, query, kernel, 2, DEFAULT_CONFIG.percentile)
+
+
+def test_repository_matrices_equal_those_built_per_concept(tmp_path, monkeypatch):
+    # the constructor resolves every concept to table rows and builds each
+    # matrix in one pass; they must be, bit for bit, what stacking each
+    # concept's embed_tokens set gives (phrase merges, OOV words, stop
+    # words, a fully OOV concept and one whose pooled vector is zero
+    # included), and loading the file must not call embed_tokens at all
+    rng = np.random.default_rng(8)
+    space = random_space(rng, 80, 24)
+    tokens = space.tokens()
+    matrix = space._matrix.copy()
+    matrix[1] = -matrix[0]  # w0 and w1 pool to zero
+    tokens[5] = "w3_w4"  # a phrase entry
+    space = EmbeddingSpace(tokens, matrix)
+    entries = [{"id": f"c{i}", "name": " ".join(rng.choice(tokens[6:], size=1 + i % 5)),
+                "keywords": [str(rng.choice(tokens[6:])), "zzz"][: i % 3]} for i in range(40)]
+    entries += [{"id": "phrase", "name": "the w3 w4", "keywords": ["w4 w3"]},
+                {"id": "ghost", "name": "zzz qqq"},
+                {"id": "zero", "name": "w0 w1"}]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return embed_tokens(*args)
+
+    monkeypatch.setattr(concepts, "embed_tokens", spy)
+    monkeypatch.setattr("semvid.embedding.embed_tokens", spy)
+    repo = load_concepts(write_concepts(tmp_path, entries), space)
+    assert calls == []
+    monkeypatch.undo()
+
+    sets = {}
+    for entry in entries:
+        words = [entry["name"], *entry.get("keywords", ())]
+        try:
+            sets[entry["id"]] = embed_tokens(space, tokenize(" ".join(words), DEFAULT_STOPWORDS))
+        except AllTokensOOV:
+            pass
+    assert repo.unscoreable == ("ghost",)
+    assert len(sets["phrase"]) == 3  # w3_w4, w4 and w3
+    ids = list(sets)
+    vectors = np.vstack([sets[c].vectors for c in ids])
+    sizes = [len(sets[c]) for c in ids]
+    assert repo._set_vectors.tobytes() == vectors.tobytes()
+    assert repo._set_norms.tobytes() == np.linalg.norm(vectors, axis=1).tobytes()
+    assert repo._set_sizes.tolist() == sizes
+    assert repo._set_starts.tolist() == (np.cumsum(sizes) - sizes).tolist()
+    assert repo._set_owner.tolist() == np.repeat(np.arange(len(ids)), sizes).tolist()
+    assert [repo.ids()[c] for c in repo._set_index[0]] == ids
+    pooled = [c for c in ids if c != "zero"]
+    assert [repo.ids()[c] for c in repo._pooled_index[0]] == pooled
+    expected = np.array([sum_pool(sets[c]) for c in pooled])
+    assert repo._pooled.tobytes() == expected.tobytes()
+    assert repo._pooled_norms.tobytes() == np.array([np.linalg.norm(v) for v in expected]).tobytes()

@@ -27,6 +27,7 @@ from semvid.synth import random_space
 from oracles import (
     binary_table_oracle,
     cosine_oracle,
+    in_order_pool_oracle,
     save_embeddings_oracle,
     scan_oracle,
     sum_pool_oracle,
@@ -554,6 +555,52 @@ def test_sum_pool_adds_the_rows_in_order_from_zero_whatever_their_layout():
         assert sum_pool(layout).tobytes() == in_order.tobytes()
 
 
+def _pool_sets(rng, dtype):
+    """Sets of 1-128 rows at dim 300 and one of 3000 rows, with empty sets
+    between them, in random order; the columns of set 0 hold only -0.0,
+    and those of set 1 -0.0 after a +0.0 row. Sums of a few float32 rows
+    are exact in float64, so only float64 rows show the order of a sum."""
+    sizes = [int(n) for n in rng.integers(1, 129, size=60)]
+    sizes[7:7] = [0, 3000, 0]
+    sizes += [0]
+    vectors = rng.standard_normal((sum(sizes), 300)).astype(dtype)
+    vectors[: sizes[0]] = -0.0
+    vectors[sizes[0] : sizes[0] + sizes[1], :5] = -0.0
+    vectors[sizes[0], :5] = 0.0
+    return vectors, sizes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pool_bytes", [8 * 300, 3 * 8 * 300, embedding._POOL_BYTES])
+def test_batched_sum_pool_adds_each_set_in_order(monkeypatch, pool_bytes, dtype):
+    # one call pools every set, a block of sets at a time; each set's row
+    # must be the in-order sum from +0.0 and numpy's sum of the set alone,
+    # bit for bit, whether the rows are given back to back (C or column
+    # major, float32 or float64) or as row numbers into a table
+    monkeypatch.setattr(embedding, "_POOL_BYTES", pool_bytes)
+    rng = np.random.default_rng(29)
+    vectors, sizes = _pool_sets(rng, dtype)
+    expected = in_order_pool_oracle(vectors, sizes)
+    starts = np.cumsum(sizes) - sizes
+    for row, start, size in zip(expected, starts, sizes):
+        if size:
+            alone = vectors[start : start + size].sum(axis=0, dtype=np.float64)
+            assert row.tobytes() == alone.tobytes()
+    assert not np.signbit(expected[0]).any() and not np.signbit(expected[1, :5]).any()
+    order = rng.permutation(len(vectors))  # the sets' rows scattered over a table
+    table = np.empty_like(vectors)
+    table[order] = vectors
+    for pooled in (sum_pool(vectors, sizes), sum_pool(np.asfortranarray(vectors), sizes),
+                   sum_pool(vectors.astype(np.float64), sizes), sum_pool(table, sizes, order)):
+        assert pooled.shape == (len(sizes), 300)
+        assert pooled.tobytes() == expected.tobytes()
+    for start, size in zip(starts, sizes):
+        if size:
+            one = sum_pool(vectors[start : start + size])
+            assert one.tobytes() == in_order_pool_oracle(vectors[start : start + size], [size]).tobytes()
+    assert sum_pool(vectors, []).shape == (0, 300)
+
+
 def test_sum_pool_empty_set_error():
     with pytest.raises(ZeroNormError):
         sum_pool(np.empty((0, 3)))
@@ -582,13 +629,17 @@ def test_pool_texts_rows_are_sum_pool_of_their_words_bit_for_bit():
 
 def _pool_sites(tree: ast.AST):
     """(enclosing function or None, line, text) of every sum over axis 0:
-    ``.sum`` or ``np.sum`` given axis 0, and ``np.add.reduce``, whose axis
-    is 0 unless given."""
+    ``.sum`` or ``np.sum`` given axis 0, ``np.add.reduce``, whose axis
+    is 0 unless given, and rows added into rows, ``a[i] += b[j]``."""
     owner = {}
     for node in ast.walk(tree):  # outer functions first, so inner ones win
         if isinstance(node, ast.FunctionDef):
             owner.update((inner, node.name) for inner in ast.walk(node))
     for node in ast.walk(tree):
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and isinstance(node.target, ast.Subscript) and isinstance(node.value, ast.Subscript)):
+            yield owner.get(node), node.lineno, ast.unparse(node)
+            continue
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         func = node.func
@@ -615,13 +666,14 @@ def _pool_sites(tree: ast.AST):
 def test_word_sets_are_summed_only_by_sum_pool():
     # a concept, a transcript and a query are each pooled by sum_pool, so
     # they add the same float64 rows in the same order from zero; a second
-    # sum elsewhere would need that order proved again
+    # sum elsewhere would need that order proved again (sum_pool itself
+    # sums one set with numpy and many sets a row position at a time)
     package = Path(semvid.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [(path.name, owner) for owner, _, _ in _pool_sites(tree)]
-    assert found == [("embedding.py", "sum_pool")]
+    assert found == [("embedding.py", "sum_pool")] * 2  # one set, and many
 
 
 def test_pool_site_finder_sees_each_form():
@@ -644,9 +696,12 @@ def test_pool_site_finder_sees_each_form():
         "np.add.reduce(a, 1)\n"
         "np.add.reduceat(a, s, axis=0)\n"
         "sum(a)\n"
+        "out[live] += rows[index]\n"
+        "out[live] += 1.0\n"
+        "total += rows[index]\n"
     )
     found = sorted((line, owner) for owner, line, _ in _pool_sites(ast.parse(source)))
-    assert found == [(line, None) for line in range(1, 8)] + [(10, "g"), (11, "f")]
+    assert found == [(line, None) for line in range(1, 8)] + [(10, "g"), (11, "f"), (19, None)]
 
 
 # ------------------------------------------------------------ nearest_words

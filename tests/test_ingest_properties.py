@@ -3,8 +3,9 @@
 Generated score JSONL files and text tables mix valid entries with blank
 lines, malformed lines, NaN/Infinity literals, empty lists, unknown
 concepts, duplicates and several faults in one file; generated binary
-tables are checked against the whole-buffer oracle. The chunk and block
-sizes are shrunk so that files cross their boundaries.
+tables are checked against the whole-buffer oracle, and plain pre-pooled
+CSVs against the csv.reader route. The chunk and block sizes are shrunk so
+that files cross their boundaries.
 """
 
 import json
@@ -214,6 +215,60 @@ VALUE = st.one_of(
     st.sampled_from(["0", "1", "-0.0", "2", "1e-3", "+.5", "5."]),
 )
 BAD_VALUE = st.sampled_from(["x", "1_0", "١", "0x1", "nan", "inf", "-Infinity", "1e400", "#"])
+
+
+# ----------------------------------------------------------- pre-pooled CSV
+
+UNIT = st.floats(min_value=0.0, max_value=1.0)
+CSV_VALUE = st.one_of(
+    UNIT.map(repr),
+    UNIT.map(lambda x: "%.4f" % x),
+    UNIT.map(lambda x: "%.3e" % x),
+    st.sampled_from(["0", "1", "-0.0", "0.0", "1.0", "1e-3", "5E-1", "+0.5", ".5", "1e0"]),
+)
+
+
+@st.composite
+def plain_csvs(draw):
+    """(text, rows per block) of a plain pre-pooled CSV: unquoted ids and
+    values, LF line ends, blank lines anywhere, a row count around a
+    multiple of the block."""
+    width = draw(st.integers(1, 4))
+    columns = draw(st.permutations(CONCEPTS))[:width]
+    block = draw(st.sampled_from([1, 2, 3, 5]))
+    count = max(0, block * draw(st.integers(0, 3)) + draw(st.integers(-1, 1)))
+    lines = ["video," + ",".join(columns)]
+    for i in range(count):
+        lines += [""] * draw(st.integers(0, 1) if draw(st.booleans()) else st.just(0))
+        lines.append(f"v{i}," + ",".join(draw(st.lists(CSV_VALUE, min_size=width, max_size=width))))
+    end = draw(st.sampled_from(["\n", "", "\n\n"]))
+    return "\n".join(lines) + end, block
+
+
+@given(csv_file=plain_csvs())
+@settings(max_examples=200, deadline=None)
+def test_plain_csv_loads_as_the_csv_reader_route(workdir, csv_file):
+    # the same file read by np.loadtxt a block at a time and, with every
+    # block refused as not plain, by csv.reader and float(): the same ids
+    # and the same bits of S
+    text, block = csv_file
+    path = workdir / "pooled.csv"
+    path.write_bytes(text.encode("utf-8"))
+    width = text.split("\n", 1)[0].count(",")
+    plain_blocks, read = [], videos._plain_block
+
+    def plain_block(*args):
+        plain_blocks.append(read(*args))
+        return plain_blocks[-1]
+
+    with mock.patch.object(videos, "_CSV_PLAIN_VALUES", block * width), \
+            mock.patch.object(videos, "_plain_block", plain_block):
+        plain = load_corpus(path, REPO)
+    with mock.patch.object(videos, "_plain_block", lambda *args: None):
+        reader = load_corpus(path, REPO)
+    assert None not in plain_blocks
+    assert list(plain.ids) == list(reader.ids)
+    assert np.array_equal(bits(plain.S), bits(reader.S))
 
 
 @st.composite

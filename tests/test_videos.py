@@ -337,6 +337,8 @@ def test_loaded_corpus_equals_the_corpus_of_its_records(tmp_path, suffix):
     assert loaded.ids == ("v2", "v1", "v9", "v5")
     assert loaded.ocr == ("", "", "two one", "one") and loaded.asr == ("", "three", "", "")
     assert not loaded.S.flags.writeable and not loaded.S[2:].any()
+    scored = {".csv": [[0.25, 0, 0.5], [0, 0, 1]], ".jsonl": [[0.25, 0, 0.5], [0, 0, 0]]}
+    np.testing.assert_array_equal(loaded.S[:2], scored[suffix])
     rebuilt = Corpus(repo, loaded.ids, loaded.S, loaded.ocr, loaded.asr)
     for name in ("ids", "S", "ocr", "asr", "P_ocr", "n_ocr", "P_asr", "n_asr", "id_order",
                  "id_column"):
@@ -522,3 +524,72 @@ def test_prepooled_csv_across_blocks(tmp_path, repo3, monkeypatch):
     np.testing.assert_array_equal(corpus.S, [[i / 10, 0.5, 1 - i / 10] for i in range(5)])
     with pytest.raises(IngestError, match="line 5: non-numeric score ''"):
         load_corpus(write_csv(tmp_path, rows[:3] + ["x,0.1,,0.3"] + rows[3:]), repo3)
+
+
+# Each case's rows (after the header video,c1,c2,c3), its line end, and the
+# error the csv.reader route gives for it, which a load must keep: with
+# blocks of two rows, the first block is plain and the fault lies in or
+# after the second, unless the fault is in the first.
+CSV_ROUTE_CASES = {
+    "quoted-id-with-comma": (
+        ["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", '"x,y",0.1,0.2,0.3', "c,0.1,0.2"], "\n",
+        "line 5: expected 4 fields, got 3"),
+    "crlf": (["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", "", "c,0.1,x,0.3"], "\r\n",
+             "line 5: non-numeric score 'x'"),
+    "quote-after-block-1": (
+        ["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", '"c",0.1,0.2,0.3', "d,0.1,0.2,0.3", "", "e,0.1,0.2"],
+        "\n", "line 7: expected 4 fields, got 3"),
+    "whitespace-line": (["a,0.1,0.2,0.3", " ", "b,0.1,0.2,0.3"], "\n",
+                        "line 3: expected 4 fields, got 1"),
+    "digit-separator": (["a,0.1,0.2,0.3", "b,0.1,1_0,0.3"], "\n",
+                        "line 3: score 10.0 outside [0, 1]"),
+    "nan": (["a,0.1,0.2,0.3", "b,0.1,nan,0.3"], "\n", "line 3: score nan outside [0, 1]"),
+    "out-of-range-in-block-2": (["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", "", "c,0.1,1.5,0.3"], "\n",
+                                "line 5: score 1.5 outside [0, 1]"),
+    "duplicate-across-blocks": (
+        ["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", "c,0.1,0.2,0.3", "a,0.1,0.2,0.3"], "\n",
+        "line 5: duplicate video id 'a'"),
+    "tab-in-id": (["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", "c\td,0.1,0.2,0.3"], "\n",
+                  "line 4: video id 'c\\td' holds a tab, CR or LF, which a ranked TSV cannot hold"),
+    "field-count": (["a,0.1,0.2,0.3", "b,0.1,0.2,0.3", "c,0.1,0.2,0.3,0.4"], "\n",
+                    "line 4: expected 4 fields, got 5"),
+    # np.loadtxt strips U+001C-U+001F around a number, float() does not
+    "information-separator": (["a,0.1,0.2,0.3", "b,0.1,0.2\x1c,0.3"], "\n",
+                              "line 3: non-numeric score '0.2\\x1c'"),
+}
+
+
+@pytest.mark.parametrize("case", list(CSV_ROUTE_CASES))
+def test_prepooled_csv_faults_keep_their_message_and_line(tmp_path, repo3, monkeypatch, case):
+    monkeypatch.setattr("semvid.videos._CSV_PLAIN_VALUES", 6)  # two rows of three
+    monkeypatch.setattr("semvid.videos._CSV_VALUES", 6)
+    rows, newline, message = CSV_ROUTE_CASES[case]
+    path = tmp_path / "pooled.csv"
+    path.write_bytes(newline.join(["video,c1,c2,c3", *rows, ""]).encode("utf-8"))
+    with pytest.raises(IngestError) as caught:
+        load_corpus(path, repo3)
+    assert str(caught.value) == f"{path} {message}"
+
+
+def test_prepooled_csv_reads_plain_blocks_with_loadtxt_and_the_rest_with_csv(
+        tmp_path, repo3, monkeypatch):
+    # the first block is plain; the quoted id hands the second block and
+    # everything after it to csv.reader, which takes its quotes off
+    monkeypatch.setattr("semvid.videos._CSV_PLAIN_VALUES", 6)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        calls.append(list(lines))
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    path = tmp_path / "pooled.csv"
+    write_lines(path, ["video,c2,c1", "a,0.1,0.2", "", "b,-0.0,1", '"x",0.5,0.25', "c,1e-3,0",
+                       "d,1,1", '"y,z",0,0'])
+    corpus = load_corpus(path, repo3)
+    assert calls == [["a,0.1,0.2\n", "b,-0.0,1\n"]]
+    assert list(corpus.ids) == ["a", "b", "x", "c", "d", "y,z"]
+    expected = [[0.2, 0.1, 0.0], [1.0, -0.0, 0.0], [0.25, 0.5, 0.0], [0.0, 1e-3, 0.0],
+                [1.0, 1.0, 0.0], [0.0] * 3]
+    assert corpus.S.tobytes() == np.array(expected).tobytes()

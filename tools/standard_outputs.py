@@ -22,9 +22,13 @@ world (seeds 1, 5 and 11):
 * ``relevance`` for the first query's title with both kernels, with no
   kernel or percentile flag (the defaults), and with the Hausdorff kernel
   at the percentile 75;
-* the ``pool`` CSV in both modes.
+* the ``pool`` CSV in both modes;
+* for a world, ``rank`` outputs with both kernels from its own max-pooled
+  CSV: once from the file as ``pool`` wrote it, which ``semvid`` parses
+  with ``np.loadtxt``, and once from a copy with CRLF line ends and every
+  field quoted, which takes its ``csv.reader`` route.
 
-That is 231 files.
+That is 243 files.
 
 Inputs are generated into a temporary directory, the workloads by
 ``perfbench/gen.py --out``; nothing under ``perfbench/`` is written. Every
@@ -33,6 +37,7 @@ command runs as ``python -m semvid.cli`` against this checkout's ``src``.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -127,6 +132,16 @@ def world(seed: int, tmp: Path, out: Path) -> None:
     rankings[f"p{PERCENTILE}"] = (files["queries"], ["--percentile", PERCENTILE], True,
                                   ("hausdorff",))
     outputs(files, False, out / f"world-{seed}", rankings)
+    pooled = out / f"world-{seed}" / "pool-max.csv"
+    quoted = data / "pool-max-quoted.csv"
+    with open(pooled, encoding="utf-8", newline="") as src, \
+            open(quoted, "w", encoding="utf-8", newline="") as dst:
+        csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+    for name, scores in (("csv", pooled), ("csv-quoted", quoted)):
+        for kernel in KERNELS:
+            semvid("rank", files["embeddings"], files["concepts"], files["queries"],
+                   "--scores", scores, "--transcripts", files["transcripts"],
+                   "--kernel", kernel, "--out", out / f"world-{seed}" / f"{name}-{kernel}.tsv")
 
 
 def main(argv=None) -> int:
