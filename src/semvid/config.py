@@ -22,10 +22,6 @@ _FIELDS = {
     "percentile": ("percentile", float),
 }
 
-# File/flag keys understood by the config layer.
-CONFIG_KEYS = tuple(_FIELDS)
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     """Retrieval settings. Each field is range-checked when the config is
@@ -75,7 +71,7 @@ def parse_config_file(path) -> dict:
                 raise SemvidError(f"{path} line {lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
-            if key not in CONFIG_KEYS:
+            if key not in _FIELDS:
                 raise SemvidError(f"{path} line {lineno}: unknown config key {key!r}")
             values[key] = value
     return values

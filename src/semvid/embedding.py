@@ -240,16 +240,17 @@ def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _grown(matrix: np.ndarray, rows: int, end: int, count: int) -> np.ndarray:
-    """``matrix`` when it has room for ``end`` rows; else a matrix with room
-    for twice as many rows as it had, at least 256 and at least ``end``
-    (but never more than the header's ``count``), holding its first
-    ``rows`` rows."""
-    if end <= len(matrix):
-        return matrix
-    grown = np.empty((min(count, max(2 * len(matrix), end, 256)), matrix.shape[1]), matrix.dtype)
-    grown[:rows] = matrix[:rows]
-    return grown
+def _grow(matrix: np.ndarray, end: int, cap: int | None = None) -> None:
+    """Give ``matrix`` room for ``end`` rows, in place: when it has fewer,
+    it grows to twice its rows, at least 256, at most ``cap`` when one is
+    given, and never fewer than ``end``. The new rows are zero. The matrix
+    must own its data, and no view of it may exist while it grows:
+    ``ndarray.resize`` may move it without checking for one."""
+    if end > len(matrix):
+        rows = max(2 * len(matrix), 256)
+        if cap is not None:
+            rows = min(rows, cap)
+        matrix.resize((max(rows, end), *matrix.shape[1:]), refcheck=False)
 
 
 def _parse_header(line: str):
@@ -267,9 +268,9 @@ def _parse_header(line: str):
 
 def _dedupe(tokens, matrix, norms):
     """Keep the first row of every token: the kept rows move up in place,
-    in increasing order, a block of about ``_READ_BYTES`` at a time.
-    Returns the kept tokens, rows and row norms, the token -> row dict and
-    the number of rows dropped."""
+    in increasing order, a block of about ``_READ_BYTES`` at a time, and
+    the matrix is trimmed to them in place. Returns the kept tokens, rows
+    and row norms, the token -> row dict and the number of rows dropped."""
     # built back to front, so that a token's first row is the one that stays
     index = dict(zip(reversed(tokens), range(len(tokens) - 1, -1, -1)))
     dups = len(tokens) - len(index)
@@ -282,7 +283,8 @@ def _dedupe(tokens, matrix, norms):
         for start in range(0, len(keep), step):
             rows = keep[start : start + step]
             matrix[start : start + len(rows)] = matrix[rows]
-        matrix, norms = matrix[: len(keep)], norms[keep]
+        matrix.resize((len(keep), matrix.shape[1]), refcheck=False)
+        norms = norms[keep]
         tokens = list(map(tokens.__getitem__, keep.tolist()))
         index.update(zip(tokens, range(len(tokens))))
     return tokens, matrix, norms, index, dups
@@ -378,7 +380,7 @@ def _read_text(path):
             lineno += len(lines)
             rows += len(names)
             start, end = len(tokens), min(rows, count)
-            matrix = _grown(matrix, start, end, count)
+            _grow(matrix, end, count)
             tokens += names[: end - start]
             norms.append(np.empty(end - start))
             _normalize_block(values[: end - start], matrix[start:end], norms[-1], False)
@@ -468,7 +470,7 @@ def _read_binary(path):
             except UnicodeDecodeError as exc:
                 row = rows + joined.count(b" ", 0, exc.start) + 1
                 raise EmbeddingFormatError(f"{path} row {row}: not valid UTF-8") from None
-            matrix = _grown(matrix, rows, end, count)
+            _grow(matrix, end, count)
             windows = sliding_window_view(np.frombuffer(buf, np.uint8, filled), width)
             matrix[rows:end].view(np.uint8)[...] = windows[ends[: len(heads)] - width]
             norms.append(_normalize_rows(matrix[rows:end]))

@@ -26,9 +26,9 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / np.linalg.norm(vec)
 
 
-def random_space(rng: np.random.Generator, n_tokens: int, dim: int, prefix: str = "w") -> EmbeddingSpace:
-    """Vocabulary of random unit vectors, tokens ``<prefix>0 .. <prefix>N-1``."""
-    tokens = [f"{prefix}{i}" for i in range(n_tokens)]
+def random_space(rng: np.random.Generator, n_tokens: int, dim: int) -> EmbeddingSpace:
+    """Vocabulary of random unit vectors, tokens ``w0 .. w<N-1>``."""
+    tokens = [f"w{i}" for i in range(n_tokens)]
     matrix = rng.standard_normal((n_tokens, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
     return EmbeddingSpace(tokens, matrix)

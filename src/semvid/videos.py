@@ -20,7 +20,7 @@ import numpy as np
 
 from .concepts import ConceptRepository
 from .config import DEFAULT_CONFIG
-from .embedding import pool_texts
+from .embedding import _grow, pool_texts
 from .errors import ConceptFormatError, IngestError, checked_sequence, open_utf8
 from .ranked import tsv_id
 
@@ -129,21 +129,22 @@ def _load_score_jsonl(path, repo, mode):
     or LF (see :func:`~semvid.ranked.tsv_id`) abort the load at the first
     such line.
 
-    Accepted tracks are kept as flat columns: row, column and sample count
-    per line, the samples back to back. Every ``_CHUNK`` lines the samples
-    are range-checked and pooled as arrays (:func:`_pool_chunk`), and the
-    pooled values are scattered into one (videos x concepts) matrix at the
-    end. Returns the video ids, in the order of their first accepted track,
-    and that matrix with a row per video.
+    The accepted tracks of each chunk of ``_CHUNK`` lines are kept as flat
+    columns: row, column and sample count per line, the samples back to
+    back. The samples are range-checked and pooled as arrays
+    (:func:`_pool_chunk`), and the pooled values are scattered into their
+    cells of one (videos x concepts) matrix, grown in place, before the
+    next chunk is read. Returns the video ids, in the order of their first
+    accepted track, and that matrix, whose first row is the first video's
+    and whose rows after the last video's are zero.
     """
     video_rows: dict[str, int] = {}
     seen: list[bytearray] = []  # per video row, a flag per concept column
-    rows, cols = [], []  # per accepted track
-    pooled = []  # per chunk, an array over its tracks
+    S = np.zeros((0, len(repo)))
     lineno = 0
     with open_utf8(path, IngestError) as fh:
         for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
-            samples, counts, lines = [], [], []
+            samples, counts, lines, rows, cols = [], [], [], [], []  # per accepted track
             for line in chunk:
                 lineno += 1
                 try:
@@ -180,10 +181,8 @@ def _load_score_jsonl(path, repo, mode):
                 rows.append(row)
                 cols.append(column)
             if counts:
-                pooled.append(_pool_chunk(path, samples, counts, lines, mode))
-    S = np.zeros((len(video_rows), len(repo)), dtype=np.float64)
-    if pooled:
-        S[rows, cols] = np.concatenate(pooled)
+                _grow(S, len(video_rows))
+                S[rows, cols] = _pool_chunk(path, samples, counts, lines, mode)
     return list(video_rows), S
 
 
@@ -247,21 +246,6 @@ def _plain_block(lines, width, ids):
     return names, values
 
 
-def _put_rows(S, start, values, columns, expected=None) -> None:
-    """Write ``values`` into the rows of ``S`` from ``start`` on, at
-    ``columns``. ``S`` is first grown in place when it is too short, as
-    :func:`~semvid.embedding._grown` grows a table: to twice its rows, at
-    least 256, but to no more than the ``expected`` number of rows when
-    one is given, and to at least the rows needed. The new rows are zero.
-    No view of ``S`` may exist while it grows."""
-    end = start + len(values)
-    if end > len(S):
-        grown = max(2 * len(S), 256)
-        rows = max(end, grown if expected is None else min(grown, expected))
-        S.resize((rows, S.shape[1]), refcheck=False)
-    S[start:end, columns] = values
-
-
 def _load_score_csv(path, repo):
     """Pre-pooled CSV: header of concept ids, one row per video.
 
@@ -279,8 +263,8 @@ def _load_score_csv(path, repo):
     Python's own ``PyOS_string_to_double``; loadtxt rejects a digit
     separator (``1_0``) and non-ASCII digits, which only the second route
     reads. Each block is written into its rows of one matrix, grown in
-    place. Returns the video ids in file order and the (videos x concepts)
-    matrix.
+    place. Returns the video ids in file order and that (videos x
+    concepts) matrix, whose rows after the last video's are zero.
     """
     with open_utf8(path, IngestError, csv=True) as fh:
         try:
@@ -288,7 +272,10 @@ def _load_score_csv(path, repo):
         except StopIteration:
             raise IngestError(f"{path}: empty pre-pooled CSV")
         columns = header[1:] if header and header[0] == "video" else header
-        col_idx = [repo.index_of(c) for c in columns]
+        try:
+            col_idx = [repo.index_of(c) for c in columns]
+        except ConceptFormatError as exc:
+            raise ConceptFormatError(f"{path} line 1: {exc}") from None
         if len(set(columns)) != len(columns):
             repeated = next(c for i, c in enumerate(columns) if c in columns[:i])
             raise IngestError(f"{path} line 1: concept {repeated!r} named twice in the header")
@@ -309,9 +296,10 @@ def _load_score_csv(path, repo):
                 break
             names, values = block
             read += sum(map(len, lines))
-            expected = (len(ids) + len(names)) * size // read + 1 if size else None
-            _put_rows(S, len(ids), values, col_idx, expected)
+            start = len(ids)
             ids.update(dict.fromkeys(names))
+            _grow(S, len(ids), len(ids) * size // read + 1 if size else None)
+            S[start : len(ids), col_idx] = values
             first += len(lines)
 
         block_rows = max(1, _CSV_VALUES // max(1, width))
@@ -331,10 +319,11 @@ def _load_score_csv(path, repo):
             ids[video] = None
             block.append((lineno, row))
             if len(block) == block_rows:
-                _put_rows(S, len(ids) - len(block), _csv_scores(path, block, width), col_idx)
+                _grow(S, len(ids))
+                S[len(ids) - len(block) : len(ids), col_idx] = _csv_scores(path, block, width)
                 block = []
-        _put_rows(S, len(ids) - len(block), _csv_scores(path, block, width), col_idx)
-    S.resize((len(ids), len(repo)), refcheck=False)
+        _grow(S, len(ids))
+        S[len(ids) - len(block) : len(ids), col_idx] = _csv_scores(path, block, width)
     return list(ids), S
 
 
@@ -460,24 +449,25 @@ def load_corpus(
 ) -> Corpus:
     """The corpus of every video appearing in either input file.
 
-    ``score_path`` ending in ``.csv`` is treated as a pre-pooled matrix and
-    bypasses pooling; anything else is score JSONL, whose tracks are pooled
-    by ``mode`` (max or avg). Videos present only in the transcript file
-    get an all-zero concept vector, after the scored ones. Transcripts are
-    embedded once, with the space and stop words of the repository.
+    ``score_path`` ending in ``.csv``, in any case, is treated as a
+    pre-pooled matrix and bypasses pooling; anything else is score JSONL,
+    whose tracks are pooled by ``mode`` (max or avg). Videos present only
+    in the transcript file get an all-zero concept vector, after the scored
+    ones. Transcripts are embedded once, with the space and stop words of
+    the repository.
     """
     if mode not in POOL_MODES:
         raise ValueError(f"pool mode must be max or avg, got {mode!r}")
-    if str(score_path).endswith(".csv"):
+    if str(score_path).lower().endswith(".csv"):
         ids, S = _load_score_csv(score_path, repo)
     else:
         ids, S = _load_score_jsonl(score_path, repo, mode)
     transcripts = _load_transcripts(transcript_path) if transcript_path else {}
 
     texts = [transcripts.pop(video, ("", "")) for video in ids]
-    if transcripts:  # transcript-only videos, after the scored ones
-        ids += transcripts
-        S.resize((len(ids), len(repo)), refcheck=False)  # zero rows added in place
-        texts += transcripts.values()
+    ids += transcripts  # transcript-only videos, after the scored ones
+    texts += transcripts.values()
+    _grow(S, len(ids), len(ids))  # their rows are zero
+    S.resize((len(ids), len(repo)), refcheck=False)  # the rows no video filled go
     log.info("corpus: %d videos (%d transcript-only)", len(ids), len(transcripts))
     return Corpus(repo, ids, S, [ocr for ocr, _ in texts], [asr for _, asr in texts])

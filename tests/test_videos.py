@@ -516,6 +516,23 @@ def test_prepooled_csv_header_naming_a_concept_twice_is_rejected(tmp_path, repo3
         load_corpus(path, repo3)
 
 
+def test_prepooled_csv_header_naming_an_unknown_concept_cites_line_1(tmp_path, repo3):
+    path = tmp_path / "pooled.csv"
+    write_lines(path, ["video,c1,nope", "v1,0.2,0.9"])
+    with pytest.raises(ConceptFormatError,
+                       match=re.escape(f"{path} line 1: unknown concept id 'nope'")):
+        load_corpus(path, repo3)
+
+
+@pytest.mark.parametrize("name", ["pooled.CSV", "pooled.Csv", "pooled.csv"])
+def test_score_file_ending_in_csv_in_any_case_is_a_prepooled_matrix(tmp_path, repo3, name):
+    path = tmp_path / name
+    write_lines(path, ["video,c2", "v1,0.25", "v2,1"])
+    corpus = load_corpus(path, repo3)
+    assert corpus.ids == ("v1", "v2")
+    np.testing.assert_array_equal(corpus.S, [[0, 0.25, 0], [0, 1, 0]])
+
+
 def test_prepooled_csv_across_blocks(tmp_path, repo3, monkeypatch):
     monkeypatch.setattr("semvid.videos._CSV_VALUES", 6)  # two rows of three
     rows = [f"v{i},{i / 10},0.5,{1 - i / 10}" for i in range(5)]
