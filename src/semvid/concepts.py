@@ -193,7 +193,9 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
     try:
         with open_utf8(path, ConceptFormatError) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # besides a JSONDecodeError, json raises a ValueError for an integer of over
+    # 4300 digits and a RecursionError for arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConceptFormatError(f"cannot read concept file {path}: {exc}")
     if not isinstance(raw, list):
         raise ConceptFormatError("concept file must be a JSON array")

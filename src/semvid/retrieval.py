@@ -78,7 +78,9 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     try:
         with open_utf8(path) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # besides a JSONDecodeError, json raises a ValueError for an integer of over
+    # 4300 digits and a RecursionError for arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise SemvidError(f"cannot read query file {path}: {exc}")
     if not isinstance(raw, list):
         raise SemvidError("query file must be a JSON array")

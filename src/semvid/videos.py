@@ -14,7 +14,8 @@ import csv
 import json
 import logging
 import os
-from itertools import chain, islice
+import re
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -34,9 +35,11 @@ def _skip_malformed(path, lineno, reason) -> None:
 
 
 # Score lines read between two conversions of their samples to an array.
-# 4096 lines loaded at the same speed but peaked about 1 MB higher in RSS
-# on a 60k-line file.
-_CHUNK = 1024
+# A plain chunk's text, regex matches and samples are held at once: on a
+# 60k-line file, a `semvid rank` with chunks of 1024 lines peaked 1.6 MB
+# higher in RSS than with 512 and loaded no faster; 256 loaded no faster
+# than 512 either.
+_CHUNK = 512
 # Values per block of a pre-pooled CSV. A plain block (see _plain_block)
 # holds its lines as text, about 7 bytes a value, and is parsed by one
 # np.loadtxt: a 32000 x 600 file loaded in 1.77 / 1.68 / 1.57 s (best of 4)
@@ -64,24 +67,21 @@ def _json_int(text: str) -> float:
     return float(text) + 0.0
 
 
-# json.loads with integers read as floats, and the C scanner it wraps
+# json.loads with integers read as floats
 _decoder = json.JSONDecoder(parse_int=_json_int)
-_scan_json = _decoder.scan_once
 _FLOAT = frozenset([float])
 
-
-def _decode_json(line: str):
-    """``json.JSONDecoder.decode`` of one score line. A line that is one
-    JSON value and its newline is read by the C scanner alone, without the
-    decoder's pure-Python wrapper; any other line goes through the decoder,
-    for its whitespace rule and its errors."""
-    try:
-        obj, end = _scan_json(line, 0)
-    except StopIteration:
-        return _decoder.decode(line)
-    if end == len(line) or line[end:] == "\n":
-        return obj
-    return _decoder.decode(line)
+# A score line as json.dumps writes it, after the newline that ends the
+# line before: the keys "video", "concept" and "scores" in that order, the
+# default separators or compact ones, ids with no quote, backslash or
+# control character (so each is its own JSON string, and passes tsv_id),
+# and a list of number characters. Whether the list is JSON is left to the
+# decoder. The leading newline anchors a match at a line's start, and as a
+# literal prefix lets a chunk of other lines fail in a tenth of the time.
+_PLAIN_LINE = re.compile(
+    r'\n\{"video": ?"([^"\\\x00-\x1f]*)", ?"concept": ?"([^"\\\x00-\x1f]*)", ?'
+    r'"scores": ?\[([-+.0-9eE, ]*)\]\}(?=\n|\Z)'
+)
 
 
 def _pool_chunk(path, samples, counts, lines, mode):
@@ -117,6 +117,96 @@ def _pool_chunk(path, samples, counts, lines, mode):
     return pooled
 
 
+def _plain_tracks(chunk, first, columns, video_rows, seen):
+    """The tracks of a chunk of score lines read in bulk, or None.
+
+    The chunk is read in bulk when every line is plain (see
+    ``_PLAIN_LINE``), the score lists of all its lines decode as one JSON
+    list, each list holds a sample, each concept is in ``columns`` and no
+    (video, concept) pair repeats one of the chunk or one flagged in
+    ``seen``. Only then are the chunk's new videos given rows in
+    ``video_rows`` and its tracks flagged in ``seen``. None changes
+    neither (``seen`` may have grown, by zero rows), and the per-line
+    route reads the chunk again. ``first`` is the number of the chunk's
+    first line. Returns, as :func:`_line_tracks` does, each track's
+    row, column, sample count and line, and the samples back to back.
+    """
+    matches = _PLAIN_LINE.findall("\n" + "".join(chunk))
+    if len(matches) != len(chunk):
+        return None
+    videos, concepts, lists = zip(*matches)
+    try:
+        samples = _decoder.decode("[" + ",".join(lists) + "]")
+    except ValueError:
+        return None
+    counts = np.fromiter(map(str.count, lists, repeat(",")), np.intp, len(lists)) + 1
+    if len(samples) != counts.sum():  # the empty list of a one-line chunk
+        return None
+    cols = [*map(columns.get, concepts)]
+    if None in cols:  # an unknown concept
+        return None
+    rows_of = dict.fromkeys(videos)  # the chunk's videos, in the order of their first line
+    end = len(video_rows)
+    for video in rows_of:
+        row = rows_of[video] = video_rows.get(video, end)
+        if row == end:
+            end += 1
+    rows = np.fromiter(map(rows_of.__getitem__, videos), np.intp, len(videos))
+    cols = np.array(cols, dtype=np.intp)
+    _grow(seen, end)
+    cells = np.sort(rows * seen.shape[1] + cols)
+    if seen[rows, cols].any() or (cells[1:] == cells[:-1]).any():  # a duplicate track
+        return None
+    video_rows.update(rows_of)
+    seen[rows, cols] = True
+    return rows, cols, counts, range(first, first + len(chunk)), samples
+
+
+def _line_tracks(path, chunk, first, repo, video_rows, seen, mode):
+    """The tracks of a chunk of score lines read one line at a time, each
+    by the JSON decoder, with the checks and reports that
+    :func:`_load_score_jsonl` describes. ``first`` is the number of the
+    chunk's first line. Returns each accepted track's row, column, sample
+    count and line, and the samples back to back."""
+    samples, counts, lines, rows, cols = [], [], [], [], []  # per accepted track
+    for lineno, line in enumerate(chunk, start=first):
+        try:
+            obj = _decoder.decode(line)
+            video, concept, scores = obj["video"], obj["concept"], obj["scores"]
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            if line.strip():
+                _skip_malformed(path, lineno, exc)
+            continue
+        if type(scores) is not list or not _FLOAT.issuperset(map(type, scores)):
+            _skip_malformed(path, lineno, "scores must be a list of numbers")
+            continue
+        if not isinstance(video, str) or not isinstance(concept, str):
+            _skip_malformed(path, lineno, "video and concept ids must be strings")
+            continue
+        if not scores:
+            log.warning("%s line %d: empty score list, skipped", path, lineno)
+            continue
+        samples += scores
+        counts.append(len(scores))
+        lines.append(lineno)
+        try:
+            column = repo.index_of(concept)
+            row = video_rows.get(video)
+            if row is None:  # the first line of a video
+                tsv_id(video, "video id", IngestError)
+                row = video_rows[video] = len(video_rows)
+                _grow(seen, len(video_rows))
+            if seen[row, column]:
+                raise IngestError(f"duplicate track for ({video}, {concept})")
+        except (ConceptFormatError, IngestError) as exc:
+            _pool_chunk(path, samples, counts, lines, mode)  # earlier lines abort first
+            raise type(exc)(f"{path} line {lineno}: {exc}") from None
+        seen[row, column] = True
+        rows.append(row)
+        cols.append(column)
+    return rows, cols, counts, lines, samples
+
+
 def _load_score_jsonl(path, repo, mode):
     """Score JSONL: one {"video", "concept", "scores"} object per line.
 
@@ -129,58 +219,33 @@ def _load_score_jsonl(path, repo, mode):
     or LF (see :func:`~semvid.ranked.tsv_id`) abort the load at the first
     such line.
 
-    The accepted tracks of each chunk of ``_CHUNK`` lines are kept as flat
-    columns: row, column and sample count per line, the samples back to
-    back. The samples are range-checked and pooled as arrays
-    (:func:`_pool_chunk`), and the pooled values are scattered into their
-    cells of one (videos x concepts) matrix, grown in place, before the
-    next chunk is read. Returns the video ids, in the order of their first
-    accepted track, and that matrix, whose first row is the first video's
-    and whose rows after the last video's are zero.
+    The file is read a chunk of ``_CHUNK`` lines at a time. A chunk of
+    lines as ``json.dumps`` writes them (``_PLAIN_LINE``), with none of the
+    faults above but a score outside [0, 1], is read in bulk
+    (:func:`_plain_tracks`); any other chunk is read again one line at a
+    time (:func:`_line_tracks`).
+    Both routes decode a number with the same decoder from the same text,
+    and keep one flag per (video, concept) cell, in a matrix grown beside
+    the scores, to find a second track. The accepted tracks of a chunk are
+    range-checked and pooled as arrays (:func:`_pool_chunk`), and the
+    pooled values are scattered into their cells of one (videos x
+    concepts) matrix, grown in place, before the next chunk is read.
+    Returns the video ids, in the order of their first accepted track, and
+    that matrix, whose first row is the first video's and whose rows after
+    the last video's are zero.
     """
     video_rows: dict[str, int] = {}
-    seen: list[bytearray] = []  # per video row, a flag per concept column
+    seen = np.zeros((0, len(repo)), dtype=bool)  # the (video, concept) cells with a track
     S = np.zeros((0, len(repo)))
-    lineno = 0
+    lineno = 1  # the number of the chunk's first line
     with open_utf8(path, IngestError) as fh:
         for chunk in iter(lambda: list(islice(fh, _CHUNK)), []):
-            samples, counts, lines, rows, cols = [], [], [], [], []  # per accepted track
-            for line in chunk:
-                lineno += 1
-                try:
-                    obj = _decode_json(line)
-                    video, concept, scores = obj["video"], obj["concept"], obj["scores"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    if line.strip():
-                        _skip_malformed(path, lineno, exc)
-                    continue
-                if type(scores) is not list or not _FLOAT.issuperset(map(type, scores)):
-                    _skip_malformed(path, lineno, "scores must be a list of numbers")
-                    continue
-                if not isinstance(video, str) or not isinstance(concept, str):
-                    _skip_malformed(path, lineno, "video and concept ids must be strings")
-                    continue
-                if not scores:
-                    log.warning("%s line %d: empty score list, skipped", path, lineno)
-                    continue
-                samples += scores
-                counts.append(len(scores))
-                lines.append(lineno)
-                try:
-                    column = repo.index_of(concept)
-                    row = video_rows.setdefault(video, len(video_rows))
-                    if row == len(seen):  # the first line of a video
-                        seen.append(bytearray(len(repo)))
-                        tsv_id(video, "video id", IngestError)
-                    if seen[row][column]:
-                        raise IngestError(f"duplicate track for ({video}, {concept})")
-                except (ConceptFormatError, IngestError) as exc:
-                    _pool_chunk(path, samples, counts, lines, mode)  # earlier lines abort first
-                    raise type(exc)(f"{path} line {lineno}: {exc}") from None
-                seen[row][column] = 1
-                rows.append(row)
-                cols.append(column)
-            if counts:
+            rows, cols, counts, lines, samples = (
+                _plain_tracks(chunk, lineno, repo._order, video_rows, seen)
+                or _line_tracks(path, chunk, lineno, repo, video_rows, seen, mode)
+            )
+            lineno += len(chunk)
+            if len(counts):
                 _grow(S, len(video_rows))
                 S[rows, cols] = _pool_chunk(path, samples, counts, lines, mode)
     return list(video_rows), S
@@ -345,7 +410,7 @@ def _load_transcripts(path):
                 obj = json.loads(line)
                 video = obj["video"]
                 texts = (obj.get("ocr"), obj.get("asr"))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 _skip_malformed(path, lineno, exc)
                 continue
             if not isinstance(video, str):

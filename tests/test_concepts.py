@@ -52,6 +52,19 @@ def test_load_unknown_kind(tmp_path):
         load_concepts(path)
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('[{"id": "c1", "name": "a", "n": %s}]' % ("1" * 5000), "Exceeds the limit"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_load_json_the_decoder_cannot_read_names_the_file(tmp_path, text, reason):
+    # an integer too long for int() and nesting too deep are no
+    # JSONDecodeError, but are input errors all the same
+    path = tmp_path / "concepts.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConceptFormatError, match=f"cannot read concept file .*{reason}"):
+        load_concepts(path)
+
+
 def test_fully_oov_concept_flagged_not_scored(tmp_path, tiny_space):
     path = write_concepts(tmp_path, [
         {"id": "c1", "name": "a"},

@@ -2,17 +2,23 @@
 
 Generated score JSONL files and text tables mix valid entries with blank
 lines, malformed lines, NaN/Infinity literals, empty lists, unknown
-concepts, duplicates and several faults in one file; generated binary
-tables are checked against the whole-buffer oracle, and plain pre-pooled
-CSVs against the csv.reader route. The chunk and block sizes are shrunk so
-that files cross their boundaries.
+concepts, duplicates and several faults in one file; score JSONL spells
+its valid lines as json.dumps does, which is read in bulk, and in other
+ways, which are read line by line. Generated binary tables are checked
+against the whole-buffer oracle, and plain pre-pooled CSVs against the
+csv.reader route. The chunk and block sizes are shrunk so that files
+cross their boundaries.
 """
 
+import itertools
 import json
 import logging
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,9 +29,10 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from semvid import embedding, videos  # noqa: E402
-from semvid.concepts import ConceptDefinition, ConceptRepository  # noqa: E402
+from semvid.concepts import ConceptDefinition, ConceptRepository, load_concepts  # noqa: E402
 from semvid.embedding import EmbeddingSpace, load_embeddings  # noqa: E402
 from semvid.errors import ConceptFormatError, EmbeddingFormatError, IngestError  # noqa: E402
+from semvid.synth import synth_world, write_world_files  # noqa: E402
 from semvid.videos import POOL_MODES, load_corpus  # noqa: E402
 
 from oracles import (  # noqa: E402
@@ -109,7 +116,11 @@ SKIPPED = [
     track_line("v0", "c0", []),
     track_line(None, "c0", [0.5]),
     track_line("v0", 3, [0.5]),
-]
+] + [
+    # plain lines whose list is no JSON list of samples
+    '{"video": "v0", "concept": "c0", "scores": [%s]}' % scores
+    for scores in ["+0.5", ".5", "1.", "01", "0.5,", ", 0.5", "0.5 0.5", "-", "1e", " ", "0.5,,1"]
+] + ["x" + track_line("v0", "c0", [0.5])]
 # lines that abort the load
 ABORTING = [
     '{"video": "v1", "concept": "c1", "scores": [0.5, NaN]}',
@@ -122,12 +133,46 @@ ABORTING = [
 ]
 
 
+# a sample's JSON text: integers, -0 and exponents besides repr's floats
+SAMPLE_TEXT = st.one_of(
+    SAMPLE.map(repr),
+    st.sampled_from(["0", "1", "-0", "1E+0", "1e0", "0.0", "-0.0", "5e-1", "2.5E-1", "0.125e+0"]),
+)
+# the spellings of a track line: "{video}", "{concept}" and "{scores}" are
+# filled in with JSON texts; only the first two are plain
+SPELLINGS = [
+    '{{"video": {video}, "concept": {concept}, "scores": [{scores}]}}',
+    '{{"video":{video},"concept":{concept},"scores":[{scores}]}}',
+    '{{"video":\t{video},\t"concept": {concept}, "scores":\t[{scores}]}}',
+    '{{"scores": [{scores}], "concept": {concept}, "video": {video}}}',
+    '{{"video": "v9", "video": {video}, "concept": {concept}, "scores": [{scores}]}}',
+    ' {{"video": {video}, "concept": {concept}, "scores": [{scores}]}} ',
+    ' {{"video": {video}, "concept": {concept}, "scores": [{scores}]}}',
+]
+
+
+@st.composite
+def spelled_track_line(draw, video, concept, respell):
+    """A valid track line for (video, concept), spelled as json.dumps
+    spells it unless ``respell``: then more than half the lines are
+    spelled another way."""
+    spelling = draw(st.sampled_from(SPELLINGS[:2] * 3 + SPELLINGS[2:])) if respell else SPELLINGS[0]
+    texts = [json.dumps(video), json.dumps(concept)]
+    if respell and draw(st.sampled_from([False] * 3 + [True])):  # ids escaped as \u sequences
+        texts = ['"' + "".join(f"\\u{ord(char):04x}" for char in json.loads(text)) + '"'
+                 for text in texts]
+    separator = draw(st.sampled_from([", ", ", ", ",", " , "]))
+    scores = separator.join(draw(st.lists(SAMPLE_TEXT, min_size=1, max_size=17)))
+    return spelling.format(video=texts[0], concept=texts[1], scores=scores)
+
+
 @st.composite
 def score_files(draw):
-    pairs = draw(st.lists(
-        st.tuples(st.sampled_from(VIDEOS), st.sampled_from(CONCEPTS)), unique=True, max_size=14,
-    ))
-    lines = [track_line(v, c, draw(SAMPLES)) for v, c in pairs]
+    """The lines of a score JSONL file and its line end."""
+    pairs = draw(st.permutations(list(itertools.product(VIDEOS, CONCEPTS))))
+    pairs = pairs[: draw(st.integers(0, 14))]
+    respell = draw(st.booleans())
+    lines = [draw(spelled_track_line(v, c, respell)) for v, c in pairs]
     faults = draw(st.lists(
         st.one_of(
             st.sampled_from(SKIPPED),
@@ -136,10 +181,10 @@ def score_files(draw):
             st.builds(track_line, st.sampled_from(VIDEOS), st.sampled_from(CONCEPTS), SAMPLES),
         ),
         max_size=5,
-    ))
+    )) if draw(st.booleans()) else []  # half the files have no fault
     for fault in faults:
         lines.insert(draw(st.integers(0, len(lines))), fault)
-    return lines
+    return lines, draw(st.sampled_from(["\n", "\n", "\r\n"]))
 
 
 @given(
@@ -149,8 +194,9 @@ def score_files(draw):
 )
 @settings(max_examples=200, deadline=None)
 def test_score_jsonl_matches_line_oracle(workdir, lines, mode, chunk):
+    lines, end = lines
     path = workdir / "scores.jsonl"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
     expected_warnings = []
     try:
         expected, expected_error = score_jsonl_oracle(path, REPO, mode, expected_warnings), None
@@ -178,6 +224,89 @@ def test_score_jsonl_matches_line_oracle(workdir, lines, mode, chunk):
         assert list(corpus.ids) == list(expected)
         rows = np.array(list(expected.values())).reshape(len(expected), len(REPO))
         assert np.array_equal(bits(corpus.S), bits(rows))
+
+
+def plain_score_files(tmp_path):
+    """The score JSONL of a tiny cold_ingest workload and of synth world 1,
+    each with its concepts file."""
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run([sys.executable, str(root / "perfbench" / "gen.py"), "--workload",
+                    "cold_ingest", "--seed", "1", "--tiny", "--out", str(tmp_path / "tiny")],
+                   check=True, capture_output=True)
+    write_world_files(synth_world(seed=1), tmp_path / "world")
+    return [(tmp_path / name / "scores.jsonl", tmp_path / name / "concepts.json")
+            for name in ("tiny", "world")]
+
+
+def load_or_error(path, repo):
+    try:
+        return load_corpus(path, repo)
+    except (IngestError, ConceptFormatError) as exc:
+        return exc
+
+
+def bulk_routes(path, repo):
+    """Whether each chunk of 64 lines the loader read took the bulk route,
+    and the load's corpus or error."""
+    routes, plain = [], videos._plain_tracks
+
+    def spy(*args):
+        tracks = plain(*args)
+        routes.append(tracks is not None)
+        return tracks
+
+    with mock.patch.object(videos, "_plain_tracks", spy), mock.patch.object(videos, "_CHUNK", 64):
+        return routes, load_or_error(path, repo)
+
+
+def test_plain_chunks_take_the_bulk_route_and_faults_do_not(tmp_path):
+    # every chunk of what gen.py and synth write, and of the same lines
+    # with compact separators, is read in bulk; a chunk holding a line
+    # that is not plain, an unknown concept or a second track for a pair
+    # is read again line by line, to the same result as a load that reads
+    # every chunk line by line
+    for scores, concepts in plain_score_files(tmp_path):
+        repo = load_concepts(concepts)
+        lines = scores.read_text(encoding="utf-8").splitlines()
+        routes, corpus = bulk_routes(scores, repo)
+        assert routes == [True] * -(-len(lines) // 64)
+        compact = tmp_path / "compact.jsonl"
+        compact.write_text("".join(
+            json.dumps(json.loads(line), separators=(",", ":")) + "\n" for line in lines
+        ), encoding="utf-8")
+        routes, got = bulk_routes(compact, repo)
+        assert routes == [True] * -(-len(lines) // 64)
+        assert got.ids == corpus.ids and np.array_equal(bits(got.S), bits(corpus.S))
+        first = json.loads(lines[0])
+        fresh = dict(first, video="fresh")
+        faults = [
+            json.dumps(dict(reversed(fresh.items()))),
+            "",
+            json.dumps(fresh, separators=(",\t", ": ")),
+            " " + json.dumps(fresh),
+            json.dumps(fresh) + " ",
+            "x" + json.dumps(fresh),
+            json.dumps(fresh) + "x",
+            json.dumps(dict(fresh, concept="unknown")),
+            json.dumps(dict(fresh, video="v\t1")),
+            json.dumps(dict(fresh, scores=[])),
+            json.dumps(dict(fresh, scores=[0.5, float("nan")])),
+            json.dumps(first),  # a second track for the first line's pair
+        ]
+        for fault, at in itertools.product(faults, (5, 100)):
+            path = tmp_path / "fault.jsonl"
+            path.write_text("\n".join(lines[:at] + [fault] + lines[at:]) + "\n",
+                            encoding="utf-8")
+            routes, got = bulk_routes(path, repo)
+            assert len(routes) > at // 64
+            assert routes == [i != at // 64 for i in range(len(routes))], (fault, at)
+            with mock.patch.object(videos, "_plain_tracks", lambda *args: None):
+                expected = load_or_error(path, repo)
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected) and str(got) == str(expected)
+            else:
+                assert got.ids == expected.ids
+                assert np.array_equal(bits(got.S), bits(expected.S))
 
 
 @given(

@@ -586,6 +586,19 @@ def test_load_queries(tmp_path):
     assert queries[1].title_terms == ("changing", "vehicle", "tire")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('[{"event": "E1", "title": "a b", "n": %s}]' % ("1" * 5000), "Exceeds the limit"),
+    ("[" * 100_000, "maximum recursion depth exceeded"),
+])
+def test_load_queries_json_the_decoder_cannot_read_names_the_file(tmp_path, text, reason):
+    # an integer too long for int() and nesting too deep are no
+    # JSONDecodeError, but are input errors all the same
+    path = tmp_path / "queries.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SemvidError, match=f"cannot read query file .*{reason}"):
+        load_queries(path)
+
+
 def test_load_queries_duplicate_event(tmp_path):
     path = tmp_path / "queries.json"
     path.write_text(json.dumps([

@@ -10,8 +10,9 @@ from semvid.config import RetrievalConfig
 from semvid.embedding import load_embeddings
 from semvid.errors import ConceptFormatError, IngestError
 from semvid.retrieval import EventQuery, rank_event
+from semvid import videos
 from semvid.videos import Corpus, load_corpus
-from semvid.videos import _decode_json, _json_int
+from semvid.videos import _json_int
 
 
 @pytest.fixture
@@ -76,6 +77,15 @@ def test_track_rejects_out_of_range_and_empty(tmp_path, repo3, caplog):
         corpus = pooled(tmp_path, repo3, [("v", "c1", []), ("w", "c1", [0.5])])
     assert corpus.ids == ("w",)
     assert any("line 1: empty score list, skipped" in message for message in caplog.messages)
+
+
+def test_empty_track_alone_in_its_chunk_is_skipped(tmp_path, repo3, caplog, monkeypatch):
+    # the lists of a one-line chunk "[]" join to one flat list of no sample
+    monkeypatch.setattr(videos, "_CHUNK", 1)
+    with caplog.at_level("WARNING"):
+        corpus = pooled(tmp_path, repo3, [("v", "c1", []), ("w", "c1", [0.5])])
+    assert corpus.ids == ("w",)
+    assert caplog.messages == [f"{tmp_path / 'tracks.jsonl'} line 1: empty score list, skipped"]
 
 
 def test_build_record_fills_missing_with_zero(tmp_path, repo3):
@@ -283,6 +293,54 @@ def test_load_transcripts_bad_field_skipped_with_line(tmp_path, repo3, caplog, e
     )
 
 
+# JSON that the decoder rejects with a ValueError other than a
+# JSONDecodeError, or with a RecursionError
+HUGE_INTEGER = "1" * 5000
+DEEP_ARRAY = "[" * 100_000
+
+
+@pytest.mark.parametrize("line, reason", [
+    ('{"video": "v2", "ocr": "x", "asr": "y", "n": %s}' % HUGE_INTEGER, "Exceeds the limit"),
+    (DEEP_ARRAY, "maximum recursion depth exceeded"),
+])
+def test_load_transcripts_line_the_decoder_cannot_read_skipped_with_line(
+    tmp_path, repo3, caplog, line, reason
+):
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, [json.dumps({"video": "v1", "concept": "c1", "scores": [0.2]})])
+    transcripts = tmp_path / "tr.jsonl"
+    write_lines(transcripts, [line, json.dumps({"video": "v1", "asr": "y"})])
+    with caplog.at_level("WARNING"):
+        corpus = load_corpus(scores, repo3, transcripts)
+    assert corpus.ids == ("v1",) and corpus.asr == ("y",)
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith(f"{transcripts} line 1: malformed, skipped ({reason}")
+
+
+@pytest.mark.parametrize("chunk", [1, 4096])
+def test_load_scores_deeply_nested_line_skipped_with_line(
+    tmp_path, repo3, caplog, monkeypatch, chunk
+):
+    monkeypatch.setattr(videos, "_CHUNK", chunk)
+    scores = tmp_path / "scores.jsonl"
+    track = json.dumps({"video": "v1", "concept": "c1", "scores": [0.2]})
+    write_lines(scores, [track, DEEP_ARRAY, track.replace("c1", "c2")])
+    with caplog.at_level("WARNING"):
+        corpus = load_corpus(scores, repo3)
+    np.testing.assert_array_equal(corpus.S, [[0.2, 0.2, 0.0]])
+    assert len(caplog.messages) == 1
+    assert caplog.messages[0].startswith(f"{scores} line 2: malformed, skipped (maximum recursion")
+
+
+def test_load_scores_reads_a_huge_integer_sample_as_a_float(tmp_path, repo3):
+    # the decoder reads an integer as a float, so one too long for int()
+    # is +inf, a score outside [0, 1], and no malformed line
+    scores = tmp_path / "scores.jsonl"
+    write_lines(scores, ['{"video": "v1", "concept": "c1", "scores": [0.5, %s]}' % HUGE_INTEGER])
+    with pytest.raises(IngestError, match=f"{re.escape(str(scores))} line 1: score inf outside"):
+        load_corpus(scores, repo3)
+
+
 def test_load_scores_non_string_ids_skipped_with_line(tmp_path, repo3, caplog):
     scores = tmp_path / "scores.jsonl"
     write_lines(scores, [
@@ -357,13 +415,29 @@ def load_embeddings_text(tmp_path):
     '\x0c{"a": 1}', '{"a": 1}\x0c', "\u00a0{}", "nul", "NaN", "-0", "1e999", "[] []", '"abc',
     '{"a": tru}', "12 ", '{"a": 1} \n \n',
 ])
-def test_score_line_decoder_matches_the_json_decoder(line):
-    def outcome(decode):
-        try:
-            return repr(decode(line))
-        except json.JSONDecodeError as exc:
-            return str(exc), exc.pos
-    assert outcome(_decode_json) == outcome(json.JSONDecoder(parse_int=_json_int).decode)
+def test_score_line_decoder_matches_the_json_decoder(caplog, line):
+    # the route that reads every line the bulk route declines: a line is
+    # what json.JSONDecoder(parse_int=_json_int) decodes, or is reported
+    # with the decoder's own error (a blank line silently)
+    repo = ConceptRepository([ConceptDefinition(id="c", name="c")])
+    try:
+        obj = json.JSONDecoder(parse_int=_json_int).decode(line)
+        expected = obj["video"], obj["concept"], obj["scores"]
+        reports = []
+    except (ValueError, KeyError, TypeError) as exc:
+        expected = None
+        reports = [f"f line 7: malformed, skipped ({exc})"] if line.strip() else []
+    seen = np.zeros((0, 1), dtype=bool)
+    with caplog.at_level("WARNING"):
+        rows, cols, counts, lines, samples = videos._line_tracks(
+            "f", [line], 7, repo, {}, seen, "max"
+        )
+    assert caplog.messages == reports
+    if expected is None:
+        assert not counts
+    else:
+        assert (rows, cols, counts, lines) == ([0], [0], [2], [7])
+        assert expected == ("v", "c", samples)
 
 
 @pytest.mark.parametrize("scores, problem", [

@@ -26,9 +26,14 @@ world (seeds 1, 5 and 11):
 * for a world, ``rank`` outputs with both kernels from its own max-pooled
   CSV: once from the file as ``pool`` wrote it, which ``semvid`` parses
   with ``np.loadtxt``, and once from a copy with CRLF line ends and every
-  field quoted, which takes its ``csv.reader`` route.
+  field quoted, which takes its ``csv.reader`` route;
+* for a world, the ``rank`` outputs with both kernels (max pooling) and the
+  ``pool`` CSVs in both modes of a copy of its ``scores.jsonl`` with each
+  line's keys in reverse order, which ``semvid`` reads one line at a time
+  where it reads the original in bulk. The script fails unless each is
+  byte-identical to the same output of the original.
 
-That is 243 files.
+That is 255 files.
 
 Inputs are generated into a temporary directory, the workloads by
 ``perfbench/gen.py --out``; nothing under ``perfbench/`` is written. Every
@@ -142,6 +147,31 @@ def world(seed: int, tmp: Path, out: Path) -> None:
             semvid("rank", files["embeddings"], files["concepts"], files["queries"],
                    "--scores", scores, "--transcripts", files["transcripts"],
                    "--kernel", kernel, "--out", out / f"world-{seed}" / f"{name}-{kernel}.tsv")
+    reordered(files, data / "scores-reversed.jsonl", out / f"world-{seed}")
+
+
+def reordered(files, scores: Path, out: Path) -> None:
+    """Rank and pool a copy of a world's score JSONL with each line's keys
+    in reverse order, and stop the script unless every output is the one
+    the original gives."""
+    with open(files["scores"], encoding="utf-8") as src, \
+            open(scores, "w", encoding="utf-8", newline="\n") as dst:
+        for line in src:
+            dst.write(json.dumps(dict(reversed(json.loads(line).items()))) + "\n")
+    same = {}  # an output of the copy: the output of the original it must equal
+    for kernel in KERNELS:
+        ranked = out / f"reversed-{kernel}.tsv"
+        semvid("rank", files["embeddings"], files["concepts"], files["queries"],
+               "--scores", scores, "--transcripts", files["transcripts"],
+               "--kernel", kernel, "--mode", "max", "--out", ranked)
+        same[ranked] = out / f"max-{kernel}.tsv"
+    for mode in MODES:
+        pooled = out / f"reversed-pool-{mode}.csv"
+        semvid("pool", scores, files["concepts"], "--mode", mode, "--out", pooled)
+        same[pooled] = out / f"pool-{mode}.csv"
+    for got, expected in same.items():
+        if got.read_bytes() != expected.read_bytes():
+            sys.exit(f"error: {got} differs from {expected}")
 
 
 def main(argv=None) -> int:
