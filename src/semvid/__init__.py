@@ -23,8 +23,8 @@ _EXPORTS = {
         ),
         "config": ("DEFAULT_CONFIG", "RetrievalConfig"),
         "embedding": (
-            "EmbeddedSet", "EmbeddingSpace", "embed_tokens", "load_embeddings", "nearest_words",
-            "pool_texts", "save_embeddings", "sum_pool", "tokenize",
+            "EmbeddingSpace", "embed_tokens", "load_embeddings", "nearest_words", "pool_texts",
+            "save_embeddings", "sum_pool", "tokenize",
         ),
         "errors": (
             "AllTokensOOV", "ConceptFormatError", "EmbeddingFormatError", "EvaluationError",

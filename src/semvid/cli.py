@@ -115,11 +115,10 @@ def _cmd_relevance(args) -> int:
     stops = _stops(args)
     space = load_embeddings(args.embeddings, _fmt(args))
     repo = load_concepts(args.concepts, space, stops)
-    tokens = tokenize(args.query, stops)
-    query_set = embed_tokens(space, tokens)
-    if query_set.oov:
-        print(f"note: query tokens out of vocabulary: {list(query_set.oov)}", file=sys.stderr)
-    ranked = rank_concepts(repo, query_set, config.kernel, config.percentile)[: args.top]
+    rows, _, oov, _ = embed_tokens(space, tokenize(args.query, stops))
+    if oov:
+        print(f"note: query tokens out of vocabulary: {oov}", file=sys.stderr)
+    ranked = rank_concepts(repo, rows, config.kernel, config.percentile)[: args.top]
     width = max([len("concept")] + [len(w.concept_id) for w in ranked])
     print(f"{'concept':<{width}}  {'weight':>9}")
     for wc in ranked:

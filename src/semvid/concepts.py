@@ -7,7 +7,6 @@ name and keywords are tokenized into one list and embedded together.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from itertools import chain
@@ -15,19 +14,13 @@ from itertools import chain
 import numpy as np
 
 from .config import DEFAULT_CONFIG
-from .embedding import (
-    EmbeddedSet,
-    EmbeddingSpace,
-    _dot_norms,
-    _norm,
-    _resolve,
-    sum_pool,
-    tokenize,
-)
+from .embedding import EmbeddingSpace, _dot_norms, _norm, _resolve, sum_pool, tokenize
 # not called here: bound so that perfbench's tracer, which wraps
 # semvid.concepts.embed_tokens, still finds it
 from .embedding import embed_tokens  # noqa: F401
-from .errors import ConceptFormatError, NoScoreableConcepts, checked_string, open_utf8
+from .errors import (
+    ConceptFormatError, NoScoreableConcepts, ZeroNormError, checked_string, read_json_array,
+)
 from .kernels import row_dots
 from .stopwords import DEFAULT_STOPWORDS
 
@@ -190,19 +183,9 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
     Each entry is checked as a :class:`ConceptDefinition`; a bad field or a
     repeated id is rejected with the file and the entry's index in the array.
     """
-    try:
-        with open_utf8(path, ConceptFormatError) as fh:
-            raw = json.load(fh)
-    # besides a JSONDecodeError, json raises a ValueError for an integer of over
-    # 4300 digits and a RecursionError for arrays or objects nested too deep
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConceptFormatError(f"cannot read concept file {path}: {exc}")
-    if not isinstance(raw, list):
-        raise ConceptFormatError("concept file must be a JSON array")
-
     concepts = []
     seen = set()
-    for index, entry in enumerate(raw):
+    for index, entry in enumerate(read_json_array(path, "concept file", ConceptFormatError)):
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "id" not in entry or "name" not in entry:
             raise ConceptFormatError(f"{where}: concept entry missing id/name: {entry!r}")
@@ -220,9 +203,9 @@ def load_concepts(path, space: EmbeddingSpace | None = None, stops=DEFAULT_STOPW
     return ConceptRepository(concepts, space, stops)
 
 
-def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: float):
-    """Percentile Hausdorff similarity of the query to every concept of
-    ``repo._set_index``, all concepts at once.
+def _hausdorff_weights(repo: ConceptRepository, rows, percentile: float):
+    """Percentile Hausdorff similarity of the query, given as its table
+    rows, to every concept of ``repo._set_index``, all concepts at once.
 
     One (T, q) table holds the cosine of every concept word (T rows over
     all concepts) with every query word. A row's maximum is that concept
@@ -233,7 +216,7 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     concept's values lie sorted in its own segment. The weight is the
     smaller of the two.
     """
-    Q = query.vectors
+    Q = repo.space._matrix[rows].astype(np.float64)
     from_query_index = lower_percentile_index(percentile, len(Q))
     q_norms = np.linalg.norm(Q, axis=1)
     cos = row_dots(repo._set_vectors, Q) / np.outer(repo._set_norms, q_norms)
@@ -249,13 +232,16 @@ def _hausdorff_weights(repo: ConceptRepository, query: EmbeddedSet, percentile: 
     return np.minimum(from_query, from_concept)
 
 
-def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentile: float):
+def _weights(repo: ConceptRepository, rows, kernel: str, percentile: float):
     """The score columns of the kernel's scoreable concepts, their
-    positions in sorted id order, and their weights."""
+    positions in sorted id order, and their weights against the query's
+    table rows."""
     if repo.space is None:
         raise ValueError("the concept repository is not embedded in a space, so it cannot rank")
+    if not len(rows):
+        raise ZeroNormError("a query needs at least one table row")
     if kernel == "pooled":
-        pooled = sum_pool(query)
+        pooled = sum_pool(repo.space._matrix[rows])
         norm = _norm(pooled)
         if norm == 0.0:
             raise NoScoreableConcepts("query has a zero-norm pooled vector")
@@ -265,7 +251,7 @@ def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentil
     elif kernel == "hausdorff":
         columns, ranks = repo._set_index
         if len(columns):
-            weights = _hausdorff_weights(repo, query, percentile)
+            weights = _hausdorff_weights(repo, rows, percentile)
     else:
         raise ValueError(f"kernel must be pooled or hausdorff, got {kernel!r}")
     if not len(columns):
@@ -275,11 +261,13 @@ def _weights(repo: ConceptRepository, query: EmbeddedSet, kernel: str, percentil
 
 def rank_concepts(
     repo: ConceptRepository,
-    query: EmbeddedSet,
+    rows,
     kernel: str = DEFAULT_CONFIG.kernel,
     percentile: float = DEFAULT_CONFIG.percentile,
 ) -> list[WeightedConcept]:
-    """Weight every scoreable concept by its similarity to the query.
+    """Weight every scoreable concept by its similarity to the query,
+    given as the table rows of its words (the first item
+    :func:`~semvid.embedding.embed_tokens` returns).
 
     Sorted by weight descending, ties by id ascending, NaN weights last:
     :func:`top_r_columns` with R the number of concepts, each score column
@@ -295,7 +283,7 @@ def rank_concepts(
     weight depends only on the query and that concept.
     """
     # R >= 1 even for an empty repository, which raises NoScoreableConcepts
-    columns, weights = top_r_columns(repo, query, kernel, max(len(repo), 1), percentile)
+    columns, weights = top_r_columns(repo, rows, kernel, max(len(repo), 1), percentile)
     return [
         WeightedConcept(repo.concepts[c].id, w) for c, w in zip(columns.tolist(), weights.tolist())
     ]
@@ -303,7 +291,7 @@ def rank_concepts(
 
 def top_r_columns(
     repo: ConceptRepository,
-    query: EmbeddedSet,
+    rows,
     kernel: str,
     r: int,
     percentile: float,
@@ -315,7 +303,7 @@ def top_r_columns(
     beat it are sorted."""
     if r < 1:
         raise ValueError("R must be >= 1")
-    columns, ranks, weights = _weights(repo, query, kernel, percentile)
+    columns, ranks, weights = _weights(repo, rows, kernel, percentile)
     negated = -weights
     last = min(r, len(weights)) - 1
     kth = np.partition(negated, last)[last]

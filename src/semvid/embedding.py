@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import re
-from dataclasses import dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -91,46 +90,22 @@ def _norm(vector: np.ndarray) -> float:
     return math.sqrt(vector.dot(vector))
 
 
-@dataclass(frozen=True)
-class EmbeddedSet:
-    """An ordered bag of word vectors plus the tokens that produced them.
-
-    ``oov`` lists input tokens that resolved to nothing and ``merges`` counts
-    adjacent bigrams folded into a single phrase entry, so that
-    ``len(set) + len(oov) + merges == len(input tokens)``.
-
-    ``vectors`` must be a non-empty 2-D array whose every row has a finite,
-    nonzero norm, as every set of table rows has; anything else raises
-    :class:`ZeroNormError`, so that no kernel divides by a zero norm.
-    """
-
-    vectors: np.ndarray  # (n, dim) float64
-    source_tokens: tuple[str, ...]
-    oov: tuple[str, ...] = ()
-    merges: int = 0
-
-    def __post_init__(self):
-        vectors = self.vectors
-        if not (isinstance(vectors, np.ndarray) and vectors.ndim == 2 and len(vectors)
-                and 0.0 < _dot_norms(vectors.astype(np.float64, copy=False)).min() < np.inf):
-            raise ZeroNormError("an embedded set needs rows of finite, nonzero norm")
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
 class EmbeddingSpace:
     """Immutable token -> unit-vector table with exhaustive k-NN search."""
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
         """A space over a float32 copy of ``matrix``, one row per token, with
-        its rows unit-normalized as the loaders normalize a table's rows: a
-        row within 1e-6 of unit length is kept bit for bit, another is
-        divided by its norm. A matrix without rows or columns, a token given
-        twice (the loaders keep a token's first row and count the rest in
-        ``duplicates``) and a row of zero or non-finite norm are each an
-        :class:`EmbeddingFormatError`, and so are tokens given as one string
-        and a matrix that is ragged or not numeric."""
+        its rows unit-normalized as the binary reader normalizes a table's
+        rows: the values are rounded to float32 first, then a row within
+        1e-6 of unit length is kept bit for bit and another is divided by
+        its float64 norm and rounded to float32 again. The text reader
+        divides the float64 values it parses and rounds once, so a row off
+        unit length may differ from this in the last bit of some values; a
+        unit row is the same both ways. A matrix without rows or columns, a
+        token given twice (the loaders keep a token's first row and count
+        the rest in ``duplicates``) and a row of zero or non-finite norm are
+        each an :class:`EmbeddingFormatError`, and so are tokens given as
+        one string and a matrix that is ragged or not numeric."""
         checked_sequence(tokens, "tokens must be a sequence", EmbeddingFormatError)
         try:
             matrix = np.array(matrix, dtype=np.float32, order="C")
@@ -547,33 +522,24 @@ def _resolve(space: EmbeddingSpace, tokens: list[str]):
     return rows, resolved, oov, merges
 
 
-def _resolve_some(space: EmbeddingSpace, tokens: list[str]):
-    """:func:`_resolve`, raising :class:`AllTokensOOV` when nothing
-    resolves."""
+def embed_tokens(space: EmbeddingSpace, tokens: list[str]):
+    """Resolve tokens to table rows, folding adjacent bigrams first.
+
+    A greedy left-to-right pass tries the underscore-joined form of each
+    adjacent pair (GoogleNews-style phrase entries) and falls back to the
+    single token. Returns ``(rows, resolved, oov, merges)``: the word set's
+    table rows in order, the token or phrase each row stands for, the
+    tokens that resolved to nothing and the number of pairs folded into a
+    phrase, so that ``len(rows) + len(oov) + merges == len(tokens)``. When
+    nothing resolves, raises :class:`AllTokensOOV`.
+    """
+    checked_sequence(tokens, "tokens must be a sequence")
     rows, resolved, oov, merges = _resolve(space, tokens)
     if not rows:
         raise AllTokensOOV(tokens)
     if oov:
         log.debug("embed_tokens: %d tokens out of vocabulary: %s", len(oov), oov)
     return rows, resolved, oov, merges
-
-
-def embed_tokens(space: EmbeddingSpace, tokens: list[str]) -> EmbeddedSet:
-    """Resolve tokens against the table, folding adjacent bigrams first.
-
-    A greedy left-to-right pass tries the underscore-joined form of each
-    adjacent pair (GoogleNews-style phrase entries) and falls back to the
-    single token. Unresolvable tokens are skipped and reported on the
-    returned set; when nothing resolves, raises :class:`AllTokensOOV`.
-    """
-    checked_sequence(tokens, "tokens must be a sequence")
-    rows, resolved, oov, merges = _resolve_some(space, tokens)
-    return EmbeddedSet(
-        vectors=space._matrix[rows].astype(np.float64),
-        source_tokens=tuple(resolved),
-        oov=tuple(oov),
-        merges=merges,
-    )
 
 
 def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STOPWORDS):
@@ -593,12 +559,12 @@ def pool_texts(space: EmbeddingSpace, texts, stops: frozenset[str] = DEFAULT_STO
     return sum_pool(space._matrix, counts, rows), counts
 
 
-def sum_pool(vectors: EmbeddedSet | np.ndarray, sizes=None, rows=None) -> np.ndarray:
+def sum_pool(vectors: np.ndarray, sizes=None, rows=None) -> np.ndarray:
     """Component-wise float64 sum of word sets, not renormalized: every word
     set (concept, transcript, query) is pooled here.
 
-    Given one set (an :class:`EmbeddedSet` or a 2-D array of its rows),
-    returns its (dim,) sum; an empty set raises :class:`ZeroNormError`.
+    Given one set (a 2-D array of its rows), returns its (dim,) sum; an
+    empty set raises :class:`ZeroNormError`.
     Given ``sizes``, pools many sets in one call and returns a
     (len(sizes), dim) matrix: set i is the next ``sizes[i]`` rows of
     ``vectors`` or, when ``rows`` is given, of ``vectors[rows]``, which is
@@ -613,7 +579,6 @@ def sum_pool(vectors: EmbeddedSet | np.ndarray, sizes=None, rows=None) -> np.nda
     gathers one row per set and each set gets the bits it gets alone.
     """
     if sizes is None:
-        vectors = vectors.vectors if isinstance(vectors, EmbeddedSet) else vectors
         vectors = np.ascontiguousarray(vectors)  # numpy sums a column-major set's rows pairwise
         if vectors.shape[0] == 0:
             raise ZeroNormError("cannot pool an empty vector set")

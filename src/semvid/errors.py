@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all semvid modules, and the guard that
-turns an input file that is not UTF-8 into one of them."""
+"""Exception hierarchy shared by all semvid modules, the guard that turns
+an input file that is not UTF-8 into one of them, and the reader of the
+JSON array files (concepts, queries)."""
 
 import os
 import stat
@@ -55,6 +56,24 @@ def checked_sequence(value, what: str, error=SemvidError):
     if isinstance(value, str):
         raise error(f"{what}, got the string {value!r}")
     return value
+
+
+def read_json_array(path, what: str, error=SemvidError) -> list:
+    """The JSON array in the file at ``path``, read as :class:`open_utf8`
+    reads it. A file that cannot be opened or decoded, or that holds no
+    array, raises ``error`` naming ``what`` the file is and its path."""
+    import json
+
+    try:
+        with open_utf8(path, error) as fh:
+            raw = json.load(fh)
+    # besides a JSONDecodeError, json raises a ValueError for an integer of over
+    # 4300 digits and a RecursionError for arrays or objects nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}")
+    if not isinstance(raw, list):
+        raise error(f"{what} {path} must be a JSON array")
+    return raw
 
 
 def _line_label(line: int) -> str:

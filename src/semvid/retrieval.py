@@ -19,7 +19,6 @@ on the rest of the corpus or on the video's position in it.
 
 from __future__ import annotations
 
-import json
 import logging
 import numbers
 from dataclasses import dataclass
@@ -29,17 +28,8 @@ import numpy as np
 from . import kernels
 from .concepts import ConceptRepository, top_r_columns
 from .config import DEFAULT_CONFIG, RetrievalConfig
-from .embedding import (
-    EmbeddedSet,
-    EmbeddingSpace,
-    _nearest_rows,
-    _norm,
-    _resolve_some,
-    embed_tokens,
-    sum_pool,
-    tokenize,
-)
-from .errors import SemvidError, checked_sequence, checked_string, open_utf8
+from .embedding import EmbeddingSpace, _nearest_rows, _norm, embed_tokens, sum_pool, tokenize
+from .errors import SemvidError, checked_sequence, checked_string, read_json_array
 from .ranked import RankedList, read_ranked_tsv, tsv_id, write_ranked_tsv  # TSV helpers re-exported
 from .stopwords import DEFAULT_STOPWORDS
 from .videos import Corpus
@@ -75,19 +65,9 @@ def load_queries(path, stops=DEFAULT_STOPWORDS) -> list[EventQuery]:
     only, is rejected with the file and the entry's index in the array
     rather than read as text.
     """
-    try:
-        with open_utf8(path) as fh:
-            raw = json.load(fh)
-    # besides a JSONDecodeError, json raises a ValueError for an integer of over
-    # 4300 digits and a RecursionError for arrays or objects nested too deep
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SemvidError(f"cannot read query file {path}: {exc}")
-    if not isinstance(raw, list):
-        raise SemvidError("query file must be a JSON array")
-
     queries = []
     seen = set()
-    for index, entry in enumerate(raw):
+    for index, entry in enumerate(read_json_array(path, "query file")):
         where = f"{path} entry {index}"
         if not isinstance(entry, dict) or "event" not in entry or "title" not in entry:
             raise SemvidError(f"{where}: query entry missing event/title: {entry!r}")
@@ -121,34 +101,29 @@ def map_concept_raw(raw, r: int):
     return np.clip((raw / r + 1.0) / 2.0, 0.0, 1.0)
 
 
-def prepare_text_query(
-    terms, space: EmbeddingSpace, k: int = DEFAULT_CONFIG.augment_k
-) -> EmbeddedSet:
-    """Embed the channel query terms, expanded with the k nearest
-    vocabulary words to their pooled point (the query's own tokens are
-    excluded); see :func:`_expansions`. ``k`` is an integer >= 0."""
+def prepare_text_query(terms, space: EmbeddingSpace, k: int = DEFAULT_CONFIG.augment_k):
+    """Resolve the channel query terms as
+    :func:`~semvid.embedding.embed_tokens` does, expanded with the k
+    nearest vocabulary words to their pooled point (the query's own tokens
+    are excluded); see :func:`_expansions`. Returns ``(rows, tokens, oov,
+    merges)``, whose tokens are the resolved ones followed by the
+    neighbours, one per row. ``k`` is an integer >= 0."""
     terms = list(checked_sequence(terms, "text query terms must be a sequence"))
     if not isinstance(k, numbers.Integral) or k < 0:
         raise SemvidError(f"k must be an integer >= 0, got {k!r}")
     [(rows, resolved, oov, merges)] = _expansions([terms], space, k)
-    return EmbeddedSet(
-        vectors=space._matrix[rows].astype(np.float64),
-        source_tokens=tuple(resolved) + tuple(space._tokens[rows[len(resolved) :]].tolist()),
-        oov=tuple(oov),
-        merges=merges,
-    )
+    return rows, resolved + space._tokens[rows[len(resolved) :]].tolist(), oov, merges
 
 
 def _expansions(term_lists, space: EmbeddingSpace, k: int):
-    """The resolution of each term list as
-    :func:`~semvid.embedding.embed_tokens` makes it, (rows, resolved
-    tokens, OOV words, merges), whose rows are those of the query set: the
-    resolved tokens' rows, then those of the k nearest other words to their
-    pooled point, nearest first. The terms and the resolved tokens are not
-    neighbours. All lists share one table scan
-    (:func:`~semvid.embedding._nearest_rows`)."""
+    """The resolution :func:`~semvid.embedding.embed_tokens` gives each
+    term list, (rows, resolved tokens, OOV words, merges), whose rows are
+    then those of the query set: the resolved tokens' rows, then those of
+    the k nearest other words to their pooled point, nearest first. The
+    terms and the resolved tokens are not neighbours. All lists share one
+    table scan (:func:`~semvid.embedding._nearest_rows`)."""
     matrix, index = space._matrix, space._index
-    resolutions = [_resolve_some(space, list(terms)) for terms in term_lists]
+    resolutions = [embed_tokens(space, list(terms)) for terms in term_lists]
     found = [rows for rows, *_ in resolutions]
     expand, points, norms = [], [], []
     for i, rows in enumerate(found if k > 0 else ()):
@@ -215,7 +190,7 @@ def _query_sides(queries, space: EmbeddingSpace, repo: ConceptRepository, config
     """
     concepts, terms = [], {}
     for query in queries:
-        title = embed_tokens(space, list(query.title_terms))
+        title = embed_tokens(space, list(query.title_terms))[0]
         concepts.append(top_r_columns(repo, title, config.kernel, config.top_r, config.percentile))
         for extra in (query.ocr_terms, query.asr_terms):
             terms.setdefault(query.title_terms + extra)

@@ -22,15 +22,19 @@ import numpy as np
 from . import kernels
 from .concepts import lower_percentile_index
 from .config import DEFAULT_CONFIG
-from .embedding import EmbeddedSet, sum_pool
+from .embedding import _dot_norms, sum_pool
 from .errors import ZeroNormError
 
 
 def _vectors(value) -> np.ndarray:
-    arr = value.vectors if isinstance(value, EmbeddedSet) else np.asarray(value, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ZeroNormError("similarity kernels need a non-empty (n, dim) vector set")
-    return np.ascontiguousarray(arr, dtype=np.float64)
+    """``value`` as a C-contiguous float64 (n, dim) set of n >= 1 rows,
+    each of finite, nonzero norm; anything else raises
+    :class:`ZeroNormError`, so that no kernel divides by a zero norm."""
+    arr = np.ascontiguousarray(value, dtype=np.float64)
+    if not (arr.ndim == 2 and len(arr) and 0.0 < _dot_norms(arr).min() < np.inf):
+        raise ZeroNormError("similarity kernels need a non-empty (n, dim) set of rows "
+                            "of finite, nonzero norm")
+    return arr
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

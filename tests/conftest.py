@@ -28,9 +28,9 @@ def text_channel():
     reduction. A transcript with no in-vocabulary word scores the neutral
     0.5; a query with none raises AllTokensOOV."""
     def score(terms, transcript, space, k=5, stops=DEFAULT_STOPWORDS):
-        query = retrieval.prepare_text_query(terms, space, k)
+        rows = retrieval.prepare_text_query(terms, space, k)[0]
         pooled, counts = pool_texts(space, [transcript], stops)
-        pair = (sum_pool(query), len(query))
+        pair = (sum_pool(space._matrix[rows]), len(rows))
         return float(retrieval._text_scores(pair, pooled, counts)[0])
 
     return score

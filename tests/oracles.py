@@ -12,6 +12,7 @@ import json
 import math
 import re
 import struct
+from decimal import Decimal
 
 import numpy as np
 
@@ -321,12 +322,13 @@ def event_scores_oracle(
     return out
 
 
-def _json_number(value) -> float:
-    """A JSON number as a float; an integer too large for one is +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.copysign(math.inf, value)
+def _json_integer(text: str) -> float:
+    """A JSON integer literal as the score loader documents it: a float, the
+    nearest to its exact value, +-inf out of float range, and 0.0 for -0 (an
+    integer has no negative zero). ``Decimal`` reads a literal of any length,
+    where ``int`` stops at 4300 digits."""
+    value = float(Decimal(text))
+    return value if value else 0.0
 
 
 def pool_oracle(samples, mode: str) -> float:
@@ -351,14 +353,12 @@ def score_jsonl_oracle(path, repo, mode, warnings: list) -> dict:
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_int=_json_integer)
                 video, concept, scores = obj["video"], obj["concept"], obj["scores"]
             except (ValueError, KeyError, TypeError) as exc:
                 warnings.append(f"{path} line {lineno}: malformed, skipped ({exc})")
                 continue
-            if not isinstance(scores, list) or any(
-                isinstance(s, bool) or not isinstance(s, (int, float)) for s in scores
-            ):
+            if not isinstance(scores, list) or any(not isinstance(s, float) for s in scores):
                 warnings.append(
                     f"{path} line {lineno}: malformed, skipped (scores must be a list of numbers)"
                 )
@@ -369,7 +369,7 @@ def score_jsonl_oracle(path, repo, mode, warnings: list) -> dict:
                     "(video and concept ids must be strings)"
                 )
                 continue
-            samples = tuple(_json_number(s) for s in scores)
+            samples = tuple(scores)
             for s in samples:
                 if not 0.0 <= s <= 1.0:
                     raise IngestError(f"{path} line {lineno}: score {s} outside [0, 1]")

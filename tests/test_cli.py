@@ -99,7 +99,7 @@ def test_relevance_matches_library_ranking(world_dir, capsys):
 
     space = load_embeddings(paths["embeddings"])
     repo = load_concepts(paths["concepts"], space)
-    expected = rank_concepts(repo, embed_tokens(space, ["ev0title0", "ev0title1"]))[:5]
+    expected = rank_concepts(repo, embed_tokens(space, ["ev0title0", "ev0title1"])[0])[:5]
     listed = [line.split()[0] for line in table[1:]]
     assert listed == [w.concept_id for w in expected]
 
@@ -124,6 +124,37 @@ def test_relevance_oov_query_fails_with_report(world_dir, capsys):
     code = main(["relevance", paths["embeddings"], paths["concepts"], "--query", "xylophone"])
     assert code == 1
     assert "vocabulary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+def test_relevance_notes_an_oov_query_word_and_ranks_the_others(world_dir, capsys, kernel):
+    _, paths = world_dir
+    argv = ["relevance", paths["embeddings"], paths["concepts"], "--kernel", kernel, "--query"]
+    assert main([*argv, "ev0title0 ev0title1"]) == 0
+    known = capsys.readouterr()
+    assert main([*argv, "ev0title0 ev0title1 zzz"]) == 0
+    got = capsys.readouterr()
+    assert known.err == ""
+    assert got.err == "note: query tokens out of vocabulary: ['zzz']\n"
+    assert got.out == known.out and len(got.out.splitlines()) > 1
+
+
+@pytest.mark.parametrize("which, what", [("concepts", "concept file"), ("queries", "query file")])
+def test_json_file_that_is_no_array_is_an_input_error_naming_it(world_dir, tmp_path, capsys, which,
+                                                                 what):
+    _, paths = world_dir
+    bad = tmp_path / f"{which}.json"
+    bad.write_text('{"a": 1}', encoding="utf-8")
+    if which == "concepts":
+        argv = ["pool", paths["scores"], str(bad), "--out", str(tmp_path / "x.csv")]
+    else:
+        argv = ["rank", paths["embeddings"], paths["concepts"], str(bad),
+                "--scores", paths["scores"], "--transcripts", paths["transcripts"],
+                "--out", str(tmp_path / "x.tsv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} {bad} must be a JSON array\n"
 
 
 def test_rank_deterministic_and_matches_library(world_dir, tmp_path):

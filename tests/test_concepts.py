@@ -13,7 +13,7 @@ from semvid.concepts import (
 )
 from semvid.config import DEFAULT_CONFIG
 from semvid.embedding import EmbeddingSpace, embed_tokens, sum_pool, tokenize
-from semvid.errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts
+from semvid.errors import AllTokensOOV, ConceptFormatError, NoScoreableConcepts, ZeroNormError
 import semvid.concepts as concepts
 from semvid.stopwords import DEFAULT_STOPWORDS
 from semvid.synth import random_space, synth_world
@@ -81,7 +81,7 @@ def test_rank_concepts_self_match_first(tiny_space):
         ConceptDefinition(id="same", name="a"),
         ConceptDefinition(id="other", name="b"),
     ], tiny_space, stops=frozenset())
-    query = embed_tokens(tiny_space, ["a"])
+    query = embed_tokens(tiny_space, ["a"])[0]
     ranked = rank_concepts(repo, query)
     assert ranked[0].concept_id == "same"
     assert ranked[0].weight == pytest.approx(1.0, abs=1e-9)
@@ -98,7 +98,7 @@ def test_rank_concepts_tie_rule_id_ascending(tmp_path):
         ConceptDefinition(id="zeta", name="foo"),
         ConceptDefinition(id="alpha", name="bar"),
     ], space)
-    ranked = rank_concepts(repo, embed_tokens(space, ["q"]))
+    ranked = rank_concepts(repo, embed_tokens(space, ["q"])[0])
     assert [w.concept_id for w in ranked] == ["alpha", "zeta"]
     assert all(w.weight == pytest.approx(0.0, abs=1e-12) for w in ranked)
 
@@ -114,7 +114,7 @@ def test_rank_concepts_matches_scan_oracle(space50):
         sets[f"c{i:02d}"] = [space50.vector(t) for t in picked]
     repo = ConceptRepository(defs, space50)
     query_tokens = [str(t) for t in rng.choice(tokens, size=2, replace=False)]
-    query = embed_tokens(space50, query_tokens)
+    query = embed_tokens(space50, query_tokens)[0]
 
     for kernel in ("pooled", "hausdorff"):
         ranked = rank_concepts(repo, query, kernel)
@@ -128,7 +128,7 @@ def test_rank_output_covers_every_scoreable_concept(space50):
     repo = ConceptRepository([
         ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(10)
     ], space50)
-    ranked = rank_concepts(repo, embed_tokens(space50, ["w20"]))
+    ranked = rank_concepts(repo, embed_tokens(space50, ["w20"])[0])
     assert len(ranked) == 10
 
 
@@ -144,7 +144,7 @@ def test_adding_a_concept_never_changes_existing_weights(space50):
         repo_big = ConceptRepository(base + [ConceptDefinition(id="extra", name=extra)], space50)
         for kernel in ("pooled", "hausdorff"):
             for title in (["w40", "w41"], ["w12"], ["w40", "w11", "w13", "w2"]):
-                query = embed_tokens(space50, title)
+                query = embed_tokens(space50, title)[0]
                 small = {w.concept_id: w.weight for w in rank_concepts(repo_small, query, kernel)}
                 big = {w.concept_id: w.weight for w in rank_concepts(repo_big, query, kernel)}
                 for cid, weight in small.items():
@@ -179,7 +179,7 @@ def test_hausdorff_rank_concepts_matches_oracle():
             title = [f"w{j}" for j in rng.choice(30, size=size)]
             if trial == 2 and size > 1:
                 title[-1] = title[0]
-            query = embed_tokens(space, title)
+            query = embed_tokens(space, title)[0]
             for percentile in (1.0, 50.0, 100.0):
                 ranked = rank_concepts(repo, query, "hausdorff", percentile)
                 expected = concept_rank_oracle(
@@ -207,13 +207,14 @@ def test_hausdorff_rank_concepts_equals_sim_hausdorff_bit_for_bit():
     repo = ConceptRepository(defs, space, stops=frozenset())
     for trial in range(12):
         title = [f"w{j}" for j in rng.choice(30, size=int(rng.integers(2, 6)))]
-        query = embed_tokens(space, title)
+        query = embed_tokens(space, title)[0]
+        vectors = space._matrix[query].astype(np.float64)
         for percentile in (1.0, 37.0, 50.0, 100.0):
             ranked = rank_concepts(repo, query, "hausdorff", percentile)
             assert len(ranked) == len(sets)
             for w in ranked:
-                assert w.weight == sim_hausdorff(sets[w.concept_id], query.vectors, percentile)
-                assert w.weight == sim_hausdorff(query.vectors, sets[w.concept_id], percentile)
+                assert w.weight == sim_hausdorff(sets[w.concept_id], vectors, percentile)
+                assert w.weight == sim_hausdorff(vectors, sets[w.concept_id], percentile)
     with pytest.raises(ValueError, match="percentile"):
         rank_concepts(repo, query, "hausdorff", 0.0)
 
@@ -221,7 +222,7 @@ def test_hausdorff_rank_concepts_equals_sim_hausdorff_bit_for_bit():
 def test_rerank_is_bit_identical(space50):
     definitions = [ConceptDefinition(id=f"c{i}", name=f"w{i}") for i in range(12)]
     repo = ConceptRepository(definitions, space50)
-    query = embed_tokens(space50, ["w25"])
+    query = embed_tokens(space50, ["w25"])[0]
     first = rank_concepts(repo, query)
     second = rank_concepts(repo, query)
     assert first == second
@@ -247,9 +248,9 @@ def tie_world(tmp_path):
 @pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
 def test_top_r_columns_is_the_ranked_prefix_with_ties_straddling_r(tmp_path, kernel):
     space, repo, sets = tie_world(tmp_path)
-    query = embed_tokens(space, ["q"])
+    query = embed_tokens(space, ["q"])[0]
     ranked = rank_concepts(repo, query, kernel)
-    oracle = concept_rank_oracle(list(query.vectors), sets, kernel)
+    oracle = concept_rank_oracle(list(space._matrix[query].astype(np.float64)), sets, kernel)
     assert [w.concept_id for w in ranked] == [c for c, _ in oracle]
     assert [w.concept_id for w in ranked][:4] == ["e_a", "k_a", "z_a", "b_b"]
     for r in range(1, len(ranked) + 2):
@@ -267,7 +268,7 @@ def test_top_r_columns_orders_signed_zero_weights_by_id(tmp_path, monkeypatch):
     weights = np.array([0.0, -0.0, 0.5, -0.0, 0.5, 0.0, -0.25, -0.0])
     assert len(weights) == len(ids)
     monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
-    query = embed_tokens(space, ["q"])
+    query = embed_tokens(space, ["q"])[0]
     expected = sorted(zip(ids, weights.tolist()), key=lambda pair: (-pair[1], pair[0]))
     ranked = rank_concepts(repo, query, "hausdorff")
     assert [(w.concept_id, w.weight) for w in ranked] == expected
@@ -297,7 +298,7 @@ def test_zero_norm_pooled_concept_logged_once_and_skipped_by_pooled_kernel(tmp_p
     assert repo.scoreable_ids() == ["flat", "north"]
 
     caplog.clear()
-    query = embed_tokens(space, ["q"])
+    query = embed_tokens(space, ["q"])[0]
     with caplog.at_level("WARNING"):
         for _ in range(3):
             pooled = rank_concepts(repo, query, "pooled")
@@ -356,8 +357,9 @@ def test_concept_definition_keeps_keywords_as_a_tuple_and_rejects_a_blank_name()
 
 def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
     # the constructor pools each concept's float64 word vectors with
-    # sum_pool; every pooled row must have the bits sum_pool gives the set
-    # embed_tokens builds from the concept's words, for any word count
+    # sum_pool; every pooled row must have the bits sum_pool gives the
+    # float64 copy of the table rows embed_tokens resolves the concept's
+    # words to, for any word count
     # (signed zeros too), also next to one concept far longer than the rest
     rng = np.random.default_rng(21)
     space = random_space(rng, 120, 16)
@@ -380,7 +382,7 @@ def test_pooled_concept_rows_equal_sum_pool_bit_for_bit():
     by_id = {d.id: d for d in definitions}
     for row, concept_id in enumerate(ids):
         words = [by_id[concept_id].name, *by_id[concept_id].keywords]
-        expected = sum_pool(embed_tokens(space, words))
+        expected = sum_pool(space._matrix[embed_tokens(space, words)[0]].astype(np.float64))
         assert repo._pooled[row].tobytes() == expected.tobytes(), concept_id
 
 
@@ -394,7 +396,7 @@ def test_top_r_columns_selects_the_ranked_prefix_of_any_weights(tmp_path, monkey
     rng = np.random.default_rng(seed)
     weights = rng.choice([0.5, 0.25, 0.0, -0.0, -0.5, np.nan], size=len(ids))
     monkeypatch.setattr(concepts, "_hausdorff_weights", lambda *args: weights.copy())
-    query = embed_tokens(space, ["q"])
+    query = embed_tokens(space, ["q"])[0]
     ranked = rank_concepts(repo, query, "hausdorff")
     for r in range(1, len(ids) + 2):
         columns, selected = top_r_columns(repo, query, "hausdorff", r, DEFAULT_CONFIG.percentile)
@@ -416,7 +418,7 @@ def test_rank_concepts_is_top_r_columns_over_every_r(tmp_path, kernel, nan_ids):
             repo._pooled[row] = np.nan
         else:
             repo._set_vectors[repo._set_starts[row]] = np.nan
-    query = embed_tokens(space, ["q"])
+    query = embed_tokens(space, ["q"])[0]
     ranked = [(w.concept_id, w.weight) for w in rank_concepts(repo, query, kernel)]
     expected = sorted(ranked, key=lambda pair: (
         math.isnan(pair[1]), 0.0 if math.isnan(pair[1]) else -pair[1], pair[0]
@@ -432,7 +434,7 @@ def test_rank_concepts_is_top_r_columns_over_every_r(tmp_path, kernel, nan_ids):
 
 @pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
 def test_rank_concepts_without_scoreable_concepts_raises(tiny_space, kernel):
-    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])
+    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])[0]
     for definitions in ([], [ConceptDefinition(id="ghost", name="zzzqqq")]):
         repo = ConceptRepository(definitions, tiny_space)
         with pytest.raises(NoScoreableConcepts, match="no scoreable concepts"):
@@ -446,17 +448,26 @@ def test_rank_concepts_names_a_missing_space(tiny_space, kernel):
     definitions = [ConceptDefinition(id=t, name=t) for t in tiny_space.tokens()[:3]]
     repo = ConceptRepository(definitions)
     assert repo.unscoreable == () and repo.scoreable_ids() == repo.ids()
-    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])
+    query = embed_tokens(tiny_space, tiny_space.tokens()[:1])[0]
     with pytest.raises(ValueError, match="not embedded in a space"):
         rank_concepts(repo, query, kernel)
     with pytest.raises(ValueError, match="not embedded in a space"):
         top_r_columns(repo, query, kernel, 2, DEFAULT_CONFIG.percentile)
 
 
+@pytest.mark.parametrize("kernel", ["pooled", "hausdorff"])
+def test_rank_concepts_takes_a_query_of_at_least_one_row(tiny_space, kernel):
+    # embed_tokens never gives an empty query; a caller's own rows may be
+    repo = ConceptRepository([ConceptDefinition(id="a", name="a")], tiny_space)
+    for rows in ([], np.array([], dtype=np.intp)):
+        with pytest.raises(ZeroNormError, match="at least one table row"):
+            rank_concepts(repo, rows, kernel)
+
+
 def test_repository_matrices_equal_those_built_per_concept(tmp_path, monkeypatch):
     # the constructor resolves every concept to table rows and builds each
     # matrix in one pass; they must be, bit for bit, what stacking each
-    # concept's embed_tokens set gives (phrase merges, OOV words, stop
+    # concept's embed_tokens rows give (phrase merges, OOV words, stop
     # words, a fully OOV concept and one whose pooled vector is zero
     # included), and loading the file must not call embed_tokens at all
     rng = np.random.default_rng(8)
@@ -487,13 +498,14 @@ def test_repository_matrices_equal_those_built_per_concept(tmp_path, monkeypatch
     for entry in entries:
         words = [entry["name"], *entry.get("keywords", ())]
         try:
-            sets[entry["id"]] = embed_tokens(space, tokenize(" ".join(words), DEFAULT_STOPWORDS))
+            rows = embed_tokens(space, tokenize(" ".join(words), DEFAULT_STOPWORDS))[0]
+            sets[entry["id"]] = space._matrix[rows].astype(np.float64)
         except AllTokensOOV:
             pass
     assert repo.unscoreable == ("ghost",)
     assert len(sets["phrase"]) == 3  # w3_w4, w4 and w3
     ids = list(sets)
-    vectors = np.vstack([sets[c].vectors for c in ids])
+    vectors = np.vstack([sets[c] for c in ids])
     sizes = [len(sets[c]) for c in ids]
     assert repo._set_vectors.tobytes() == vectors.tobytes()
     assert repo._set_norms.tobytes() == np.linalg.norm(vectors, axis=1).tobytes()

@@ -11,7 +11,6 @@ import pytest
 import semvid
 import semvid.embedding as embedding
 from semvid.embedding import (
-    EmbeddedSet,
     EmbeddingSpace,
     embed_tokens,
     load_embeddings,
@@ -458,15 +457,15 @@ def test_tokenize_empty_string():
 # ------------------------------------------------------------ embed_tokens
 
 def test_embed_tokens_direct_lookup(tiny_space):
-    embedded = embed_tokens(tiny_space, ["a", "b"])
-    np.testing.assert_allclose(embedded.vectors, [[1, 0, 0], [0, 1, 0]], atol=1e-7)
-    assert embedded.source_tokens == ("a", "b")
+    rows, resolved, _, _ = embed_tokens(tiny_space, ["a", "b"])
+    np.testing.assert_allclose(tiny_space._matrix[rows], [[1, 0, 0], [0, 1, 0]], atol=1e-7)
+    assert resolved == ["a", "b"]
 
 
 def test_embed_tokens_skips_and_reports_oov(tiny_space):
-    embedded = embed_tokens(tiny_space, ["a", "zzz"])
-    assert len(embedded) == 1
-    assert embedded.oov == ("zzz",)
+    rows, _, oov, _ = embed_tokens(tiny_space, ["a", "zzz"])
+    assert len(rows) == 1
+    assert oov == ["zzz"]
 
 
 def test_embed_tokens_all_oov_raises(tiny_space):
@@ -487,33 +486,39 @@ def test_embed_tokens_phrase_pass(tmp_path):
     path = tmp_path / "phrases.txt"
     path.write_text("3 2\nnew 1 0\nnew_york 0 1\ncity 1 1\n", encoding="utf-8")
     space = load_embeddings(path)
-    embedded = embed_tokens(space, ["new", "york", "city"])
-    assert embedded.source_tokens == ("new_york", "city")
-    assert embedded.merges == 1
-    assert embedded.oov == ()
+    rows, resolved, oov, merges = embed_tokens(space, ["new", "york", "city"])
+    assert resolved == ["new_york", "city"] and rows == [1, 2]
+    assert merges == 1
+    assert oov == []
 
 
 def test_embed_tokens_conservation(space50):
     # output + oov + merges == input tokens, with and without phrase hits
     rng = np.random.default_rng(0)
     tokens = [str(t) for t in rng.choice(space50.tokens(), size=12)] + ["nope", "nada"]
-    embedded = embed_tokens(space50, tokens)
-    assert len(embedded) + len(embedded.oov) + embedded.merges == len(tokens)
+    rows, resolved, oov, merges = embed_tokens(space50, tokens)
+    assert len(rows) + len(oov) + merges == len(tokens) and len(resolved) == len(rows)
 
 
 @pytest.mark.parametrize("vectors", [
     np.zeros((0, 3)),
     np.ones(3),
-    [[1.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0]],
     np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
     np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
     np.array([[np.inf, 0.0, 0.0]]),
 ])
 def test_embedded_set_takes_only_rows_of_finite_nonzero_norm(vectors):
-    # a hand-built set with a zero row made the Hausdorff kernel divide 0 by
-    # 0 and weigh concepts NaN
-    with pytest.raises(ZeroNormError):
-        EmbeddedSet(vectors, ())
+    # a word set given as vectors to a similarity kernel, on either side: a
+    # set with a zero row made the Hausdorff kernel divide 0 by 0 and weigh
+    # concepts NaN
+    from semvid.similarity import sim_crosssum, sim_hausdorff, sim_pooled
+
+    good = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    for kernel in (sim_pooled, sim_hausdorff, sim_crosssum):
+        for pair in ((vectors, good), (good, vectors)):
+            with pytest.raises(ZeroNormError):
+                kernel(*pair)
 
 
 # --------------------------------------------------------------- sum_pool
@@ -551,8 +556,18 @@ def test_sum_pool_adds_the_rows_in_order_from_zero_whatever_their_layout():
     column_major = np.asfortranarray(vectors)
     strided = np.zeros((80, 300))
     strided[::2] = vectors
-    for layout in (vectors, column_major, EmbeddedSet(column_major, ()), strided[::2]):
+    for layout in (vectors, column_major, strided[::2]):
         assert sum_pool(layout).tobytes() == in_order.tobytes()
+    # the kernels pool a query's float32 table rows where they once pooled
+    # a float64 copy: both give the same bits, signed zeros included
+    rows = rng.standard_normal((40, 300)).astype(np.float32)
+    rows[:, :3] = -0.0
+    rows[0, 3] = rows[1:, 4] = -0.0
+    rows[1:, 3] = rows[0, 4] = 0.0
+    for n in (1, 2, 3, 40):
+        pooled = sum_pool(rows[:n])
+        assert pooled.tobytes() == sum_pool(rows[:n].astype(np.float64)).tobytes()
+        assert not np.signbit(pooled[:5]).any()
 
 
 def _pool_sets(rng, dtype):
@@ -621,7 +636,10 @@ def test_pool_texts_rows_are_sum_pool_of_their_words_bit_for_bit():
     pooled, counts = pool_texts(space, texts, frozenset())
     for row, text, count in zip(pooled, texts, counts):
         words = tokenize(text, frozenset())
-        expected = sum_pool(embed_tokens(space, words)) if count else np.zeros(12)
+        if count:
+            expected = sum_pool(space._matrix[embed_tokens(space, words)[0]].astype(np.float64))
+        else:
+            expected = np.zeros(12)
         assert row.tobytes() == expected.tobytes(), text
     assert counts[-3:].tolist() == [1, 0, 1]
     assert not np.signbit(pooled[:, 0]).any()

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from semvid import embedding, videos  # noqa: E402
@@ -131,6 +131,10 @@ ABORTING = [
     track_line("v1", "c2", [2]),
     track_line("v2", "unknown", [0.5]),
 ]
+# an integer sample too long for int(), read as the loader reads every
+# integer: as a float, here +inf, which aborts the load
+LONG_INTEGER = '{"video": "v1", "concept": "c1", "scores": [0.5, %s]}' % ("9" * 5000)
+ABORTING += [LONG_INTEGER, LONG_INTEGER.replace("[0.5, ", "[-")]
 
 
 # a sample's JSON text: integers, -0 and exponents besides repr's floats
@@ -192,6 +196,7 @@ def score_files(draw):
     mode=st.sampled_from(POOL_MODES),
     chunk=st.sampled_from([1, 2, 3, 5, 4096]),
 )
+@example(lines=([track_line("v0", "c0", [0.5]), LONG_INTEGER], "\n"), mode="max", chunk=4096)
 @settings(max_examples=200, deadline=None)
 def test_score_jsonl_matches_line_oracle(workdir, lines, mode, chunk):
     lines, end = lines

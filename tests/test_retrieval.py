@@ -430,7 +430,7 @@ def test_concept_weights_bit_exact_under_concept_order(odd_world):
         shuffled = [repo.concepts[i] for i in rng.permutation(len(repo))]
         shuffled_repo = ConceptRepository(shuffled, space)
         for title in (["w1", "w2"], ["w30"], ["w55", "w56", "w57"]):
-            query = embed_tokens(space, title)
+            query = embed_tokens(space, title)[0]
             for kernel in ("pooled", "hausdorff"):
                 ranked = rank_concepts(repo, query, kernel)
                 assert rank_concepts(reversed_repo, query, kernel) == ranked
@@ -700,7 +700,7 @@ def test_query_rejects_a_term_list_given_as_one_string_or_a_term_that_is_not_one
 def test_prepare_text_query_rejects_terms_given_as_one_string(space50):
     with pytest.raises(SemvidError, match="text query terms must be a sequence"):
         retrieval.prepare_text_query("w1", space50)
-    assert retrieval.prepare_text_query(("w1",), space50).source_tokens[0] == "w1"
+    assert retrieval.prepare_text_query(("w1",), space50)[1][0] == "w1"
 
 
 @pytest.mark.parametrize("k", [-1, 2.0, "5", None])
@@ -708,13 +708,13 @@ def test_prepare_text_query_takes_an_integer_k_of_at_least_zero(space50, k):
     # k = -1 used to mean no expansion, and k = 2.0 failed inside numpy
     with pytest.raises(SemvidError, match="k must be an integer >= 0"):
         retrieval.prepare_text_query(("w1",), space50, k)
-    assert len(retrieval.prepare_text_query(("w1",), space50, np.int64(0))) == 1
+    assert len(retrieval.prepare_text_query(("w1",), space50, np.int64(0))[0]) == 1
 
 
 def test_prepare_text_query_resolves_its_terms_once(monkeypatch):
     world = synth_world(seed=1)
     terms = ("ev0title0", "zzz", "ev0title1")
-    expected = retrieval.prepare_text_query(terms, world.space)
+    expected_rows, expected_tokens, _, _ = retrieval.prepare_text_query(terms, world.space)
     calls = []
     real = embedding._resolve
 
@@ -723,19 +723,19 @@ def test_prepare_text_query_resolves_its_terms_once(monkeypatch):
         return real(space, tokens)
 
     monkeypatch.setattr(embedding, "_resolve", spy)
-    got = retrieval.prepare_text_query(terms, world.space)
+    rows, tokens, oov, merges = retrieval.prepare_text_query(terms, world.space)
     assert calls == [list(terms)]
-    assert got.source_tokens == expected.source_tokens and got.oov == ("zzz",)
-    assert got.vectors.tobytes() == expected.vectors.tobytes()
-    assert got.source_tokens[:2] == ("ev0title0", "ev0title1") and len(got) == 2 + 5
+    assert tokens == expected_tokens and oov == ["zzz"] and merges == 0
+    assert rows == expected_rows and world.space._tokens[rows].tolist() == tokens
+    assert tokens[:2] == ["ev0title0", "ev0title1"] and len(rows) == 2 + 5
 
 
 @pytest.mark.parametrize("k", [0, 5])
 def test_query_side_pairs_are_sum_pool_of_the_query_sets_bit_for_bit(k):
     # each (sum, size) pair a text channel is scored with has the bits
-    # sum_pool gives the float64 set prepare_text_query builds from the
-    # same terms; every table row holds -0.0 in column 0, which a sum from
-    # zero makes +0.0
+    # sum_pool gives the float64 copy of the rows prepare_text_query
+    # resolves the same terms to; every table row holds -0.0 in column 0,
+    # which a sum from zero makes +0.0
     rng = np.random.default_rng(8)
     matrix = random_space(rng, 80, 12)._matrix.copy()
     matrix[:, 0] = -0.0
@@ -750,9 +750,9 @@ def test_query_side_pairs_are_sum_pool_of_the_query_sets_bit_for_bit(k):
     sides = retrieval._query_sides(queries, space, repo, RetrievalConfig(augment_k=k))
     for query, (_, _, ocr, asr) in zip(queries, sides):
         for extra, (total, size) in ((query.ocr_terms, ocr), (query.asr_terms, asr)):
-            expected = retrieval.prepare_text_query(query.title_terms + extra, space, k)
-            assert size == len(expected)
-            assert total.tobytes() == sum_pool(expected).tobytes()
+            rows = retrieval.prepare_text_query(query.title_terms + extra, space, k)[0]
+            assert size == len(rows)
+            assert total.tobytes() == sum_pool(space._matrix[rows].astype(np.float64)).tobytes()
             assert not np.signbit(total[0])
 
 

@@ -21,7 +21,9 @@ world (seeds 1, 5 and 11):
   the table ``eval`` prints, the only place its MAP and mean AUC appear;
 * ``relevance`` for the first query's title with both kernels, with no
   kernel or percentile flag (the defaults), and with the Hausdorff kernel
-  at the percentile 75;
+  at the percentile 75; and for that title plus the out-of-vocabulary word
+  ``zzz`` with both kernels, its standard error (the note naming ``zzz``)
+  kept besides its table;
 * the ``pool`` CSV in both modes;
 * for a world, ``rank`` outputs with both kernels from its own max-pooled
   CSV: once from the file as ``pool`` wrote it, which ``semvid`` parses
@@ -33,7 +35,7 @@ world (seeds 1, 5 and 11):
   where it reads the original in bulk. The script fails unless each is
   byte-identical to the same output of the original.
 
-That is 255 files.
+That is 291 files.
 
 Inputs are generated into a temporary directory, the workloads by
 ``perfbench/gen.py --out``; nothing under ``perfbench/`` is written. Every
@@ -66,18 +68,19 @@ ENV = dict(os.environ, PYTHONPATH=str(SRC),
            OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
-def run(argv, stdout=None) -> None:
-    """Run a command, writing its standard output to ``stdout`` if given;
-    stop the script if it fails."""
+def run(argv, stdout=None, stderr=None) -> None:
+    """Run a command, writing its standard output to ``stdout`` and its
+    standard error to ``stderr`` if given; stop the script if it fails."""
     done = subprocess.run(argv, env=ENV, capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"error: {' '.join(map(str, argv))} exited {done.returncode}\n{done.stderr}")
-    if stdout is not None:
-        Path(stdout).write_text(done.stdout, encoding="utf-8")
+    for path, text in ((stdout, done.stdout), (stderr, done.stderr)):
+        if path is not None:
+            Path(path).write_text(text, encoding="utf-8")
 
 
-def semvid(*args, stdout=None) -> None:
-    run([sys.executable, "-m", "semvid.cli", *map(str, args)], stdout)
+def semvid(*args, stdout=None, stderr=None) -> None:
+    run([sys.executable, "-m", "semvid.cli", *map(str, args)], stdout, stderr)
 
 
 def outputs(files, binary: bool, out: Path, rankings) -> None:
@@ -104,6 +107,10 @@ def outputs(files, binary: bool, out: Path, rankings) -> None:
     for name, extra in relevance.items():
         semvid("relevance", *table, "--query", title, *extra, *flags,
                stdout=out / f"relevance-{name}.txt")
+    for kernel in KERNELS:
+        semvid("relevance", *table, "--query", f"{title} zzz", "--kernel", kernel, *flags,
+               stdout=out / f"relevance-oov-{kernel}.txt",
+               stderr=out / f"relevance-oov-{kernel}.err.txt")
     for mode in MODES:
         semvid("pool", files["scores"], files["concepts"], "--mode", mode,
                "--out", out / f"pool-{mode}.csv")
